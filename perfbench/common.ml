@@ -6,7 +6,7 @@ module Json = Urm_util.Json
 
 let now = Unix.gettimeofday
 let ms s = s *. 1000.
-let percentile p = function [] -> 0. | xs -> Urm_util.Stats.percentile p xs
+let percentile = Urm_util.Stats.percentile_or_zero
 let median xs = percentile 0.5 xs
 let mean = function [] -> 0. | xs -> Urm_util.Stats.mean xs
 let ratio a b = if b = 0. then 0. else a /. b
@@ -94,6 +94,14 @@ module Trace = struct
       finish ();
       raise e
 
+  (* [untraced f] runs [f] with no spans recorded, e.g. an answer check
+     outside every op; unlike {!probe} its time is not taken from the
+     enclosing spans. *)
+  let untraced f =
+    let saved = !on in
+    on := false;
+    Fun.protect ~finally:(fun () -> on := saved) f
+
   let count name n =
     if !on then
       Hashtbl.replace counts name
@@ -101,8 +109,8 @@ module Trace = struct
 
   let counted name = Option.value ~default:0. (Hashtbl.find_opt counts name)
 
-  (* Total self time per span name, seconds. *)
-  let self_times () =
+  (* Summed duration of each span's direct children, by parent id. *)
+  let child_sums () =
     let children = Hashtbl.create 256 in
     List.iter
       (fun s ->
@@ -110,6 +118,11 @@ module Trace = struct
           Hashtbl.replace children s.parent
             (s.dur +. Option.value ~default:0. (Hashtbl.find_opt children s.parent)))
       !spans;
+    children
+
+  (* Total self time per span name, seconds. *)
+  let self_times () =
+    let children = child_sums () in
     let selfs = Hashtbl.create 16 in
     List.iter
       (fun s ->
@@ -120,6 +133,27 @@ module Trace = struct
           (self +. Option.value ~default:0. (Hashtbl.find_opt selfs s.name)))
       !spans;
     selfs
+
+  (* The breakdown's own check, per parent span name: the total duration
+     of those spans and of their direct children.  Children adding up to
+     more than their parent mean a child (usually a probe) measured more
+     work than the parent did, and the parent's self time is wrong. *)
+  let parent_totals () =
+    let children = child_sums () in
+    let totals = Hashtbl.create 16 in
+    List.iter
+      (fun s ->
+        match Hashtbl.find_opt children s.id with
+        | None -> ()
+        | Some c ->
+          let p0, c0 = Option.value ~default:(0., 0.) (Hashtbl.find_opt totals s.name) in
+          Hashtbl.replace totals s.name (p0 +. s.dur, c0 +. c))
+      !spans;
+    Hashtbl.fold (fun name (p, c) acc -> (name, p, c) :: acc) totals []
+
+  (* The duration of a finished span. *)
+  let duration id =
+    match List.find_opt (fun s -> s.id = id) !spans with Some s -> s.dur | None -> 0.
 
   let durations name =
     List.filter_map (fun s -> if s.name = name then Some s.dur else None) !spans
@@ -170,31 +204,39 @@ type stats = {
 
 let fresh_stats () = { attempted = 0; failed = 0; rounds = []; ops = 0 }
 
-(* The host this was tuned on runs at its base speed most of the time but
-   slows down by up to 2x for seconds at a time, and every op slows with
-   it.  The end-to-end statistics therefore use the rounds during which
-   the reference kernel, before and after the round, ran within
-   [slow_factor] of the run's fastest decile — unless fewer than a quarter
-   of the rounds (or three) qualify, when every round counts. *)
-let slow_factor = 1.2
-
-let host_rounds st =
-  let floor = percentile 0.1 (List.concat_map (fun r -> [ r.before; r.after ]) st.rounds) in
-  let fast =
-    List.filter (fun r -> Float.max r.before r.after <= slow_factor *. floor) st.rounds
-  in
-  if List.length fast >= max 3 (List.length st.rounds / 4) then fast else st.rounds
-
 let class_samples rounds cls =
   List.concat_map
     (fun r -> List.filter_map (fun (c, dt) -> if c = cls then Some dt else None) r.lat)
     rounds
 
-(* Latency samples of one op class over the fast-host rounds. *)
+(* The host this was tuned on runs at its base speed most of the time but
+   slows down by up to 2x for seconds at a time, and every op slows with
+   it.  The end-to-end statistics therefore use the calm rounds: those
+   during which the reference kernel, before and after the round, ran
+   within [slow_factor] of the run's fastest decile.  When the calm rounds
+   hold fewer than [min_samples] samples of some op class, the next
+   calmest rounds are added until every class has [min_samples] (or all
+   of its samples), so ten samples lie beyond every reported median. *)
+let slow_factor = 1.2
+let min_samples = 20
+
+let host_rounds st =
+  let host r = Float.max r.before r.after in
+  let floor = percentile 0.1 (List.concat_map (fun r -> [ r.before; r.after ]) st.rounds) in
+  let classes = List.sort_uniq compare (List.concat_map (fun r -> List.map fst r.lat) st.rounds) in
+  let needed = List.map (fun c -> (c, min min_samples (List.length (class_samples st.rounds c)))) classes in
+  let enough rs = List.for_all (fun (c, n) -> List.length (class_samples rs c) >= n) needed in
+  let rec take acc = function
+    | r :: rest when host r <= slow_factor *. floor || not (enough acc) -> take (r :: acc) rest
+    | _ -> acc
+  in
+  take [] (List.stable_sort (fun a b -> compare (host a) (host b)) st.rounds)
+
+(* Latency samples of one op class over the calm rounds. *)
 let samples st cls = class_samples (host_rounds st) cls
 
 (* Completed ops per timed second of a typical round: the median over
-   the fast-host rounds. *)
+   the calm rounds. *)
 let ops_per_s st = median (List.map (fun r -> r.rate) (host_rounds st))
 
 (* Every op's latency, all rounds. *)
@@ -227,12 +269,13 @@ let exec st op =
   | Error e -> fail st (op.cls ^ ": " ^ e));
   (dt, now () -. c0)
 
-(* [drive st ~rounds ~from ?seconds ?max_rounds ()] runs whole rounds
-   [from], [from + 1], … until [seconds] of timed wall time have passed
-   (after at least one round) or [max_rounds] rounds are done.  Whole
-   rounds keep the op mix independent of where the clock runs out.
-   Returns the number of rounds run. *)
-let drive st ~rounds ~from ?(seconds = infinity) ?(max_rounds = max_int) () =
+(* [drive st ~rounds ~from ?seconds ?max_rounds ?after_round ()] runs
+   whole rounds [from], [from + 1], … until [seconds] of timed wall time
+   have passed (after at least one round) or [max_rounds] rounds are
+   done.  Whole rounds keep the op mix independent of where the clock runs
+   out.  [after_round n] runs outside the timed window once [n] rounds are
+   done.  Returns the number of rounds run. *)
+let drive st ~rounds ~from ?(seconds = infinity) ?(max_rounds = max_int) ?(after_round = ignore) () =
   let t_start = now () in
   let untimed = ref 0. in
   let untimed_sample () =
@@ -257,7 +300,10 @@ let drive st ~rounds ~from ?(seconds = infinity) ?(max_rounds = max_int) () =
     let after = untimed_sample () in
     st.rounds <- { rate; lat; before = !before; after } :: st.rounds;
     before := after;
-    incr n
+    incr n;
+    let k0 = now () in
+    after_round !n;
+    untimed := !untimed +. (now () -. k0)
   done;
   !n
 
@@ -279,14 +325,8 @@ let interleaved st ~rounds ~from ~n =
 
 (* Deterministic permutation of a round's ops from (seed, round). *)
 let shuffle ~seed ~round xs =
-  let rng = Random.State.make [| seed; round; 0x5eed |] in
   let a = Array.of_list xs in
-  for i = Array.length a - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  done;
+  Urm_util.Prng.shuffle (Urm_util.Prng.create (Hashtbl.hash (seed, round, 0x5eed))) a;
   Array.to_list a
 
 let rng_for ~seed ~round salt = Random.State.make [| seed; round; salt |]
@@ -310,6 +350,16 @@ let vm_hwm_mb pid =
         else scan ()
     in
     Fun.protect ~finally:(fun () -> close_in ic) scan
+
+(* Restarts a process's VmHWM from its current resident set (Linux's
+   [clear_refs] code 5); false when the kernel refuses. *)
+let reset_peak pid =
+  match open_out (Printf.sprintf "/proc/%d/clear_refs" pid) with
+  | exception Sys_error _ -> false
+  | oc -> (
+    match output_string oc "5"; close_out oc with
+    | () -> true
+    | exception Sys_error _ -> close_out_noerr oc; false)
 
 (* CPU seconds (user + system) of another live process. *)
 let proc_cpu_s pid =

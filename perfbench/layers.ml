@@ -55,11 +55,22 @@ let table =
     ("trace.overhead_ratio", "ratio");
     ("trace.reconcile_err", "ratio");
     ("trace.unattributed_ratio", "ratio");
+    ("trace.overrun_ratio", "ratio");
   ]
 
 (* The stated reconciliation tolerance: layer self times, summed per op,
-   must land within this share of the untraced mean op latency. *)
+   must land within this share of the untraced mean op latency.  Self
+   times telescope into the op span, so this measures the tracing
+   overhead and the op time no layer span covers, not the breakdown
+   itself; {!slack} checks the breakdown. *)
 let tolerance = 0.10
+
+(* How far a parent layer's children, summed over the run, may exceed
+   the parent before the breakdown counts as wrong (see
+   {!Trace.parent_totals}).  Probe children re-run a layer's calls
+   outside the op and carry their own timing noise; a layer that does
+   almost nothing beside its children (the fold on wide-h) sits near 0. *)
+let slack = 0.10
 
 (* Spans whose self time per op is reported, with the metric's name. *)
 let self_layers =
@@ -92,6 +103,11 @@ let of_trace ~untraced ~traced =
   let op_total = List.fold_left ( +. ) 0. (Trace.durations "op") in
   let rtts = Trace.durations "client.rtt" in
   let reconcile = ratio (Float.abs (per_op attributed -. untraced_mean)) untraced_mean in
+  let excess =
+    List.map (fun (name, p, c) -> (name, ratio (c -. p) p)) (Trace.parent_totals ())
+    |> List.sort (fun (_, a) (_, b) -> compare b a)
+  in
+  let overrun_ratio = match excess with (_, e) :: _ -> Float.max 0. e | [] -> 0. in
   let v =
     List.map (fun (span, name) -> (name, ms (per_op (self span)))) self_layers
     @ [
@@ -112,6 +128,7 @@ let of_trace ~untraced ~traced =
           ratio (traced_sum -. lat_sum untraced) (lat_sum untraced));
         ("trace.reconcile_err", reconcile);
         ("trace.unattributed_ratio", ratio (self "op") op_total);
+        ("trace.overrun_ratio", overrun_ratio);
       ]
   in
   Printf.printf
@@ -120,6 +137,14 @@ let of_trace ~untraced ~traced =
     (ms (per_op attributed)) (ms untraced_mean) (100. *. reconcile) (100. *. tolerance)
     (if reconcile <= tolerance then "ok" else "OVER")
     (100. *. ratio (traced_sum -. lat_sum untraced) (lat_sum untraced));
+  Printf.printf "trace: breakdown %s: children vs parent, summed per layer: %s (limit +%.0f%%)\n%!"
+    (if overrun_ratio <= slack then "ok" else "INCONSISTENT")
+    (String.concat ", "
+       (List.filteri (fun i _ -> i < 4) (List.map (fun (n, e) -> Printf.sprintf "%s %+.1f%%" n (100. *. e)) excess)))
+    (100. *. slack);
+  if Trace.durations "server.request" <> [] then
+    Printf.printf "trace: server.request clipped to the client round trip on %.1f%% of requests\n%!"
+      (100. *. ratio (Trace.counted "server.clipped") (float_of_int (List.length rtts)));
   v
 
 (* All per-layer metrics in table order; [values] may omit any. *)

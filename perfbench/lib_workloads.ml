@@ -105,69 +105,82 @@ let check_topk tg ~k answer () =
 (* ------------------------------------------------------------------ *)
 (* Traced forms: the same answers through the layers' public calls. *)
 
-(* Drives each distinct evaluable unit's plan into a no-op sink — the
-   plan-execution share of an op, without the answer fold. *)
-let exec_probe ?(weighted = true) ctx units =
+(* Executes the plans {!Urm.Factorized.eval} runs for [units], streaming
+   every batch into a no-op sink: each distinct evaluable unit once and,
+   with [cse], the shared subexpressions materialised first and
+   substituted into the unit bodies, as the factorized e-MQO does.  Returns
+   the execution seconds; the DAG construction is left out (it is the
+   executor's [plan_time]). *)
+let exec_probe ?(ctrs = Urm_relalg.Eval.fresh_counters ()) ?(weighted = true) ?(cse = false) ctx units =
   let seen = Hashtbl.create 16 in
+  let bodies =
+    List.filter_map
+      (fun ((sq : Urm.Reformulate.t), weights) ->
+        match sq.Urm.Reformulate.body with
+        | Urm.Reformulate.Expr e ->
+          let k = Urm.Reformulate.key sq in
+          if Hashtbl.mem seen k then None
+          else begin
+            Hashtbl.add seen k ();
+            Some (e, weights)
+          end
+        | Urm.Reformulate.Unsatisfiable | Urm.Reformulate.Trivial -> None)
+      units
+  in
+  let catalog = ctx.Urm.Ctx.catalog in
+  let optimised = List.map (fun (e, _) -> if cse then Urm_relalg.Eval.optimize catalog e else e) bodies in
+  let dag = if cse then Urm_mqo.Dag.build catalog optimised else Urm_mqo.Dag.empty in
+  let table = Hashtbl.create 16 in
+  let lookup fp = Hashtbl.find_opt table fp in
+  let t0 = now () in
   List.iter
-    (fun ((sq : Urm.Reformulate.t), weights) ->
-      match sq.Urm.Reformulate.body with
-      | Urm.Reformulate.Expr e ->
-        let k = Urm.Reformulate.key sq in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
-          if weighted then snd (Urm.Ctx.eval_wbatches ctx e ~weights) (fun _ -> ())
-          else snd (Urm.Ctx.eval_batches ctx e) (fun _ -> ())
-        end
-      | Urm.Reformulate.Unsatisfiable | Urm.Reformulate.Trivial -> ())
-    units
+    (fun s ->
+      Hashtbl.replace table (Urm_relalg.Algebra.canonical_fingerprint s)
+        (Urm.Ctx.eval ~ctrs ctx (Urm_mqo.Dag.substitute lookup s)))
+    (Urm_mqo.Dag.shares dag);
+  List.iter2
+    (fun (raw, weights) opt ->
+      let e =
+        if not cse then raw
+        else
+          let sub = Urm_mqo.Dag.substitute lookup opt in
+          if Urm_relalg.Algebra.contains_mat sub then sub else raw
+      in
+      if weighted then snd (Urm.Ctx.eval_wbatches ~ctrs ctx e ~weights) (fun _ -> ())
+      else snd (Urm.Ctx.eval_batches ~ctrs ctx e) (fun _ -> ()))
+    bodies optimised;
+  now () -. t0
 
 let count_ctrs (ctrs : Urm_relalg.Eval.counters) =
   Trace.count "relalg.rows" (float_of_int ctrs.Urm_relalg.Eval.rows_produced);
   Trace.count "relalg.source_ops" (float_of_int ctrs.Urm_relalg.Eval.operators)
 
-(* Basic step by step, through the public calls {!Urm.Basic} makes on the
-   vectorized engine: reformulate every mapping, then evaluate each
-   distinct reformulation once, streaming its batches into the answer, and
-   replay its recorded buckets for the later mappings that share it. *)
+(* Basic as one opaque call ({!Urm.Algorithms.run}).  Its reformulation
+   and plan execution are timed by probes re-running the same public
+   calls — every mapping's {!Urm.Reformulate.source_query} and key, then
+   each distinct reformulation's plan into a no-op sink — and become
+   children of the call's span, which keeps the answer fold and the
+   replays as its self time. *)
 let traced_basic tg =
   let ctx = tg.ctx and q = tg.q and ms = tg.ms in
-  let ctrs = Urm_relalg.Eval.fresh_counters () in
-  let sqs =
-    Trace.span "reformulate" (fun () ->
+  let report, fold = Trace.span_id "answer.fold" (fun () -> A.run A.Basic ctx q ms) in
+  let units, rewrite =
+    Trace.probe (fun () ->
         List.map
           (fun m ->
             let sq = Urm.Reformulate.source_query ctx.Urm.Ctx.target q m in
-            (sq, Urm.Reformulate.key sq, m.Urm.Mapping.prob))
+            ignore (Urm.Reformulate.key sq);
+            (sq, [| m.Urm.Mapping.prob |]))
           ms)
   in
-  let acc = Urm.Answer.create (Urm.Reformulate.output_header q) in
-  let (), fold =
-    Trace.span_id "answer.fold" (fun () ->
-        let memo = Hashtbl.create 16 in
-        List.iter
-          (fun ((sq : Urm.Reformulate.t), key, p) ->
-            let factor = Urm.Reformulate.factor ctx.Urm.Ctx.catalog sq in
-            match sq.Urm.Reformulate.body with
-            | Urm.Reformulate.Expr e -> (
-              match Hashtbl.find_opt memo key with
-              | Some r -> Urm.Reformulate.replay_answers_into acc r p
-              | None ->
-                Hashtbl.add memo key
-                  (Urm.Reformulate.record_batch_answers_into acc sq ~factor
-                     (Urm.Ctx.eval_batches ~ctrs ctx e) p))
-            | Urm.Reformulate.Unsatisfiable | Urm.Reformulate.Trivial ->
-              Urm.Reformulate.null_answer_into acc sq ~factor p)
-          sqs)
-  in
-  let units = List.map (fun (sq, _, p) -> (sq, [| p |])) sqs in
-  ignore
-    (Trace.attach ~parent:fold "relalg.exec"
-       (snd (Trace.probe (fun () -> exec_probe ~weighted:false ctx units))));
+  ignore (Trace.attach ~parent:fold "reformulate" rewrite);
+  let ctrs = Urm_relalg.Eval.fresh_counters () in
+  let exec = fst (Trace.probe (fun () -> exec_probe ~ctrs ~weighted:false ctx units)) in
+  ignore (Trace.attach ~parent:fold "relalg.exec" exec);
   Trace.count "reformulate.units" (float_of_int (List.length ms));
   count_ctrs ctrs;
-  Trace.count "answer.tuples" (float_of_int (Urm.Answer.size acc));
-  acc
+  Trace.count "answer.tuples" (float_of_int (Urm.Answer.size report.Urm.Report.answer));
+  report.Urm.Report.answer
 
 let count_factorized ctrs (r : Urm.Factorized.result) ~units =
   Trace.count "reformulate.units" (float_of_int units);
@@ -196,7 +209,7 @@ let traced_sharing tg alg =
   let cse = alg = Emqo || alg = Osharing in
   let r, fold = Trace.span_id "answer.fold" (fun () -> Urm.Factorized.eval ~ctrs ~cse ctx q units) in
   ignore (Trace.attach ~parent:fold "mqo.plan" r.Urm.Factorized.plan_time);
-  ignore (Trace.attach ~parent:fold "relalg.exec" (snd (Trace.probe (fun () -> exec_probe ctx units))));
+  ignore (Trace.attach ~parent:fold "relalg.exec" (fst (Trace.probe (fun () -> exec_probe ~cse ctx units))));
   count_factorized ctrs r ~units:(List.length units);
   r.Urm.Factorized.answer
 
@@ -312,12 +325,19 @@ let run (spec : spec) ~seed ~seconds ~trace =
     List.sort_uniq compare (List.map (fun (_, s, _) -> s.Urm_relalg.Schema.sname) queries)
     |> List.map Urm_workload.Targets.by_name
   in
-  (* Only the last set-up's pipeline stays reachable, so the earlier ones
-     do not weigh on the measured heap. *)
+  (* Set-ups run one after another; only the last one's pipeline stays
+     reachable, and the heap is compacted after each earlier one. *)
   let pipeline, times =
-    let setups = List.init spec.repeats (fun _ -> setup_once ~scale:spec.scale ~h:spec.h schemas) in
-    ( (List.nth setups (spec.repeats - 1)).pipeline,
-      List.map (fun s -> (s.generate_s, s.mappings_s, s.total_s)) setups )
+    let rec go i times =
+      let s = setup_once ~scale:spec.scale ~h:spec.h schemas in
+      let times = (s.generate_s, s.mappings_s, s.total_s) :: times in
+      if i = spec.repeats then (s.pipeline, times)
+      else begin
+        Gc.compact ();
+        go (i + 1) times
+      end
+    in
+    go 1 []
   in
   let med f = median (List.map f times) in
   let targets = List.map (build_target pipeline ~h:spec.h ~bytes:spec.bytes) queries in

@@ -1,12 +1,15 @@
 (* The benchmark's entry point:
 
      main.exe --workload NAME --seed N --seconds S --trace 0|1 [--perturb]
+     main.exe --child server|router
 
    Runs one workload as a closed loop with one client for S seconds,
    checks every answer, prints a summary and, as the last line, the result
    object: the end-to-end metrics with [--trace 0], the per-layer metrics
    with [--trace 1].  [--perturb] corrupts every produced answer before its
-   check (the gate's self-test: the run must then report failures). *)
+   check (the gate's self-test: the run must then report failures).
+   [--child] runs the program under test for a service workload (see
+   {!Child}). *)
 
 open Common
 
@@ -32,6 +35,7 @@ let usage () =
 let () =
   (* Shard workers re-execute this binary; become one when asked to. *)
   Urm_shard.Launcher.exec_if_worker ();
+  (match Array.to_list Sys.argv with _ :: [ "--child"; kind ] -> Child.run_child kind | _ -> ());
   let workload = ref "" and seed = ref (-1) and seconds = ref 0. and trace = ref (-1) in
   let rec parse = function
     | "--workload" :: w :: rest -> workload := w; parse rest

@@ -1,6 +1,7 @@
-(* The service workloads: serve-rw (one in-process server, one framed
-   client) and shard-q4 (an in-process router over two worker processes,
-   one framed client).
+(* The service workloads: serve-rw (one server, one framed client) and
+   shard-q4 (a router over two worker processes, one framed client).  The
+   server and the router run in processes of their own ({!Child}); this
+   process is the client and the checker.
 
    serve-rw checks every reply against a local versioned-catalog replica
    that commits the same mutation batches; shard-q4 checks every router
@@ -14,7 +15,6 @@ module Frame = Urm_service.Frame
 module Session = Urm_service.Session
 module Mutation = Urm_incr.Mutation
 module Vcatalog = Urm_incr.Vcatalog
-module Metrics = Urm_obs.Metrics
 module Value = Urm_relalg.Value
 
 let member k j = Option.value ~default:Json.Null (Json.member k j)
@@ -98,6 +98,35 @@ let stop_server s =
   Server.stop s;
   Server.wait s
 
+(* A program under test in its child process, with its framed client. *)
+let start_child kind open_params =
+  let child = Child.spawn kind in
+  let c = framed_client child.Child.port in
+  ignore (call_exn c ~op:"open-session" open_params);
+  (child, c)
+
+let stop_child (child, c) =
+  Client.close c;
+  Child.stop child
+
+(* CPU time of the program's processes. *)
+let child_cpu child () = List.fold_left (fun a pid -> a +. proc_cpu_s pid) 0. (Child.pids child)
+
+(* The program's peak resident memory during the timed ops (VmHWM,
+   summed over its processes): the peaks restart here from the current
+   resident sets, which hold the session but not the transient peak of
+   building it, and are read after [n] timed rounds, or at the end of a
+   run with fewer.  The peak keeps creeping up as the heaps grow in
+   steps, so a reading at a fixed op count does not depend on how many
+   rounds a run gets through.  Returns the [after_round] hook for
+   {!drive} and the reading. *)
+let rss_after_rounds n child =
+  let rss () = List.fold_left (fun a pid -> a +. vm_hwm_mb (string_of_int pid)) 0. (Child.pids child) in
+  if not (List.for_all reset_peak (Child.pids child)) then
+    note "perfbench: could not restart the peak RSS; peak_rss_mb includes the set-up";
+  let at_n = ref None in
+  ((fun k -> if k = n then at_n := Some (rss ())), fun () -> match !at_n with Some v -> v | None -> rss ())
+
 (* Fresh-key copies of existing rows: the key column (first) gets a value
    no generated row has, the other columns repeat a seeded row. *)
 let fresh_rows rng rel ~n ~serial =
@@ -115,13 +144,25 @@ let fresh_rows rng rel ~n ~serial =
   serial := !serial + n;
   rows
 
-(* Runs [repeats] complete set-ups and keeps the last; the set-up time is
-   their median. *)
+(* Set-ups per run on the service workloads; [setup_s] is their median. *)
+let setups = 9
+
+(* Runs [repeats] complete set-ups one after another, tearing each down
+   before the next starts, and keeps the last; the set-up time is their
+   median. *)
 let repeated_setup repeats once teardown =
-  let runs = List.init repeats (fun _ -> let t0 = now () in let v = once () in (v, now () -. t0)) in
-  let keep, _ = List.nth runs (repeats - 1) in
-  List.iteri (fun i (v, _) -> if i < repeats - 1 then teardown v) runs;
-  (keep, median (List.map snd runs))
+  let rec go i times =
+    let t0 = now () in
+    let v = once () in
+    let times = (now () -. t0) :: times in
+    if i = repeats then (v, median times)
+    else begin
+      teardown v;
+      Gc.compact ();
+      go (i + 1) times
+    end
+  in
+  go 1 []
 
 (* ------------------------------------------------------------------ *)
 (* serve-rw *)
@@ -151,23 +192,20 @@ let adhoc_sql rng =
     (1 + Random.State.int rng 100)
 
 let serve_rw ~seed ~seconds ~trace =
-  let server_metrics = Metrics.scope Metrics.global "service" in
-  let request_timer = Metrics.timer server_metrics "phase.request" in
   let open_s = ref [] in
   let (server, c), setup_s =
-    repeated_setup 5
+    repeated_setup setups
       (fun () ->
-        let s = Server.start { Server.default_config with port = 0 } in
-        let c = framed_client (Server.port s) in
+        let child = Child.spawn "server" in
+        let c = framed_client child.Child.port in
         let t0 = now () in
         ignore (call_exn c ~op:"open-session" open_params);
         open_s := (now () -. t0) :: !open_s;
-        (s, c))
-      (fun (s, c) ->
-        Client.close c;
-        stop_server s)
+        (child, c))
+      stop_child
   in
-  Fun.protect ~finally:(fun () -> Client.close c; stop_server server) @@ fun () ->
+  Fun.protect ~finally:(fun () -> stop_child (server, c)) @@ fun () ->
+  Child.compact server;
   (* The replica: the session's own build steps (Session.build). *)
   (* Its instance generation and mapping enumeration are timed as the
      set-up layers of the session build. *)
@@ -258,24 +296,22 @@ let serve_rw ~seed ~seconds ~trace =
     if String.equal (Json.to_string (member "answers" (perturbed reply))) want then None
     else Some "top-5 differs from the replica's"
   in
-  (* The server records a request's time just after replying, so every
+  (* The server records a request's time just after replying, so a traced
      reply waits (outside the timed interval) until that record landed:
      the next request's baseline then holds no earlier request. *)
   let server_span = ref 0 in
   let request ?sql_text ~op params =
-    let calls0 = Metrics.calls request_timer and elapsed0 = Metrics.elapsed request_timer in
+    let calls0, elapsed0 = if !Trace.on then fst (Trace.probe (fun () -> Child.stats server)) else (0, 0.) in
     call c ~op params ~after:(fun rtt doc line ->
-        ignore
-          (Trace.probe (fun () ->
-               let deadline = now () +. 0.05 in
-               while Metrics.calls request_timer = calls0 && now () < deadline do
-                 Thread.yield ()
-               done));
         if !Trace.on then begin
+          let _, elapsed1 = fst (Trace.probe (fun () -> Child.stats ~after:calls0 server)) in
           frame_probe rtt doc line;
-          let sid =
-            Trace.attach ~parent:rtt "server.request" (Metrics.elapsed request_timer -. elapsed0)
-          in
+          (* The server stamps a request's time after its reply write
+             returned, which can be after the client already holds the
+             reply; such spans are clipped to the round trip and counted. *)
+          let server_s = elapsed1 -. elapsed0 and rtt_s = Trace.duration rtt in
+          if server_s > rtt_s then Trace.count "server.clipped" 1.;
+          let sid = Trace.attach ~parent:rtt "server.request" (Float.min server_s rtt_s) in
           server_span := sid;
           Option.iter
             (fun text ->
@@ -290,7 +326,10 @@ let serve_rw ~seed ~seconds ~trace =
      library layers are timed by re-running the same public calls on the
      replica, which holds the same data (o-sharing, the default: partition,
      representatives, singleton units and the factorized pass; or
-     Topk.run), and attached under the request's server span. *)
+     Topk.run), and attached under the request's server span.  The
+     replica's plan cache and column memo are warm from the answer checks,
+     as the server's are from earlier requests, but they are not the
+     server's own. *)
   let eval_layers ~topk q reply =
     if !Trace.on && member "cached" reply = Json.Bool false then begin
       let sid = !server_span and h = head () in
@@ -308,7 +347,7 @@ let serve_rw ~seed ~seconds ~trace =
         in
         let ctrs = Urm_relalg.Eval.fresh_counters () in
         let r, eval = Trace.probe (fun () -> Urm.Factorized.eval ~ctrs ~cse:true ctx q units) in
-        let _, exec = Trace.probe (fun () -> Lib_workloads.exec_probe ctx units) in
+        let exec = fst (Trace.probe (fun () -> Lib_workloads.exec_probe ~cse:true ctx units)) in
         ignore (Trace.attach ~parent:sid "reformulate" rewrite);
         let fold = Trace.attach ~parent:sid "answer.fold" eval in
         ignore (Trace.attach ~parent:fold "mqo.plan" r.Urm.Factorized.plan_time);
@@ -405,9 +444,10 @@ let serve_rw ~seed ~seconds ~trace =
   let st = fresh_stats () in
   st.attempted <- warm.attempted;
   st.failed <- warm.failed;
-  let host = host_start () in
-  let done_rounds = drive st ~rounds ~from:0 ~seconds:(if trace then seconds /. 2. else seconds) () in
-  let host_values = host_metrics host st in
+  let host = host_start ~extra_cpu:(child_cpu server) () in
+  let after_round, peak_rss = rss_after_rounds 300 server in
+  let done_rounds = drive st ~rounds ~from:0 ~after_round ~seconds:(if trace then seconds /. 2. else seconds) () in
+  let host_values = host_metrics ~extra_cpu:(child_cpu server) host st in
   let e2e =
     [
       metric "setup_s" "s" setup_s;
@@ -415,7 +455,7 @@ let serve_rw ~seed ~seconds ~trace =
       metric "query_p50_ms" "ms" (ms (percentile 0.5 (samples st "query")));
       metric "query_p90_ms" "ms" (ms (percentile 0.9 (samples st "query")));
       metric "topk_p50_ms" "ms" (ms (percentile 0.5 (samples st "topk")));
-      metric "peak_rss_mb" "MiB" (vm_hwm_mb "self");
+      metric "peak_rss_mb" "MiB" (peak_rss ());
     ]
   in
   if not trace then (st, e2e, host_values)
@@ -474,26 +514,11 @@ let partial_tuples reply =
   | _ -> 0
 
 let shard_q4 ~seed ~seconds ~trace =
-  let config = { Urm_shard.Router.default_config with shards } in
-  let stop_router (r, c) =
-    Client.close c;
-    Urm_shard.Router.stop r;
-    Urm_shard.Router.wait r
-  in
   let (router, c), setup_s =
-    repeated_setup 5
-      (fun () ->
-        match Urm_shard.Router.start config with
-        | Error m -> failwith ("router start: " ^ m)
-        | Ok r ->
-          let c = framed_client (Urm_shard.Router.port r) in
-          ignore (call_exn c ~op:"open-session" q4_open);
-          (r, c))
-      stop_router
+    repeated_setup setups (fun () -> start_child "router" q4_open) stop_child
   in
-  Fun.protect ~finally:(fun () -> stop_router (router, c)) @@ fun () ->
-  let workers = Urm_shard.Router.worker_pids router in
-  let workers_cpu () = List.fold_left (fun a pid -> a +. proc_cpu_s pid) 0. workers in
+  Fun.protect ~finally:(fun () -> stop_child (router, c)) @@ fun () ->
+  Child.compact router;
   (* The single-process reference the router must match byte for byte. *)
   let oracle = Server.start { Server.default_config with port = 0 } in
   let oc = framed_client (Server.port oracle) in
@@ -515,7 +540,8 @@ let shard_q4 ~seed ~seconds ~trace =
   let partial_ms = ref [] and partial_bytes = ref [] and router_self = ref [] in
   let merge_tuples = ref [] and broadcast_ms = ref [] in
   let ok = function Ok r -> r | Error (code, m) -> failwith (code ^ ": " ^ m) in
-  let oracle_call ~op params = ok (call oc ~op params) in
+  (* Oracle calls are checking, not the program: never spans. *)
+  let oracle_call ~op params = Trace.untraced (fun () -> ok (call oc ~op params)) in
   let same_as_oracle ~op params reply () =
     let want = oracle_call ~op params in
     if String.equal (answer_key (perturbed reply)) (answer_key want) then None
@@ -577,8 +603,8 @@ let shard_q4 ~seed ~seconds ~trace =
           same_as_oracle ~op:"query" (q4_query alg) reply);
     }
   in
-  let topk =
-    let params = [ q4_session; ("query", str "Q4"); ("k", int 5) ] in
+  let topk k =
+    let params = [ q4_session; ("query", str "Q4"); ("k", int k) ] in
     { cls = "topk"; run = (fun () -> same_as_oracle ~op:"topk" params (ok (call c ~op:"topk" params))) }
   in
   (* Rounds alternately insert 1-10 fresh-key rows and delete them again,
@@ -613,15 +639,17 @@ let shard_q4 ~seed ~seconds ~trace =
             else Some "router mutate reply differs from the single server's");
     }
   in
-  (* One round: a mutate first (it invalidates Q4's cached partials, so
-     the round's first fan-outs recompute on the workers), then four
-     basic fan-outs, one e-basic unit fan-out and one top-5, in seeded
-     order. *)
+  (* One round: a mutate first (it invalidates Q4's cached partials and
+     answers, so the round's first fan-out recomputes on the workers),
+     then four basic fan-outs, one e-basic unit fan-out and five top-k
+     ops, in seeded order.  The top-k ops ask for k = 3..7, so none is
+     served from the answer cache, and the median falls inside the
+     middle one's cluster. *)
   let rounds r =
     let rng = rng_for ~seed ~round:r 2 in
     write rng
     :: shuffle ~seed ~round:r
-         (List.init 4 (fun _ -> fan "basic" "query") @ [ fan "e-basic" "units"; topk ])
+         (List.init 4 (fun _ -> fan "basic" "query") @ (fan "e-basic" "units" :: List.init 5 (fun i -> topk (3 + i))))
   in
   let warm = fresh_stats () in
   ignore (drive warm ~rounds ~from:(-1) ~max_rounds:1 ());
@@ -629,10 +657,10 @@ let shard_q4 ~seed ~seconds ~trace =
   let st = fresh_stats () in
   st.attempted <- warm.attempted;
   st.failed <- warm.failed;
-  let host = host_start ~extra_cpu:workers_cpu () in
-  let done_rounds = drive st ~rounds ~from:0 ~seconds:(if trace then seconds /. 2. else seconds) () in
-  let host_values = host_metrics ~extra_cpu:workers_cpu host st in
-  let rss () = List.fold_left (fun a pid -> a +. vm_hwm_mb (string_of_int pid)) (vm_hwm_mb "self") workers in
+  let host = host_start ~extra_cpu:(child_cpu router) () in
+  let after_round, peak_rss = rss_after_rounds 4 router in
+  let done_rounds = drive st ~rounds ~from:0 ~after_round ~seconds:(if trace then seconds /. 2. else seconds) () in
+  let host_values = host_metrics ~extra_cpu:(child_cpu router) host st in
   let e2e =
     [
       metric "setup_s" "s" setup_s;
@@ -640,7 +668,7 @@ let shard_q4 ~seed ~seconds ~trace =
       metric "query_p50_ms" "ms" (ms (percentile 0.5 (samples st "query")));
       metric "query_p90_ms" "ms" (ms (percentile 0.9 (samples st "query")));
       metric "topk_p50_ms" "ms" (ms (percentile 0.5 (samples st "topk")));
-      metric "peak_rss_mb" "MiB" (rss ());
+      metric "peak_rss_mb" "MiB" (peak_rss ());
     ]
   in
   if not trace then (st, e2e, host_values)

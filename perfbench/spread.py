@@ -15,6 +15,7 @@ import json
 import statistics
 import subprocess
 import sys
+import time
 
 ap = argparse.ArgumentParser()
 ap.add_argument("--workload", required=True)
@@ -27,9 +28,11 @@ bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 values = {name: [] for name in bounds}
 for i in range(a.runs):
     seed = a.first_seed + i
+    t0 = time.monotonic()
     p = subprocess.run(bench["command"] + ["--workload", a.workload, "--seed", str(seed),
                        "--seconds", str(bench["run_seconds"]), "--trace", "0"],
                        stdout=subprocess.PIPE, text=True)
+    wall = time.monotonic() - t0
     res = json.loads(p.stdout.strip().splitlines()[-1])
     with open("_build/perfbench-spread.jsonl", "a") as f:
         f.write(json.dumps({"workload": a.workload, "seed": seed, "result": res}) + "\n")
@@ -37,8 +40,8 @@ for i in range(a.runs):
         print(f"seed {seed}: {res['failed']} of {res['attempted']} ops failed", file=sys.stderr)
     for name in values:
         values[name].append(res["metrics"][name]["value"])
-    print(f"seed {seed}: " + " ".join(f"{n}={v[-1]:.4g}" for n, v in values.items()),
-          file=sys.stderr)
+    print(f"seed {seed}: " + " ".join(f"{n}={v[-1]:.4g}" for n, v in values.items())
+          + f" wall={wall:.1f}s", file=sys.stderr)
 
 print(f"{a.workload}: {a.runs} runs")
 for name, xs in values.items():
