@@ -21,7 +21,6 @@ let parse_args () =
   let quick = ref false in
   let skip_bechamel = ref false in
   let skip_tables = ref false in
-  let engine = ref None in
   let rec go = function
     | [] -> ()
     | "--only" :: v :: rest ->
@@ -36,24 +35,15 @@ let parse_args () =
     | "--skip-tables" :: rest ->
       skip_tables := true;
       go rest
-    | "--engine" :: v :: rest -> begin
-      match Urm_relalg.Compile.engine_of_string v with
-      | Ok e ->
-        engine := Some e;
-        go rest
-      | Error msg ->
-        Format.eprintf "%s@." msg;
-        exit 2
-    end
     | other :: _ ->
       Format.eprintf
-        "unknown argument %s (expected --only ids | --quick | --engine name | \
-         --skip-bechamel | --skip-tables)@."
+        "unknown argument %s (expected --only ids | --quick | --skip-bechamel \
+         | --skip-tables)@."
         other;
       exit 2
   in
   go (List.tl (Array.to_list Sys.argv));
-  (!only, !quick, !skip_bechamel, !skip_tables, !engine)
+  (!only, !quick, !skip_bechamel, !skip_tables)
 
 let wanted only id =
   match only with None -> true | Some ids -> List.mem id ids
@@ -97,101 +87,12 @@ let run_tables only quick =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Part 1b: the parallel-evaluation sweep (id "par").
-
-   fig10c/fig11c-style h-sweeps for one simple (basic) and one sharing
-   (o-sharing/SEF) solution at jobs ∈ {1, 2, 4, 8}, written to
-   BENCH_parallel.json.  Every parallel point also checks its answer is
-   bit-identical to the jobs = 1 answer of the same point (the lib/par
-   determinism contract), recorded as "identical_to_jobs1". *)
-
-let parallel_file = "BENCH_parallel.json"
-
-let run_par quick =
-  let module E = Urm_workload.Experiments in
-  let cfg = if quick then E.quick else E.default in
-  let jobs_sweep = [ 1; 2; 4; 8 ] in
-  let sweeps =
-    [
-      ("fig10c-par", Urm.Algorithms.Basic);
-      ("fig11c-par", Urm.Algorithms.Osharing Urm.Eunit.Sef);
-    ]
-  in
-  let target, q = Urm_workload.Queries.default in
-  let p = Urm_workload.Pipeline.create ~seed:cfg.E.seed ~scale:cfg.E.scale () in
-  let ctx = Urm_workload.Pipeline.ctx p target in
-  Format.printf "=== parallel evaluation sweep (Q4, jobs ∈ {%s}) ===@.@."
-    (String.concat ", " (List.map string_of_int jobs_sweep));
-  let rows =
-    List.concat_map
-      (fun (id, alg) ->
-        List.concat_map
-          (fun h ->
-            let ms = Urm_workload.Pipeline.mappings p target ~h in
-            let baseline = ref None in
-            List.map
-              (fun jobs ->
-                let report = ref None in
-                let secs =
-                  Urm_util.Timer.repeat ~warmup:0 ~runs:cfg.E.runs (fun () ->
-                      report :=
-                        Some (E.run_alg { cfg with E.jobs } alg ctx q ms))
-                in
-                let answer = (Option.get !report).Urm.Report.answer in
-                let identical =
-                  match !baseline with
-                  | None ->
-                    baseline := Some answer;
-                    true
-                  | Some b -> Urm.Answer.equal ~eps:0. b answer
-                in
-                Format.printf "  %-12s h=%-4d jobs=%d  %8.3fs%s@." id h jobs
-                  secs
-                  (if identical then "" else "  ANSWER MISMATCH");
-                Urm_util.Json.Obj
-                  [
-                    ("id", Urm_util.Json.Str id);
-                    ("algorithm", Urm_util.Json.Str (Urm.Algorithms.name alg));
-                    ("query", Urm_util.Json.Str "Q4");
-                    ("h", Urm_util.Json.Num (float_of_int h));
-                    ("jobs", Urm_util.Json.Num (float_of_int jobs));
-                    ("seconds", Urm_util.Json.Num secs);
-                    ("identical_to_jobs1", Urm_util.Json.Bool identical);
-                  ])
-              jobs_sweep)
-          cfg.E.h_sweep)
-      sweeps
-  in
-  let json =
-    Urm_util.Json.Obj
-      [
-        ( "config",
-          Urm_util.Json.Obj
-            [
-              ("seed", Urm_util.Json.Num (float_of_int cfg.E.seed));
-              ("scale", Urm_util.Json.Num cfg.E.scale);
-              ("runs", Urm_util.Json.Num (float_of_int cfg.E.runs));
-              ( "recommended_domains",
-                Urm_util.Json.Num
-                  (float_of_int (Domain.recommended_domain_count ())) );
-            ] );
-        ("rows", Urm_util.Json.Arr rows);
-      ]
-  in
-  let oc = open_out parallel_file in
-  output_string oc (Urm_util.Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "@.wrote parallel sweep to %s@.@." parallel_file
-
-(* ------------------------------------------------------------------ *)
 (* Part 1c: the engine sweep (id "eval").
 
-   Per algorithm × workload × h, runs the same query under every engine
-   (interpreted, compiled, vectorized — or interpreted plus the one named
-   by [--engine]) and records wall time, the plan-engine contexts'
-   plan-cache counters and answer identity against the interpreted
-   baseline, written to BENCH_eval.json.  Any mismatch makes the harness
+   Per algorithm × workload × h, runs the same query under both engines
+   (interpreted and vectorized) and records wall time, the vectorized
+   contexts' plan-cache counters and answer identity against the
+   interpreted baseline, written to BENCH_eval.json.  Any mismatch makes the harness
    exit non-zero.  Two workloads:
 
    - "replicated": the top-1 mapping duplicated h times (uniform 1/h
@@ -203,20 +104,10 @@ let run_par quick =
 
 let eval_file = "BENCH_eval.json"
 
-let run_eval quick engine_opt =
+let run_eval quick =
   let module E = Urm_workload.Experiments in
   let cfg = if quick then E.quick else E.default in
-  let engines =
-    match engine_opt with
-    | None ->
-      [
-        Urm_relalg.Compile.Interpreted;
-        Urm_relalg.Compile.Compiled;
-        Urm_relalg.Compile.Vectorized;
-      ]
-    | Some Urm_relalg.Compile.Interpreted -> [ Urm_relalg.Compile.Interpreted ]
-    | Some e -> [ Urm_relalg.Compile.Interpreted; e ]
-  in
+  let engines = [ Urm_relalg.Compile.Interpreted; Urm_relalg.Compile.Vectorized ] in
   let mismatch = ref false in
   let h_sweep = if quick then [ 8; 32 ] else [ 32; 100; 300 ] in
   let algorithms =
@@ -258,7 +149,7 @@ let run_eval quick engine_opt =
                     let report = ref None in
                     let secs =
                       Urm_util.Timer.repeat ~warmup:0 ~runs:cfg.E.runs
-                        (fun () -> report := Some (E.run_alg cfg alg ctx q ms))
+                        (fun () -> report := Some (Urm.Algorithms.run alg ctx q ms))
                     in
                     let answer = (Option.get !report).Urm.Report.answer in
                     let identical =
@@ -371,7 +262,7 @@ let run_share quick =
     let report = ref None in
     let secs =
       Urm_util.Timer.repeat ~warmup:0 ~runs:cfg.E.runs (fun () ->
-          report := Some (E.run_alg cfg alg ctx q ms))
+          report := Some (Urm.Algorithms.run alg ctx q ms))
     in
     let report = Option.get !report in
     let answer = report.Urm.Report.answer in
@@ -460,7 +351,7 @@ let run_share quick =
           let ctx = Urm_workload.Pipeline.ctx ~engine p target in
           let secs =
             Urm_util.Timer.repeat ~warmup:0 ~runs:1 (fun () ->
-                ignore (E.run_alg cfg alg ctx q ms))
+                ignore (Urm.Algorithms.run alg ctx q ms))
           in
           if secs < !t then t := secs
         done;
@@ -548,7 +439,7 @@ let run_anytime quick =
   let exact_ms = Urm_workload.Pipeline.mappings p target ~h:exact_h in
   let exact_secs =
     Urm_util.Timer.repeat ~warmup:0 ~runs:cfg.E.runs (fun () ->
-        ignore (E.run_alg cfg Urm.Algorithms.Basic ctx q exact_ms))
+        ignore (Urm.Algorithms.run Urm.Algorithms.Basic ctx q exact_ms))
   in
   Format.printf "=== anytime sweep (Q4, synthetic mappings) ===@.@.";
   Format.printf "  exact basic   h=%-7d          %8.3fs (baseline)@." exact_h
@@ -723,7 +614,7 @@ let run_incr quick =
         let state = State.build head0 q in
         let build_secs = Urm_util.Timer.now () -. t0 in
         ignore
-          (E.run_alg cfg Urm.Algorithms.Basic head0.Vcatalog.ctx q
+          (Urm.Algorithms.run Urm.Algorithms.Basic head0.Vcatalog.ctx q
              head0.Vcatalog.mappings);
         List.map
           (fun n ->
@@ -744,7 +635,7 @@ let run_incr quick =
               let head = Vcatalog.head vcat in
               let t1 = Urm_util.Timer.now () in
               let report =
-                E.run_alg cfg Urm.Algorithms.Basic head.Vcatalog.ctx q
+                Urm.Algorithms.run Urm.Algorithms.Basic head.Vcatalog.ctx q
                   head.Vcatalog.mappings
               in
               f_sum := !f_sum +. (Urm_util.Timer.now () -. t1);
@@ -1066,10 +957,9 @@ let run_bechamel only =
   end
 
 let () =
-  let only, quick, skip_bechamel, skip_tables, engine = parse_args () in
+  let only, quick, skip_bechamel, skip_tables = parse_args () in
   if not skip_tables then run_tables only quick;
-  if not skip_tables && wanted only "par" then run_par quick;
-  if not skip_tables && wanted only "eval" then run_eval quick engine;
+  if not skip_tables && wanted only "eval" then run_eval quick;
   if not skip_tables && wanted only "share" then run_share quick;
   if not skip_tables && wanted only "anytime" then run_anytime quick;
   if not skip_tables && wanted only "incr" then run_incr quick;

@@ -127,14 +127,6 @@ let query_name_t =
   let doc = "Query name (Q1..Q10)." in
   Arg.(value & pos 0 string "Q1" & info [] ~docv:"QUERY" ~doc)
 
-let jobs_t =
-  let doc =
-    "Evaluation domains (1 = sequential).  Parallel runs fan the per-mapping \
-     / per-e-unit evaluations over a domain pool and merge deterministically: \
-     answers are bit-identical to --jobs 1."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~doc)
-
 let engine_conv =
   Arg.conv
     ( (fun s ->
@@ -147,23 +139,11 @@ let engine_conv =
 let engine_t =
   let doc =
     "Query-execution engine: 'vectorized' (columnar batched execution over \
-     the compiled plans; the default), 'compiled' (the same cost-based \
-     physical plans, one boxed row at a time) or 'interpreted' (the \
-     tree-walking evaluator).  All three return identical answers."
+     cost-based compiled plans; the default) or 'interpreted' (the \
+     tree-walking reference evaluator).  Both return identical answers."
   in
   Arg.(
     value & opt engine_conv Urm_relalg.Compile.Vectorized & info [ "engine" ] ~doc)
-
-(* Evaluate [alg] under a throwaway [jobs]-domain pool (sequentially when
-   [jobs <= 1]; the pool dispatcher routes jobs = 1 back to the untouched
-   sequential paths). *)
-let run_with_jobs ~jobs alg ctx q ms =
-  if jobs <= 1 then Urm.Algorithms.run alg ctx q ms
-  else
-    let pool = Urm_par.Pool.create ~jobs () in
-    Fun.protect
-      ~finally:(fun () -> Urm_par.Pool.shutdown pool)
-      (fun () -> Urm_par.Drivers.run ~pool alg ctx q ms)
 
 let answers_t =
   Arg.(value & opt int 10 & info [ "answers" ] ~doc:"Answer tuples to print.")
@@ -183,7 +163,7 @@ let explain_t =
         ~doc:"Print the u-trace (operator choices, partitions, leaves) while evaluating.")
 
 let query_cmd =
-  let run qname alg_name scale seed h answers sql explain jobs engine metrics =
+  let run qname alg_name scale seed h answers sql explain engine metrics =
     match parse_algorithm alg_name with
     | Error (`Msg m) ->
       prerr_endline m;
@@ -219,7 +199,7 @@ let query_cmd =
           | true, _ ->
             Format.eprintf "--explain requires an o-sharing algorithm@.";
             exit 1
-          | false, _ -> run_with_jobs ~jobs alg ctx q ms
+          | false, _ -> Urm.Algorithms.run alg ctx q ms
         in
         Format.printf "%s: %a@." (Urm.Algorithms.name alg) Urm.Report.pp report;
         (* The report records the engine that actually ran (an algorithm may
@@ -258,7 +238,7 @@ let query_cmd =
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
       const run $ query_name_t $ algorithm_t $ scale_t $ seed_t $ h_t $ answers_t
-      $ sql_t $ explain_t $ jobs_t $ engine_t $ metrics_t)
+      $ sql_t $ explain_t $ engine_t $ metrics_t)
 
 let topk_cmd =
   let run qname k scale seed h metrics =
@@ -508,12 +488,12 @@ let plan_cmd =
   Cmd.v (Cmd.info "plan" ~doc) Term.(const run $ query_name_t $ scale_t $ seed_t $ h_t)
 
 let experiment_cmd =
-  let run id quick jobs engine =
+  let run id quick engine =
     let cfg =
       if quick then Urm_workload.Experiments.quick
       else Urm_workload.Experiments.default
     in
-    let cfg = { cfg with Urm_workload.Experiments.jobs; engine } in
+    let cfg = { cfg with Urm_workload.Experiments.engine } in
     let ids =
       if String.equal id "all" then List.map fst Urm_workload.Experiments.all
       else [ id ]
@@ -536,7 +516,7 @@ let experiment_cmd =
   in
   let doc = "Re-run the paper's experiments (see DESIGN.md for the index)." in
   Cmd.v (Cmd.info "experiment" ~doc)
-    Term.(const run $ id_t $ quick_t $ jobs_t $ engine_t)
+    Term.(const run $ id_t $ quick_t $ engine_t)
 
 (* ------------------------------------------------------------------ *)
 (* Query service *)
@@ -547,7 +527,7 @@ let port_t =
 
 let serve_cmd =
   let run_sharded port shards queue_depth cache_size preload seed scale h
-      eval_jobs engine =
+      engine =
     let cfg =
       {
         Urm_shard.Router.default_config with
@@ -557,7 +537,7 @@ let serve_cmd =
         worker =
           {
             Urm_shard.Launcher.engine;
-            eval_workers = max 1 eval_jobs;
+            eval_workers = 1;
             queue_depth;
             cache_capacity = cache_size;
           };
@@ -607,10 +587,10 @@ let serve_cmd =
         (Urm_shard.Router.restarts router)
   in
   let run port shards workers queue_depth cache_size preload seed scale h
-      eval_jobs engine metrics =
+      engine metrics =
     if shards > 0 then
       run_sharded port shards queue_depth cache_size preload seed scale h
-        eval_jobs engine
+        engine
     else
     let cfg =
       {
@@ -618,7 +598,6 @@ let serve_cmd =
         port;
         queue_depth;
         cache_capacity = cache_size;
-        eval_jobs;
         engine;
         workers =
           (match workers with
@@ -693,19 +672,11 @@ let serve_cmd =
             "Open a session for this target schema at boot (repeatable); named \
              after the lowercased target.")
   in
-  let eval_jobs_t =
-    Arg.(
-      value & opt int 1
-      & info [ "eval-jobs" ]
-          ~doc:
-            "Evaluation domains per query request (one pool shared across \
-             workers); 1 = sequential evaluation.")
-  in
   let doc = "Run the query service: sessions, answer cache, executor pool." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ port_t $ shards_t $ workers_t $ queue_t $ cache_t $ preload_t
-      $ seed_t $ scale_t $ h_t $ eval_jobs_t $ engine_t $ metrics_t)
+      $ seed_t $ scale_t $ h_t $ engine_t $ metrics_t)
 
 let shard_worker_cmd =
   let run port engine = Urm_shard.Worker.run ~port ~engine () in

@@ -308,7 +308,8 @@ let equal ?(eps = Prob.eps) a b =
 
 (* Serialisation follows [to_list]'s deterministic ranking, so two answers
    with bit-identical probabilities render to byte-identical JSON — the
-   property the jobs=1 vs jobs=N determinism regression checks. *)
+   property the byte-identity checks (shard counts, sharing oracle)
+   compare. *)
 let to_json t =
   let rows = to_list t in
   let open Urm_util.Json in

@@ -55,11 +55,10 @@ val reserve : t -> int -> unit
 val tuple_equal : Urm_relalg.Value.t array -> Urm_relalg.Value.t array -> bool
 
 (** [merge_into t other] sums [other]'s tuple probabilities and θ mass into
-    [t].  Merging partial answers built over disjoint contiguous mapping
-    ranges in ascending range order reproduces the sequential accumulation
-    order exactly, so parallel evaluation is bit-identical to sequential
-    (see DESIGN.md "Parallel evaluation").  Raises [Invalid_argument] when
-    the outputs differ. *)
+    [t].  Merging per-unit partial answers in ascending unit order
+    reproduces the sequential accumulation order exactly, whatever order
+    the parts were computed in.  Raises [Invalid_argument] when the outputs
+    differ. *)
 val merge_into : t -> t -> unit
 
 val null_prob : t -> float

@@ -12,11 +12,11 @@ let timed sw f =
     Urm_util.Timer.Stopwatch.start sw;
     Fun.protect ~finally:(fun () -> Urm_util.Timer.Stopwatch.stop sw) f
 
-(* One mapping's rewrite→evaluate→aggregate step, shared by the sequential
-   loop (which attributes the phases to stopwatches) and the parallel
-   driver (which times whole chunks instead and passes no stopwatches).
+(* One mapping's rewrite→evaluate→aggregate step, shared by the timed loop
+   (which attributes the phases to stopwatches) and {!accumulate} (which
+   passes none).
 
-   [memo] (vectorized engine only) caches, per accumulation run, the
+   [memo] (plan engine only) caches, per accumulation run, the
    answer-bucket cells each distinct reformulation key touched: mappings
    sharing a key produce identical target tuples, so later mappings replay
    the recorded cells with their own probability instead of re-executing
@@ -28,9 +28,11 @@ let eval_mapping ?rewrite_sw ?evaluate_sw ?aggregate_sw ?memo ~ctrs (ctx : Ctx.t
   let p = m.Mapping.prob in
   match sq.Reformulate.body with
   | Reformulate.Expr e when Ctx.engine ctx = Urm_relalg.Compile.Vectorized ->
-    (* The vectorized engine fuses evaluate and aggregate over batches:
-       plan batches stream straight into the accumulator.  Charged to the
-       evaluate phase like the compiled fused path below. *)
+    (* The plan engine fuses evaluate and aggregate over batches: plan
+       batches stream straight into the accumulator, never materialising
+       the per-mapping result.  The fused pass is charged to the evaluate
+       phase (it is dominated by plan execution); only the multiplicity
+       factor remains under aggregate. *)
     let factor =
       timed aggregate_sw (fun () -> Reformulate.factor ctx.catalog sq)
     in
@@ -47,18 +49,6 @@ let eval_mapping ?rewrite_sw ?evaluate_sw ?aggregate_sw ?memo ~ctrs (ctx : Ctx.t
             Hashtbl.add tbl key
               (Reformulate.record_batch_answers_into acc sq ~factor
                  (Ctx.eval_batches ~ctrs ctx e) p)))
-  | Reformulate.Expr e when Ctx.engine ctx = Urm_relalg.Compile.Compiled ->
-    (* The compiled engine fuses evaluate and aggregate: plan rows stream
-       straight into the accumulator, never materialising the per-mapping
-       result.  The fused pass is charged to the evaluate phase (it is
-       dominated by plan execution); only the multiplicity factor remains
-       under aggregate. *)
-    let factor =
-      timed aggregate_sw (fun () -> Reformulate.factor ctx.catalog sq)
-    in
-    timed evaluate_sw (fun () ->
-        Reformulate.stream_answers_into acc sq ~factor
-          (Ctx.eval_stream ~ctrs ctx e) p)
   | body ->
     let rel =
       timed evaluate_sw (fun () ->
@@ -75,8 +65,8 @@ let eval_mapping ?rewrite_sw ?evaluate_sw ?aggregate_sw ?memo ~ctrs (ctx : Ctx.t
 (* One memo per accumulation run: recorded cells point into the run's
    accumulator, so the table must never outlive [acc]. *)
 let memo_for ctx =
-  if Ctx.engine ctx = Urm_relalg.Compile.Vectorized then Some (Hashtbl.create 16)
-  else None
+  if Ctx.engine ctx = Urm_relalg.Compile.Interpreted then None
+  else Some (Hashtbl.create 16)
 
 let accumulate ~ctrs ctx q acc ms =
   let memo = memo_for ctx in

@@ -16,9 +16,9 @@ val run_scoped :
 
 (** [accumulate ~ctrs ctx q acc ms] the raw evaluation loop: reformulate,
     evaluate and aggregate each mapping of [ms] (in order) into [acc],
-    without timers or reporting.  The domain-parallel driver runs this over
-    contiguous mapping chunks and merges the chunk answers in ascending
-    chunk order (see {!Answer.merge_into}). *)
+    without timers or reporting.  The service's partial-range evaluation
+    runs this once per mapping so the shard router can merge per-mapping
+    answers in ascending order. *)
 val accumulate :
   ctrs:Urm_relalg.Eval.counters ->
   Ctx.t ->

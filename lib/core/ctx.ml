@@ -44,32 +44,17 @@ let plan_of t e =
 let eval ?ctrs t e =
   match t.engine with
   | Urm_relalg.Compile.Interpreted -> Urm_relalg.Eval.eval ?ctrs t.catalog e
-  | Urm_relalg.Compile.Compiled ->
-    Urm_relalg.Plan.execute ?ctrs t.catalog (plan_of t e)
   | Urm_relalg.Compile.Vectorized ->
-    Urm_relalg.Plan.execute_batches ?ctrs t.catalog (plan_of t e)
+    Urm_relalg.Plan.execute ?ctrs t.catalog (plan_of t e)
 
-(* [eval_stream ?ctrs t e] the result header plus a driver that streams
-   the result rows: compiled plans push rows straight out of the pipeline
-   (no materialised relation); the interpreted engine evaluates eagerly
-   here and the driver replays the relation. *)
-let eval_stream ?ctrs t e =
-  match t.engine with
-  | Urm_relalg.Compile.Interpreted ->
-    let r = Urm_relalg.Eval.eval ?ctrs t.catalog e in
-    (Urm_relalg.Relation.cols r, fun f -> Urm_relalg.Relation.iter f r)
-  | Urm_relalg.Compile.Compiled | Urm_relalg.Compile.Vectorized ->
-    let plan = plan_of t e in
-    ( Urm_relalg.Plan.header plan,
-      fun f -> Urm_relalg.Plan.iter_rows ?ctrs t.catalog plan ~f )
-
-(* [eval_batches ?ctrs t e] like [eval_stream] but over {!Column.batch}es:
-   compiled plans stream their batch pipeline (the vectorized fused path);
-   the interpreted engine evaluates eagerly and replays the relation's
-   memoised columns chunk-wise. *)
+(* [eval_batches ?ctrs t e] the result header plus a driver that streams
+   the result as {!Column.batch}es: compiled plans stream their batch
+   pipeline (the fused evaluate-and-accumulate path, no materialised
+   relation); the interpreted engine evaluates eagerly and replays the
+   relation's memoised columns chunk-wise. *)
 let eval_batches ?ctrs t e =
   match t.engine with
-  | Urm_relalg.Compile.Compiled | Urm_relalg.Compile.Vectorized ->
+  | Urm_relalg.Compile.Vectorized ->
     let plan = plan_of t e in
     ( Urm_relalg.Plan.header plan,
       fun f -> Urm_relalg.Plan.iter_batches ?ctrs t.catalog plan ~f )
@@ -81,7 +66,13 @@ let eval_batches ?ctrs t e =
         if n > 0 then begin
           let vecs = Urm_relalg.Relation.columns r in
           Urm_relalg.Column.iter_chunks n ~f:(fun sel len ->
-              f { Urm_relalg.Column.vecs; sel; n = len })
+              f
+                {
+                  Urm_relalg.Column.vecs;
+                  sel;
+                  n = len;
+                  rows = Some r.Urm_relalg.Relation.rows;
+                })
         end )
 
 (* [eval_wbatches ?ctrs t e ~weights] the weight-vector channel: like
@@ -91,7 +82,7 @@ let eval_batches ?ctrs t e =
    interpreted fallback wraps the eager batch replay. *)
 let eval_wbatches ?ctrs t e ~weights =
   match t.engine with
-  | Urm_relalg.Compile.Compiled | Urm_relalg.Compile.Vectorized ->
+  | Urm_relalg.Compile.Vectorized ->
     let plan = plan_of t e in
     ( Urm_relalg.Plan.header plan,
       fun f -> Urm_relalg.Plan.iter_wbatches ?ctrs t.catalog plan ~weights ~f )
@@ -105,7 +96,7 @@ let eval_wbatches ?ctrs t e ~weights =
 let rec nonempty ?ctrs t e =
   match t.engine with
   | Urm_relalg.Compile.Interpreted -> Urm_relalg.Eval.nonempty ?ctrs t.catalog e
-  | Urm_relalg.Compile.Compiled | Urm_relalg.Compile.Vectorized -> (
+  | Urm_relalg.Compile.Vectorized -> (
     match e with
     | Urm_relalg.Algebra.Product (a, b) -> nonempty ?ctrs t a && nonempty ?ctrs t b
     | Urm_relalg.Algebra.Rename (_, inner) -> nonempty ?ctrs t inner

@@ -5,10 +5,10 @@
     compile counters) and a {!Urm_relalg.Plan_cache.t}, so every algorithm
     that evaluates through {!eval} compiles each distinct query shape once
     and executes it per mapping.  The engine defaults to [Vectorized]
-    (batched execution over typed column vectors); pass [~engine:Compiled]
-    for the row-at-a-time plan pipeline or [~engine:Interpreted]
-    (CLI: [--engine interpreted]) for the tree-walking evaluator.  All
-    three produce bit-identical answers. *)
+    (compiled plans executed in batches over typed column vectors); pass
+    [~engine:Interpreted] (CLI: [--engine interpreted]) for the
+    tree-walking evaluator, the reference oracle.  Both produce identical
+    answers. *)
 
 type t = {
   catalog : Urm_relalg.Catalog.t;  (** the source instance D *)
@@ -39,28 +39,20 @@ val engine : t -> Urm_relalg.Compile.engine
 val with_catalog : t -> Urm_relalg.Catalog.t -> t
 
 (** [eval ?ctrs t e] evaluates [e] through the context's engine.
-    [Compiled] looks the plan up in the context's plan cache (expressions
-    embedding [Mat] nodes compile uncached — their fingerprints are
-    one-shot) and executes it; [Interpreted] is {!Urm_relalg.Eval.eval}.
-    Both engines feed the same operator counters. *)
+    [Vectorized] looks the plan up in the context's plan cache
+    (expressions embedding [Mat] nodes compile uncached — their
+    fingerprints are one-shot) and executes it; [Interpreted] is
+    {!Urm_relalg.Eval.eval}.  Both engines feed the same operator
+    counters. *)
 val eval :
   ?ctrs:Urm_relalg.Eval.counters -> t -> Urm_relalg.Algebra.t -> Urm_relalg.Relation.t
 
-(** [eval_stream ?ctrs t e] = [(header, drive)]: [drive f] invokes [f]
-    once per result row (same rows and order as {!eval}).  [Compiled]
-    streams out of the plan pipeline without materialising a relation —
-    the basic algorithm's fused evaluate-and-accumulate path;
-    [Interpreted] evaluates eagerly at the call and replays the rows. *)
-val eval_stream :
-  ?ctrs:Urm_relalg.Eval.counters ->
-  t ->
-  Urm_relalg.Algebra.t ->
-  string list * ((Urm_relalg.Value.t array -> unit) -> unit)
-
-(** [eval_batches ?ctrs t e] = [(header, drive)] like {!eval_stream} but
-    streaming {!Urm_relalg.Column.batch}es — the vectorized fused
-    evaluate-and-accumulate path.  Same rows in the same order as
-    {!eval_stream}; batches are only valid during the callback. *)
+(** [eval_batches ?ctrs t e] = [(header, drive)]: [drive f] invokes [f]
+    once per result {!Urm_relalg.Column.batch} (same rows and order as
+    {!eval}).  [Vectorized] streams out of the plan pipeline without
+    materialising a relation — the fused evaluate-and-accumulate path;
+    [Interpreted] evaluates eagerly at the call and replays the relation.
+    Batches are only valid during the callback. *)
 val eval_batches :
   ?ctrs:Urm_relalg.Eval.counters ->
   t ->

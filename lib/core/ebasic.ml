@@ -16,16 +16,11 @@ let distinct_source_queries (ctx : Ctx.t) q ms =
   List.rev_map (fun k -> !(Hashtbl.find groups k)) !order
 
 let timed sw f =
-  match sw with
-  | None -> f ()
-  | Some sw ->
-    Urm_util.Timer.Stopwatch.start sw;
-    Fun.protect ~finally:(fun () -> Urm_util.Timer.Stopwatch.stop sw) f
+  Urm_util.Timer.Stopwatch.start sw;
+  Fun.protect ~finally:(fun () -> Urm_util.Timer.Stopwatch.stop sw) f
 
-(* One distinct source query's evaluate→aggregate step, shared by the
-   sequential loop below and the domain-parallel driver (which fans
-   contiguous chunks of the distinct list). *)
-let eval_unit ?evaluate_sw ?aggregate_sw ~ctrs (ctx : Ctx.t) acc (sq, p) =
+(* One distinct source query's evaluate→aggregate step. *)
+let eval_unit ~evaluate_sw ~aggregate_sw ~ctrs (ctx : Ctx.t) acc (sq, p) =
   let rel =
     timed evaluate_sw (fun () ->
         match sq.Reformulate.body with
@@ -38,12 +33,9 @@ let eval_unit ?evaluate_sw ?aggregate_sw ~ctrs (ctx : Ctx.t) acc (sq, p) =
       | Some r -> Reformulate.answers_into acc sq ~factor r p
       | None -> Reformulate.null_answer_into acc sq ~factor p)
 
-let accumulate_units ~ctrs ctx acc units =
-  List.iter (eval_unit ~ctrs ctx acc) units
-
 (* The interpreted per-unit loop — the factorized executor's differential
    oracle. *)
-let run_interpreted ~m ~ctrs (ctx : Ctx.t) q ms =
+let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
   let distinct, rewrite =
     Urm_util.Timer.time (fun () -> distinct_source_queries ctx q ms)
   in
@@ -53,61 +45,39 @@ let run_interpreted ~m ~ctrs (ctx : Ctx.t) q ms =
   List.iter
     (eval_unit ~evaluate_sw:sw_evaluate ~aggregate_sw:sw_aggregate ~ctrs ctx acc)
     distinct;
-  let report =
-    {
-      Report.answer = acc;
-      intervals = None;
-      timings =
-        {
-          Report.rewrite;
-          plan = 0.;
-          evaluate = Urm_util.Timer.Stopwatch.elapsed sw_evaluate;
-          aggregate = Urm_util.Timer.Stopwatch.elapsed sw_aggregate;
-        };
-      source_operators = ctrs.Eval.operators;
-      rows_produced = ctrs.Eval.rows_produced;
-      groups = List.length distinct;
-      engine = "interpreted";
-    }
-  in
-  Report.record_metrics m report;
-  report
-
-(* The plan engines go through the factorized executor: each distinct
-   source query runs once, streaming its batches into the answer with the
-   unit's whole mapping-mass vector (no cross-unit CSE — that is e-MQO's
-   job).  Bit-identical to [run_interpreted]: same unit order, and the
-   collapsed vector mass equals the incremental per-mapping sum. *)
-let run_factorized ~m ~ctrs (ctx : Ctx.t) q ms =
-  let units, rewrite =
-    Urm_util.Timer.time (fun () -> Factorized.weighted_units ctx q ms)
-  in
-  let r = Factorized.eval ~ctrs ctx q units in
-  let report =
-    {
-      Report.answer = r.Factorized.answer;
-      intervals = None;
-      timings =
-        {
-          Report.rewrite;
-          plan = r.Factorized.plan_time;
-          evaluate = r.Factorized.evaluate_time;
-          aggregate = 0.;
-        };
-      source_operators = ctrs.Eval.operators;
-      rows_produced = ctrs.Eval.rows_produced;
-      groups = r.Factorized.units;
-      engine =
-        Urm_relalg.Compile.engine_name (Ctx.engine ctx) ^ "+factorized";
-    }
-  in
-  Report.record_metrics m report;
-  report
+  {
+    Report.answer = acc;
+    intervals = None;
+    timings =
+      {
+        Report.rewrite;
+        plan = 0.;
+        evaluate = Urm_util.Timer.Stopwatch.elapsed sw_evaluate;
+        aggregate = Urm_util.Timer.Stopwatch.elapsed sw_aggregate;
+      };
+    source_operators = ctrs.Eval.operators;
+    rows_produced = ctrs.Eval.rows_produced;
+    groups = List.length distinct;
+    engine = "interpreted";
+  }
 
 let run ?(metrics = Urm_obs.Metrics.global) (ctx : Ctx.t) q ms =
   let m = Urm_obs.Metrics.scope metrics "e-basic" in
   let ctrs = Eval.fresh_counters ~metrics:m () in
-  match Ctx.engine ctx with
-  | Urm_relalg.Compile.Interpreted -> run_interpreted ~m ~ctrs ctx q ms
-  | Urm_relalg.Compile.Compiled | Urm_relalg.Compile.Vectorized ->
-    run_factorized ~m ~ctrs ctx q ms
+  let report =
+    match Ctx.engine ctx with
+    | Urm_relalg.Compile.Interpreted -> run_interpreted ~ctrs ctx q ms
+    | Urm_relalg.Compile.Vectorized ->
+      (* Each distinct source query runs once, streaming its batches into
+         the answer with the unit's whole mapping-mass vector (no
+         cross-unit CSE — that is e-MQO's job).  Bit-identical to
+         [run_interpreted]: same unit order, and the collapsed vector mass
+         equals the incremental per-mapping sum. *)
+      let units, rewrite =
+        Urm_util.Timer.time (fun () -> Factorized.weighted_units ctx q ms)
+      in
+      let r = Factorized.eval ~ctrs ctx q units in
+      Factorized.report ~ctrs ~rewrite ~groups:r.Factorized.units ctx r
+  in
+  Report.record_metrics m report;
+  report

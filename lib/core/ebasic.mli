@@ -12,14 +12,3 @@ val run :
     order. *)
 val distinct_source_queries :
   Ctx.t -> Query.t -> Mapping.t list -> (Reformulate.t * float) list
-
-(** [accumulate_units ~ctrs ctx acc units] evaluate-and-aggregate each
-    distinct source query of [units] (in order) into [acc], without timers
-    or reporting — the raw loop the domain-parallel driver fans over
-    contiguous chunks of the distinct list. *)
-val accumulate_units :
-  ctrs:Urm_relalg.Eval.counters ->
-  Ctx.t ->
-  Answer.t ->
-  (Reformulate.t * float) list ->
-  unit

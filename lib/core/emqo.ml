@@ -10,9 +10,8 @@ let body_expr (sq, _) =
    Contributions are kept per unit instead of being folded into one
    accumulator in plan-execution order: callers merge the parts in
    ascending unit order, so probabilities accumulate in a
-   schedule-independent order — the plan's internal evaluation order (and,
-   for the domain-parallel driver, the chunking) cannot perturb the final
-   float sums. *)
+   schedule-independent order — the plan's internal evaluation order cannot
+   perturb the final float sums. *)
 let eval_units ~ctrs (ctx : Ctx.t) q units =
   let units = Array.of_list units in
   let header = Reformulate.output_header q in
@@ -52,7 +51,7 @@ let eval_units ~ctrs (ctx : Ctx.t) q units =
 (* The interpreted Roy et al. planner path — deliberately expensive plan
    search (see {!Urm_mqo.Planner}) and the factorized executor's
    differential oracle. *)
-let run_interpreted ~m ~ctrs (ctx : Ctx.t) q ms =
+let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
   let distinct, rewrite =
     Urm_util.Timer.time (fun () -> Ebasic.distinct_source_queries ctx q ms)
   in
@@ -61,55 +60,33 @@ let run_interpreted ~m ~ctrs (ctx : Ctx.t) q ms =
   let (), aggregate =
     Urm_util.Timer.time (fun () -> Array.iter (Answer.merge_into acc) parts)
   in
-  let report =
-    {
-      Report.answer = acc;
-      intervals = None;
-      timings = { Report.rewrite; plan = plan_time; evaluate; aggregate };
-      source_operators = ctrs.Eval.operators;
-      rows_produced = ctrs.Eval.rows_produced;
-      groups = Array.length parts;
-      engine = "interpreted";
-    }
-  in
-  Report.record_metrics m report;
-  report
-
-(* The plan engines go through the factorized executor with cross-unit
-   common-subexpression elimination ({!Urm_mqo.Dag}): the global e-unit
-   DAG is built once with a cheap counting pass, each share materialises
-   once, and every distinct unit streams its batches into the answer with
-   its whole mapping-mass vector. *)
-let run_factorized ~m ~ctrs (ctx : Ctx.t) q ms =
-  let units, rewrite =
-    Urm_util.Timer.time (fun () -> Factorized.weighted_units ctx q ms)
-  in
-  let r = Factorized.eval ~ctrs ~cse:true ctx q units in
-  let report =
-    {
-      Report.answer = r.Factorized.answer;
-      intervals = None;
-      timings =
-        {
-          Report.rewrite;
-          plan = r.Factorized.plan_time;
-          evaluate = r.Factorized.evaluate_time;
-          aggregate = 0.;
-        };
-      source_operators = ctrs.Eval.operators;
-      rows_produced = ctrs.Eval.rows_produced;
-      groups = r.Factorized.units;
-      engine =
-        Urm_relalg.Compile.engine_name (Ctx.engine ctx) ^ "+factorized";
-    }
-  in
-  Report.record_metrics m report;
-  report
+  {
+    Report.answer = acc;
+    intervals = None;
+    timings = { Report.rewrite; plan = plan_time; evaluate; aggregate };
+    source_operators = ctrs.Eval.operators;
+    rows_produced = ctrs.Eval.rows_produced;
+    groups = Array.length parts;
+    engine = "interpreted";
+  }
 
 let run ?(metrics = Urm_obs.Metrics.global) (ctx : Ctx.t) q ms =
   let m = Urm_obs.Metrics.scope metrics "e-MQO" in
   let ctrs = Eval.fresh_counters ~metrics:m () in
-  match Ctx.engine ctx with
-  | Urm_relalg.Compile.Interpreted -> run_interpreted ~m ~ctrs ctx q ms
-  | Urm_relalg.Compile.Compiled | Urm_relalg.Compile.Vectorized ->
-    run_factorized ~m ~ctrs ctx q ms
+  let report =
+    match Ctx.engine ctx with
+    | Urm_relalg.Compile.Interpreted -> run_interpreted ~ctrs ctx q ms
+    | Urm_relalg.Compile.Vectorized ->
+      (* The factorized executor with cross-unit common-subexpression
+         elimination ({!Urm_mqo.Dag}): the global e-unit DAG is built once
+         with a cheap counting pass, each share materialises once, and
+         every distinct unit streams its batches into the answer with its
+         whole mapping-mass vector. *)
+      let units, rewrite =
+        Urm_util.Timer.time (fun () -> Factorized.weighted_units ctx q ms)
+      in
+      let r = Factorized.eval ~ctrs ~cse:true ctx q units in
+      Factorized.report ~ctrs ~rewrite ~groups:r.Factorized.units ctx r
+  in
+  Report.record_metrics m report;
+  report

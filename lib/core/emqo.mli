@@ -9,17 +9,3 @@
     ["e-MQO"] scope of [metrics] (default {!Urm_obs.Metrics.global}). *)
 val run :
   ?metrics:Urm_obs.Metrics.t -> Ctx.t -> Query.t -> Mapping.t list -> Report.t
-
-(** [eval_units ~ctrs ctx q units] builds one shared MQO plan for the
-    evaluable units and returns [(parts, plan_secs, evaluate_secs)] where
-    [parts] holds each unit's answer contribution, index-aligned with
-    [units] (null/trivial units included).  Merging the parts in ascending
-    unit order makes the accumulation order independent of the plan's
-    execution order; the domain-parallel driver calls this per contiguous
-    chunk of the distinct-unit list and merges all parts ascending. *)
-val eval_units :
-  ctrs:Urm_relalg.Eval.counters ->
-  Ctx.t ->
-  Query.t ->
-  (Reformulate.t * float) list ->
-  Answer.t array * float * float

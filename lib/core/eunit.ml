@@ -507,9 +507,7 @@ let exec_op env u op group =
    Algorithm 4 when [emit] stops early). *)
 
 (* Operator selection plus partition ordering for one e-unit — the prefix
-   of [run_qt] before it recurses.  Exposed so the domain-parallel
-   o-sharing driver can fan the root's partitions across domains while
-   visiting (merging) them in exactly this order. *)
+   of [run_qt] before it recurses.  Counts [u] as one executed e-unit. *)
 let branches env u =
   Urm_obs.Metrics.incr env.c_eunits;
   let op, groups = select_next env u in

@@ -91,21 +91,5 @@ type leaf =
     Child partitions are visited in decreasing probability-mass order. *)
 val run_qt : env -> t -> emit:(leaf -> bool) -> bool
 
-(** [branches env u] the strategy's operator choice for [u] and the
-    resulting partitions, sorted in {!run_qt}'s visit order (decreasing
-    probability mass; deterministic for the SNF/SEF strategies).  Counts
-    [u] as one executed e-unit.  The domain-parallel o-sharing driver fans
-    these partitions across domains and merges their answers in this
-    order, reproducing the sequential accumulation order exactly. *)
-val branches : env -> t -> Query.op * (string * Mapping.t list) list
-
-(** Result of executing one operator on one partition: a child e-unit to
-    recurse into, or a leaf. *)
-type step = Child of t | Leaf of leaf
-
-(** [exec_op env u op group] executes [op]'s reformulation under the
-    partition [group] against [u]'s pieces. *)
-val exec_op : env -> t -> Query.op -> Mapping.t list -> step
-
 (** [mass u] total probability of [u.mappings]. *)
 val mass : t -> float

@@ -172,3 +172,17 @@ let eval ~ctrs ?(cse = false) (ctx : Ctx.t) q units =
     plan_time;
     evaluate_time = Urm_util.Timer.Stopwatch.elapsed sw_eval;
   }
+
+let report ~ctrs ~rewrite ~groups (ctx : Ctx.t) r =
+  Report.make
+    ~engine:(Compile.engine_name (Ctx.engine ctx) ^ "+factorized")
+    ~answer:r.answer
+    ~timings:
+      {
+        Report.rewrite;
+        plan = r.plan_time;
+        evaluate = r.evaluate_time;
+        aggregate = 0.;
+      }
+    ~source_operators:ctrs.Eval.operators ~rows_produced:ctrs.Eval.rows_produced
+    ~groups ()

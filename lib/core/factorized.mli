@@ -54,3 +54,15 @@ val eval :
   Query.t ->
   (Reformulate.t * float array) list ->
   result
+
+(** [report ~ctrs ~rewrite ~groups ctx r] the algorithm report of one
+    factorized run: answer, plan and evaluate times from [r], operator and
+    row counts from [ctrs], [rewrite] seconds spent building the units, and
+    an engine name suffixed ["+factorized"]. *)
+val report :
+  ctrs:Urm_relalg.Eval.counters ->
+  rewrite:float ->
+  groups:int ->
+  Ctx.t ->
+  result ->
+  Report.t

@@ -54,7 +54,7 @@ let run_with_stats ?(strategy = Eunit.Sef) ?seed ?use_memo ?tracer
         memo_hits = Eunit.memo_hits env;
         representatives = List.length reps;
       } )
-  | Urm_relalg.Compile.Compiled | Urm_relalg.Compile.Vectorized ->
+  | Urm_relalg.Compile.Vectorized ->
     let ctrs = Eval.fresh_counters ~metrics:m () in
     let units, unit_time =
       Urm_util.Timer.time (fun () -> Factorized.singleton_units ctx q reps)
@@ -76,22 +76,8 @@ let run_with_stats ?(strategy = Eunit.Sef) ?seed ?use_memo ?tracer
     Urm_obs.Metrics.incr ~by:r.Factorized.replayed
       (Urm_obs.Metrics.counter mu "memo_hits");
     let report =
-      {
-        Report.answer = r.Factorized.answer;
-        intervals = None;
-        timings =
-          {
-            Report.rewrite = rewrite +. unit_time;
-            plan = r.Factorized.plan_time;
-            evaluate = r.Factorized.evaluate_time;
-            aggregate = 0.;
-          };
-        source_operators = ctrs.Eval.operators;
-        rows_produced = ctrs.Eval.rows_produced;
-        groups = List.length reps;
-        engine =
-          Urm_relalg.Compile.engine_name (Ctx.engine ctx) ^ "+factorized";
-      }
+      Factorized.report ~ctrs ~rewrite:(rewrite +. unit_time)
+        ~groups:(List.length reps) ctx r
     in
     Report.record_metrics m report;
     ( report,

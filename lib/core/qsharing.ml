@@ -25,28 +25,14 @@ let run ?(metrics = Urm_obs.Metrics.global) (ctx : Ctx.t) q ms =
           };
         groups = List.length reps;
       }
-    | Urm_relalg.Compile.Compiled | Urm_relalg.Compile.Vectorized ->
+    | Urm_relalg.Compile.Vectorized ->
       let ctrs = Eval.fresh_counters ~metrics:m () in
       let units, rewrite =
         Urm_util.Timer.time (fun () -> Factorized.singleton_units ctx q reps)
       in
       let r = Factorized.eval ~ctrs ctx q units in
-      {
-        Report.answer = r.Factorized.answer;
-        intervals = None;
-        timings =
-          {
-            Report.rewrite = partition_time +. rewrite;
-            plan = r.Factorized.plan_time;
-            evaluate = r.Factorized.evaluate_time;
-            aggregate = 0.;
-          };
-        source_operators = ctrs.Eval.operators;
-        rows_produced = ctrs.Eval.rows_produced;
-        groups = List.length reps;
-        engine =
-          Urm_relalg.Compile.engine_name (Ctx.engine ctx) ^ "+factorized";
-      }
+      Factorized.report ~ctrs ~rewrite:(partition_time +. rewrite)
+        ~groups:(List.length reps) ctx r
   in
   Report.record_metrics m report;
   report

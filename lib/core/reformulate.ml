@@ -233,80 +233,13 @@ let answers_into acc sq ~factor rel p =
     if Relation.is_empty rel then Answer.add_null acc p
     else iter_plain_tuples sq rel ~f:(fun tuple -> Answer.add acc tuple p)
 
-(* The fused accumulate of the compiled engine: [drive] pushes the result
-   rows of [sq]'s expression (header [header], {!Urm.Ctx.eval_stream}),
-   and every target tuple folds into [acc] as it streams past — no
-   materialised relation.  Must agree with {!answers_into} over the
-   materialised result; per-mapping tuples are distinct by construction
-   (see {!iter_plain_tuples}), so the within-mapping accumulation order
-   cannot affect the summed probabilities. *)
-let stream_answers_into acc sq ~factor (header, drive) p =
-  let pos c =
-    let rec go i = function
-      | [] -> raise Not_found
-      | x :: _ when String.equal x c -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 header
-  in
-  let getters () =
-    Array.of_list (List.map (fun (_, c) -> Option.map pos c) sq.outputs)
-  in
-  match (sq.aggregate, sq.grouped) with
-  | Some _, false -> (
-    (* Scalar aggregate: the expression yields exactly one row. *)
-    let seen = ref None in
-    drive (fun row -> seen := Some row);
-    match (!seen, sq.outputs) with
-    | Some row, [ (_, Some col) ] ->
-      Answer.add acc [| scale_value factor row.(pos col) |] p
-    | None, _ -> Answer.add_null acc p
-    | _ -> invalid_arg "Reformulate: bad aggregate outputs")
-  | Some _, true ->
-    let getters = getters () in
-    let n = Array.length getters in
-    let any = ref false in
-    drive (fun row ->
-        any := true;
-        let tuple =
-          Array.init n (fun i ->
-              let v =
-                match getters.(i) with Some idx -> row.(idx) | None -> Value.Null
-              in
-              if i = n - 1 then scale_value factor v else v)
-        in
-        Answer.add acc tuple p);
-    if not !any then Answer.add_null acc p
-  | None, _ ->
-    let getters = getters () in
-    let n = Array.length getters in
-    let any = ref false in
-    let identity =
-      n = List.length header
-      &&
-      let rec go i = i >= n || (getters.(i) = Some i && go (i + 1)) in
-      go 0
-    in
-    if identity then drive (fun row -> any := true; Answer.add acc row p)
-    else if Array.for_all (( = ) None) getters then begin
-      drive (fun _ -> any := true);
-      if !any then Answer.add acc (Array.make n Value.Null) p
-    end
-    else
-      drive (fun row ->
-          any := true;
-          Answer.add acc
-            (Array.map (function Some i -> row.(i) | None -> Value.Null) getters)
-            p);
-    if not !any then Answer.add_null acc p
-
-(* The vectorized fused accumulate: [bdrive] pushes the result of [sq]'s
-   expression as {!Column.batch}es (header [header], see
-   [Urm.Ctx.eval_batches]); column getters specialise once per batch, and
-   every target tuple flows through [emit] ([emit_null] for θ).  Emits
-   exactly the tuples {!stream_answers_into} emits, in the same order —
-   the batch stream preserves row order — so accumulated probabilities
-   stay bit-identical across engines. *)
+(* The fused accumulate: [bdrive] pushes the result of [sq]'s expression
+   as {!Column.batch}es (header [header], see [Urm.Ctx.eval_batches]);
+   column getters specialise once per batch, and every target tuple flows
+   through [emit] ([emit_null] for θ).  Must agree with {!answers_into}
+   over the materialised result; per-mapping tuples are distinct by
+   construction (see {!iter_plain_tuples}), so the within-mapping
+   accumulation order cannot affect the summed probabilities. *)
 let fold_batches_into ~emit ~emit_null sq ~factor (header, bdrive) =
   let pos c =
     let rec go i = function

@@ -61,24 +61,11 @@ val column_for : alias:string -> source_attr:string -> string
     [factor]. *)
 val answers_into : Answer.t -> t -> factor:int -> Urm_relalg.Relation.t -> float -> unit
 
-(** [stream_answers_into acc sq ~factor (header, drive) p] the streaming
-    form of {!answers_into} used by the compiled engine's fused path:
-    [drive f] must invoke [f] once per result row of [sq]'s expression
-    (columns [header], see [Urm.Ctx.eval_stream]); target tuples fold into
-    [acc] as rows stream past, without a materialised relation. *)
-val stream_answers_into :
-  Answer.t ->
-  t ->
-  factor:int ->
-  string list * ((Urm_relalg.Value.t array -> unit) -> unit) ->
-  float ->
-  unit
-
 (** [stream_batch_answers_into acc sq ~factor (header, bdrive) p] the
-    vectorized form of {!stream_answers_into}: [bdrive f] must invoke [f]
-    once per result batch (see [Urm.Ctx.eval_batches]).  Emits the same
-    tuples in the same order as the row form, so accumulated probabilities
-    are bit-identical across engines. *)
+    streaming form of {!answers_into} used by the plan engine's fused path:
+    [bdrive f] must invoke [f] once per result batch of [sq]'s expression
+    (columns [header], see [Urm.Ctx.eval_batches]); target tuples fold
+    into [acc] as batches stream past, without a materialised relation. *)
 val stream_batch_answers_into :
   Answer.t ->
   t ->

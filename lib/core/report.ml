@@ -54,8 +54,8 @@ let record_metrics m r =
 (* [volatile:false] drops everything that may legitimately differ between
    two runs computing the same answer — wall-clock timings and operator/row
    work counters (memoisation and plan sharing change with chunking) — and
-   keeps only the answer and the group count.  The determinism regression
-   compares this stable rendering byte-for-byte across jobs values. *)
+   keeps only the answer and the group count, the rendering byte-identity
+   checks compare. *)
 let value_to_json = function
   | Urm_relalg.Value.Null -> Urm_util.Json.Null
   | Urm_relalg.Value.Int i -> Urm_util.Json.Num (float_of_int i)

@@ -56,8 +56,8 @@ val record_metrics : Urm_obs.Metrics.t -> t -> unit
 (** [to_json ?volatile r] the report as JSON.  [volatile:false] (default
     [true]) keeps only the schedule-independent fields — the answer and the
     group count — dropping timings and operator/row counters, which differ
-    across equivalent runs (e.g. different [--jobs]); the determinism
-    regression test compares that rendering byte-for-byte.
+    across equivalent runs; byte-identity checks (e.g. the seeded
+    estimator's determinism test) compare that rendering.
     When [intervals] is present it renders as
     [{"intervals": [{"tuple": […], "lo": l, "hi": h}, …]}] inside the
     stable fields; when absent the field is omitted entirely, so reports

@@ -6,21 +6,31 @@
    as dictionary ids, or a boxed [Value.t array] when the column mixes
    payload types (the catalogs here are untyped, so e.g. a float column
    sampled from mixed generators keeps Int and Float values distinct — the
-   boxed fallback preserves [Value.t] identity exactly).
+   boxed fallback preserves [Value.t] identity exactly), or a view into the
+   rows a pipeline breaker built.
 
    A [batch] is a slice of up to {!batch_size} rows over shared column
    vectors plus a selection vector of absolute row indices: filters narrow
    the selection without copying any column data, and projections remap the
-   [vecs] array without touching rows at all. *)
+   [vecs] array without touching rows at all.  A batch over a row store
+   (a stored relation, or rows a pipeline breaker built) keeps the rows
+   too, so consumers that need rows back do not re-box them. *)
 
 type vec =
   | VInt of int array * Bytes.t option
   | VFloat of float array * Bytes.t option
   | VStr of int array * string array  (* dictionary ids; -1 encodes Null *)
   | VVal of Value.t array
+  | VRows of Value.t array array * int  (* column [c] of a row store *)
   | VConst of Value.t
 
-type batch = { vecs : vec array; sel : int array; n : int }
+type batch = {
+  vecs : vec array;
+  sel : int array;
+  n : int;
+  rows : Value.t array array option;
+      (* the row store [vecs] columnise, in column order, when there is one *)
+}
 
 (* The weight-vector channel of the factorized multi-mapping executor: a
    batch annotated with the Pr(mᵢ) masses of every mapping whose
@@ -44,6 +54,7 @@ let get v i =
     let id = ids.(i) in
     if id < 0 then Value.Null else Value.Str dict.(id)
   | VVal a -> a.(i)
+  | VRows (rows, c) -> rows.(i).(c)
   | VConst c -> c
 
 (* [getter v] specialises {!get} once per vector, for per-batch loops. *)
@@ -59,11 +70,15 @@ let getter v =
       let id = ids.(i) in
       if id < 0 then Value.Null else Value.Str dict.(id)
   | VVal a -> fun i -> a.(i)
+  | VRows (rows, c) -> fun i -> rows.(i).(c)
   | VConst c -> fun _ -> c
 
-let row b k =
-  let i = b.sel.(k) in
-  Array.map (fun v -> get v i) b.vecs
+let row_at b i =
+  match b.rows with
+  | Some rows -> rows.(i)
+  | None -> Array.map (fun v -> get v i) b.vecs
+
+let row b k = row_at b b.sel.(k)
 
 (* ------------------------------------------------------------------ *)
 (* Columnising a row store.  Each column independently picks the tightest
@@ -134,17 +149,17 @@ let of_rows_col rows col =
 let of_rows ~arity rows = Array.init arity (fun c -> of_rows_col rows c)
 
 (* ------------------------------------------------------------------ *)
-(* Building batches from row producers (pipeline breakers and the
-   row-iterator bridge).  Rows are transposed boxed — the producer already
-   materialised [Value.t] arrays, so typed re-classification would only pay
-   off for consumers that re-scan many times, which batches never are. *)
+(* Building batches from row producers (pipeline breakers).  The batch's
+   vectors are views into the rows, not a transposed copy — the producer
+   already materialised [Value.t] arrays, and consumers often want rows
+   back (hash-join builds, product inner sides, distinct) or read only a
+   few columns. *)
 
 let batch_of_rows rows n =
   let arity = if n = 0 then 0 else Array.length rows.(0) in
-  let vecs =
-    Array.init arity (fun c -> VVal (Array.init n (fun i -> rows.(i).(c))))
-  in
-  { vecs; sel = Array.init n (fun i -> i); n }
+  let rows = Array.sub rows 0 n in
+  let vecs = Array.init arity (fun c -> VRows (rows, c)) in
+  { vecs; sel = Array.init n (fun i -> i); n; rows = Some rows }
 
 (* [batching_sink bsink] = [(push, flush)]: [push row] buffers and emits a
    full batch every {!batch_size} rows; [flush ()] emits the remainder. *)

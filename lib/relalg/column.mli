@@ -16,6 +16,8 @@ type vec =
   | VStr of int array * string array
       (** per-row dictionary ids ([-1] = Null) + the dictionary *)
   | VVal of Value.t array  (** boxed fallback for mixed-type columns *)
+  | VRows of Value.t array array * int
+      (** column [c] of a row store: row [i] holds its value at [.(c)] *)
   | VConst of Value.t  (** every row holds the same value (broadcast) *)
 
 type batch = {
@@ -23,6 +25,11 @@ type batch = {
   sel : int array;
       (** absolute row indices into each vec; only [sel.(0..n-1)] is live *)
   n : int;
+  rows : Value.t array array option;
+      (** the row store the vectors were built from, when they are exactly
+          its columns in order: [rows.(i)] is absolute row [i].  Lets
+          {!row} hand back a row without re-boxing it.  Operators that
+          remap [vecs] must drop it. *)
 }
 
 (** A batch annotated with an e-unit's mapping-mass weight vector: the
@@ -44,16 +51,21 @@ val get : vec -> int -> Value.t
 (** [getter v] specialises {!get} once per vector for tight loops. *)
 val getter : vec -> int -> Value.t
 
-(** [row b k] materialises the [k]-th {e selected} row as a fresh array. *)
+(** [row_at b i] absolute row [i] of [b]'s vectors: the batch's backing
+    row when it carries [rows] (shared — callers must not mutate it),
+    otherwise a fresh array. *)
+val row_at : batch -> int -> Value.t array
+
+(** [row b k] the [k]-th {e selected} row ({!row_at} of [sel.(k)]). *)
 val row : batch -> int -> Value.t array
 
 (** [of_rows ~arity rows] columnises a row store, one tightest-fit vector
     per column. *)
 val of_rows : arity:int -> Value.t array array -> vec array
 
-(** [batch_of_rows rows n] transposes [rows.(0..n-1)] into an all-boxed
-    batch with an identity selection (the rows are copied out, so the
-    caller may reuse the buffer). *)
+(** [batch_of_rows rows n] a batch over [rows.(0..n-1)] with an identity
+    selection: {!VRows} views plus the rows themselves (copied out of
+    [rows], so the caller may reuse the buffer). *)
 val batch_of_rows : Value.t array array -> int -> batch
 
 (** [batching_sink bsink] = [(push, flush)]: [push] buffers rows and emits

@@ -19,20 +19,17 @@
    Compilation cost is paid once per plan shape; {!Plan_cache} amortises it
    across the h reformulated queries of a mapping distribution. *)
 
-type engine = Interpreted | Compiled | Vectorized
+type engine = Interpreted | Vectorized
 
 let engine_name = function
   | Interpreted -> "interpreted"
-  | Compiled -> "compiled"
   | Vectorized -> "vectorized"
 
 let engine_of_string = function
   | "interpreted" -> Ok Interpreted
-  | "compiled" -> Ok Compiled
   | "vectorized" -> Ok Vectorized
   | s ->
-    Error
-      (Printf.sprintf "unknown engine %S (expected interpreted|compiled|vectorized)" s)
+    Error (Printf.sprintf "unknown engine %S (expected interpreted|vectorized)" s)
 
 type env = {
   cat : Catalog.t;
@@ -159,8 +156,8 @@ let compile_pred pos p =
    absolute row indices.  Typed vectors compare unboxed (int/float/interned
    string); constants of a different payload type reduce to the constant
    rank comparison of [Value.compare] (the payload is irrelevant across
-   ranks, so a same-rank witness like [Value.Int 0] stands in); the boxed
-   fallback matches the row engine verbatim. *)
+   ranks, so a same-rank witness like [Value.Int 0] stands in); boxed
+   vectors compare exactly as [compile_pred] does. *)
 let compile_bpred pos p =
   let open Column in
   let rec build = function
@@ -208,6 +205,7 @@ let compile_bpred pos p =
             let r = test cmp (Value.compare (Value.Str "") v) in
             fun j -> if ids.(j) < 0 then null_r else r)
         | VVal a -> fun j -> test cmp (Value.compare a.(j) v)
+        | VRows (rows, c) -> fun j -> test cmp (Value.compare rows.(j).(c) v)
         | VConst c ->
           let r = test cmp (Value.compare c v) in
           fun _ -> r)

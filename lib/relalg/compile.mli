@@ -5,20 +5,19 @@
     made once: column names resolved to integer positions, σ/π fused into
     their producers, a cost-based greedy left-deep join order driven by
     {!Stats_est}, the hash-join build on the estimated-smaller input, and
-    single-pass aggregates/group-by.  See DESIGN.md "Compiled execution &
+    single-pass aggregates/group-by.  See DESIGN.md "Plan execution &
     plan cache". *)
 
 (** The execution-engine knob carried by [Urm.Ctx].  [Interpreted] is the
-    tree-walking evaluator; [Compiled] executes plans one boxed row at a
-    time; [Vectorized] (the default) executes the same plans through
-    {!Column.batch}es — typed vectors and selection vectors — producing
-    bit-identical results. *)
-type engine = Interpreted | Compiled | Vectorized
+    tree-walking evaluator, kept as the reference oracle; [Vectorized] (the
+    default) compiles plans and executes them through {!Column.batch}es —
+    typed vectors and selection vectors. *)
+type engine = Interpreted | Vectorized
 
 val engine_name : engine -> string
 
-(** Parses ["interpreted"] / ["compiled"] / ["vectorized"] (the CLI's
-    [--engine] values). *)
+(** Parses ["interpreted"] / ["vectorized"] (the CLI's [--engine]
+    values). *)
 val engine_of_string : string -> (engine, string) result
 
 (** A compilation environment: one per catalog.  Caches the column

@@ -144,7 +144,7 @@ let count ctrs kind rel =
 let bump ctrs kind =
   match ctrs with Some c -> Urm_obs.Metrics.incr (kind c.m) | None -> ()
 
-(* The same accounting, exposed to the compiled engine ({!Plan}), which has
+(* The same accounting, exposed to the plan engine ({!Plan}), which has
    row counts rather than result relations in hand. *)
 type op_kind =
   | Op_select

@@ -48,7 +48,7 @@ val strip_prefix : string -> string -> string option
     are). *)
 val nonempty : ?ctrs:counters -> Catalog.t -> Algebra.t -> bool
 
-(** {2 Accounting hooks for the compiled engine}
+(** {2 Accounting hooks for the plan engine}
 
     {!Plan} executes closures rather than algebra nodes, so it records
     operator executions through these hooks instead of the evaluator's

@@ -1,21 +1,22 @@
 (* Physical query plans.
 
    A plan is a tree of push-based closures compiled once by {!Compile} and
-   executed many times.  Every operator carries two equivalent streams over
-   pre-resolved integer column positions:
+   executed many times.  Every operator pushes {!Column.batch}es — shared
+   typed column vectors plus a selection vector — over pre-resolved integer
+   column positions: selections narrow the selection vector in a tight loop
+   over unboxed data and projections remap the vector array, neither
+   copying rows.  Pipeline breakers that build rows (hash joins, distinct,
+   group-by) emit through {!Column.batching_sink}.
 
-   - [iter] pushes one boxed row at a time into a consumer closure (the
-     [Compiled] engine);
-   - [biter] pushes {!Column.batch}es — shared typed column vectors plus a
-     selection vector — so selections narrow the selection in a tight loop
-     over unboxed data and projections remap the vector array, neither
-     copying rows (the [Vectorized] engine).
+   Rows come out in a fixed order per plan, so float accumulations
+   downstream (answer probabilities, SUM/AVG) are deterministic; the
+   differential suites check them against the interpreted evaluator.
 
-   Both streams produce the same rows in the same order, so float
-   accumulations downstream (answer probabilities, SUM/AVG) are
-   bit-identical across engines — the property the differential suites
-   assert.  Operators without a profitable batch form derive [biter] from
-   the row stream through {!Column.batching_sink}.
+   Every operator also carries a short-circuiting emptiness [check] that
+   stops at the first qualifying row rather than the first flushed batch:
+   filters and hash-join probes test rows one at a time as their input
+   batches arrive, and the remaining operators answer from their inputs'
+   checks.
 
    Pipeline breakers (hash-join builds, nested-loop inner sides, distinct,
    group-by) buffer rows in structures local to one execution — a compiled
@@ -29,12 +30,10 @@
 
 type env = { cat : Catalog.t; ctrs : Eval.counters option }
 
-type sink = Value.t array -> unit
 type bsink = Column.batch -> unit
 
 type pipe = {
   cols : string list;
-  iter : env -> sink -> unit;
   biter : env -> bsink -> unit;
   stored : (env -> Relation.t) option;
       (* When the pipe's rows are exactly a stored relation's rows (modulo
@@ -46,33 +45,27 @@ type pipe = {
 
 exception Found_row
 
-(* Smart constructor: wraps both streams with per-execution row accounting
-   (skipped entirely when no counters are attached) and derives the batch
-   stream and a short-circuiting emptiness check unless supplied.  The
-   derived check runs with accounting suppressed: an emptiness probe
-   executes no complete operator, so it must leave both the operator and
-   the access-path counters untouched. *)
-let make ?stored ?check ?biter ~kind ~cols ~desc iter =
-  let raw_iter = iter in
-  let raw_biter =
-    match biter with
-    | Some b -> b
-    | None ->
-      fun env bsink ->
-        let push, flush = Column.batching_sink bsink in
-        raw_iter env push;
-        flush ()
-  in
-  let iter env sink =
-    match env.ctrs with
-    | None -> raw_iter env sink
-    | Some _ ->
-      let n = ref 0 in
-      raw_iter env (fun row ->
-          incr n;
-          sink row);
-      Eval.record_op env.ctrs kind ~rows:!n
-  in
+(* [exists_row drive test] runs the batch stream [drive] until some batch
+   [b] has a selected row [i] with [test b i], testing rows one at a time
+   ([test b] specialises once per batch). *)
+let exists_row drive test =
+  try
+    drive (fun b ->
+        let live = test b in
+        for k = 0 to b.Column.n - 1 do
+          if live b.Column.sel.(k) then raise_notrace Found_row
+        done);
+    false
+  with Found_row -> true
+
+(* An emptiness probe executes no complete operator, so it runs with
+   accounting suppressed: both the operator and the access-path counters
+   stay untouched. *)
+let quiet env = { env with ctrs = None }
+
+(* Smart constructor: wraps the batch stream with per-execution row
+   accounting (skipped entirely when no counters are attached). *)
+let make ~check ~kind ~cols ~desc raw_biter =
   let biter env bsink =
     match env.ctrs with
     | None -> raw_biter env bsink
@@ -83,24 +76,7 @@ let make ?stored ?check ?biter ~kind ~cols ~desc iter =
           bsink b);
       Eval.record_op env.ctrs kind ~rows:!n
   in
-  let check =
-    match check with
-    | Some c -> c
-    | None -> (
-      fun env ->
-        let env = { env with ctrs = None } in
-        try
-          raw_iter env (fun _ -> raise Found_row);
-          false
-        with Found_row -> true)
-  in
-  { cols; iter; biter; stored; check; desc }
-
-let iter_stored rel env sink =
-  let rows = (rel env).Relation.rows in
-  for i = 0 to Array.length rows - 1 do
-    sink rows.(i)
-  done
+  { cols; biter; stored = None; check; desc }
 
 (* Stored relations stream columnar without transposing: chunked identity
    selections over the relation's memoised typed vectors. *)
@@ -110,45 +86,43 @@ let biter_stored rel env bsink =
   if n > 0 then begin
     let vecs = Relation.columns r in
     Column.iter_chunks n ~f:(fun sel len ->
-        bsink { Column.vecs; sel; n = len })
+        bsink { Column.vecs; sel; n = len; rows = Some r.Relation.rows })
   end
 
 (* ------------------------------------------------------------------ *)
 (* Leaves. *)
 
-let scan ~name ~cols =
-  let rel env = Catalog.find env.cat name in
+let stored_pipe ~cols ~desc rel =
   {
     cols;
-    iter = iter_stored rel;
     biter = biter_stored rel;
     stored = Some rel;
     check = (fun env -> not (Relation.is_empty (rel env)));
-    desc = Printf.sprintf "scan(%s)" name;
+    desc;
   }
 
+let scan ~name ~cols =
+  stored_pipe ~cols ~desc:(Printf.sprintf "scan(%s)" name) (fun env ->
+      Catalog.find env.cat name)
+
 let const r =
-  {
-    cols = Relation.cols r;
-    iter = iter_stored (fun _ -> r);
-    biter = biter_stored (fun _ -> r);
-    stored = Some (fun _ -> r);
-    check = (fun _ -> not (Relation.is_empty r));
-    desc = Printf.sprintf "mat(R%d)" r.Relation.id;
-  }
+  stored_pipe ~cols:(Relation.cols r)
+    ~desc:(Printf.sprintf "mat(R%d)" r.Relation.id)
+    (fun _ -> r)
 
 (* σ[col = const] over a stored relation through the catalog's hash index.
    [Catalog.lookup] falls back to scanning when indexing is disabled, so the
    compiled plan tracks the ablation toggle at execution time. *)
 let index_probe ~name ~col ~value ~cols =
-  let iter env sink =
-    Eval.record_access env.ctrs
-      (if Catalog.indexing_enabled env.cat then Eval.Index_probe else Eval.Scan);
-    List.iter sink (Catalog.lookup env.cat name col value)
-  in
   make ~kind:Eval.Op_select ~cols
     ~desc:(Printf.sprintf "probe(%s.%s=%s)" name col (Value.to_string value))
-    iter
+    ~check:(fun env -> Catalog.lookup env.cat name col value <> [])
+    (fun env bsink ->
+      Eval.record_access env.ctrs
+        (if Catalog.indexing_enabled env.cat then Eval.Index_probe else Eval.Scan);
+      let push, flush = Column.batching_sink bsink in
+      List.iter push (Catalog.lookup env.cat name col value);
+      flush ())
 
 (* ------------------------------------------------------------------ *)
 (* Streaming (fused) operators. *)
@@ -157,14 +131,14 @@ let index_probe ~name ~col ~value ~cols =
    rows.  [Compile] passes a typed [bpred] built against the concrete
    vector representations wherever it can. *)
 let bpred_of_pred pred b =
-  let g = Column.getter in
-  let getters = Array.map g b.Column.vecs in
+  let getters = Array.map Column.getter b.Column.vecs in
   fun i -> pred (Array.map (fun get -> get i) getters)
 
 let filter ?bpred ~pred inner =
   let bpred = match bpred with Some b -> b | None -> bpred_of_pred pred in
   make ~kind:Eval.Op_select ~cols:inner.cols ~desc:("σ(" ^ inner.desc ^ ")")
-    ~biter:(fun env bsink ->
+    ~check:(fun env -> exists_row (inner.biter (quiet env)) bpred)
+    (fun env bsink ->
       Eval.record_access env.ctrs Eval.Scan;
       inner.biter env (fun b ->
           let live = bpred b in
@@ -178,23 +152,17 @@ let filter ?bpred ~pred inner =
             end
           done;
           if !m > 0 then bsink { b with Column.sel = out; n = !m }))
-    (fun env sink ->
-      Eval.record_access env.ctrs Eval.Scan;
-      inner.iter env (fun row -> if pred row then sink row))
 
 let project ~positions ~cols inner =
-  make ~kind:Eval.Op_project ~cols
-    ~check:inner.check
-    ~desc:
-      (Printf.sprintf "π[%s](%s)" (String.concat "," cols) inner.desc)
-    ~biter:(fun env bsink ->
+  make ~kind:Eval.Op_project ~cols ~check:inner.check
+    ~desc:(Printf.sprintf "π[%s](%s)" (String.concat "," cols) inner.desc)
+    (fun env bsink ->
       inner.biter env (fun b ->
           bsink
             { b with
-              Column.vecs = Array.map (fun i -> b.Column.vecs.(i)) positions
+              Column.vecs = Array.map (fun i -> b.Column.vecs.(i)) positions;
+              rows = None;
             }))
-    (fun env sink ->
-      inner.iter env (fun row -> sink (Array.map (fun i -> row.(i)) positions)))
 
 (* A rename is free at execution time: only the header changes. *)
 let with_cols cols inner = { inner with cols }
@@ -202,7 +170,7 @@ let with_cols cols inner = { inner with cols }
 let distinct inner =
   make ~kind:Eval.Op_distinct ~cols:inner.cols ~check:inner.check
     ~desc:("δ(" ^ inner.desc ^ ")")
-    ~biter:(fun env bsink ->
+    (fun env bsink ->
       let seen : (Value.t array, unit) Hashtbl.t = Hashtbl.create 64 in
       let push, flush = Column.batching_sink bsink in
       inner.biter env (fun b ->
@@ -214,13 +182,27 @@ let distinct inner =
             end
           done);
       flush ())
-    (fun env sink ->
-      let seen : (Value.t array, unit) Hashtbl.t = Hashtbl.create 64 in
-      inner.iter env (fun row ->
-          if not (Hashtbl.mem seen row) then begin
-            Hashtbl.replace seen row ();
-            sink row
-          end))
+
+(* [each_row p env f] calls [f] on every row of [p], in stream order: a
+   stored pipe lends its row array, anything else is read back off the
+   batch stream. *)
+let each_row p env f =
+  match p.stored with
+  | Some rel -> Array.iter f (rel env).Relation.rows
+  | None ->
+    p.biter env (fun b ->
+        for k = 0 to b.Column.n - 1 do
+          f (Column.row b k)
+        done)
+
+(* Every row of [p] as an array (a stored pipe's own). *)
+let rows_of p env =
+  match p.stored with
+  | Some rel -> (rel env).Relation.rows
+  | None ->
+    let buf = ref [] in
+    each_row p env (fun row -> buf := row :: !buf);
+    Array.of_list (List.rev !buf)
 
 (* ------------------------------------------------------------------ *)
 (* Binary operators.  Output columns are always [left.cols @ right.cols]
@@ -239,10 +221,13 @@ let hash_join ~build_left ~lkey ~rkey ~residual left right =
      join index, built on the first execution and probed by the rest.  The
      [Atomic] publishes the fully-built table; a concurrent first execution
      may build twice, and the last store wins (both tables are identical).
-     Both engines share it. *)
+     Buckets list their rows in reverse build order. *)
   let memo : (Catalog.t * (Value.t, Value.t array list) Hashtbl.t) option
              Atomic.t =
     Atomic.make None
+  in
+  let build, bkey, probe, pkey =
+    if build_left then (left, lkey, right, rkey) else (right, rkey, left, lkey)
   in
   let table_for env =
     match Atomic.get memo with
@@ -251,16 +236,35 @@ let hash_join ~build_left ~lkey ~rkey ~residual left right =
       let table : (Value.t, Value.t array list) Hashtbl.t =
         Hashtbl.create 64
       in
-      let side, key = if build_left then (left, lkey) else (right, rkey) in
-      side.iter env (fun row ->
-          let k = row.(key) in
+      each_row build env (fun row ->
+          let k = row.(bkey) in
           let prev = try Hashtbl.find table k with Not_found -> [] in
           Hashtbl.replace table k (row :: prev));
       Atomic.set memo (Some (env.cat, table));
       table
   in
+  (* [combine build_row probe_row] the joined row, columns in
+     [left @ right] order whichever side was built. *)
+  let combine =
+    if build_left then fun lrow rrow -> Array.append lrow rrow
+    else fun rrow lrow -> Array.append lrow rrow
+  in
   make ~kind:Eval.Op_join ~cols ~desc
-    ~biter:(fun env bsink ->
+    ~check:(fun env ->
+      let env = quiet env in
+      let table = table_for env in
+      exists_row (probe.biter env) (fun b ->
+          let key = Column.getter b.Column.vecs.(pkey) in
+          fun i ->
+            match Hashtbl.find_opt table (key i) with
+            | None -> false
+            | Some ms -> (
+              match residual with
+              | None -> true
+              | Some p ->
+                let prow = Column.row_at b i in
+                List.exists (fun m -> p (combine m prow)) ms)))
+    (fun env bsink ->
       let table = table_for env in
       let push, flush = Column.batching_sink bsink in
       let emit =
@@ -268,48 +272,22 @@ let hash_join ~build_left ~lkey ~rkey ~residual left right =
         | None -> push
         | Some p -> fun row -> if p row then push row
       in
-      (* Probe the other side batch-wise: the key getter specialises per
-         batch, matches replay in the row engine's (reversed-build) order. *)
-      if build_left then
-        right.biter env (fun b ->
-            let key = Column.getter b.Column.vecs.(rkey) in
-            for k = 0 to b.Column.n - 1 do
-              let i = b.Column.sel.(k) in
-              match Hashtbl.find_opt table (key i) with
-              | None -> ()
-              | Some ls ->
-                let rrow = Column.row b k in
-                List.iter (fun lrow -> emit (Array.append lrow rrow)) ls
-            done)
-      else
-        left.biter env (fun b ->
-            let key = Column.getter b.Column.vecs.(lkey) in
-            for k = 0 to b.Column.n - 1 do
-              let i = b.Column.sel.(k) in
-              match Hashtbl.find_opt table (key i) with
-              | None -> ()
-              | Some rs ->
-                let lrow = Column.row b k in
-                List.iter (fun rrow -> emit (Array.append lrow rrow)) rs
-            done);
-      flush ())
-    (fun env sink ->
-      let emit =
-        match residual with
-        | None -> sink
-        | Some p -> fun row -> if p row then sink row
+      (* A named loop, not a closure per probe row. *)
+      let rec emit_matches prow = function
+        | [] -> ()
+        | m :: ms ->
+          emit (combine m prow);
+          emit_matches prow ms
       in
-      let table = table_for env in
-      if build_left then
-        right.iter env (fun rrow ->
-            match Hashtbl.find_opt table rrow.(rkey) with
+      (* Probe batch-wise: the key getter specialises per batch. *)
+      probe.biter env (fun b ->
+          let key = Column.getter b.Column.vecs.(pkey) in
+          for k = 0 to b.Column.n - 1 do
+            match Hashtbl.find_opt table (key b.Column.sel.(k)) with
             | None -> ()
-            | Some ls -> List.iter (fun lrow -> emit (Array.append lrow rrow)) ls)
-      else
-        left.iter env (fun lrow ->
-            match Hashtbl.find_opt table lrow.(lkey) with
-            | None -> ()
-            | Some rs -> List.iter (fun rrow -> emit (Array.append lrow rrow)) rs))
+            | Some ms -> emit_matches (Column.row b k) ms
+          done);
+      flush ())
 
 let nl_product left right =
   let cols = left.cols @ right.cols in
@@ -317,7 +295,7 @@ let nl_product left right =
   make ~kind:Eval.Op_product ~cols
     ~check:(fun env -> left.check env && right.check env)
     ~desc:(Printf.sprintf "×(%s, %s)" left.desc right.desc)
-    ~biter:(fun env bsink ->
+    (fun env bsink ->
       (* Right side columnised once; each left row broadcasts as constant
          vectors over the right chunks — no combined row materialises. *)
       let rvecs, rn =
@@ -326,9 +304,7 @@ let nl_product left right =
           let r = rel env in
           (lazy (Relation.columns r), Relation.cardinality r)
         | None ->
-          let buf = ref [] in
-          right.iter env (fun row -> buf := row :: !buf);
-          let rows = Array.of_list (List.rev !buf) in
+          let rows = rows_of right env in
           (lazy (Column.of_rows ~arity:right_arity rows), Array.length rows)
       in
       if rn > 0 then begin
@@ -346,24 +322,11 @@ let nl_product left right =
               in
               List.iter
                 (fun (sel, len) ->
-                  bsink { Column.vecs = Array.append consts rvecs; sel; n = len })
+                  bsink
+                    { Column.vecs = Array.append consts rvecs; sel; n = len; rows = None })
                 chunks
             done)
       end)
-    (fun env sink ->
-      let rrows =
-        match right.stored with
-        | Some rel -> (rel env).Relation.rows
-        | None ->
-          let buf = ref [] in
-          right.iter env (fun row -> buf := row :: !buf);
-          Array.of_list (List.rev !buf)
-      in
-      if Array.length rrows > 0 then
-        left.iter env (fun lrow ->
-            for j = 0 to Array.length rrows - 1 do
-              sink (Array.append lrow rrows.(j))
-            done))
 
 (* [guard gs inner] emits [inner]'s rows only when every guard pipe is
    non-empty — the compiled form of the distinct-projection factorisation's
@@ -372,7 +335,6 @@ let guard gs inner =
   let pass env = List.for_all (fun g -> g.check env) gs in
   {
     cols = inner.cols;
-    iter = (fun env sink -> if pass env then inner.iter env sink);
     biter = (fun env bsink -> if pass env then inner.biter env bsink);
     stored = None;
     check = (fun env -> pass env && inner.check env);
@@ -425,8 +387,8 @@ let agg_state = function
           | _ -> best := Some v),
       fun () -> Option.value ~default:Value.Null !best )
 
-(* Batch aggregate state: same accumulation order as {!agg_state} (rows in
-   selection order), so float sums stay bit-identical across engines. *)
+(* Batch aggregate state for the scalar [aggregate]: same accumulation
+   order as {!agg_state} (rows in selection order), folded per batch. *)
 let agg_bstate spec =
   match spec with
   | Count_spec ->
@@ -482,63 +444,46 @@ let aggregate ~spec ~col inner =
   make ~kind:Eval.Op_aggregate ~cols:[ col ]
     ~check:(fun _ -> true) (* aggregates always emit exactly one row *)
     ~desc:(Printf.sprintf "agg[%s](%s)" (spec_name spec) inner.desc)
-    ~biter:(fun env bsink ->
+    (fun env bsink ->
       let feed, finish = agg_bstate spec in
       inner.biter env feed;
       bsink (Column.batch_of_rows [| [| finish () |] |] 1))
-    (fun env sink ->
-      let feed, finish = agg_state spec in
-      inner.iter env feed;
-      sink [| finish () |])
 
 (* Hash grouping with first-appearance output order (same as the
    interpreted evaluator), one aggregate state per group — the group's rows
    are folded as they stream by, never collected. *)
 let group_by ~key_pos ~spec ~cols inner =
-  let fold_groups drive =
-    let groups :
-        (Value.t array, (Value.t array -> unit) * (unit -> Value.t)) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    let order = ref [] in
-    drive (fun row ->
-        let key = Array.map (fun i -> row.(i)) key_pos in
-        let feed =
-          match Hashtbl.find_opt groups key with
-          | Some (feed, _) -> feed
-          | None ->
-            let state = agg_state spec in
-            Hashtbl.add groups key state;
-            order := key :: !order;
-            fst state
-        in
-        feed row);
-    (groups, List.rev !order)
-  in
   make ~kind:Eval.Op_groupby ~cols ~check:inner.check
     ~desc:(Printf.sprintf "γ[%s](%s)" (spec_name spec) inner.desc)
-    ~biter:(fun env bsink ->
-      let groups, order =
-        fold_groups (fun f ->
-            inner.biter env (fun b ->
-                for k = 0 to b.Column.n - 1 do
-                  f (Column.row b k)
-                done))
+    (fun env bsink ->
+      let groups :
+          (Value.t array, (Value.t array -> unit) * (unit -> Value.t)) Hashtbl.t
+          =
+        Hashtbl.create 64
       in
+      let order = ref [] in
+      inner.biter env (fun b ->
+          for k = 0 to b.Column.n - 1 do
+            let row = Column.row b k in
+            let key = Array.map (fun i -> row.(i)) key_pos in
+            let feed =
+              match Hashtbl.find_opt groups key with
+              | Some (feed, _) -> feed
+              | None ->
+                let state = agg_state spec in
+                Hashtbl.add groups key state;
+                order := key :: !order;
+                fst state
+            in
+            feed row
+          done);
       let push, flush = Column.batching_sink bsink in
       List.iter
         (fun key ->
           let _, finish = Hashtbl.find groups key in
           push (Array.append key [| finish () |]))
-        order;
+        (List.rev !order);
       flush ())
-    (fun env sink ->
-      let groups, order = fold_groups (fun f -> inner.iter env f) in
-      List.iter
-        (fun key ->
-          let _, finish = Hashtbl.find groups key in
-          sink (Array.append key [| finish () |]))
-        order)
 
 (* ------------------------------------------------------------------ *)
 (* A complete plan: a root pipe plus the header the result must carry. *)
@@ -558,34 +503,12 @@ let execute ?ctrs cat t =
     let r = rel env in
     if Relation.cols r = t.header then r
     else Relation.of_rows ~cols:t.header r.Relation.rows
-  | None ->
-    let buf = ref [] in
-    t.root.iter env (fun row -> buf := row :: !buf);
-    Relation.of_rows ~cols:t.header (Array.of_list (List.rev !buf))
+  | None -> Relation.of_rows ~cols:t.header (rows_of t.root env)
 
-let execute_batches ?ctrs cat t =
-  let env = { cat; ctrs } in
-  match t.root.stored with
-  | Some rel ->
-    let r = rel env in
-    if Relation.cols r = t.header then r
-    else Relation.of_rows ~cols:t.header r.Relation.rows
-  | None ->
-    let buf = ref [] in
-    t.root.biter env (fun b ->
-        for k = 0 to b.Column.n - 1 do
-          buf := Column.row b k :: !buf
-        done);
-    Relation.of_rows ~cols:t.header (Array.of_list (List.rev !buf))
-
-(* Stream the result rows without materialising a relation (the fused
-   evaluate-and-accumulate path of the basic algorithm).  Emitted arrays
-   are never mutated afterwards, so consumers may keep them. *)
-let iter_rows ?ctrs cat t ~f = t.root.iter { cat; ctrs } f
-
-(* Stream the result as batches (the vectorized fused path).  Batches are
-   only valid during the callback: vectors are shared, but selection arrays
-   may be reused by producers — consumers must not retain them. *)
+(* Stream the result as batches (the fused evaluate-and-accumulate path).
+   Batches are only valid during the callback: vectors are shared, but
+   selection arrays may be reused by producers — consumers must not retain
+   them. *)
 let iter_batches ?ctrs cat t ~f = t.root.biter { cat; ctrs } f
 
 (* The weight-vector channel: the batch stream with every batch carrying

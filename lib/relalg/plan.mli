@@ -8,27 +8,24 @@
     inside {!execute} — so one plan may be executed concurrently from
     several domains.
 
-    Every operator carries two equivalent streams: a one-row-at-a-time
-    boxed stream ([iter], the [Compiled] engine) and a {!Column.batch}
-    stream ([biter], the [Vectorized] engine) that runs predicates as
-    tight loops over typed vectors and carries selection vectors forward
-    without copying.  Both produce identical rows in identical order, so
-    float accumulations downstream are bit-identical across engines.
+    Every operator pushes {!Column.batch}es: typed vectors plus a selection
+    vector, so predicates run as tight loops over unboxed data and
+    selections narrow the selection vector without copying.  Each operator
+    also carries a short-circuiting emptiness check ({!nonempty}) that
+    stops at the first qualifying row.
 
     Base relations are parameters resolved through the catalog at execution
     time, which is what makes a plan reusable across the [h] reformulated
     queries of one shape and lets {!Plan_cache} share it. *)
 
 type env = { cat : Catalog.t; ctrs : Eval.counters option }
-type sink = Value.t array -> unit
 type bsink = Column.batch -> unit
 
-(** One operator of a plan: a header plus push-based row and batch streams.
+(** One operator of a plan: a header plus a push-based batch stream.
     Exposed concretely for {!Compile}; other clients should treat pipes as
     opaque and use {!t}. *)
 type pipe = {
   cols : string list;
-  iter : env -> sink -> unit;
   biter : env -> bsink -> unit;
   stored : (env -> Relation.t) option;
   check : env -> bool;
@@ -49,11 +46,11 @@ val const : Relation.t -> pipe
     disabled). *)
 val index_probe : name:string -> col:string -> value:Value.t -> cols:string list -> pipe
 
-(** Fused selection: streams the parent's rows through a compiled
-    predicate, never materialising.  [bpred] is the batch form — given a
-    batch it returns a test over absolute row indices (a tight loop over
-    typed vectors when {!Compile} can specialise it); when absent it is
-    derived from [pred]. *)
+(** Fused selection: narrows the parent's selection vectors through a
+    compiled predicate, never materialising.  [bpred] is the batch form —
+    given a batch it returns a test over absolute row indices (a tight loop
+    over typed vectors when {!Compile} can specialise it); when absent it
+    is derived from the row predicate [pred]. *)
 val filter :
   ?bpred:(Column.batch -> int -> bool) -> pred:(Value.t array -> bool) -> pipe -> pipe
 
@@ -71,8 +68,7 @@ val distinct : pipe -> pipe
     hash table built on [l] when [build_left] (the cost model picks the
     estimated-smaller side) and probed with the other side.  Output columns
     are always [l.cols @ r.cols].  [residual] filters the combined row.
-    The build table is memoised across executions and shared by both
-    engines. *)
+    The build table is memoised across executions. *)
 val hash_join :
   build_left:bool ->
   lkey:int ->
@@ -82,9 +78,8 @@ val hash_join :
   pipe ->
   pipe
 
-(** Nested-loop Cartesian product; the right side is materialised once
-    (columnised once under the batch stream — left rows broadcast as
-    constant vectors over the right chunks). *)
+(** Nested-loop Cartesian product; the right side is columnised once and
+    each left row broadcasts as constant vectors over the right chunks. *)
 val nl_product : pipe -> pipe -> pipe
 
 (** [guard gs inner] is [inner] gated on every guard being non-empty — the
@@ -120,24 +115,14 @@ val header : t -> string list
     build-side choices through this. *)
 val describe : t -> string
 
-(** [execute ?ctrs cat t] runs the plan against [cat] through the row
-    stream, accounting operator executions into [ctrs] exactly like the
-    interpreted evaluator. *)
+(** [execute ?ctrs cat t] runs the plan against [cat], accounting operator
+    executions into [ctrs] exactly like the interpreted evaluator. *)
 val execute : ?ctrs:Eval.counters -> Catalog.t -> t -> Relation.t
 
-(** [execute_batches ?ctrs cat t] like {!execute} but through the batch
-    stream — same rows in the same order. *)
-val execute_batches : ?ctrs:Eval.counters -> Catalog.t -> t -> Relation.t
-
-(** [iter_rows ?ctrs cat t ~f] streams the result rows (in {!execute}'s row
-    order, with {!header}'s columns) without materialising a relation.
-    Emitted arrays are never mutated afterwards; consumers may retain them. *)
-val iter_rows :
-  ?ctrs:Eval.counters -> Catalog.t -> t -> f:(Value.t array -> unit) -> unit
-
 (** [iter_batches ?ctrs cat t ~f] streams the result as {!Column.batch}es
-    (same rows and order as {!iter_rows}).  A batch is only valid during
-    the callback — consumers must not retain its selection array. *)
+    (the rows of {!execute}, in the same order) without materialising a
+    relation.  A batch is only valid during the callback — consumers must
+    not retain its selection array. *)
 val iter_batches :
   ?ctrs:Eval.counters -> Catalog.t -> t -> f:(Column.batch -> unit) -> unit
 
@@ -154,6 +139,7 @@ val iter_wbatches :
   f:(Column.weighted -> unit) ->
   unit
 
-(** Short-circuiting emptiness test (stops at the first row) with
-    accounting suppressed: probes leave [ctrs] untouched. *)
+(** Short-circuiting emptiness test with accounting suppressed: probes
+    leave [ctrs] untouched.  Filters and hash-join probes stop at the first
+    qualifying row, not at the first full batch. *)
 val nonempty : ?ctrs:Eval.counters -> Catalog.t -> t -> bool

@@ -8,7 +8,6 @@ type config = {
   queue_depth : int;
   cache_capacity : int;
   send_timeout : float;
-  eval_jobs : int;
   engine : Urm_relalg.Compile.engine;
 }
 
@@ -20,7 +19,6 @@ let default_config =
     queue_depth = 64;
     cache_capacity = 256;
     send_timeout = 10.;
-    eval_jobs = 1;
     engine = Urm_relalg.Compile.Vectorized;
   }
 
@@ -84,9 +82,6 @@ type t = {
   mutable readers : Thread.t list;
   conns_lock : Mutex.t;
   lat : ring;
-  pool : Urm_par.Pool.t option;
-      (* one evaluation pool shared by all worker domains; Pool serialises
-         rounds internally, so concurrent requests queue for it in turn *)
   mutable workers : unit Domain.t array;
   mutable acceptor : Thread.t option;
 }
@@ -202,11 +197,12 @@ let cached_eval t session q ~algorithm ~variant compute =
 
 (* Partial evaluation over a contiguous mapping range [lo, hi): the shard
    router's fan-out unit for the [basic] algorithm.  The reply carries one
-   answer per mapping (ascending), so the router can replay [urm_par]'s
-   per-item ascending merge exactly and recombine bit-identically to a
-   single-process evaluation at any shard count.  Per-range subtotals
-   would not be enough — float addition is non-associative, so only the
-   per-item parts pin the grouping. *)
+   answer per mapping (ascending), so the router can fold them into one
+   accumulator in ascending mapping order — the same sequence of float
+   additions per answer bucket that a single-process basic run makes —
+   and recombine bit-identically at any shard count.  Per-range subtotals
+   would not be enough: float addition is not associative, so summing a
+   range first regroups the additions and can change the last bits. *)
 let exec_query_partial t session q ~alg_name ~lo ~hi : (Json.t, failure) result =
   if not (String.equal alg_name "basic") then
     Error (`Bad "partial range evaluation supports only algorithm \"basic\"")
@@ -389,11 +385,7 @@ let exec_query t req : (Json.t, failure) result =
           (cached_eval t session q ~algorithm:alg_name ~variant (fun snap ->
                let ctx = snap.Urm_incr.Vcatalog.ctx
                and mappings = snap.Urm_incr.Vcatalog.mappings in
-               let report =
-                 match t.pool with
-                 | Some pool -> Urm_par.Drivers.run ~pool alg ctx q mappings
-                 | None -> Urm.Algorithms.run alg ctx q mappings
-               in
+               let report = Urm.Algorithms.run alg ctx q mappings in
                let answer = report.Urm.Report.answer in
                Json.Obj
                  [
@@ -990,7 +982,6 @@ let acceptor_loop t () =
 let start ?(metrics = Metrics.scope Metrics.global "service") (cfg : config) =
   if cfg.workers <= 0 then invalid_arg "Server.start: workers must be positive";
   if cfg.queue_depth <= 0 then invalid_arg "Server.start: queue_depth must be positive";
-  if cfg.eval_jobs <= 0 then invalid_arg "Server.start: eval_jobs must be positive";
   (* A write to a disconnected client must surface as EPIPE/Sys_error in
      [send] — the default SIGPIPE action would terminate the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -1022,10 +1013,6 @@ let start ?(metrics = Metrics.scope Metrics.global "service") (cfg : config) =
       readers = [];
       conns_lock = Mutex.create ();
       lat = ring_create 4096;
-      pool =
-        (if cfg.eval_jobs > 1 then
-           Some (Urm_par.Pool.create ~metrics ~jobs:cfg.eval_jobs ())
-         else None);
       workers = [||];
       acceptor = None;
     }
@@ -1037,7 +1024,6 @@ let start ?(metrics = Metrics.scope Metrics.global "service") (cfg : config) =
 let wait t =
   (match t.acceptor with Some th -> Thread.join th | None -> ());
   Array.iter Domain.join t.workers;
-  Option.iter Urm_par.Pool.shutdown t.pool;
   Mutex.lock t.conns_lock;
   let conns = t.conns and readers = t.readers in
   t.conns <- [];

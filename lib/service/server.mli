@@ -41,14 +41,9 @@ type config = {
       (** SO_SNDTIMEO on accepted sockets, seconds; a reply write stalled
           this long marks the connection dead instead of wedging a worker.
           [0.] disables the bound. *)
-  eval_jobs : int;
-      (** evaluation domains per query: [> 1] shares one
-          {!Urm_par.Pool} across the worker domains and routes [query]
-          requests through the parallel drivers (answers are bit-identical
-          to sequential evaluation; see lib/par).  Default [1]. *)
   engine : Urm_relalg.Compile.engine;
       (** query-execution engine for sessions this server opens (default
-          compiled); [metrics] requests report the sessions' plan-cache
+          vectorized); [metrics] requests report the sessions' plan-cache
           hit/miss/evict totals under ["plan_cache"]. *)
 }
 

@@ -6,8 +6,9 @@
     changing the shard count moves only the minimal number of sessions.
     Within a session, [basic] query evaluation fans out over contiguous
     mapping ranges, one per shard, so the router can recombine the
-    per-mapping partial answers in ascending order (the [urm_par] merge
-    discipline). *)
+    per-mapping partial answers in ascending order — the sequential run's
+    order of float additions, which a regrouped (e.g. per-range) sum would
+    not reproduce bit for bit. *)
 
 val owner : shards:int -> string -> int
 (** [owner ~shards key] ∈ [\[0, shards)], stable across processes

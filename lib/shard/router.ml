@@ -463,10 +463,12 @@ let exec_mutate t (req : Protocol.request) =
 let answers_limit req =
   Option.value ~default:20 (Protocol.int_param req "answers")
 
-(* Merge per-mapping partial answers in ascending mapping order — the
-   urm_par discipline: each partial carries one mapping's bucket totals,
-   so one [Answer.add] per (mapping, tuple) replays the exact float
-   addition sequence of a sequential evaluation. *)
+(* Merge per-mapping partial answers in ascending mapping order: each
+   partial carries one mapping's bucket totals, so one [Answer.add] per
+   (mapping, tuple) replays the exact float addition sequence of a
+   sequential evaluation.  Float addition is not associative, so any other
+   grouping (per-range subtotals, another order) could change the last
+   bits of a probability. *)
 let merge_partials ~output replies =
   let answer = Urm.Answer.create output in
   List.iter

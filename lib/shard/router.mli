@@ -14,10 +14,11 @@
     [query] with algorithm [basic] fans out: each shard evaluates a
     contiguous mapping range ([range_lo]/[range_hi], see {!Server}) and
     returns per-mapping partial answers; the router merges them in
-    ascending mapping order — exactly the [urm_par] per-item merge
-    discipline — so the recombined answer is bit-identical to sequential
-    evaluation at any shard count (JSON floats render as %.17g and
-    round-trip exactly).
+    ascending mapping order — the same sequence of float additions per
+    answer bucket as sequential evaluation, which matters because float
+    addition is not associative — so the recombined answer is
+    bit-identical to sequential evaluation at any shard count (JSON floats
+    render as %.17g and round-trip exactly).
 
     Lifecycle: workers are spawned at {!start} ({!Launcher}); a health
     thread reaps crashed workers and respawns them, replaying every

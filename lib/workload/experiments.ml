@@ -47,7 +47,6 @@ type config = {
   scale_sweep : float list;
   k_sweep : int list;
   runs : int;
-  jobs : int;
   engine : Urm_relalg.Compile.engine;
 }
 
@@ -60,7 +59,6 @@ let default =
     scale_sweep = [ 0.2; 0.4; 0.6; 0.8; 1.0 ];
     k_sweep = [ 1; 5; 10; 15; 20 ];
     runs = 1;
-    jobs = 1;
     engine = Urm_relalg.Compile.Vectorized;
   }
 
@@ -73,7 +71,6 @@ let quick =
     scale_sweep = [ 0.5; 1.0 ];
     k_sweep = [ 1; 3 ];
     runs = 1;
-    jobs = 1;
     engine = Urm_relalg.Compile.Vectorized;
   }
 
@@ -82,27 +79,11 @@ let quick =
 let s_float f = Printf.sprintf "%.4f" f
 let s_int = string_of_int
 
-(* Domain pools are memoised per jobs count so a sweep reuses one set of
-   worker domains across all its data points. *)
-let pool_cache : (int, Urm_par.Pool.t) Hashtbl.t = Hashtbl.create 4
-
-let pool jobs =
-  match Hashtbl.find_opt pool_cache jobs with
-  | Some p -> p
-  | None ->
-    let p = Urm_par.Pool.create ~jobs () in
-    Hashtbl.replace pool_cache jobs p;
-    p
-
-let run_alg cfg alg ctx q ms =
-  if cfg.jobs <= 1 then Algorithms.run alg ctx q ms
-  else Urm_par.Drivers.run ~pool:(pool cfg.jobs) alg ctx q ms
-
 let time_alg cfg alg ctx q ms =
   let report = ref None in
   let secs =
     Urm_util.Timer.repeat ~warmup:0 ~runs:cfg.runs (fun () ->
-        report := Some (run_alg cfg alg ctx q ms))
+        report := Some (Algorithms.run alg ctx q ms))
   in
   (secs, Option.get !report)
 

@@ -24,29 +24,14 @@ type config = {
       (** database-size axis, as multipliers of [scale] (Figs. 10(b), 11(b)) *)
   k_sweep : int list;  (** top-k axis (Fig. 12) *)
   runs : int;  (** timing repetitions per data point *)
-  jobs : int;
-      (** evaluation domains; [> 1] routes the exact algorithms through
-          {!Urm_par.Drivers.run} (answers are bit-identical to [jobs = 1],
-          see lib/par) *)
   engine : Urm_relalg.Compile.engine;
       (** query-execution engine for the contexts built by the experiments
-          (default compiled; see {!Urm_relalg.Compile}) *)
+          (default vectorized; see {!Urm_relalg.Compile}) *)
 }
 
 (** seed 42, scale 0.03, h = 100, h_sweep 100..500, scale 0.2×..1×,
-    k ∈ {1,5,10,15,20}, runs 1, jobs 1. *)
+    k ∈ {1,5,10,15,20}, runs 1. *)
 val default : config
-
-(** [run_alg cfg alg ctx q ms] one evaluation under [cfg]: sequential
-    {!Urm.Algorithms.run} for [cfg.jobs <= 1], the parallel driver over a
-    memoised [cfg.jobs]-domain pool otherwise. *)
-val run_alg :
-  config ->
-  Urm.Algorithms.t ->
-  Urm.Ctx.t ->
-  Urm.Query.t ->
-  Urm.Mapping.t list ->
-  Urm.Report.t
 
 (** A miniature configuration for tests (scale 0.01, h = 20, short sweeps). *)
 val quick : config

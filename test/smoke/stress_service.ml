@@ -1,8 +1,7 @@
 (* Service concurrency stress (dune @smoke, part of @runtest): eight
    clients hammer one session with a mix of cache-friendly and
-   cache-defeating query requests while the server evaluates through a
-   shared two-domain pool, and every reply is checked against a
-   sequential oracle computed locally from the same pipeline parameters
+   cache-defeating query requests across four worker domains, and every
+   reply is checked against a sequential oracle computed locally from the same pipeline parameters
    (same seed, scale and h ⇒ byte-identical answer payloads — JSON
    floats print as %.17g, which round-trips exactly).  Afterwards the
    cache counters must balance: with a capacity far above the distinct
@@ -54,9 +53,9 @@ let answer_key_of_json json =
     (Json.Obj
        [ ("answers", member "answers" json); ("null", member "null_prob" json) ])
 
-(* The request mix.  Only the strictly per-item-deterministic algorithms:
-   the server evaluates through a jobs = 2 pool and the oracle runs
-   sequentially, so the payloads must be bit-identical. *)
+(* The request mix.  The server's worker domains and the local oracle run
+   the same deterministic algorithms, so the payloads must be
+   bit-identical. *)
 let shared_script =
   [
     ("Q1", "o-sharing", 20);
@@ -114,7 +113,6 @@ let () =
         workers = 4;
         queue_depth = 256;
         cache_capacity = 4096;
-        eval_jobs = 2;
       }
   in
   let port = Server.port server in

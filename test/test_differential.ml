@@ -4,17 +4,12 @@
    correspondence subsets with random normalised probabilities, the shape
    [Urm.Mapgen] emits) and random target queries (selections, joins,
    aggregates) over the paper's running-example schemas and the workload
-   schemas.  The property: every exact algorithm — sequential and through
-   the domain-parallel drivers at jobs ∈ {2, 4} — returns the same
-   (tuple, probability) answer set within [Urm.Prob.eps], and top-k
-   answers are a prefix of the full ranking. *)
+   schemas.  The property: every exact algorithm, on both engines, returns
+   the same (tuple, probability) answer set within [Urm.Prob.eps] as the
+   interpreted basic algorithm, and top-k answers are a prefix of the full
+   ranking. *)
 
 let s v = Urm_relalg.Value.Str v
-
-(* Pools shared across all qcheck cases (creating domains per case would
-   dominate the suite's runtime). *)
-let pool2 = lazy (Urm_par.Pool.create ~jobs:2 ())
-let pool4 = lazy (Urm_par.Pool.create ~jobs:4 ())
 
 let exact_algorithms =
   [
@@ -27,64 +22,37 @@ let exact_algorithms =
     Urm.Algorithms.Osharing Urm.Eunit.Random;
   ]
 
-let modes =
-  [
-    ("seq", fun alg ctx q ms -> Urm.Algorithms.run alg ctx q ms);
-    ( "jobs=2",
-      fun alg ctx q ms ->
-        Urm_par.Drivers.run ~pool:(Lazy.force pool2) alg ctx q ms );
-    ( "jobs=4",
-      fun alg ctx q ms ->
-        Urm_par.Drivers.run ~pool:(Lazy.force pool4) alg ctx q ms );
-  ]
-
-(* All algorithms, all modes, all engines, against the interpreted
-   sequential basic.  [ctxs] is a list of (engine label, context) over the
-   same catalog — the first one is the baseline's.  Returns the first
-   disagreement as a counterexample description. *)
+(* All algorithms, all engines, against the interpreted basic.  [ctxs] is
+   a list of (engine label, context) over the same catalog — the first one
+   is the baseline's.  Returns the first disagreement as a counterexample
+   description. *)
 let disagreement ctxs q ms =
   let _, baseline_ctx = List.hd ctxs in
   let baseline =
     (Urm.Algorithms.run Urm.Algorithms.Basic baseline_ctx q ms).Urm.Report.answer
   in
-  List.fold_left
-    (fun acc (engine, ctx) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        List.fold_left
-          (fun acc alg ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              List.fold_left
-                (fun acc (mode, run) ->
-                  match acc with
-                  | Some _ -> acc
-                  | None ->
-                    let answer = (run alg ctx q ms).Urm.Report.answer in
-                    if Urm.Answer.equal ~eps:Urm.Prob.eps baseline answer then
-                      None
-                    else
-                      Some
-                        (Printf.sprintf
-                           "%s (%s, %s) disagrees with interpreted sequential \
-                            basic"
-                           (Urm.Algorithms.name alg) mode engine))
-                None modes)
-          None exact_algorithms)
-    None ctxs
+  List.find_map
+    (fun (engine, ctx) ->
+      List.find_map
+        (fun alg ->
+          let answer = (Urm.Algorithms.run alg ctx q ms).Urm.Report.answer in
+          if Urm.Answer.equal ~eps:Urm.Prob.eps baseline answer then None
+          else
+            Some
+              (Printf.sprintf "%s (%s) disagrees with interpreted basic"
+                 (Urm.Algorithms.name alg) engine))
+        exact_algorithms)
+    ctxs
 
 let check_agreement ctxs q ms =
   match disagreement ctxs q ms with
   | None -> true
   | Some msg -> QCheck.Test.fail_report msg
 
-(* Interpreted first (it provides the baseline), then the plan engines. *)
+(* Interpreted first (it provides the baseline), then the plan engine. *)
 let both_engines mk =
   [
     ("interpreted", mk Urm_relalg.Compile.Interpreted);
-    ("compiled", mk Urm_relalg.Compile.Compiled);
     ("vectorized", mk Urm_relalg.Compile.Vectorized);
   ]
 
@@ -203,7 +171,7 @@ let query_gen =
 
 let qcheck_running_example =
   QCheck.Test.make
-    ~name:"random queries × random mapping sets agree across algorithms and jobs"
+    ~name:"random queries × random mapping sets agree across algorithms and engines"
     ~count:40
     (QCheck.make QCheck.Gen.(pair query_gen mappings_gen))
     (fun (q, ms) ->
@@ -241,7 +209,7 @@ let workload_case_gen =
 
 let qcheck_workload =
   QCheck.Test.make
-    ~name:"workload queries × pipeline mappings agree across algorithms and jobs"
+    ~name:"workload queries × pipeline mappings agree across algorithms and engines"
     ~count:10
     (QCheck.make workload_case_gen)
     (fun (q, h) ->

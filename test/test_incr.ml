@@ -1,7 +1,7 @@
 (* The incremental-maintenance suite: versioned catalog semantics, answer
    compaction, and the qcheck differential property that delta-apply over
    any mutation sequence equals full re-evaluation (basic, e-basic, e-MQO,
-   all three engines) at the final epoch. *)
+   both engines) at the final epoch. *)
 
 open Urm_relalg
 module Mutation = Urm_incr.Mutation
@@ -294,7 +294,6 @@ let realize (snap : Vcatalog.snapshot) counter specs =
 let engines =
   [
     ("interpreted", Urm_relalg.Compile.Interpreted);
-    ("compiled", Urm_relalg.Compile.Compiled);
     ("vectorized", Urm_relalg.Compile.Vectorized);
   ]
 

@@ -20,7 +20,6 @@ let () =
       ("xmlconv", Test_xmlconv.suite);
       ("workload", Test_workload.suite);
       ("service", Test_service.suite);
-      ("par", Test_par.suite);
       ("differential", Test_differential.suite);
       ("plan", Test_plan.suite);
       ("anytime", Test_anytime.suite);

@@ -1,18 +1,19 @@
-(* The compiled-engine differential suite.
+(* The plan-engine differential suite.
 
    qcheck generators produce random small catalogs (typed columns with
    nulls, duplicates and skew, so join orders and build sides actually
    vary) and random algebra expressions over them (selections, equi- and
    theta-joins, products, projections, distinct, aggregates, group-by).
-   The property: [Compile.compile |> Plan.execute] (row stream) and
-   [Plan.execute_batches] (columnar batch stream) return exactly the
+   The property: [Compile.compile |> Plan.execute] returns exactly the
    same header and row multiset as the tree-walking interpreter, both
-   with and without the logical optimiser; dedicated cardinalities
-   exercise the 1024-row batch boundaries.
+   with and without the logical optimiser, and [Plan.nonempty] agrees
+   with [Eval.nonempty]; dedicated cardinalities exercise the 1024-row
+   batch boundaries.
 
-   Deterministic unit tests cover the plan cache's hit/miss/evict
-   accounting, cost-based build-side selection, aggregate null/string
-   semantics, and the [Urm.Ctx] cross-mapping plan reuse. *)
+   Deterministic unit tests cover short-circuiting emptiness probes, the
+   plan cache's hit/miss/evict accounting, cost-based build-side
+   selection, aggregate null/string semantics, and the [Urm.Ctx]
+   cross-mapping plan reuse. *)
 
 open Urm_relalg
 
@@ -100,7 +101,7 @@ let expr_gen =
     let proj_cols =
       if has_s then [ "r#b"; "s#c" ] else [ "r#b"; "r#a" ]
     in
-    let* shape = 0 -- 5 in
+    let* shape = 0 -- 6 in
     match shape with
     | 0 -> return body
     | 1 -> return (Algebra.Project (proj_cols, body))
@@ -114,6 +115,14 @@ let expr_gen =
     | 4 ->
       let* agg = oneofl [ Algebra.Count; Algebra.Avg "r#a" ] in
       return (Algebra.GroupBy ([ "r#b" ], agg, body))
+    | 5 ->
+      (* A selection the optimiser cannot push below the grouping: the
+         filter reads the group-by's row-built batch. *)
+      let* c = cmp_gen and* v = QCheck.Gen.(map i (1 -- 3)) in
+      return
+        (Algebra.Select
+           ( Pred.Cmp (c, Algebra.output_col Algebra.Count, v),
+             Algebra.GroupBy ([ "r#b" ], Algebra.Count, body) ))
     | _ -> return (Algebra.Distinct body))
 
 (* ------------------------------------------------------------------ *)
@@ -157,6 +166,13 @@ let agree oa ob =
   | Error a, Error b -> String.equal a b
   | _ -> false
 
+(* The plan's emptiness probe against the interpreter's, wherever the
+   interpreter evaluates [e] without raising. *)
+let nonempty_agrees cat e plan =
+  match outcome (fun () -> Eval.nonempty cat e) with
+  | Ok expect -> Bool.equal expect (Plan.nonempty cat plan)
+  | Error _ -> true
+
 let qcheck_compiled_vs_interpreted =
   QCheck.Test.make
     ~name:"compiled plans agree with the interpreter on random catalogs × exprs"
@@ -165,24 +181,22 @@ let qcheck_compiled_vs_interpreted =
     (fun (cat, e) ->
       let interp = outcome (fun () -> Eval.eval cat e) in
       let unopt = outcome (fun () -> Eval.eval ~optimize:false cat e) in
-      let compiled =
+      let plan =
         outcome (fun () ->
             let env = Compile.create_env ~metrics:(Urm_obs.Metrics.create ()) cat in
-            Plan.execute cat (Compile.compile env e))
+            Compile.compile env e)
       in
-      let vectorized =
-        outcome (fun () ->
-            let env = Compile.create_env ~metrics:(Urm_obs.Metrics.create ()) cat in
-            Plan.execute_batches cat (Compile.compile env e))
-      in
+      let executed = Result.bind plan (fun p -> outcome (fun () -> Plan.execute cat p)) in
       if not (agree interp unopt) then
         QCheck.Test.fail_reportf "optimised interpreter disagrees on %s"
           (Algebra.to_string e)
-      else if not (agree interp compiled) then
-        QCheck.Test.fail_reportf "compiled engine disagrees on %s"
+      else if not (agree interp executed) then
+        QCheck.Test.fail_reportf "plan engine disagrees on %s"
           (Algebra.to_string e)
-      else if not (agree interp vectorized) then
-        QCheck.Test.fail_reportf "vectorized engine disagrees on %s"
+      else if
+        not (Result.fold plan ~ok:(nonempty_agrees cat e) ~error:(fun _ -> true))
+      then
+        QCheck.Test.fail_reportf "Plan.nonempty disagrees with Eval.nonempty on %s"
           (Algebra.to_string e)
       else true)
 
@@ -200,18 +214,13 @@ let qcheck_compiled_no_index =
             let env = Compile.create_env ~metrics:(Urm_obs.Metrics.create ()) cat in
             Plan.execute cat (Compile.compile env e))
       in
-      let vectorized =
-        outcome (fun () ->
-            let env = Compile.create_env ~metrics:(Urm_obs.Metrics.create ()) cat in
-            Plan.execute_batches cat (Compile.compile env e))
-      in
-      agree interp compiled && agree interp vectorized
+      agree interp compiled
       || QCheck.Test.fail_reportf "compiled (no index) disagrees on %s"
            (Algebra.to_string e))
 
-(* Batch-boundary cardinalities: the vectorized stream must agree exactly
-   where batches split — empty inputs, single rows, and one row either
-   side of the 1024-row batch size. *)
+(* Batch-boundary cardinalities: the batch stream and the emptiness probe
+   must agree exactly where batches split — empty inputs, single rows, and
+   one row either side of the 1024-row batch size. *)
 let qcheck_batch_boundaries =
   QCheck.Test.make
     ~name:"batch streams agree at batch-size boundaries (0/1/1023/1024/1025)"
@@ -242,9 +251,8 @@ let qcheck_batch_boundaries =
       let interp = outcome (fun () -> Eval.eval cat e) in
       let env = Compile.create_env ~metrics:(Urm_obs.Metrics.create ()) cat in
       let plan = Compile.compile env e in
-      let rowwise = outcome (fun () -> Plan.execute cat plan) in
-      let batched = outcome (fun () -> Plan.execute_batches cat plan) in
-      agree interp rowwise && agree interp batched
+      let batched = outcome (fun () -> Plan.execute cat plan) in
+      (agree interp batched && nonempty_agrees cat e plan)
       || QCheck.Test.fail_reportf "boundary n=%d disagrees on %s" n
            (Algebra.to_string e))
 
@@ -375,21 +383,20 @@ let test_aggregate_semantics () =
   let expect = Invalid_argument "Value.add: string operand" in
   Alcotest.check_raises "interpreted sum over strings" expect (fun () ->
       ignore (Eval.eval cat e));
-  Alcotest.check_raises "compiled sum over strings" expect (fun () ->
+  Alcotest.check_raises "plan sum over strings" expect (fun () ->
       ignore (Plan.execute cat (Compile.compile env e)))
 
 (* ------------------------------------------------------------------ *)
-(* Emptiness probes must leave metrics untouched: [Plan.nonempty] (and the
-   derived [check] it runs) previously streamed through the accounting
-   wrappers, inflating operator/row/access counters with rows no query
-   produced. *)
+(* Emptiness probes must leave metrics untouched: [Plan.nonempty] once
+   streamed through the accounting wrappers, inflating operator/row/access
+   counters with rows no query produced. *)
 
 let test_nonempty_counters () =
   let cat = fixed_catalog () in
   let metrics = Urm_obs.Metrics.create () in
   let env = Compile.create_env ~metrics cat in
   (* Ne lowers to a scan-side filter, the path whose access counter the
-     derived check used to bump. *)
+     check used to bump. *)
   let e = Algebra.Select (Pred.Cmp (Pred.Ne, "r#b", s "nope"), r_) in
   let plan = Compile.compile env e in
   let ctrs = Eval.fresh_counters ~metrics () in
@@ -401,6 +408,55 @@ let test_nonempty_counters () =
     (Urm_obs.Metrics.find_counter
        (Urm_obs.Metrics.scope metrics "relalg")
        "select.scan")
+
+(* Emptiness probes short-circuit: over 10⁴ rows whose first row
+   qualifies, a filter's probe must not drain its input, and a hash join's
+   probe must stop at the first matching probe row instead of waiting for
+   a full output batch. *)
+
+let test_nonempty_short_circuits () =
+  let n = 10_000 in
+  let cat = Catalog.create () in
+  Catalog.add cat "N"
+    (Relation.create ~cols:[ "a"; "b" ]
+       (List.init n (fun j -> [| i (j mod 7); i j |])));
+  Catalog.add cat "K" (Relation.create ~cols:[ "k" ] [ [| i 0 |]; [| i 1 |] ]);
+  let counting f =
+    let calls = ref 0 in
+    ( calls,
+      fun row ->
+        incr calls;
+        f row )
+  in
+  let pred_calls, pred = counting (fun row -> Value.compare row.(0) (i 7) < 0) in
+  let filtered = Plan.filter ~pred (Plan.scan ~name:"N" ~cols:[ "a"; "b" ]) in
+  let plan = Plan.of_pipe ~header:[ "a"; "b" ] filtered in
+  Alcotest.(check bool) "filter probe finds the first row" true
+    (Plan.nonempty cat plan);
+  Alcotest.(check bool) "filter probe stays within one batch" true
+    (!pred_calls <= Column.batch_size);
+  pred_calls := 0;
+  let residual_calls, residual = counting (fun _ -> true) in
+  let join =
+    Plan.hash_join ~build_left:true ~lkey:0 ~rkey:0 ~residual:(Some residual)
+      (Plan.scan ~name:"K" ~cols:[ "k" ])
+      filtered
+  in
+  let plan = Plan.of_pipe ~header:[ "k"; "a"; "b" ] join in
+  Alcotest.(check bool) "hash-join probe finds the first match" true
+    (Plan.nonempty cat plan);
+  Alcotest.(check int) "hash-join probe stops at the first probe row" 1
+    !residual_calls;
+  Alcotest.(check bool) "hash-join probe input stays within one batch" true
+    (!pred_calls <= Column.batch_size);
+  (* The full execution still sees every row. *)
+  residual_calls := 0;
+  let joined = Plan.execute cat plan in
+  let matching = List.length (List.filter (fun j -> j mod 7 < 2) (List.init n Fun.id)) in
+  Alcotest.(check int) "execution joins every matching row" matching
+    (Relation.cardinality joined);
+  Alcotest.(check int) "residual ran once per joined row"
+    (Relation.cardinality joined) !residual_calls
 
 (* ------------------------------------------------------------------ *)
 (* Ctx-level plan reuse: the same shape evaluated twice compiles once. *)
@@ -460,6 +516,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_batch_boundaries;
     Alcotest.test_case "emptiness probes leave counters untouched" `Quick
       test_nonempty_counters;
+    Alcotest.test_case "emptiness probes stop at the first qualifying row" `Quick
+      test_nonempty_short_circuits;
     Alcotest.test_case "plan cache hit/miss/evict accounting" `Quick
       test_cache_accounting;
     Alcotest.test_case "plan cache rejects non-positive capacity" `Quick
