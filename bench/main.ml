@@ -219,9 +219,10 @@ let run_eval quick =
 (* ------------------------------------------------------------------ *)
 (* Part 1c': the sharing sweep (id "share").
 
-   The factorized multi-mapping executor's headline: the sharing
-   algorithms (e-basic, e-MQO, q-sharing, o-sharing) on the plan engines
-   run one vectorized pass over the distinct e-units for all h mappings,
+   The factorized multi-mapping executor's headline: on the plan engine
+   every exact algorithm runs one vectorized pass over its units for all h
+   mappings — the distinct e-units for e-basic and e-MQO, one singleton
+   unit per mapping (or per q-sharing/o-sharing representative) otherwise —
    instead of re-interpreting per unit.  Per algorithm × engine × h, times
    Q4 on the pipeline workload and checks the answer against the
    interpreted e-basic oracle of the same h — byte-for-byte on the rendered
@@ -231,13 +232,14 @@ let run_eval quick =
    instead of per e-unit, so last-ulp float bits legitimately differ).  Any
    divergence exits non-zero, so the factorized path cannot silently
    drift.  Each row records the report's effective engine
-   ("vectorized+factorized" on the sharing algorithms' plan-engine path).
+   ("vectorized+factorized" on every plan-engine row, basic included).
 
    The perf gate (full sweep only, where h=300 exists): factorized e-MQO
-   must beat vectorized basic wall-clock and interpreted e-MQO by ≥ 5×,
-   measured as the min of 3 fresh runs per configuration — the min is the
-   noise-robust statistic; single-shot row timings on a shared box jitter
-   by 20%+, which a 5× threshold cannot absorb. *)
+   must beat factorized basic (the vectorized basic row) wall-clock and
+   interpreted e-MQO by ≥ 5×, measured as the min of 3 fresh runs per
+   configuration — the min is the noise-robust statistic; single-shot row
+   timings on a shared box jitter by 20%+, which a 5× threshold cannot
+   absorb. *)
 
 let share_file = "BENCH_share.json"
 
@@ -868,14 +870,17 @@ let micro_tests () =
      for Bechamel to sample many times. *)
   let p = Urm_workload.Pipeline.create ~seed:3 ~scale:0.01 () in
   let excel = Urm_workload.Targets.excel in
-  let ctx q_name =
+  let ctx ?engine q_name =
     let target, q = Urm_workload.Queries.by_name q_name in
-    (Urm_workload.Pipeline.ctx p target, q, Urm_workload.Pipeline.mappings p target ~h:10)
+    (Urm_workload.Pipeline.ctx ?engine p target, q, Urm_workload.Pipeline.mappings p target ~h:10)
   in
-  let run alg q_name () =
-    let ctx, q, ms = ctx q_name in
+  let run ?engine alg q_name () =
+    let ctx, q, ms = ctx ?engine q_name in
     ignore (Urm.Algorithms.run alg ctx q ms)
   in
+  (* The strategy and memo tables run the interpreted u-trace, as in
+     {!Urm_workload.Experiments}. *)
+  let interpreted = Urm_relalg.Compile.Interpreted in
   let excel_mappings = Urm_workload.Pipeline.mappings p excel ~h:10 in
   let stage = Bechamel.Staged.stage in
   [
@@ -894,8 +899,8 @@ let micro_tests () =
       let q = Urm_workload.Sweeps.self_joins 1 in
       let c = Urm_workload.Pipeline.ctx p excel in
       stage (fun () -> ignore (Urm.Algorithms.run (Urm.Algorithms.Osharing Urm.Eunit.Sef) c q excel_mappings)) );
-    ("fig11f", stage (run (Urm.Algorithms.Osharing Urm.Eunit.Random) "Q5"));
-    ("tab4", stage (run (Urm.Algorithms.Osharing Urm.Eunit.Snf) "Q4"));
+    ("fig11f", stage (run ~engine:interpreted (Urm.Algorithms.Osharing Urm.Eunit.Random) "Q5"));
+    ("tab4", stage (run ~engine:interpreted (Urm.Algorithms.Osharing Urm.Eunit.Snf) "Q4"));
     ( "fig12a",
       let c, q, ms = ctx "Q4" in
       stage (fun () -> ignore (Urm.Topk.run ~k:1 c q ms)) );
@@ -906,7 +911,7 @@ let micro_tests () =
       let c, q, ms = ctx "Q10" in
       stage (fun () -> ignore (Urm.Topk.run ~k:1 c q ms)) );
     ( "abl-memo",
-      let c, q, ms = ctx "Q3" in
+      let c, q, ms = ctx ~engine:interpreted "Q3" in
       stage (fun () -> ignore (Urm.Osharing.run ~use_memo:false c q ms)) );
     ( "abl-index",
       let c, q, ms = ctx "Q1" in

@@ -57,8 +57,8 @@ let drive ?(seed = 17) ~metrics ~budget ~decide (ctx : Urm.Ctx.t) q ms =
   let sw_evaluate = Urm_util.Timer.Stopwatch.create () in
   let sw_decide = Urm_util.Timer.Stopwatch.create () in
   (* Two-level answer memo: mapping id → reformulation shape → target
-     tuples (the same replay discipline as the vectorized engine's per-run
-     answer memo).  Draws are tallied per *shape* — O(1) per draw no matter
+     tuples (the same replay discipline as the factorized executor's
+     replay memo).  Draws are tallied per *shape* — O(1) per draw no matter
      how large the answers are — and the per-tuple counts the deciders need
      are materialised from the shape tallies once per batch in [view]. *)
   let by_shape : (string, Value.t array list) Hashtbl.t = Hashtbl.create 64 in

@@ -178,10 +178,11 @@ let tbl_find tb key =
   let i = slot tb (Hashtbl.hash key) key in
   if tb.hashes.(i) < 0 then None else Some tb.ids.(i)
 
-(* The collapsed mass of a weight vector: summed left to right, which is
-   exactly the accumulation order of [Ebasic.distinct_source_queries]'s
-   incremental per-mapping sum — so factorized answers stay bit-identical
-   to the interpreted per-unit accumulation. *)
+(* The collapsed mass of a weight vector: summed left to right from [0.],
+   which is exactly an incremental per-mapping sum (and the mass
+   [Ebasic.distinct_source_queries] hands the interpreted oracles) — so
+   factorized answers stay bit-identical to the interpreted per-unit
+   accumulation. *)
 let vec_mass w = Array.fold_left ( +. ) 0. w
 
 (* Bulk weighted accumulate: fold a whole weight vector into one bucket

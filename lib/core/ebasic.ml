@@ -1,19 +1,9 @@
 open Urm_relalg
 
-let distinct_source_queries (ctx : Ctx.t) q ms =
-  let groups = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun m ->
-      let sq = Reformulate.source_query ctx.target q m in
-      let k = Reformulate.key sq in
-      match Hashtbl.find_opt groups k with
-      | Some cell -> cell := (fst !cell, snd !cell +. m.Mapping.prob)
-      | None ->
-        Hashtbl.add groups k (ref (sq, m.Mapping.prob));
-        order := k :: !order)
-    ms;
-  List.rev_map (fun k -> !(Hashtbl.find groups k)) !order
+let distinct_source_queries ctx q ms =
+  List.map
+    (fun (sq, w) -> (sq, Answer.vec_mass w))
+    (Factorized.weighted_units ctx q ms)
 
 let timed sw f =
   Urm_util.Timer.Stopwatch.start sw;
@@ -61,23 +51,21 @@ let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
     engine = "interpreted";
   }
 
+(* Each distinct source query runs once on the plan engine, streaming its
+   batches into the answer with the unit's whole mapping-mass vector (no
+   cross-unit CSE — that is e-MQO's job).  Bit-identical to
+   [run_interpreted]: same unit order, and the collapsed vector mass is the
+   oracle's summed mass. *)
 let run ?(metrics = Urm_obs.Metrics.global) (ctx : Ctx.t) q ms =
   let m = Urm_obs.Metrics.scope metrics "e-basic" in
-  let ctrs = Eval.fresh_counters ~metrics:m () in
   let report =
     match Ctx.engine ctx with
-    | Urm_relalg.Compile.Interpreted -> run_interpreted ~ctrs ctx q ms
+    | Urm_relalg.Compile.Interpreted ->
+      run_interpreted ~ctrs:(Eval.fresh_counters ~metrics:m ()) ctx q ms
     | Urm_relalg.Compile.Vectorized ->
-      (* Each distinct source query runs once, streaming its batches into
-         the answer with the unit's whole mapping-mass vector (no
-         cross-unit CSE — that is e-MQO's job).  Bit-identical to
-         [run_interpreted]: same unit order, and the collapsed vector mass
-         equals the incremental per-mapping sum. *)
-      let units, rewrite =
-        Urm_util.Timer.time (fun () -> Factorized.weighted_units ctx q ms)
-      in
-      let r = Factorized.eval ~ctrs ctx q units in
-      Factorized.report ~ctrs ~rewrite ~groups:r.Factorized.units ctx r
+      fst
+        (Factorized.run ~metrics:m ctx q (fun () ->
+             Factorized.weighted_units ctx q ms))
   in
   Report.record_metrics m report;
   report

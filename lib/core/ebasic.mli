@@ -7,8 +7,9 @@
 val run :
   ?metrics:Urm_obs.Metrics.t -> Ctx.t -> Query.t -> Mapping.t list -> Report.t
 
-(** The clustering step, exposed for e-MQO and tests: source queries grouped
-    by {!Reformulate.key} with their probability mass, in first-appearance
-    order. *)
+(** The clustering step, exposed for e-MQO and tests: the units of
+    {!Factorized.weighted_units} (source queries grouped by
+    {!Reformulate.key}, in first-appearance order) with each weight vector
+    collapsed to its probability mass. *)
 val distinct_source_queries :
   Ctx.t -> Query.t -> Mapping.t list -> (Reformulate.t * float) list

@@ -70,23 +70,21 @@ let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
     engine = "interpreted";
   }
 
+(* On the plan engine: the factorized executor with cross-unit
+   common-subexpression elimination ({!Urm_mqo.Dag}) — the global e-unit
+   DAG is built once with a cheap counting pass, each share materialises
+   once, and every distinct unit streams its batches into the answer with
+   its whole mapping-mass vector. *)
 let run ?(metrics = Urm_obs.Metrics.global) (ctx : Ctx.t) q ms =
   let m = Urm_obs.Metrics.scope metrics "e-MQO" in
-  let ctrs = Eval.fresh_counters ~metrics:m () in
   let report =
     match Ctx.engine ctx with
-    | Urm_relalg.Compile.Interpreted -> run_interpreted ~ctrs ctx q ms
+    | Urm_relalg.Compile.Interpreted ->
+      run_interpreted ~ctrs:(Eval.fresh_counters ~metrics:m ()) ctx q ms
     | Urm_relalg.Compile.Vectorized ->
-      (* The factorized executor with cross-unit common-subexpression
-         elimination ({!Urm_mqo.Dag}): the global e-unit DAG is built once
-         with a cheap counting pass, each share materialises once, and
-         every distinct unit streams its batches into the answer with its
-         whole mapping-mass vector. *)
-      let units, rewrite =
-        Urm_util.Timer.time (fun () -> Factorized.weighted_units ctx q ms)
-      in
-      let r = Factorized.eval ~ctrs ~cse:true ctx q units in
-      Factorized.report ~ctrs ~rewrite ~groups:r.Factorized.units ctx r
+      fst
+        (Factorized.run ~metrics:m ~cse:true ctx q (fun () ->
+             Factorized.weighted_units ctx q ms))
   in
   Report.record_metrics m report;
   report

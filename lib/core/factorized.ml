@@ -12,9 +12,9 @@ open Urm_relalg
    of re-running the plan h times.
 
    Bit-identity with the interpreted per-unit oracle: units are processed
-   in first-seen order (the order [Ebasic.distinct_source_queries]
-   produces), each bucket receives exactly one addition of the vector's
-   left-to-right sum per unit (the same float the oracle's incremental
+   in first-seen order (the order [weighted_units] produces), each bucket
+   receives exactly one addition of the vector's left-to-right sum per
+   unit (the same float the oracle's incremental
    per-mapping sum yields), and units sharing a reformulation key replay
    the first occurrence's bucket cells in unit order — so per-bucket
    addition order matches the sequential interpreted run exactly. *)
@@ -30,10 +30,10 @@ type result = {
   evaluate_time : float;
 }
 
-(* Like [Ebasic.distinct_source_queries] but keeping the per-mapping
-   probability vector instead of collapsing it: the vector (in ascending
-   mapping order) is the unit's row in the mapping→e-unit incidence
-   matrix. *)
+(* The distinct source queries of [q] under [ms], grouped by
+   reformulation key in first-seen order, each with its per-mapping
+   probability vector: the vector (in ascending mapping order) is the
+   unit's row in the mapping→e-unit incidence matrix. *)
 let weighted_units (ctx : Ctx.t) q ms =
   let groups = Hashtbl.create 32 in
   let order = ref [] in
@@ -53,9 +53,10 @@ let weighted_units (ctx : Ctx.t) q ms =
       (sq, Array.of_list (List.rev ws)))
     !order
 
-(* One unit per mapping, degenerate weight vector — the q-sharing path,
-   where each representative already carries its partition's mass and the
-   per-representative accumulation order must be preserved. *)
+(* One unit per mapping, degenerate weight vector — basic, and q-sharing
+   over its representatives (each already carries its partition's mass):
+   the per-mapping accumulation order is preserved, and repeated
+   reformulation keys replay instead of re-executing. *)
 let singleton_units (ctx : Ctx.t) q ms =
   List.map
     (fun m ->
@@ -147,8 +148,7 @@ let eval ~ctrs ?(cse = false) (ctx : Ctx.t) q units =
             match Hashtbl.find_opt memo k with
             | Some r ->
               incr replayed;
-              Reformulate.replay_answers_into acc (Reformulate.replay_of r)
-                mass
+              Reformulate.replay_answers_into acc r mass
             | None ->
               incr executed;
               let e = Hashtbl.find prepared_tbl k in
@@ -173,16 +173,25 @@ let eval ~ctrs ?(cse = false) (ctx : Ctx.t) q units =
     evaluate_time = Urm_util.Timer.Stopwatch.elapsed sw_eval;
   }
 
-let report ~ctrs ~rewrite ~groups (ctx : Ctx.t) r =
-  Report.make
-    ~engine:(Compile.engine_name (Ctx.engine ctx) ^ "+factorized")
-    ~answer:r.answer
-    ~timings:
-      {
-        Report.rewrite;
-        plan = r.plan_time;
-        evaluate = r.evaluate_time;
-        aggregate = 0.;
-      }
-    ~source_operators:ctrs.Eval.operators ~rows_produced:ctrs.Eval.rows_produced
-    ~groups ()
+(* The one plan-engine entry point of the exact algorithms: they differ
+   only in the units [build] returns (and e-MQO/o-sharing in [cse]).
+   Counters live under the caller's metrics scope; building the units is
+   the rewrite phase, and evaluation fuses aggregation, so the aggregate
+   phase reads 0. *)
+let run ~metrics ?cse (ctx : Ctx.t) q build =
+  let ctrs = Eval.fresh_counters ~metrics () in
+  let units, rewrite = Urm_util.Timer.time build in
+  let r = eval ~ctrs ?cse ctx q units in
+  ( Report.make
+      ~engine:(Compile.engine_name (Ctx.engine ctx) ^ "+factorized")
+      ~answer:r.answer
+      ~timings:
+        {
+          Report.rewrite;
+          plan = r.plan_time;
+          evaluate = r.evaluate_time;
+          aggregate = 0.;
+        }
+      ~source_operators:ctrs.Eval.operators
+      ~rows_produced:ctrs.Eval.rows_produced ~groups:r.units (),
+    r )

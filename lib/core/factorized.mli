@@ -29,18 +29,18 @@ type result = {
   evaluate_time : float;  (** share + unit execution seconds *)
 }
 
-(** [weighted_units ctx q ms] the distinct e-units of [q] under [ms] with
-    their per-mapping probability vectors (ascending mapping order) — the
-    mapping→e-unit incidence.  Same grouping and order as
-    {!Ebasic.distinct_source_queries}; the collapsed {!Answer.vec_mass} of
-    each vector is bit-identical to its summed mass. *)
+(** [weighted_units ctx q ms] the distinct e-units of [q] under [ms],
+    grouped by {!Reformulate.key} in first-seen order, with their
+    per-mapping probability vectors (ascending mapping order) — the
+    mapping→e-unit incidence.  The collapsed {!Answer.vec_mass} of each
+    vector is bit-identical to the incremental per-mapping sum. *)
 val weighted_units :
   Ctx.t -> Query.t -> Mapping.t list -> (Reformulate.t * float array) list
 
 (** [singleton_units ctx q ms] one unit per mapping with a degenerate
-    weight vector — the q-sharing path, where each representative already
-    carries its partition's mass and per-representative accumulation order
-    must be preserved (duplicate reformulation keys replay). *)
+    weight vector — basic, and q-sharing over its representatives (each
+    already carries its partition's mass): per-mapping accumulation order
+    is preserved and duplicate reformulation keys replay. *)
 val singleton_units :
   Ctx.t -> Query.t -> Mapping.t list -> (Reformulate.t * float array) list
 
@@ -55,14 +55,15 @@ val eval :
   (Reformulate.t * float array) list ->
   result
 
-(** [report ~ctrs ~rewrite ~groups ctx r] the algorithm report of one
-    factorized run: answer, plan and evaluate times from [r], operator and
-    row counts from [ctrs], [rewrite] seconds spent building the units, and
-    an engine name suffixed ["+factorized"]. *)
-val report :
-  ctrs:Urm_relalg.Eval.counters ->
-  rewrite:float ->
-  groups:int ->
+(** [run ~metrics ?cse ctx q build] one factorized run of an exact
+    algorithm: counters under [metrics], [build ()] timed as the rewrite
+    phase, then {!eval}.  The report carries the plan and evaluate times
+    of the result, [groups] = units processed, aggregate 0 (evaluation
+    fuses it), and an engine name suffixed ["+factorized"]. *)
+val run :
+  metrics:Urm_obs.Metrics.t ->
+  ?cse:bool ->
   Ctx.t ->
-  result ->
-  Report.t
+  Query.t ->
+  (unit -> (Reformulate.t * float array) list) ->
+  Report.t * result

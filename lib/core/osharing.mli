@@ -6,7 +6,9 @@
 (** [run ?strategy ?seed ?use_memo ?metrics ctx q ms] evaluates the
     probabilistic query.  [strategy] (default {!Eunit.Sef}) picks the next
     operator; [seed] feeds the [Random] strategy; [use_memo] (default
-    [true]) toggles cross-branch operator-result memoisation.  Counters and
+    [true]) toggles cross-branch operator-result memoisation; all three
+    steer the interpreted u-trace traversal only — the plan engine runs
+    {!Factorized.run} with cross-unit CSE, which has no u-trace.  Counters and
     phase timers are recorded under the ["o-sharing"] scope of [metrics]
     (default {!Urm_obs.Metrics.global}). *)
 val run :

@@ -316,24 +316,15 @@ let fold_batches_into ~emit ~emit_null sq ~factor (header, bdrive) =
           done);
     if not !any then emit_null ()
 
-let stream_batch_answers_into acc sq ~factor stream p =
-  fold_batches_into sq ~factor stream
-    ~emit:(fun tuple -> Answer.add acc tuple p)
-    ~emit_null:(fun () -> Answer.add_null acc p)
-
 (* A recorded accumulation: the answer-bucket ids one evaluation of a
-   reformulation touched, in emission order.  Mappings sharing a {!key}
-   produce identical target tuples, so a later mapping replays the ids
-   with its own probability instead of re-evaluating — same buckets, same
-   per-bucket addition order, hence bit-identical to a fresh evaluation. *)
-type replay = { ids : int array; null : bool }
-
-(* A replay plus the emitted target-tuple stream itself, in emission
-   order — the factorized executor's cross-unit result-stream memo (see
+   reformulation touched and the emitted target-tuple stream, both in
+   emission order.  Units sharing a {!key} produce identical target tuples,
+   so a later unit replays the ids with its own mass instead of
+   re-evaluating — same buckets, same per-bucket addition order, hence
+   bit-identical to a fresh evaluation.  The tuples serve the factorized
+   executor's cross-unit result-stream memo (see
    [record_weighted_answers_into]). *)
-type recording = { rep : replay; tuples : Value.t array array }
-
-let replay_of r = r.rep
+type recording = { ids : int array; null : bool; tuples : Value.t array array }
 
 (* Growable array buffer: record paths push one entry per emitted tuple,
    so consing a list and reversing would double the allocation on the
@@ -347,15 +338,6 @@ let push buf count x =
   end;
   !buf.(!count) <- x;
   incr count
-
-let record_batch_answers_into acc sq ~factor stream p =
-  let ids = ref (Array.make 256 0) and count = ref 0 and null = ref false in
-  fold_batches_into sq ~factor stream
-    ~emit:(fun tuple -> push ids count (Answer.add_id acc tuple p))
-    ~emit_null:(fun () ->
-      null := true;
-      Answer.add_null acc p);
-  { ids = Array.sub !ids 0 !count; null = !null }
 
 let replay_answers_into acc r p =
   let ids = r.ids in
@@ -446,16 +428,13 @@ let record_weighted_answers_into acc sq ~factor (header, wdrive) ~weights
     if
       live.(c)
       && Array.length cands.(c).tuples = !k
-      && cands.(c).rep.null = !null
+      && cands.(c).null = !null
     then matched := Some cands.(c)
   done;
   match !matched with
   | Some r ->
-    let ids = r.rep.ids in
-    for i = 0 to Array.length ids - 1 do
-      Answer.bump acc ids.(i) mass
-    done;
-    if !null then Answer.add_null acc mass;
+    (* A full match has the candidate's θ flag, so this is its replay. *)
+    replay_answers_into acc r mass;
     (r, true)
   | None ->
     let tuples =
@@ -473,7 +452,7 @@ let record_weighted_answers_into acc sq ~factor (header, wdrive) ~weights
     Answer.reserve acc (Array.length tuples);
     let ids = Array.map (fun tu -> Answer.add_id acc tu mass) tuples in
     if !null then Answer.add_null acc mass;
-    ({ rep = { ids; null = !null }; tuples }, false)
+    ({ ids; null = !null; tuples }, false)
 
 let result_tuples sq ~factor rel =
   match (rel, sq.aggregate) with

@@ -61,40 +61,12 @@ val column_for : alias:string -> source_attr:string -> string
     [factor]. *)
 val answers_into : Answer.t -> t -> factor:int -> Urm_relalg.Relation.t -> float -> unit
 
-(** [stream_batch_answers_into acc sq ~factor (header, bdrive) p] the
-    streaming form of {!answers_into} used by the plan engine's fused path:
-    [bdrive f] must invoke [f] once per result batch of [sq]'s expression
-    (columns [header], see [Urm.Ctx.eval_batches]); target tuples fold
-    into [acc] as batches stream past, without a materialised relation. *)
-val stream_batch_answers_into :
-  Answer.t ->
-  t ->
-  factor:int ->
-  string list * ((Urm_relalg.Column.batch -> unit) -> unit) ->
-  float ->
-  unit
-
-(** A recorded accumulation (see {!record_batch_answers_into}). *)
-type replay
-
-(** [record_batch_answers_into acc sq ~factor stream p] accumulates like
-    {!stream_batch_answers_into} and records the touched answer-bucket
-    cells.  Mappings with equal {!key}s produce identical target tuples,
-    so the recording stands in for re-evaluating the shared shape. *)
-val record_batch_answers_into :
-  Answer.t ->
-  t ->
-  factor:int ->
-  string list * ((Urm_relalg.Column.batch -> unit) -> unit) ->
-  float ->
-  replay
-
-(** A {!replay} plus the emitted target-tuple stream, in emission order —
-    the factorized executor's cross-unit result-stream memo. *)
+(** A recorded accumulation: the answer-bucket cells one evaluation of a
+    reformulation touched, plus its emitted target-tuple stream, in
+    emission order — the factorized executor's replay and result-stream
+    memo.  Units with equal {!key}s produce identical target tuples, so the
+    recording stands in for re-evaluating the shared shape. *)
 type recording
-
-(** The {!replay} of a recording, for {!replay_answers_into}. *)
-val replay_of : recording -> replay
 
 (** [record_weighted_answers_into acc sq ~factor wstream ~weights
     ~candidates] the factorized executor's accumulate: streams [sq]'s
@@ -119,7 +91,7 @@ val record_weighted_answers_into :
     [p]: the same buckets receive the same additions, in the same order, as
     a fresh evaluation would produce — bit-identical, without evaluating.
     [acc] must be the answer [r] was recorded against. *)
-val replay_answers_into : Answer.t -> replay -> float -> unit
+val replay_answers_into : Answer.t -> recording -> float -> unit
 
 (** [null_answer_into acc sq ~factor p] the contribution of a mapping whose
     body is [Unsatisfiable] or [Trivial]: θ for plain queries; COUNT = 0

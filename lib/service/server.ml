@@ -195,14 +195,39 @@ let cached_eval t session q ~algorithm ~variant compute =
         Session.epoch session = snap.Urm_incr.Vcatalog.epoch);
     with_cached payload false
 
-(* Partial evaluation over a contiguous mapping range [lo, hi): the shard
-   router's fan-out unit for the [basic] algorithm.  The reply carries one
-   answer per mapping (ascending), so the router can fold them into one
-   accumulator in ascending mapping order — the same sequence of float
-   additions per answer bucket that a single-process basic run makes —
-   and recombine bit-identically at any shard count.  Per-range subtotals
+(* The reply fields the fan-out requests share — the output header and
+   the per-unit partial answers: [units] are units [lo, lo + n) of the
+   algorithm's unit list, each evaluated alone by the factorized executor
+   and tagged [field] = its index.  The reply carries
+   one answer per unit (ascending), so the router can fold them into one
+   accumulator in ascending unit order — the same sequence of float
+   additions per answer bucket that a single-process run makes — and
+   recombine bit-identically at any shard count.  Per-range subtotals
    would not be enough: float addition is not associative, so summing a
    range first regroups the additions and can change the last bits. *)
+let unit_partials ctx q ~field ~lo units =
+  let partial j unit =
+    let ctrs = Urm_relalg.Eval.fresh_counters () in
+    let acc = (Urm.Factorized.eval ~ctrs ctx q [ unit ]).Urm.Factorized.answer in
+    Json.Obj
+      [
+        (field, Json.Num (float_of_int (lo + j)));
+        ("answers", answers_json acc max_int);
+        ("null_prob", Json.Num (Urm.Answer.null_prob acc));
+      ]
+  in
+  [
+    ( "output",
+      Json.Arr (List.map (fun c -> Json.Str c) (Urm.Reformulate.output_header q))
+    );
+    ("partials", Json.Arr (List.mapi partial units));
+  ]
+
+let slice lo hi l = List.filteri (fun i _ -> lo <= i && i < hi) l
+
+(* Partial evaluation over a contiguous mapping range [lo, hi): the shard
+   router's fan-out unit for the [basic] algorithm, whose units are one
+   singleton per mapping. *)
 let exec_query_partial t session q ~alg_name ~lo ~hi : (Json.t, failure) result =
   if not (String.equal alg_name "basic") then
     Error (`Bad "partial range evaluation supports only algorithm \"basic\"")
@@ -219,45 +244,27 @@ let exec_query_partial t session q ~alg_name ~lo ~hi : (Json.t, failure) result 
              raise
                (Stale_range
                   (Printf.sprintf "range [%d, %d) outside the %d mappings" lo hi n));
-           let header = Urm.Reformulate.output_header q in
-           let ms = Array.of_list mappings in
-           let parts =
-             List.init (hi - lo) (fun j ->
-                 let ctrs = Urm_relalg.Eval.fresh_counters () in
-                 let acc = Urm.Answer.create header in
-                 Urm.Basic.accumulate ~ctrs ctx q acc [ ms.(lo + j) ];
-                 Json.Obj
-                   [
-                     ("m", Json.Num (float_of_int (lo + j)));
-                     ("answers", answers_json acc max_int);
-                     ("null_prob", Json.Num (Urm.Answer.null_prob acc));
-                   ])
-           in
+           let units = Urm.Factorized.singleton_units ctx q (slice lo hi mappings) in
            Json.Obj
-             [
-               ("query", Json.Str (Urm.Query.to_string q));
-               ("algorithm", Json.Str "basic");
-               ( "range",
-                 Json.Obj
-                   [
-                     ("lo", Json.Num (float_of_int lo));
-                     ("hi", Json.Num (float_of_int hi));
-                   ] );
-               ("output", Json.Arr (List.map (fun c -> Json.Str c) header));
-               ("partials", Json.Arr parts);
-             ]))
+             ([
+                ("query", Json.Str (Urm.Query.to_string q));
+                ("algorithm", Json.Str "basic");
+                ( "range",
+                  Json.Obj
+                    [
+                      ("lo", Json.Num (float_of_int lo));
+                      ("hi", Json.Num (float_of_int hi));
+                    ] );
+              ]
+             @ unit_partials ctx q ~field:"m" ~lo units)))
 
 (* Partial evaluation of the sharing algorithms: the shard router fans the
    distinct e-unit list instead of the mapping range.  Every worker holds
    every session, so each worker derives the same unit list deterministically
-   and evaluates its contiguous chunk [slot·n/slots, (slot+1)·n/slots).  The
-   reply carries one answer per e-unit (ascending), so the router's
-   ascending-slot merge replays the factorized executor's per-unit bucket
-   additions exactly and recombines bit-identically to a single process at
-   any shard count.  [expect_h] is the router's cached mapping count — a
-   mismatch means a mutate raced the fan-out and surfaces as the typed
-   [stale_range] error, same refresh-and-retry discipline as the basic
-   range fan-out. *)
+   and evaluates its contiguous chunk [slot·n/slots, (slot+1)·n/slots).
+   [expect_h] is the router's cached mapping count — a mismatch means a
+   mutate raced the fan-out and surfaces as the typed [stale_range] error,
+   same refresh-and-retry discipline as the basic range fan-out. *)
 let unit_fan_algorithms = [ "e-basic"; "e-mqo"; "q-sharing" ]
 
 let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
@@ -290,37 +297,19 @@ let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
            in
            let n = List.length units in
            let lo = slot * n / slots and hi = (slot + 1) * n / slots in
-           let header = Urm.Reformulate.output_header q in
-           let ua = Array.of_list units in
-           let parts =
-             List.init (hi - lo) (fun j ->
-                 let i = lo + j in
-                 let ctrs = Urm_relalg.Eval.fresh_counters () in
-                 let acc =
-                   (Urm.Factorized.eval ~ctrs ctx q [ ua.(i) ])
-                     .Urm.Factorized.answer
-                 in
-                 Json.Obj
-                   [
-                     ("u", Json.Num (float_of_int i));
-                     ("answers", answers_json acc max_int);
-                     ("null_prob", Json.Num (Urm.Answer.null_prob acc));
-                   ])
-           in
            Json.Obj
-             [
-               ("query", Json.Str (Urm.Query.to_string q));
-               ("algorithm", Json.Str alg_name);
-               ("units", Json.Num (float_of_int n));
-               ( "slot",
-                 Json.Obj
-                   [
-                     ("index", Json.Num (float_of_int slot));
-                     ("of", Json.Num (float_of_int slots));
-                   ] );
-               ("output", Json.Arr (List.map (fun c -> Json.Str c) header));
-               ("partials", Json.Arr parts);
-             ]))
+             ([
+                ("query", Json.Str (Urm.Query.to_string q));
+                ("algorithm", Json.Str alg_name);
+                ("units", Json.Num (float_of_int n));
+                ( "slot",
+                  Json.Obj
+                    [
+                      ("index", Json.Num (float_of_int slot));
+                      ("of", Json.Num (float_of_int slots));
+                    ] );
+              ]
+             @ unit_partials ctx q ~field:"u" ~lo (slice lo hi units))))
 
 let exec_query t req : (Json.t, failure) result =
   match session_of t req with

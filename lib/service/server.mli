@@ -18,8 +18,9 @@
 
     A [query] request carrying [range_lo]/[range_hi] evaluates only that
     contiguous mapping range and returns per-mapping partial answers
-    (algorithm [basic] only) — the shard router's fan-out unit; see
-    lib/shard.
+    (algorithm [basic] only); one carrying [slot]/[slots] does the same
+    over a chunk of the e-unit list ({!unit_fan_algorithms}) — the shard
+    router's fan-out units; see lib/shard.
 
     Request latency (admission to reply, seconds) is recorded in the
     ["service"] metrics scope as the [phase.request] timer and in a
@@ -69,6 +70,12 @@ val sessions : t -> Session.catalog
     [query] replies serialise them — shared with the shard router, whose
     merged answers must render byte-identically to a single process. *)
 val answers_json : Urm.Answer.t -> int -> Urm_util.Json.t
+
+(** The algorithms whose [query] requests accept [slot]/[slots]/[expect_h]
+    and evaluate one contiguous chunk of their e-unit list — the shard
+    router fans these over e-unit slots ([basic] fans over mapping ranges
+    instead). *)
+val unit_fan_algorithms : string list
 
 (** Begin graceful drain; returns immediately. Idempotent. *)
 val stop : t -> unit

@@ -616,8 +616,6 @@ let fan_units t (s : sess) ~alg (req : Protocol.request) =
             ("expect_h", Json.Num (float_of_int h));
           ])
 
-let unit_fan_algorithms = [ "e-basic"; "e-mqo"; "q-sharing" ]
-
 let exec_query t (req : Protocol.request) =
   let alg =
     match Protocol.str_param req "algorithm" with
@@ -639,7 +637,7 @@ let exec_query t (req : Protocol.request) =
   match sess with
   | Some s when String.equal alg "basic" && s.sh > 0 && unsliced ->
     fan_basic t s req
-  | Some s when List.mem alg unit_fan_algorithms && s.sh > 0 && unsliced ->
+  | Some s when List.mem alg Server.unit_fan_algorithms && s.sh > 0 && unsliced ->
     fan_units t s ~alg req
   | _ -> forward t (route_slot t req) req
 

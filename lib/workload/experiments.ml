@@ -255,7 +255,14 @@ let fig11e cfg =
 
 let strategies = [ Eunit.Random; Eunit.Snf; Eunit.Sef ]
 
+(* The strategy and memo experiments compare u-trace traversals, which
+   only the interpreted engine runs: the plan engine's factorized pass
+   ignores [strategy] and [use_memo]. *)
+let interpreted cfg = { cfg with engine = Urm_relalg.Compile.Interpreted }
+let interpreted_note = "interpreted engine: the only one with a u-trace"
+
 let fig11f cfg =
+  let cfg = interpreted cfg in
   let queries =
     List.filter (fun (n, _, _) -> List.mem n [ "Q1"; "Q2"; "Q3"; "Q4"; "Q5" ]) Queries.all
   in
@@ -275,10 +282,11 @@ let fig11f cfg =
     title = "operator selection strategies on Q1–Q5 (Excel)";
     headers = "query" :: List.map (fun s -> Eunit.strategy_name s) strategies;
     rows;
-    notes = [ "paper: SNF and SEF far ahead of Random; SEF ≤ SNF" ];
+    notes = [ "paper: SNF and SEF far ahead of Random; SEF ≤ SNF"; interpreted_note ];
   }
 
 let tab4 cfg =
+  let cfg = interpreted cfg in
   let ctx, q, ms = setup cfg Queries.default in
   let strategy_rows =
     List.map
@@ -299,6 +307,7 @@ let tab4 cfg =
       [
         "paper: Random 215s/433 ops, SNF 58/135, SEF 55/132, e-MQO 320/112";
         "shape: Random executes the most operators; SEF ≤ SNF; e-MQO fewest ops but slow";
+        interpreted_note;
       ];
   }
 
@@ -338,6 +347,7 @@ let fig12c cfg = fig12 cfg ~id:"fig12c" ~qname:"Q10"
 (* Ablations beyond the paper. *)
 
 let abl_memo cfg =
+  let cfg = interpreted cfg in
   let queries = [ "Q3"; "Q4"; "Q5"; "Q9" ] in
   let rows =
     List.map
@@ -363,7 +373,7 @@ let abl_memo cfg =
     title = "ablation: o-sharing cross-branch operator memoisation";
     headers = [ "query"; "memo(s)"; "ops"; "hits"; "no-memo(s)"; "ops" ];
     rows;
-    notes = [ "memoisation should never execute more operators" ];
+    notes = [ "memoisation should never execute more operators"; interpreted_note ];
   }
 
 let abl_index cfg =

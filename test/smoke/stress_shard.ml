@@ -91,7 +91,7 @@ let algorithm_of = function
 
 (* Cache-lookup cost of one query request, for the fleet-wide accounting:
    fanned algorithms (basic over mapping ranges, e-basic/e-mqo/q-sharing
-   over e-unit slots — Router.unit_fan_algorithms) pay one partial lookup
+   over e-unit slots — Server.unit_fan_algorithms) pay one partial lookup
    per shard; forwarded ones pay one on their home shard. *)
 let lookups_of_alg = function
   | "basic" | "e-basic" | "e-mqo" | "q-sharing" -> shards

@@ -250,21 +250,36 @@ let qcheck_topk_prefix =
 
 (* h ∈ {1, 7, 32}: h = 1 is the degenerate single-unit pass (the weight
    vector has one entry and no key ever repeats), 32 exceeds the batch
-   of distinct reformulations so units genuinely dedup and replay. *)
+   of distinct reformulations so units genuinely dedup and replay.  Basic
+   on the plan engine (singleton units, replaying repeated keys) adds the
+   same floats in the same per-bucket order as the interpreted per-mapping
+   loop, so its rendered answer must be byte-equal, not just eps-close. *)
 let test_factorized_h_sweep () =
   let p = Lazy.force workload in
   let excel = Urm_workload.Targets.excel in
   let ctxs =
     both_engines (fun engine -> Urm_workload.Pipeline.ctx ~engine p excel)
   in
+  let basic_json ctx q ms =
+    Urm_util.Json.to_string
+      (Urm.Answer.to_json
+         (Urm.Algorithms.run Urm.Algorithms.Basic ctx q ms).Urm.Report.answer)
+  in
   List.iter
     (fun h ->
       let ms = Urm_workload.Pipeline.mappings p excel ~h in
       List.iter
         (fun q ->
-          match disagreement ctxs q ms with
+          (match disagreement ctxs q ms with
           | None -> ()
-          | Some msg -> Alcotest.failf "h=%d: %s" h msg)
+          | Some msg -> Alcotest.failf "h=%d: %s" h msg);
+          match List.map (fun (_, ctx) -> basic_json ctx q ms) ctxs with
+          | [ interpreted; vectorized ] ->
+            Alcotest.(check string)
+              (Printf.sprintf "h=%d %s: vectorized basic bytes" h
+                 q.Urm.Query.name)
+              interpreted vectorized
+          | _ -> assert false)
         Urm_workload.Queries.[ q1; q4 ])
     [ 1; 7; 32 ]
 
@@ -326,10 +341,9 @@ let test_factorized_engine_recorded () =
       check Urm_relalg.Compile.Vectorized alg "vectorized+factorized";
       check Urm_relalg.Compile.Interpreted alg "interpreted")
     [
-      Urm.Algorithms.Ebasic; Urm.Algorithms.Emqo; Urm.Algorithms.Qsharing;
-      Urm.Algorithms.Osharing Urm.Eunit.Sef;
-    ];
-  check Urm_relalg.Compile.Vectorized Urm.Algorithms.Basic "vectorized"
+      Urm.Algorithms.Basic; Urm.Algorithms.Ebasic; Urm.Algorithms.Emqo;
+      Urm.Algorithms.Qsharing; Urm.Algorithms.Osharing Urm.Eunit.Sef;
+    ]
 
 let suite =
   [

@@ -140,6 +140,28 @@ let test_experiments_quick () =
        (fun (id, _) -> not (List.mem id [ "fig10c"; "fig11c"; "abl-ptree" ]))
        Urm_workload.Experiments.all)
 
+(* Table IV compares u-trace traversal strategies, so its rows must come
+   from a run that honours the strategy: a strategy-blind run reports the
+   same operator count on every row. *)
+let test_tab4_strategies_differ () =
+  let table =
+    Urm_workload.Experiments.run_by_id Urm_workload.Experiments.quick "tab4"
+  in
+  let ops name =
+    match
+      List.find
+        (fun row -> List.hd row = name)
+        table.Urm_workload.Experiments.Table.rows
+    with
+    | [ _; _; ops ] -> int_of_string ops
+    | _ -> Alcotest.failf "tab4: malformed %s row" name
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "Random ops (%d) differ from SEF ops (%d)" (ops "Random")
+       (ops "SEF"))
+    true
+    (ops "Random" <> ops "SEF")
+
 let test_hero_rows_make_queries_satisfiable () =
   let p = Lazy.force pipeline in
   (* Q1/Q6/Q7 conjunctive selections have a witness thanks to hero rows *)
@@ -287,6 +309,7 @@ let suite =
     Alcotest.test_case "top-k sound (integration)" `Slow test_topk_sound_on_workload;
     Alcotest.test_case "sweep queries" `Quick test_sweep_queries;
     Alcotest.test_case "experiments quick config" `Slow test_experiments_quick;
+    Alcotest.test_case "tab4 strategies differ" `Quick test_tab4_strategies_differ;
     Alcotest.test_case "hero rows" `Quick test_hero_rows_make_queries_satisfiable;
     Alcotest.test_case "monte-carlo validates workload" `Slow test_montecarlo_validates_workload;
     Alcotest.test_case "o-sharing stats match metrics registry" `Quick
