@@ -10,10 +10,6 @@ open Urm_relalg
    reformulation key replay the first one's answer cells instead of
    re-executing its plan. *)
 
-let timed sw f =
-  Urm_util.Timer.Stopwatch.start sw;
-  Fun.protect ~finally:(fun () -> Urm_util.Timer.Stopwatch.stop sw) f
-
 let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
   let sw_rewrite = Urm_util.Timer.Stopwatch.create () in
   let sw_evaluate = Urm_util.Timer.Stopwatch.create () in
@@ -22,15 +18,16 @@ let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
   List.iter
     (fun m ->
       let sq =
-        timed sw_rewrite (fun () -> Reformulate.source_query ctx.target q m)
+        Urm_util.Timer.Stopwatch.timed sw_rewrite (fun () ->
+            Reformulate.source_query ctx.target q m)
       in
       let rel =
-        timed sw_evaluate (fun () ->
+        Urm_util.Timer.Stopwatch.timed sw_evaluate (fun () ->
             match sq.Reformulate.body with
             | Reformulate.Expr e -> Some (Ctx.eval ~ctrs ctx e)
             | Reformulate.Unsatisfiable | Reformulate.Trivial -> None)
       in
-      timed sw_aggregate (fun () ->
+      Urm_util.Timer.Stopwatch.timed sw_aggregate (fun () ->
           let factor = Reformulate.factor ctx.catalog sq in
           let p = m.Mapping.prob in
           match rel with

@@ -5,19 +5,15 @@ let distinct_source_queries ctx q ms =
     (fun (sq, w) -> (sq, Answer.vec_mass w))
     (Factorized.weighted_units ctx q ms)
 
-let timed sw f =
-  Urm_util.Timer.Stopwatch.start sw;
-  Fun.protect ~finally:(fun () -> Urm_util.Timer.Stopwatch.stop sw) f
-
 (* One distinct source query's evaluate→aggregate step. *)
 let eval_unit ~evaluate_sw ~aggregate_sw ~ctrs (ctx : Ctx.t) acc (sq, p) =
   let rel =
-    timed evaluate_sw (fun () ->
+    Urm_util.Timer.Stopwatch.timed evaluate_sw (fun () ->
         match sq.Reformulate.body with
         | Reformulate.Expr e -> Some (Ctx.eval ~ctrs ctx e)
         | Reformulate.Unsatisfiable | Reformulate.Trivial -> None)
   in
-  timed aggregate_sw (fun () ->
+  Urm_util.Timer.Stopwatch.timed aggregate_sw (fun () ->
       let factor = Reformulate.factor ctx.catalog sq in
       match rel with
       | Some r -> Reformulate.answers_into acc sq ~factor r p

@@ -83,10 +83,6 @@ let eval ~ctrs ?(cse = false) (ctx : Ctx.t) q units =
       units
   in
   let sw_eval = Urm_util.Timer.Stopwatch.create () in
-  let timed sw f =
-    Urm_util.Timer.Stopwatch.start sw;
-    Fun.protect ~finally:(fun () -> Urm_util.Timer.Stopwatch.stop sw) f
-  in
   (* Cross-unit common-subexpression elimination (e-MQO only): a cheap
      counting pass over the optimised bodies, then one materialisation per
      chosen share.  e-basic keeps [cse = false] — its sharing is exactly
@@ -103,7 +99,7 @@ let eval ~ctrs ?(cse = false) (ctx : Ctx.t) q units =
       in
       let table : (string, Relation.t) Hashtbl.t = Hashtbl.create 16 in
       let lookup fp = Hashtbl.find_opt table fp in
-      timed sw_eval (fun () ->
+      Urm_util.Timer.Stopwatch.timed sw_eval (fun () ->
           List.iter
             (fun s ->
               let r = Ctx.eval ~ctrs ctx (Urm_mqo.Dag.substitute lookup s) in
@@ -134,7 +130,7 @@ let eval ~ctrs ?(cse = false) (ctx : Ctx.t) q units =
      earliest unit. *)
   let recordings = ref [] in
   let executed = ref 0 and replayed = ref 0 and matched = ref 0 in
-  timed sw_eval (fun () ->
+  Urm_util.Timer.Stopwatch.timed sw_eval (fun () ->
       List.iter
         (fun ((sq, weights) : Reformulate.t * float array) ->
           let mass = Answer.vec_mass weights in

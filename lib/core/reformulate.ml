@@ -233,89 +233,6 @@ let answers_into acc sq ~factor rel p =
     if Relation.is_empty rel then Answer.add_null acc p
     else iter_plain_tuples sq rel ~f:(fun tuple -> Answer.add acc tuple p)
 
-(* The fused accumulate: [bdrive] pushes the result of [sq]'s expression
-   as {!Column.batch}es (header [header], see [Urm.Ctx.eval_batches]);
-   column getters specialise once per batch, and every target tuple flows
-   through [emit] ([emit_null] for θ).  Must agree with {!answers_into}
-   over the materialised result; per-mapping tuples are distinct by
-   construction (see {!iter_plain_tuples}), so the within-mapping
-   accumulation order cannot affect the summed probabilities. *)
-let fold_batches_into ~emit ~emit_null sq ~factor (header, bdrive) =
-  let pos c =
-    let rec go i = function
-      | [] -> raise Not_found
-      | x :: _ when String.equal x c -> i
-      | _ :: tl -> go (i + 1) tl
-    in
-    go 0 header
-  in
-  let idxs () =
-    Array.of_list (List.map (fun (_, c) -> Option.map pos c) sq.outputs)
-  in
-  match (sq.aggregate, sq.grouped) with
-  | Some _, false -> (
-    (* Scalar aggregate: the expression yields exactly one row. *)
-    let seen = ref None in
-    bdrive (fun b ->
-        if b.Column.n > 0 then seen := Some (Column.row b (b.Column.n - 1)));
-    match (!seen, sq.outputs) with
-    | Some row, [ (_, Some col) ] -> emit [| scale_value factor row.(pos col) |]
-    | None, _ -> emit_null ()
-    | _ -> invalid_arg "Reformulate: bad aggregate outputs")
-  | Some _, true ->
-    let idxs = idxs () in
-    let n = Array.length idxs in
-    let any = ref false in
-    bdrive (fun b ->
-        let getters =
-          Array.map (Option.map (fun i -> Column.getter b.Column.vecs.(i))) idxs
-        in
-        for k = 0 to b.Column.n - 1 do
-          any := true;
-          let i = b.Column.sel.(k) in
-          emit
-            (Array.init n (fun j ->
-                 let v =
-                   match getters.(j) with Some get -> get i | None -> Value.Null
-                 in
-                 if j = n - 1 then scale_value factor v else v))
-        done);
-    if not !any then emit_null ()
-  | None, _ ->
-    let idxs = idxs () in
-    let n = Array.length idxs in
-    let any = ref false in
-    let identity =
-      n = List.length header
-      &&
-      let rec go i = i >= n || (idxs.(i) = Some i && go (i + 1)) in
-      go 0
-    in
-    if identity then
-      bdrive (fun b ->
-          for k = 0 to b.Column.n - 1 do
-            any := true;
-            emit (Column.row b k)
-          done)
-    else if Array.for_all (( = ) None) idxs then begin
-      bdrive (fun b -> if b.Column.n > 0 then any := true);
-      if !any then emit (Array.make n Value.Null)
-    end
-    else
-      bdrive (fun b ->
-          let getters =
-            Array.map (Option.map (fun i -> Column.getter b.Column.vecs.(i))) idxs
-          in
-          for k = 0 to b.Column.n - 1 do
-            any := true;
-            let i = b.Column.sel.(k) in
-            emit
-              (Array.map
-                 (function Some get -> get i | None -> Value.Null)
-                 getters)
-          done);
-    if not !any then emit_null ()
-
 (* A recorded accumulation: the answer-bucket ids one evaluation of a
    reformulation touched and the emitted target-tuple stream, both in
    emission order.  Units sharing a {!key} produce identical target tuples,
@@ -364,7 +281,6 @@ let replay_answers_into acc r p =
    involved in the match (structural tuple equality only). *)
 let record_weighted_answers_into acc sq ~factor (header, wdrive) ~weights
     ~candidates =
-  let bdrive f = wdrive (fun wb -> f wb.Column.batch) in
   (* Collapse the weight vector once per unit, not per emitted tuple: the
      left-to-right fold is the same float the oracle's incremental
      per-mapping sum reaches, and hoisting it turns the accumulation from
@@ -395,32 +311,111 @@ let record_weighted_answers_into acc sq ~factor (header, wdrive) ~weights
       buf := bigger
     end
   in
-  fold_batches_into sq ~factor (header, bdrive)
-    ~emit:(fun tuple ->
-      if !buffering then push buf count tuple
-      else begin
-        let died_now = ref (-1) in
-        for c = 0 to nc - 1 do
-          if
-            live.(c)
-            && (!k >= Array.length cands.(c).tuples
-               || not (Answer.tuple_equal tuple cands.(c).tuples.(!k)))
-          then begin
-            live.(c) <- false;
-            decr nlive;
-            died_now := c
-          end
-        done;
-        if !nlive = 0 then begin
-          buffering := true;
-          ensure (!k + 1);
-          Array.blit cands.(!died_now).tuples 0 !buf 0 !k;
-          count := !k;
-          push buf count tuple
+  let emit tuple =
+    if !buffering then push buf count tuple
+    else begin
+      let died_now = ref (-1) in
+      for c = 0 to nc - 1 do
+        if
+          live.(c)
+          && (!k >= Array.length cands.(c).tuples
+             || not (Answer.tuple_equal tuple cands.(c).tuples.(!k)))
+        then begin
+          live.(c) <- false;
+          decr nlive;
+          died_now := c
         end
-      end;
-      incr k)
-    ~emit_null:(fun () -> null := true);
+      done;
+      if !nlive = 0 then begin
+        buffering := true;
+        ensure (!k + 1);
+        Array.blit cands.(!died_now).tuples 0 !buf 0 !k;
+        count := !k;
+        push buf count tuple
+      end
+    end;
+    incr k
+  in
+  (* Every target tuple of the result stream flows through [emit]; θ sets
+     [null].  Must agree with {!answers_into} over the materialised result;
+     per-mapping tuples are distinct by construction (see
+     {!iter_plain_tuples}), so the within-mapping accumulation order cannot
+     affect the summed probabilities. *)
+  let pos c =
+    let rec go i = function
+      | [] -> raise Not_found
+      | x :: _ when String.equal x c -> i
+      | _ :: tl -> go (i + 1) tl
+    in
+    go 0 header
+  in
+  let idxs () =
+    Array.of_list (List.map (fun (_, c) -> Option.map pos c) sq.outputs)
+  in
+  (match (sq.aggregate, sq.grouped) with
+  | Some _, false -> (
+    (* Scalar aggregate: the expression yields exactly one row. *)
+    let seen = ref None in
+    wdrive (fun { Column.batch = b; _ } ->
+        if b.Column.n > 0 then seen := Some (Column.row b (b.Column.n - 1)));
+    match (!seen, sq.outputs) with
+    | Some row, [ (_, Some col) ] -> emit [| scale_value factor row.(pos col) |]
+    | None, _ -> null := true
+    | _ -> invalid_arg "Reformulate: bad aggregate outputs")
+  | Some _, true ->
+    let idxs = idxs () in
+    let n = Array.length idxs in
+    let any = ref false in
+    wdrive (fun { Column.batch = b; _ } ->
+        let getters =
+          Array.map (Option.map (fun i -> Column.getter b.Column.vecs.(i))) idxs
+        in
+        for r = 0 to b.Column.n - 1 do
+          any := true;
+          let i = b.Column.sel.(r) in
+          emit
+            (Array.init n (fun j ->
+                 let v =
+                   match getters.(j) with Some get -> get i | None -> Value.Null
+                 in
+                 if j = n - 1 then scale_value factor v else v))
+        done);
+    if not !any then null := true
+  | None, _ ->
+    let idxs = idxs () in
+    let n = Array.length idxs in
+    let any = ref false in
+    let identity =
+      n = List.length header
+      &&
+      let rec go i = i >= n || (idxs.(i) = Some i && go (i + 1)) in
+      go 0
+    in
+    if identity then
+      wdrive (fun { Column.batch = b; _ } ->
+          for r = 0 to b.Column.n - 1 do
+            any := true;
+            emit (Column.row b r)
+          done)
+    else if Array.for_all (( = ) None) idxs then begin
+      wdrive (fun { Column.batch = b; _ } ->
+          if b.Column.n > 0 then any := true);
+      if !any then emit (Array.make n Value.Null)
+    end
+    else
+      wdrive (fun { Column.batch = b; _ } ->
+          let getters =
+            Array.map (Option.map (fun i -> Column.getter b.Column.vecs.(i))) idxs
+          in
+          for r = 0 to b.Column.n - 1 do
+            any := true;
+            let i = b.Column.sel.(r) in
+            emit
+              (Array.map
+                 (function Some get -> get i | None -> Value.Null)
+                 getters)
+          done);
+    if not !any then null := true);
   (* θ only ever fires on an empty stream, so adding it after the loop is
      the same accumulation order as adding it at emission time. *)
   let matched = ref None in

@@ -43,4 +43,8 @@ module Stopwatch = struct
   let reset t =
     t.acc <- 0.;
     t.started <- None
+
+  let timed t f =
+    start t;
+    Fun.protect ~finally:(fun () -> stop t) f
 end

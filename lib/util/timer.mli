@@ -26,4 +26,8 @@ module Stopwatch : sig
   val elapsed : t -> float
 
   val reset : t -> unit
+
+  (** [timed t f] runs [f ()] with [t] running, stopping it even if [f]
+      raises. *)
+  val timed : t -> (unit -> 'a) -> 'a
 end

@@ -128,7 +128,16 @@ let fig9a cfg =
       [ "paper: 73%-79% for Excel across 100..500 mappings; 79/68/72% at h=100" ];
   }
 
+(* Experiments that need the interpreted engine: the phase breakdown
+   (the plan engine fuses evaluation and aggregation into one pass, so its
+   aggregate phase reads 0) and the strategy and memo experiments, which
+   compare u-trace traversals (the plan engine's factorized pass ignores
+   [strategy] and [use_memo]). *)
+let interpreted cfg = { cfg with engine = Urm_relalg.Compile.Interpreted }
+let interpreted_note = "interpreted engine: the only one with a u-trace"
+
 let fig10a cfg =
+  let cfg = interpreted cfg in
   let rows =
     List.map
       (fun (name, target, q) ->
@@ -149,7 +158,12 @@ let fig10a cfg =
     title = "basic: time breakdown (rewrite / evaluation / aggregation)";
     headers = [ "query"; "rewrite(s)"; "evaluate(s)"; "aggregate(s)"; "eval%" ];
     rows;
-    notes = [ "paper: evaluation dominates (>80%) for all ten queries" ];
+    notes =
+      [
+        "paper: evaluation dominates (>80%) for all ten queries";
+        "interpreted engine: the only one with separate evaluate and \
+         aggregate phases";
+      ];
   }
 
 let simple_algs = [ Algorithms.Basic; Algorithms.Ebasic; Algorithms.Emqo ]
@@ -254,12 +268,6 @@ let fig11e cfg =
       (s_int n, ctx, q, ms))
 
 let strategies = [ Eunit.Random; Eunit.Snf; Eunit.Sef ]
-
-(* The strategy and memo experiments compare u-trace traversals, which
-   only the interpreted engine runs: the plan engine's factorized pass
-   ignores [strategy] and [use_memo]. *)
-let interpreted cfg = { cfg with engine = Urm_relalg.Compile.Interpreted }
-let interpreted_note = "interpreted engine: the only one with a u-trace"
 
 let fig11f cfg =
   let cfg = interpreted cfg in
