@@ -720,8 +720,8 @@ let run_incr quick =
    End-to-end service latency and throughput over the binary-framed wire
    at shards ∈ {1, 2, 3}: one router + N worker processes per point, a
    mixed loop of [basic] fan-out queries, with every reply byte-compared
-   against the shards = 1 reply of the same query (the per-mapping merge
-   determinism contract), recorded as "identical_to_shards1" in
+   against the shards = 1 reply of the same query (the grouped-partial
+   merge determinism contract), recorded as "identical_to_shards1" in
    BENCH_shard.json.  Repeats hit the workers' answer caches, so the
    numbers isolate the wire + fan-out + merge overhead rather than
    re-measuring evaluation cost. *)

@@ -243,13 +243,62 @@ let compare_tuples a b =
   in
   go 0
 
+(* The answer ranking: probability descending, then tuple order.  A total
+   order on distinct buckets ([compare_tuples] is 0 exactly when
+   [tuple_eq] holds), so every ranking below is independent of table
+   layout. *)
+let rank (ta, pa) (tb, pb) =
+  let c = Float.compare pb pa in
+  if c <> 0 then c else compare_tuples ta tb
+
+let iter f t = tbl_iter (fun tuple id -> f tuple t.vals.(id)) t.rows
+
 let to_list t =
   tbl_fold (fun tuple id acc -> (tuple, t.vals.(id)) :: acc) t.rows []
-  |> List.sort (fun (ta, pa) (tb, pb) ->
-         let c = Float.compare pb pa in
-         if c <> 0 then c else compare_tuples ta tb)
+  |> List.sort rank
 
-let top_k t k = List.filteri (fun i _ -> i < k) (to_list t)
+(* Bounded selection: a size-[k] max-heap under [rank] keeps the k best
+   seen so far (its root is the worst of them), then only those k are
+   sorted — O(n log k) instead of sorting all n buckets to reply with a
+   few. *)
+let top_k t k =
+  if k >= t.rows.count then to_list t
+  else if k <= 0 then []
+  else begin
+    let heap = Array.make k (dummy_key, 0.) and n = ref 0 in
+    let swap i j =
+      let x = heap.(i) in
+      heap.(i) <- heap.(j);
+      heap.(j) <- x
+    in
+    let rec up i =
+      let parent = (i - 1) / 2 in
+      if i > 0 && rank heap.(parent) heap.(i) < 0 then (
+        swap parent i;
+        up parent)
+    in
+    let rec down i =
+      let l = (2 * i) + 1 in
+      let r = l + 1 in
+      let worst = if l < k && rank heap.(l) heap.(i) > 0 then l else i in
+      let worst = if r < k && rank heap.(r) heap.(worst) > 0 then r else worst in
+      if worst <> i then (
+        swap i worst;
+        down worst)
+    in
+    iter
+      (fun tuple p ->
+        if !n < k then (
+          heap.(!n) <- (tuple, p);
+          up !n;
+          incr n)
+        else if rank (tuple, p) heap.(0) < 0 then (
+          heap.(0) <- (tuple, p);
+          down 0))
+      t;
+    List.sort rank (Array.to_list heap)
+  end
+
 let size t = t.rows.count
 let total_prob t = tbl_fold (fun _ id acc -> acc +. t.vals.(id)) t.rows t.null_mass
 

@@ -76,7 +76,13 @@ val compact : ?eps:float -> t -> unit
     descending (ties broken by tuple order, deterministically). *)
 val to_list : t -> (Urm_relalg.Value.t array * float) list
 
-(** [top_k t k] the k most probable tuples (θ excluded). *)
+(** [iter f t] calls [f tuple p] on every distinct tuple, in no particular
+    order (θ excluded) — the unsorted counterpart of {!to_list}. *)
+val iter : (Urm_relalg.Value.t array -> float -> unit) -> t -> unit
+
+(** [top_k t k] the k most probable tuples (θ excluded): the first [k]
+    elements of {!to_list}, selected with a size-[k] heap so only those
+    [k] are sorted. *)
 val top_k : t -> int -> (Urm_relalg.Value.t array * float) list
 
 (** Number of distinct tuples (θ excluded). *)

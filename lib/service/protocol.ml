@@ -81,3 +81,10 @@ let value_of_json = function
   | Json.Num f -> Urm_relalg.Value.Float f
   | Json.Str s -> Urm_relalg.Value.Str s
   | _ -> failwith "Protocol.value_of_json: not a scalar"
+
+let wire_value v =
+  match v with
+  | Urm_relalg.Value.Null | Urm_relalg.Value.Str _ -> v
+  | Urm_relalg.Value.Int i when Float.abs (float_of_int i) < 1e15 -> v
+  | Urm_relalg.Value.Float f when not (Float.is_integer f) -> v
+  | _ -> value_of_json (value_to_json v)

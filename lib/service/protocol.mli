@@ -44,9 +44,11 @@ val float_param : request -> string -> float option
 val ok : id:Json.t -> Json.t -> string
 
 (** [error ~id ~code message] — codes in use: [bad_request], [busy],
-    [not_found], [conflict], [unavailable], [error], and (from the shard
-    router) [shard_unavailable] when a worker process died and its
-    replacement was not ready in time. *)
+    [not_found], [conflict], [unavailable], [error], [reply_too_large]
+    when a reply would exceed one frame's payload, [stale_range] (a
+    fan-out request behind a mutate), and (from the shard router)
+    [shard_unavailable] when a worker process died and its replacement
+    was not ready in time. *)
 val error : id:Json.t -> code:string -> string -> string
 
 type reply =
@@ -64,3 +66,9 @@ val parse_reply : string -> (reply, string) result
 val value_to_json : Urm_relalg.Value.t -> Json.t
 
 val value_of_json : Json.t -> Urm_relalg.Value.t
+
+(** [wire_value v] is [value_of_json (value_to_json v)]: the value a peer
+    rebuilds from [v].  It differs from [v] for an integral [Float] below
+    10¹⁵ (read back as [Int]) and an [Int] at or above it (read back as
+    [Float]); any other value is returned as is. *)
+val wire_value : Urm_relalg.Value.t -> Urm_relalg.Value.t

@@ -196,32 +196,21 @@ let cached_eval t session q ~algorithm ~variant compute =
     with_cached payload false
 
 (* The reply fields the fan-out requests share — the output header and
-   the per-unit partial answers: [units] are units [lo, lo + n) of the
-   algorithm's unit list, each evaluated alone by the factorized executor
-   and tagged [field] = its index.  The reply carries
-   one answer per unit (ascending), so the router can fold them into one
-   accumulator in ascending unit order — the same sequence of float
-   additions per answer bucket that a single-process run makes — and
-   recombine bit-identically at any shard count.  Per-range subtotals
-   would not be enough: float addition is not associative, so summing a
-   range first regroups the additions and can change the last bits. *)
-let unit_partials ctx q ~field ~lo units =
-  let partial j unit =
+   the grouped partial answer ({!Partial}) of units [lo, lo + n) of the
+   algorithm's unit list, each evaluated alone by the factorized executor.
+   Each tuple is sent once with its ascending per-unit additions, not once
+   per unit, so the router replays the single-process float addition
+   sequence of every bucket (bit-identical at any shard count) from a
+   reply of O(answers) rather than O(units × answers). *)
+let unit_partials ctx q ~lo units =
+  let answer unit =
     let ctrs = Urm_relalg.Eval.fresh_counters () in
-    let acc = (Urm.Factorized.eval ~ctrs ctx q [ unit ]).Urm.Factorized.answer in
-    Json.Obj
-      [
-        (field, Json.Num (float_of_int (lo + j)));
-        ("answers", answers_json acc max_int);
-        ("null_prob", Json.Num (Urm.Answer.null_prob acc));
-      ]
+    (Urm.Factorized.eval ~ctrs ctx q [ unit ]).Urm.Factorized.answer
   in
-  [
-    ( "output",
-      Json.Arr (List.map (fun c -> Json.Str c) (Urm.Reformulate.output_header q))
-    );
-    ("partials", Json.Arr (List.mapi partial units));
-  ]
+  Partial.encode
+    ~output:(Urm.Reformulate.output_header q)
+    ~lo
+    (Seq.map answer (List.to_seq units))
 
 let slice lo hi l = List.filteri (fun i _ -> lo <= i && i < hi) l
 
@@ -256,7 +245,7 @@ let exec_query_partial t session q ~alg_name ~lo ~hi : (Json.t, failure) result 
                       ("hi", Json.Num (float_of_int hi));
                     ] );
               ]
-             @ unit_partials ctx q ~field:"m" ~lo units)))
+             @ unit_partials ctx q ~lo units)))
 
 (* Partial evaluation of the sharing algorithms: the shard router fans the
    distinct e-unit list instead of the mapping range.  Every worker holds
@@ -309,7 +298,7 @@ let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
                       ("of", Json.Num (float_of_int slots));
                     ] );
               ]
-             @ unit_partials ctx q ~field:"u" ~lo (slice lo hi units))))
+             @ unit_partials ctx q ~lo (slice lo hi units))))
 
 let exec_query t req : (Json.t, failure) result =
   match session_of t req with
@@ -789,15 +778,17 @@ let handle t job =
   let executed =
     match job.work with
     | Single req ->
-      send job.jconn (reply_of t req);
+      Wire.send_reply ~id:req.Protocol.id job.jconn (reply_of t req);
       1
     | Batched items ->
       let replies =
         List.map
-          (function Ok req -> reply_of t req | Error pre -> pre)
+          (function
+            | Ok req -> (req.Protocol.id, reply_of t req)
+            | Error pre -> (Json.Null, pre))
           items
       in
-      Wire.send_frame job.jconn (Frame.Batch_reply replies);
+      Wire.send_batch_reply job.jconn replies;
       List.length items
   in
   let dt = Urm_util.Timer.now () -. job.enqueued in

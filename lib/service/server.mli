@@ -17,10 +17,13 @@
     [Proto_error] frame, then the connection is closed.
 
     A [query] request carrying [range_lo]/[range_hi] evaluates only that
-    contiguous mapping range and returns per-mapping partial answers
-    (algorithm [basic] only); one carrying [slot]/[slots] does the same
-    over a chunk of the e-unit list ({!unit_fan_algorithms}) — the shard
-    router's fan-out units; see lib/shard.
+    contiguous mapping range and returns its grouped partial answer
+    ({!Partial}; algorithm [basic] only); one carrying [slot]/[slots] does
+    the same over a chunk of the e-unit list ({!unit_fan_algorithms}) —
+    the shard router's fan-out units; see lib/shard.
+
+    Every reply is capped at {!Frame.max_payload} bytes: a larger one is
+    answered with a typed [reply_too_large] error ({!Wire.send_reply}).
 
     Request latency (admission to reply, seconds) is recorded in the
     ["service"] metrics scope as the [phase.request] timer and in a

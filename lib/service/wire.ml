@@ -51,7 +51,21 @@ let send_raw t f =
           flush t.oc
         with Sys_error _ | Unix.Unix_error _ -> t.alive <- false)
 
-let send_reply t doc =
+(* Every reply document is bounded by one frame's payload, in either
+   dialect: a larger one would make [Frame.encode] raise in the writer,
+   losing the reply and the executor behind it.  It is answered with a
+   typed error for the same request id instead. *)
+let reply_too_large ~id n =
+  Protocol.error ~id ~code:"reply_too_large"
+    (Printf.sprintf "reply of %d bytes exceeds the %d-byte frame limit" n
+       Frame.max_payload)
+
+let capped ~id doc =
+  let n = String.length doc in
+  if n <= Frame.max_payload then doc else reply_too_large ~id n
+
+let send_reply ?(id = Urm_util.Json.Null) t doc =
+  let doc = capped ~id doc in
   match t.mode with
   | Frames -> send_raw t (fun oc -> Frame.write oc (Frame.Reply doc))
   | Lines ->
@@ -60,6 +74,29 @@ let send_reply t doc =
         output_char oc '\n')
 
 let send_frame t frame = send_raw t (fun oc -> Frame.write oc frame)
+
+(* A batch's replies share one frame: when together they overflow it
+   (each costs its length plus at most a 10-byte varint), the largest are
+   replaced by typed errors until the rest fit. *)
+let send_batch_reply t items =
+  let ids = Array.of_list (List.map fst items) in
+  let docs = Array.of_list (List.map (fun (id, doc) -> capped ~id doc) items) in
+  let excess =
+    ref
+      (Array.fold_left (fun acc d -> acc + String.length d + 10) 10 docs
+      - Frame.max_payload)
+  in
+  List.init (Array.length docs) Fun.id
+  |> List.sort (fun i j ->
+         compare (String.length docs.(j)) (String.length docs.(i)))
+  |> List.iter (fun i ->
+         if !excess > 0 then begin
+           let n = String.length docs.(i) in
+           let err = reply_too_large ~id:ids.(i) n in
+           excess := !excess - (n - String.length err);
+           docs.(i) <- err
+         end);
+  send_frame t (Frame.Batch_reply (Array.to_list docs))
 
 let wake t =
   Mutex.lock t.wlock;

@@ -34,13 +34,20 @@ val recv : t -> event
 (** Block for the next inbound event.  The first [0xF5] byte switches the
     connection to [Frames] permanently. *)
 
-val send_reply : t -> string -> unit
+val send_reply : ?id:Urm_util.Json.t -> t -> string -> unit
 (** Send one serialised reply document in the connection's mode: a line,
-    or a [Reply] frame. *)
+    or a [Reply] frame.  A document longer than {!Frame.max_payload} (in
+    either mode) is replaced by a typed [reply_too_large] error carrying
+    [id] (default [null]). *)
 
 val send_frame : t -> Frame.t -> unit
 (** Send a frame verbatim (framed connections only — callers only reach
     this from frame-triggered paths). *)
+
+val send_batch_reply : t -> (Urm_util.Json.t * string) list -> unit
+(** Send [(request id, reply)] pairs as one [Batch_reply] frame.  Replies
+    that would overflow the frame, largest first, are replaced by typed
+    [reply_too_large] errors for their ids. *)
 
 val wake : t -> unit
 (** Unblock a reader parked in [recv] (shutdown both directions); the

@@ -5,10 +5,10 @@
     from the key and the shard count alone, no coordination state, and
     changing the shard count moves only the minimal number of sessions.
     Within a session, [basic] query evaluation fans out over contiguous
-    mapping ranges, one per shard, so the router can recombine the
-    per-mapping partial answers in ascending order — the sequential run's
-    order of float additions, which a regrouped (e.g. per-range) sum would
-    not reproduce bit for bit. *)
+    mapping ranges, one per shard, so the router can replay each tuple's
+    per-mapping additions in ascending order ({!Urm_service.Partial}) —
+    the sequential run's order of float additions, which a regrouped
+    (e.g. per-range) sum would not reproduce bit for bit. *)
 
 val owner : shards:int -> string -> int
 (** [owner ~shards key] ∈ [\[0, shards)], stable across processes

@@ -5,6 +5,7 @@ module Client = Urm_service.Client
 module Server = Urm_service.Server
 module Wire = Urm_service.Wire
 module Frame = Urm_service.Frame
+module Partial = Urm_service.Partial
 
 type config = {
   host : string;
@@ -463,41 +464,6 @@ let exec_mutate t (req : Protocol.request) =
 let answers_limit req =
   Option.value ~default:20 (Protocol.int_param req "answers")
 
-(* Merge per-mapping partial answers in ascending mapping order: each
-   partial carries one mapping's bucket totals, so one [Answer.add] per
-   (mapping, tuple) replays the exact float addition sequence of a
-   sequential evaluation.  Float addition is not associative, so any other
-   grouping (per-range subtotals, another order) could change the last
-   bits of a probability. *)
-let merge_partials ~output replies =
-  let answer = Urm.Answer.create output in
-  List.iter
-    (fun reply ->
-      match Json.member "partials" reply with
-      | Some (Json.Arr parts) ->
-        List.iter
-          (fun part ->
-            (match Json.member "answers" part with
-            | Some (Json.Arr items) ->
-              List.iter
-                (fun item ->
-                  match (Json.member "tuple" item, Json.member "prob" item) with
-                  | Some (Json.Arr vs), Some (Json.Num p) ->
-                    let tuple =
-                      Array.of_list (List.map Protocol.value_of_json vs)
-                    in
-                    Urm.Answer.add answer tuple p
-                  | _ -> failwith "malformed partial answer")
-                items
-            | _ -> failwith "partial without answers");
-            match Json.member "null_prob" part with
-            | Some (Json.Num p) -> Urm.Answer.add_null answer p
-            | _ -> failwith "partial without null_prob")
-          parts
-      | _ -> failwith "shard reply without partials")
-    replies;
-  answer
-
 (* The shared fan-out core: [slot_params ~shards ~h] builds, per attempt,
    the function giving each slot its extra request parameters ([None] for
    a slot with nothing to do).  The basic algorithm fans contiguous
@@ -565,13 +531,9 @@ let fan_out t (s : sess) (req : Protocol.request) ~alg ~slot_params =
     match replies with
     | [] -> Protocol.error ~id ~code:"error" "no shard produced a partial answer"
     | first :: _ ->
-      let output =
-        match Json.member "output" first with
-        | Some (Json.Arr cols) ->
-          List.map (function Json.Str c -> c | _ -> "") cols
-        | _ -> []
-      in
-      let answer = merge_partials ~output replies in
+      (* Replies in ascending range/slot order: [Partial.merge] replays
+         every bucket's per-unit additions in the sequential order. *)
+      let answer = Partial.merge replies in
       let limit = answers_limit req in
       Protocol.ok ~id
         (Json.Obj
@@ -738,13 +700,17 @@ let handle t job =
   let executed =
     match job.work with
     | Single req ->
-      Wire.send_reply job.jconn (execute t req);
+      Wire.send_reply ~id:req.Protocol.id job.jconn (execute t req);
       1
     | Batched items ->
       let replies =
-        List.map (function Ok req -> execute t req | Error pre -> pre) items
+        List.map
+          (function
+            | Ok req -> (req.Protocol.id, execute t req)
+            | Error pre -> (Json.Null, pre))
+          items
       in
-      Wire.send_frame job.jconn (Frame.Batch_reply replies);
+      Wire.send_batch_reply job.jconn replies;
       List.length items
   in
   ignore (Atomic.fetch_and_add t.requests executed);

@@ -5,20 +5,23 @@
     of its fingerprint; session-state operations ([open-session],
     [close-session], [mutate]) are applied on the home shard first (its
     reply is the client's reply), then broadcast to the rest, so every
-    worker holds every session and the [basic] fan-out below can touch
-    all of them.  All other session operations ([topk], [threshold],
-    [approx], [incr] and non-basic [query]s) route whole to the home
-    shard — the same deterministic code over the same deterministic
-    state, hence byte-identical to a single-process server.
+    worker holds every session and the fan-outs below can touch all of
+    them.  All other session operations ([topk], [threshold], [approx],
+    and [query] under [incr] and the o-sharing variants) route whole to
+    the home shard — the same deterministic code over the same
+    deterministic state, hence byte-identical to a single-process
+    server.
 
     [query] with algorithm [basic] fans out: each shard evaluates a
     contiguous mapping range ([range_lo]/[range_hi], see {!Server}) and
-    returns per-mapping partial answers; the router merges them in
-    ascending mapping order — the same sequence of float additions per
-    answer bucket as sequential evaluation, which matters because float
-    addition is not associative — so the recombined answer is
-    bit-identical to sequential evaluation at any shard count (JSON floats
-    render as %.17g and round-trip exactly).
+    returns a grouped partial answer ({!Urm_service.Partial}: each tuple
+    once, with its ascending per-mapping additions); e-basic, e-MQO and
+    q-sharing fan out the same way over e-unit slots.  The router merges
+    the replies in ascending range order — the same sequence of float
+    additions per answer bucket as sequential evaluation, which matters
+    because float addition is not associative — so the recombined answer
+    is bit-identical to sequential evaluation at any shard count (JSON
+    floats render as %.17g and round-trip exactly).
 
     Lifecycle: workers are spawned at {!start} ({!Launcher}); a health
     thread reaps crashed workers and respawns them, replaying every

@@ -681,6 +681,32 @@ let qcheck_answers_agree =
             (Urm.Algorithms.run alg ctx q ms).Urm.Report.answer)
         all_algorithms)
 
+(* The bounded top-k selection must agree with the full ranking: random
+   answers over mixed Int/Float/Str/Null keys, probabilities drawn from a
+   few values so ties are common, every k from 0 past the size. *)
+let qcheck_top_k_prefix =
+  let gen =
+    QCheck.Gen.(
+      let value =
+        oneof
+          [
+            return Value.Null;
+            map (fun n -> Value.Int n) (0 -- 3);
+            map (fun n -> Value.Float (float_of_int n /. 2.)) (0 -- 3);
+            map (fun c -> Value.Str (String.make 1 c)) (oneofl [ 'a'; 'b' ]);
+          ]
+      in
+      pair
+        (list_size (0 -- 40)
+           (pair (pair value value) (oneofl [ 0.125; 0.25; 0.5; 0.1 ])))
+        (0 -- 45))
+  in
+  QCheck.Test.make ~name:"top_k is the first k of to_list" ~count:300
+    (QCheck.make gen) (fun (adds, k) ->
+      let a = Urm.Answer.create [ "x"; "y" ] in
+      List.iter (fun ((x, y), p) -> Urm.Answer.add a [| x; y |] p) adds;
+      Urm.Answer.top_k a k = List.filteri (fun i _ -> i < k) (Urm.Answer.to_list a))
+
 let suite =
   [
     Alcotest.test_case "mapping 1:1 checked" `Quick test_mapping_one_to_one;
@@ -719,4 +745,5 @@ let suite =
     Alcotest.test_case "overlap frequencies" `Quick test_overlap_frequencies;
     Alcotest.test_case "mapgen from candidates" `Quick test_mapgen_from_candidates;
     QCheck_alcotest.to_alcotest qcheck_answers_agree;
+    QCheck_alcotest.to_alcotest qcheck_top_k_prefix;
   ]

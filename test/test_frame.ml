@@ -365,6 +365,74 @@ let test_server_survives_fuzz () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Over-cap replies *)
+
+(* A reply document longer than one frame's payload must come back as a
+   typed [reply_too_large] error for its request id, and the connection
+   must keep carrying later replies (before the cap, [Frame.encode]
+   raised inside the writer and the executor behind it died).  Batches
+   replace only the replies that overflow their shared frame. *)
+let test_reply_too_large () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Urm_service.Wire.of_fd a in
+  conn.Urm_service.Wire.mode <- Urm_service.Wire.Frames;
+  let ic = Unix.in_channel_of_descr b in
+  (* The peer reads concurrently: a batch reply is larger than the socket
+     buffer. *)
+  let received = ref [] in
+  let peer =
+    Thread.create
+      (fun () ->
+        for _ = 1 to 3 do
+          if input_char ic = Frame.magic then
+            match Frame.read_body ic with
+            | Ok f -> received := f :: !received
+            | Error _ -> ()
+        done)
+      ()
+  in
+  let frames = ref [] in
+  let next () =
+    match !frames with
+    | f :: rest ->
+      frames := rest;
+      f
+    | [] -> Alcotest.fail "missing frame"
+  in
+  let error_of doc =
+    match Urm_service.Protocol.parse_reply doc with
+    | Ok (Urm_service.Protocol.Err (id, code, _)) -> (Json.to_string id, code)
+    | _ -> Alcotest.failf "wanted an error reply, got %s" doc
+  in
+  let huge = String.make (Frame.max_payload + 1) 'x' in
+  let half = String.make ((Frame.max_payload / 2) + 1) 'y' in
+  Urm_service.Wire.send_reply ~id:(Json.Num 7.) conn huge;
+  Urm_service.Wire.send_reply ~id:(Json.Num 8.) conn "{\"ok\":true}";
+  Urm_service.Wire.send_batch_reply conn
+    [ (Json.Num 9., half); (Json.Num 10., "small"); (Json.Num 11., half ^ "z") ];
+  Thread.join peer;
+  frames := List.rev !received;
+  (match next () with
+  | Frame.Reply doc ->
+    Alcotest.(check (pair string string))
+      "typed error for the over-cap reply" ("7", "reply_too_large") (error_of doc)
+  | _ -> Alcotest.fail "wanted a reply frame");
+  (match next () with
+  | Frame.Reply doc ->
+    Alcotest.(check string) "the connection still serves" "{\"ok\":true}" doc
+  | _ -> Alcotest.fail "wanted a reply frame");
+  (match next () with
+  | Frame.Batch_reply [ first; second; third ] ->
+    Alcotest.(check int) "the smaller half fits" (String.length half)
+      (String.length first);
+    Alcotest.(check string) "small reply intact" "small" second;
+    Alcotest.(check (pair string string))
+      "the larger half is replaced" ("11", "reply_too_large") (error_of third)
+  | _ -> Alcotest.fail "wanted a three-item batch reply");
+  Urm_service.Wire.teardown conn;
+  close_in ic
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
@@ -376,4 +444,6 @@ let suite =
       test_error_messages_are_distinct;
     Alcotest.test_case "live server survives 1000 adversarial frames" `Slow
       test_server_survives_fuzz;
+    Alcotest.test_case "over-cap replies are typed errors" `Quick
+      test_reply_too_large;
   ]

@@ -1,9 +1,10 @@
 (* Differential oracle for the shard router: the same session, queries
    and mutation batches against a single-process server and against
    routers with 1, 2 and 4 worker processes must produce byte-identical
-   answer payloads — the basic fan-out merges per-mapping partials in
-   ascending order, every other operation forwards whole, and JSON
-   floats render as %.17g, so any divergence is a real bug, not noise.
+   answer payloads — the fan-outs merge grouped partials that replay each
+   bucket's per-unit additions in ascending order, every other operation
+   forwards whole, and JSON floats render as %.17g, so any divergence is
+   a real bug, not noise.
 
    The routers spawn workers by re-executing this test binary; test_main
    calls [Urm_shard.Launcher.exec_if_worker] before Alcotest ever runs. *)
@@ -13,6 +14,8 @@ module Client = Urm_service.Client
 module Server = Urm_service.Server
 module Router = Urm_shard.Router
 module Hash = Urm_shard.Hash
+module Partial = Urm_service.Partial
+module Value = Urm_relalg.Value
 
 let seed = 5
 let scale = 0.005
@@ -132,7 +135,154 @@ let test_hash_ranges () =
     [ (1, 6); (2, 6); (4, 6); (3, 10); (8, 3) ]
 
 (* ------------------------------------------------------------------ *)
+(* Grouped partials, without a server *)
+
+(* The reference merge: one addition per (unit, tuple) in unit order —
+   every unit's answers in [to_list] order, each tuple rebuilt from its
+   wire form and added to the running bucket, then the unit's θ. *)
+let per_unit_merge output units =
+  let acc = Urm.Answer.create output in
+  let wire v =
+    Urm_service.Protocol.value_of_json (Urm_service.Protocol.value_to_json v)
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun (tuple, p) -> Urm.Answer.add acc (Array.map wire tuple) p)
+        (Urm.Answer.to_list a);
+      Urm.Answer.add_null acc (Urm.Answer.null_prob a))
+    units;
+  acc
+
+(* Random units split into random consecutive ranges: merging the grouped
+   replies in range order renders byte-identically to the per-unit merge.
+   Keys mix Int and integral Float values, which the wire folds into one
+   bucket, and probabilities repeat, so groups, wire collisions within a
+   unit and empty ranges all occur. *)
+let qcheck_grouped_merge =
+  let gen =
+    QCheck.Gen.(
+      let value =
+        oneof
+          [
+            map (fun n -> Value.Int n) (0 -- 2);
+            map (fun n -> Value.Float (float_of_int n)) (0 -- 2);
+            return (Value.Float 0.5);
+            return (Value.Str "s");
+            return Value.Null;
+          ]
+      in
+      let unit =
+        pair
+          (list_size (0 -- 6)
+             (pair value (oneofl [ 0.1; 0.2; 0.30000000000000004 ])))
+          (oneofl [ 0.; 0.05; 0.1 ])
+      in
+      pair (list_size (0 -- 8) unit) (list_size (0 -- 4) (0 -- 8)))
+  in
+  QCheck.Test.make ~name:"grouped partials merge like per-unit partials"
+    ~count:500 (QCheck.make gen) (fun (units, cuts) ->
+      let units =
+        List.map
+          (fun (adds, theta) ->
+            let a = Urm.Answer.create [ "v" ] in
+            List.iter (fun (v, p) -> Urm.Answer.add a [| v |] p) adds;
+            Urm.Answer.add_null a theta;
+            a)
+          units
+      in
+      let n = List.length units in
+      let points = (0 :: List.sort compare (List.map (min n) cuts)) @ [ n ] in
+      let rec replies = function
+        | lo :: (hi :: _ as rest) ->
+          let reply =
+            Json.Obj
+              (Partial.encode ~output:[ "v" ] ~lo
+                 (List.to_seq (List.filteri (fun i _ -> lo <= i && i < hi) units)))
+          in
+          (* Through the wire text, as the router receives it. *)
+          (match Json.parse (Json.to_string reply) with
+          | Ok reply -> reply :: replies rest
+          | Error m -> failwith m)
+        | _ -> []
+      in
+      let merged = Partial.merge (replies points) in
+      String.equal
+        (Json.to_string (Urm.Answer.to_json (per_unit_merge [ "v" ] units)))
+        (Json.to_string (Urm.Answer.to_json merged)))
+
+(* ------------------------------------------------------------------ *)
 (* Random queries: router ≡ single process, any shard count *)
+
+let sql_params text alg =
+  [
+    ("session", Json.Str "shard");
+    ("sql", Json.Str text);
+    ("algorithm", Json.Str alg);
+  ]
+
+(* Checked on every case of the property below (answer-cache hits after
+   the first), under both fan-out protocols: a COUNT, a SUM, a grouped
+   aggregate, and a selection that only some mappings satisfy (the others
+   contribute θ alone).  At 4 shards the aggregates' few e-units leave
+   some e-basic slots empty. *)
+let edge_cases =
+  lazy
+    (let f = Lazy.force fixture in
+     let contact =
+       (* A contact name under mapping 0: other mappings read the
+          attribute from another column and find no such row. *)
+       let reply =
+         call_or_fail "contact names" f.c_oracle ~op:"query"
+           (sql_params "SELECT contactName FROM PO" "basic"
+           @ [ ("range_lo", Json.Num 0.); ("range_hi", Json.Num 1.) ])
+       in
+       match member "groups" reply with
+       | Json.Arr (g :: _) -> (
+         match member "tuples" g with
+         | Json.Arr (Json.Arr [ Json.Str name ] :: _) -> name
+         | _ -> Alcotest.fail "contact name tuple")
+       | _ -> Alcotest.fail "contact name group"
+     in
+     let theta_only =
+       Printf.sprintf "SELECT contactName FROM PO WHERE contactName = '%s'"
+         contact
+     in
+     let reply =
+       call_or_fail "θ-only query" f.c_oracle ~op:"query"
+         (sql_params theta_only "basic")
+     in
+     (* The case must exercise what it claims: answers and θ mass both. *)
+     Alcotest.(check bool) "θ-only mappings present" true
+       (member "size" reply = Json.Num 1.
+       && match member "null_prob" reply with Json.Num p -> p > 0. | _ -> false);
+     List.concat_map
+       (fun text -> [ sql_params text "basic"; sql_params text "e-basic" ])
+       [
+         "SELECT COUNT(*) FROM PO";
+         "SELECT SUM(total) FROM PO";
+         "SELECT SUM(quantity) FROM Item GROUP BY itemNum";
+         theta_only;
+       ])
+
+(* The oracle's basic answer rebuilt from its own range replies split at
+   [k] with an empty range [k, k) between them. *)
+let split_merge_key f params k =
+  let range lo hi =
+    call_or_fail "oracle range" f.c_oracle ~op:"query"
+      (params
+      @ [
+          ("range_lo", Json.Num (float_of_int lo));
+          ("range_hi", Json.Num (float_of_int hi));
+        ])
+  in
+  let merged = Partial.merge [ range 0 k; range k k; range k h ] in
+  answer_key
+    (Json.Obj
+       [
+         ("answers", Server.answers_json merged 20);
+         ("null_prob", Json.Num (Urm.Answer.null_prob merged));
+       ])
 
 let qcheck_differential =
   let gen =
@@ -144,21 +294,42 @@ let qcheck_differential =
   QCheck.Test.make ~name:"random query × algorithm × shard count is byte-identical"
     ~count:25 (QCheck.make gen) (fun (qname, alg) ->
       let f = Lazy.force fixture in
-      let expected =
-        answer_key
-          (call_or_fail "oracle query" f.c_oracle ~op:"query"
-             (query_params qname alg))
-      in
       List.for_all
-        (fun (shards, _, c) ->
-          let got =
-            answer_key
-              (call_or_fail
-                 (Printf.sprintf "router %d query" shards)
-                 c ~op:"query" (query_params qname alg))
+        (fun params ->
+          let expected =
+            answer_key (call_or_fail "oracle query" f.c_oracle ~op:"query" params)
           in
-          String.equal expected got)
-        f.routers)
+          List.for_all
+            (fun (shards, _, c) ->
+              let got =
+                answer_key
+                  (call_or_fail
+                     (Printf.sprintf "router %d query" shards)
+                     c ~op:"query" params)
+              in
+              String.equal expected got)
+            f.routers
+          && (List.assoc "algorithm" params <> Json.Str "basic"
+             || String.equal expected (split_merge_key f params (h / 2))))
+        (query_params qname alg :: Lazy.force edge_cases))
+
+(* The grouped reply must stay O(answers): a Q4 range reply over every
+   mapping is at most twice the bytes of the final answer's JSON (the
+   per-unit format was h = 6 times the tuples). *)
+let test_partial_is_o_answers () =
+  let f = Lazy.force fixture in
+  let reply =
+    call_or_fail "Q4 range" f.c_oracle ~op:"query"
+      (query_params "Q4" "basic"
+      @ [ ("range_lo", Json.Num 0.); ("range_hi", Json.Num (float_of_int h)) ])
+  in
+  let merged = Partial.merge [ reply ] in
+  let final = String.length (Json.to_string (Urm.Answer.to_json merged)) in
+  let sent = String.length (Json.to_string reply) in
+  Alcotest.(check bool) "Q4 has answers at test scale" true
+    (Urm.Answer.size merged > 100);
+  if sent > 2 * final then
+    Alcotest.failf "range reply %d bytes > 2 × final answer %d bytes" sent final
 
 let test_approx_differential () =
   let f = Lazy.force fixture in
@@ -399,6 +570,60 @@ let test_metrics_rollup () =
     f.routers
 
 (* ------------------------------------------------------------------ *)
+(* A fan-out whose per-unit replies would overflow a frame *)
+
+(* Q4 at scale 0.01 has 22,500 answers under every mapping: at h = 48 one
+   range reply in the per-unit format was ~170 MB, over the 64 MiB frame
+   cap, and the worker died in its writer while the router waited
+   forever.  Grouped, the reply is ~1 MB and the merge byte-identical. *)
+let test_wide_range_fan_out () =
+  let params =
+    [
+      ("session", Json.Str "wide");
+      ("target", Json.Str "Excel");
+      ("seed", Json.Num 42.);
+      ("scale", Json.Num 0.01);
+      ("h", Json.Num 48.);
+    ]
+  in
+  let query =
+    [
+      ("session", Json.Str "wide");
+      ("query", Json.Str "Q4");
+      ("algorithm", Json.Str "basic");
+    ]
+  in
+  let oracle =
+    Server.start { Server.default_config with port = 0; workers = 1 }
+  in
+  let c_oracle = Client.connect ~port:(Server.port oracle) () in
+  let router =
+    match Router.start { Router.default_config with shards = 1 } with
+    | Ok r -> r
+    | Error m -> Alcotest.failf "router: %s" m
+  in
+  let c = Client.connect ~framed:true ~port:(Router.port router) () in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Client.call c ~op:"shutdown" []);
+      Client.close c;
+      Router.wait router;
+      Client.close c_oracle;
+      Server.stop oracle;
+      Server.wait oracle)
+    (fun () ->
+      ignore (call_or_fail "oracle open" c_oracle ~op:"open-session" params);
+      ignore (call_or_fail "router open" c ~op:"open-session" params);
+      let want = call_or_fail "oracle Q4" c_oracle ~op:"query" query in
+      let got = call_or_fail "router Q4" c ~op:"query" query in
+      Alcotest.(check string) "size" "22500"
+        (Json.to_string (member "size" want));
+      Alcotest.(check string) "byte-identical to one server" (answer_key want)
+        (answer_key got);
+      Alcotest.(check string) "same size" (Json.to_string (member "size" want))
+        (Json.to_string (member "size" got)))
+
+(* ------------------------------------------------------------------ *)
 (* Teardown — must run last in this suite *)
 
 let test_teardown () =
@@ -426,7 +651,10 @@ let suite =
     Alcotest.test_case "rendezvous placement" `Quick test_hash_owner;
     Alcotest.test_case "fan-out ranges partition the mappings" `Quick
       test_hash_ranges;
+    QCheck_alcotest.to_alcotest qcheck_grouped_merge;
     QCheck_alcotest.to_alcotest qcheck_differential;
+    Alcotest.test_case "range reply is O(answers)" `Quick
+      test_partial_is_o_answers;
     Alcotest.test_case "approx is byte-identical through the router" `Slow
       test_approx_differential;
     Alcotest.test_case "topk and threshold forward byte-identically" `Slow
@@ -439,5 +667,7 @@ let suite =
       test_mutation_rounds;
     Alcotest.test_case "metrics roll up across the fleet" `Slow
       test_metrics_rollup;
+    Alcotest.test_case "h = 48 Q4 fan-out fits one frame" `Slow
+      test_wide_range_fan_out;
     Alcotest.test_case "teardown reaps every worker" `Slow test_teardown;
   ]
