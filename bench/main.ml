@@ -867,6 +867,194 @@ let run_shard quick =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Part 1g: the top-k sweep (id "topk").
+
+   Per query (Q4, Q7, Q10) × h ∈ {8, 100} × k ∈ {1, 5, 20}: top-k on the
+   plan engine (one factorized pass over the representatives in
+   descending mass order), the interpreted u-trace top-k, and the exact
+   factorized e-MQO beside them.  Each column is 3 runs on one context,
+   each from a compacted heap; the JSON keeps every run with its min
+   and median, the git revision and the config.
+
+   Exits non-zero when a top-k answer is invalid against the exact answer
+   (more than k tuples, a probability above the exact one, or — where the
+   k-th and (k+1)-th exact probabilities are more than [Prob.eps] apart —
+   a tuple set other than the exact first k), or when the plan-engine
+   top-5 of Q4 at h = 100 takes more than 2× factorized e-MQO (min of
+   3). *)
+
+let topk_file = "BENCH_topk.json"
+
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | ic -> (
+    let rev = try String.trim (input_line ic) with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when rev <> "" -> rev
+    | _ -> "unknown")
+  | exception Unix.Unix_error _ -> "unknown"
+
+(* Whether [got] is a valid top-k of the exact answer [exact]. *)
+let topk_valid ~k exact got =
+  let truth = Urm.Answer.top_k exact (k + 1) in
+  let first_k = List.filteri (fun i _ -> i < k) truth in
+  let separated =
+    match List.rev truth with
+    | (_, next) :: (_, kth) :: _ when List.length truth = k + 1 ->
+      kth -. next > Urm.Prob.eps
+    | _ -> true
+  in
+  let got = Urm.Answer.to_list got in
+  List.length got = List.length first_k
+  && List.for_all
+       (fun (t, p) -> p <= Urm.Answer.prob_of exact t +. Urm.Prob.eps)
+       got
+  && ((not separated)
+     || List.for_all
+          (fun (t, _) -> List.exists (fun (u, _) -> Urm.Answer.tuple_equal t u) first_k)
+          got)
+
+let run_topk quick =
+  let module E = Urm_workload.Experiments in
+  let module J = Urm_util.Json in
+  let cfg = if quick then E.quick else E.default in
+  let runs = 3 in
+  let queries = [ "Q4"; "Q7"; "Q10" ] and h_sweep = [ 8; 100 ] in
+  let ks = [ 1; 5; 20 ] in
+  let p = Urm_workload.Pipeline.create ~seed:cfg.E.seed ~scale:cfg.E.scale () in
+  (* [runs] runs of [f] on one context (its plan cache warms as a
+     service session's does), each from a compacted heap: the seconds of
+     every run and the last run's result. *)
+  let measure engine target f =
+    let ctx = Urm_workload.Pipeline.ctx ~engine p target in
+    let last = ref None in
+    let secs =
+      List.init runs (fun _ ->
+          Gc.compact ();
+          let t0 = Unix.gettimeofday () in
+          let r = f ctx in
+          let dt = Unix.gettimeofday () -. t0 in
+          last := Some r;
+          dt)
+    in
+    (secs, Option.get !last)
+  in
+  let median xs = Urm_util.Stats.percentile 0.5 xs in
+  let min_of = List.fold_left Float.min infinity in
+  let column name secs extra =
+    ( name,
+      J.Obj
+        ([
+           ("runs", J.Arr (List.map (fun s -> J.Num s) secs));
+           ("min", J.Num (min_of secs));
+           ("median", J.Num (median secs));
+         ]
+        @ extra) )
+  in
+  let invalid = ref false and gate = ref None in
+  Format.printf "=== top-k sweep (plan engine vs u-trace vs exact e-MQO, min of %d) ===@.@."
+    runs;
+  let rows =
+    List.concat_map
+      (fun qname ->
+        let target, q = Urm_workload.Queries.by_name qname in
+        List.concat_map
+          (fun h ->
+            let ms = Urm_workload.Pipeline.mappings p target ~h in
+            let emqo_secs, exact =
+              measure Urm_relalg.Compile.Vectorized target (fun ctx ->
+                  (Urm.Algorithms.run Urm.Algorithms.Emqo ctx q ms).Urm.Report.answer)
+            in
+            List.map
+              (fun k ->
+                let topk engine =
+                  let secs, r =
+                    measure engine target (fun ctx -> Urm.Topk.run ~k ctx q ms)
+                  in
+                  let valid = topk_valid ~k exact r.Urm.Topk.report.Urm.Report.answer in
+                  if not valid then invalid := true;
+                  ( secs,
+                    [
+                      ("visited_eunits", J.Num (float_of_int r.Urm.Topk.visited_eunits));
+                      ("stopped_early", J.Bool r.Urm.Topk.stopped_early);
+                      ("valid", J.Bool valid);
+                    ],
+                    valid )
+                in
+                let plan_secs, plan_extra, plan_ok = topk Urm_relalg.Compile.Vectorized in
+                let ut_secs, ut_extra, ut_ok = topk Urm_relalg.Compile.Interpreted in
+                if qname = "Q4" && h = 100 && k = 5 then
+                  gate := Some (min_of plan_secs, min_of emqo_secs);
+                Format.printf
+                  "  %-4s h=%-4d k=%-3d plan top-k %8.4fs  u-trace top-k %8.4fs  \
+                   e-MQO %8.4fs%s@."
+                  qname h k (min_of plan_secs) (min_of ut_secs) (min_of emqo_secs)
+                  (if plan_ok && ut_ok then "" else "  INVALID");
+                J.Obj
+                  [
+                    ("query", J.Str qname);
+                    ("h", J.Num (float_of_int h));
+                    ("k", J.Num (float_of_int k));
+                    column "plan_topk" plan_secs plan_extra;
+                    column "utrace_topk" ut_secs ut_extra;
+                    column "factorized_emqo" emqo_secs [];
+                  ])
+              ks)
+          h_sweep)
+      queries
+  in
+  let plan, emqo = Option.get !gate in
+  let ratio = plan /. emqo in
+  let pass = ratio <= 2. in
+  Format.printf
+    "@.gate (Q4, h=100, k=5, min of %d): plan top-k %.4fs vs factorized e-MQO \
+     %.4fs (%.2fx, bound 2x) — %s@."
+    runs plan emqo ratio (if pass then "PASS" else "FAIL");
+  let json =
+    J.Obj
+      [
+        ("git_rev", J.Str (git_rev ()));
+        ( "config",
+          J.Obj
+            [
+              ("target", J.Str "Excel");
+              ("seed", J.Num (float_of_int cfg.E.seed));
+              ("scale", J.Num cfg.E.scale);
+              ("runs", J.Num (float_of_int runs));
+              ("gc_compact_before_each_run", J.Bool true);
+            ] );
+        ("rows", J.Arr rows);
+        ( "gate",
+          J.Obj
+            [
+              ("query", J.Str "Q4");
+              ("h", J.Num 100.);
+              ("k", J.Num 5.);
+              ("plan_topk_min", J.Num plan);
+              ("factorized_emqo_min", J.Num emqo);
+              ("ratio", J.Num ratio);
+              ("bound", J.Num 2.);
+              ("pass", J.Bool pass);
+            ] );
+      ]
+  in
+  let oc = open_out topk_file in
+  output_string oc (J.to_string json);
+  output_char oc '\n';
+  close_out oc;
+  Format.printf "@.wrote top-k sweep to %s@.@." topk_file;
+  if !invalid then begin
+    Format.eprintf "top-k sweep: a top-k answer is invalid against the exact answer@.";
+    exit 1
+  end;
+  if not pass then begin
+    Format.eprintf
+      "top-k gate FAILED: Q4 plan-engine top-5 at h = 100 must take at most 2x \
+       factorized e-MQO@.";
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel micro-benchmarks, one per table/figure. *)
 
 let micro_tests () =
@@ -882,8 +1070,8 @@ let micro_tests () =
     let ctx, q, ms = ctx ?engine q_name in
     ignore (Urm.Algorithms.run alg ctx q ms)
   in
-  (* The phase-breakdown, strategy and memo tables run the interpreted
-     engine, as in {!Urm_workload.Experiments}. *)
+  (* The phase-breakdown, strategy, memo and top-k tables run the
+     interpreted engine, as in {!Urm_workload.Experiments}. *)
   let interpreted = Urm_relalg.Compile.Interpreted in
   let excel_mappings = Urm_workload.Pipeline.mappings p excel ~h:10 in
   let stage = Bechamel.Staged.stage in
@@ -906,13 +1094,13 @@ let micro_tests () =
     ("fig11f", stage (run ~engine:interpreted (Urm.Algorithms.Osharing Urm.Eunit.Random) "Q5"));
     ("tab4", stage (run ~engine:interpreted (Urm.Algorithms.Osharing Urm.Eunit.Snf) "Q4"));
     ( "fig12a",
-      let c, q, ms = ctx "Q4" in
+      let c, q, ms = ctx ~engine:interpreted "Q4" in
       stage (fun () -> ignore (Urm.Topk.run ~k:1 c q ms)) );
     ( "fig12b",
-      let c, q, ms = ctx "Q7" in
+      let c, q, ms = ctx ~engine:interpreted "Q7" in
       stage (fun () -> ignore (Urm.Topk.run ~k:1 c q ms)) );
     ( "fig12c",
-      let c, q, ms = ctx "Q10" in
+      let c, q, ms = ctx ~engine:interpreted "Q10" in
       stage (fun () -> ignore (Urm.Topk.run ~k:1 c q ms)) );
     ( "abl-memo",
       let c, q, ms = ctx ~engine:interpreted "Q3" in
@@ -973,4 +1161,5 @@ let () =
   if not skip_tables && wanted only "anytime" then run_anytime quick;
   if not skip_tables && wanted only "incr" then run_incr quick;
   if not skip_tables && wanted only "shard" then run_shard quick;
+  if not skip_tables && wanted only "topk" then run_topk quick;
   if not skip_bechamel then run_bechamel only

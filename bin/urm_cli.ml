@@ -240,19 +240,27 @@ let query_cmd =
       const run $ query_name_t $ algorithm_t $ scale_t $ seed_t $ h_t $ answers_t
       $ sql_t $ explain_t $ engine_t $ metrics_t)
 
+(* What [visited_eunits] counts: u-trace e-units on the interpreted
+   engine, representative units of the factorized pass on the plan
+   engine. *)
+let visited_label = function
+  | Urm_relalg.Compile.Interpreted -> "e-units"
+  | Urm_relalg.Compile.Vectorized -> "units"
+
 let topk_cmd =
-  let run qname k scale seed h metrics =
+  let run qname k scale seed h engine metrics =
     match Urm_workload.Queries.by_name qname with
     | exception Not_found ->
       Format.eprintf "unknown query %s (Q1..Q10)@." qname;
       exit 1
     | target, q ->
       let p = Urm_workload.Pipeline.create ~seed ~scale () in
-      let ctx = Urm_workload.Pipeline.ctx p target in
+      let ctx = Urm_workload.Pipeline.ctx ~engine p target in
       let ms = Urm_workload.Pipeline.mappings p target ~h in
       let r = Urm.Topk.run ~k ctx q ms in
-      Format.printf "top-%d of %a (stopped early: %b, %d e-units):@." k
-        Urm.Query.pp q r.Urm.Topk.stopped_early r.Urm.Topk.visited_eunits;
+      Format.printf "top-%d of %a (stopped early: %b, %d %s visited):@." k
+        Urm.Query.pp q r.Urm.Topk.stopped_early r.Urm.Topk.visited_eunits
+        (visited_label engine);
       List.iter
         (fun (t, lb) ->
           Format.printf "  (%s) : ≥ %.4f@."
@@ -265,17 +273,17 @@ let topk_cmd =
   let k_t = Arg.(value & opt int 5 & info [ "k" ] ~doc:"How many answers.") in
   let doc = "Evaluate a probabilistic top-k query." in
   Cmd.v (Cmd.info "topk" ~doc)
-    Term.(const run $ query_name_t $ k_t $ scale_t $ seed_t $ h_t $ metrics_t)
+    Term.(const run $ query_name_t $ k_t $ scale_t $ seed_t $ h_t $ engine_t $ metrics_t)
 
 let threshold_cmd =
-  let run qname tau scale seed h metrics =
+  let run qname tau scale seed h engine metrics =
     match Urm_workload.Queries.by_name qname with
     | exception Not_found ->
       Format.eprintf "unknown query %s (Q1..Q10)@." qname;
       exit 1
     | target, q ->
       let p = Urm_workload.Pipeline.create ~seed ~scale () in
-      let ctx = Urm_workload.Pipeline.ctx p target in
+      let ctx = Urm_workload.Pipeline.ctx ~engine p target in
       let ms = Urm_workload.Pipeline.mappings p target ~h in
       let r = Urm.Threshold.run ~tau ctx q ms in
       Format.printf "answers of %a with probability ≥ %.2f (stopped early: %b):@."
@@ -292,7 +300,7 @@ let threshold_cmd =
   let tau_t = Arg.(value & opt float 0.5 & info [ "tau" ] ~doc:"Probability threshold.") in
   let doc = "Evaluate a probability-threshold query." in
   Cmd.v (Cmd.info "threshold" ~doc)
-    Term.(const run $ query_name_t $ tau_t $ scale_t $ seed_t $ h_t $ metrics_t)
+    Term.(const run $ query_name_t $ tau_t $ scale_t $ seed_t $ h_t $ engine_t $ metrics_t)
 
 let approx_cmd =
   let run qname samples delta epsilon deadline k tau synthetic scale seed h

@@ -3,7 +3,8 @@
    The Noris schema's Q7 asks for item numbers and unit prices of a specific
    order.  Different mappings disagree about which source column holds the
    unit price, so answers carry real uncertainty; a top-k query returns the
-   k most probable answers while pruning most of the u-trace.
+   k most probable answers, visiting units of probability mass only until
+   the bounds prove them.
 
    Run with: dune exec examples/topk_confidence.exe *)
 
@@ -27,8 +28,8 @@ let () =
         p)
     (Urm.Answer.top_k full.Urm.Report.answer 3);
 
-  (* Top-k for increasing k: fewer e-units visited for small k. *)
-  Format.printf "@.%-4s %-10s %-10s %s@." "k" "e-units" "operators" "early stop";
+  (* Top-k for increasing k: fewer units visited for small k. *)
+  Format.printf "@.%-4s %-10s %-10s %s@." "k" "units" "operators" "early stop";
   List.iter
     (fun k ->
       let r = Urm.Topk.run ~k ctx q mappings in

@@ -257,47 +257,56 @@ let to_list t =
   tbl_fold (fun tuple id acc -> (tuple, t.vals.(id)) :: acc) t.rows []
   |> List.sort rank
 
-(* Bounded selection: a size-[k] max-heap under [rank] keeps the k best
-   seen so far (its root is the worst of them), then only those k are
-   sorted — O(n log k) instead of sorting all n buckets to reply with a
-   few. *)
+(* Bounded selection: a size-[k] max-heap under [order] keeps the k best
+   elements [each] offers (its root is the worst of them) — O(n log k)
+   instead of sorting all n to keep a few.  Returns the heap array, root
+   first; [k] must be positive. *)
+let select_k ~order k dummy each =
+  let heap = Array.make k dummy and n = ref 0 in
+  let swap i j =
+    let x = heap.(i) in
+    heap.(i) <- heap.(j);
+    heap.(j) <- x
+  in
+  let rec up i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && order heap.(parent) heap.(i) < 0 then (
+      swap parent i;
+      up parent)
+  in
+  let rec down i =
+    let l = (2 * i) + 1 in
+    let r = l + 1 in
+    let worst = if l < !n && order heap.(l) heap.(i) > 0 then l else i in
+    let worst = if r < !n && order heap.(r) heap.(worst) > 0 then r else worst in
+    if worst <> i then (
+      swap i worst;
+      down worst)
+  in
+  each (fun x ->
+      if !n < k then (
+        heap.(!n) <- x;
+        up !n;
+        incr n)
+      else if order x heap.(0) < 0 then (
+        heap.(0) <- x;
+        down 0));
+  Array.sub heap 0 !n
+
 let top_k t k =
   if k >= t.rows.count then to_list t
   else if k <= 0 then []
-  else begin
-    let heap = Array.make k (dummy_key, 0.) and n = ref 0 in
-    let swap i j =
-      let x = heap.(i) in
-      heap.(i) <- heap.(j);
-      heap.(j) <- x
-    in
-    let rec up i =
-      let parent = (i - 1) / 2 in
-      if i > 0 && rank heap.(parent) heap.(i) < 0 then (
-        swap parent i;
-        up parent)
-    in
-    let rec down i =
-      let l = (2 * i) + 1 in
-      let r = l + 1 in
-      let worst = if l < k && rank heap.(l) heap.(i) > 0 then l else i in
-      let worst = if r < k && rank heap.(r) heap.(worst) > 0 then r else worst in
-      if worst <> i then (
-        swap i worst;
-        down worst)
-    in
-    iter
-      (fun tuple p ->
-        if !n < k then (
-          heap.(!n) <- (tuple, p);
-          up !n;
-          incr n)
-        else if rank (tuple, p) heap.(0) < 0 then (
-          heap.(0) <- (tuple, p);
-          down 0))
-      t;
-    List.sort rank (Array.to_list heap)
-  end
+  else
+    select_k ~order:rank k (dummy_key, 0.) (fun f -> iter (fun tuple p -> f (tuple, p)) t)
+    |> Array.to_list |> List.sort rank
+
+(* The same selection over probabilities alone: no tuple is compared, so a
+   tie-dominated answer costs one float comparison per bucket. *)
+let kth_prob t k =
+  if k <= 0 || k > t.rows.count then 0.
+  else
+    (select_k ~order:(fun a b -> Float.compare b a) k 0. (fun f ->
+         iter (fun _ p -> f p) t)).(0)
 
 let size t = t.rows.count
 let total_prob t = tbl_fold (fun _ id acc -> acc +. t.vals.(id)) t.rows t.null_mass

@@ -85,6 +85,12 @@ val iter : (Urm_relalg.Value.t array -> float -> unit) -> t -> unit
     [k] are sorted. *)
 val top_k : t -> int -> (Urm_relalg.Value.t array * float) list
 
+(** [kth_prob t k] the probability of the [k]-th element of {!top_k}[ t k]
+    — the k-th highest bucket probability, θ excluded — or [0.] when [t]
+    holds fewer than [k] tuples.  Selected with the same size-[k] heap,
+    over probabilities alone, so ties cost no tuple comparisons. *)
+val kth_prob : t -> int -> float
+
 (** Number of distinct tuples (θ excluded). *)
 val size : t -> int
 

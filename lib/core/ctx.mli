@@ -34,7 +34,8 @@ val engine : t -> Urm_relalg.Compile.engine
     shared with [t]: plans bind [Base] leaves at execution time, so they
     stay valid across copy-on-write catalog versions (which never change a
     relation's header), and the memoized hash-join build tables key on the
-    catalog pointer, so a new version automatically rebuilds its own.
+    catalog's {!Urm_relalg.Catalog.id}, so a new version automatically
+    rebuilds its own and an old one is not kept alive by them.
     Compile-time cardinality statistics keep describing [t]'s instance. *)
 val with_catalog : t -> Urm_relalg.Catalog.t -> t
 

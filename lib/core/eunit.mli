@@ -61,7 +61,9 @@ val make_env :
 (** Operator/row counters of the run so far. *)
 val counters : env -> Urm_relalg.Eval.counters
 
-(** Memo hits of the run so far. *)
+(** Memo hits of this run so far — counted per environment, so runs that
+    share a metrics registry each report their own (the registry's
+    ["eunit/memo_hits"] counter keeps the running total). *)
 val memo_hits : env -> int
 
 (** [set_tracer env f] installs a trace sink: [f] receives one formatted
@@ -69,7 +71,8 @@ val memo_hits : env -> int
     emission) — the "explain" facility for o-sharing runs. *)
 val set_tracer : env -> (string -> unit) -> unit
 
-(** Number of e-units created so far (root included). *)
+(** Number of e-units this run has created so far (root included),
+    counted per environment like {!memo_hits}. *)
 val eunits_created : env -> int
 
 (** [init ctx q representatives] the root e-unit: the full pending operator

@@ -56,14 +56,19 @@ let weighted_units (ctx : Ctx.t) q ms =
 (* One unit per mapping, degenerate weight vector — basic, and q-sharing
    over its representatives (each already carries its partition's mass):
    the per-mapping accumulation order is preserved, and repeated
-   reformulation keys replay instead of re-executing. *)
+   reformulation keys replay instead of re-executing.  Each equality
+   selection is probed once per (source attribute, constant) first, so a
+   mapping whose selection matches no source row reformulates to
+   [Unsatisfiable] and never compiles or runs a plan — same θ / COUNT 0 /
+   SUM Null, at the same unit position, as its empty evaluation. *)
 let singleton_units (ctx : Ctx.t) q ms =
+  let holds = Reformulate.selection_probe ctx.catalog in
   List.map
     (fun m ->
-      (Reformulate.source_query ctx.target q m, [| m.Mapping.prob |]))
+      (Reformulate.source_query ~holds ctx.target q m, [| m.Mapping.prob |]))
     ms
 
-let eval ~ctrs ?(cse = false) (ctx : Ctx.t) q units =
+let eval ~ctrs ?(cse = false) ?stop (ctx : Ctx.t) q units =
   let acc = Answer.create (Reformulate.output_header q) in
   (* Distinct evaluable bodies, first occurrence per reformulation key —
      the nodes of the e-unit DAG. *)
@@ -130,37 +135,55 @@ let eval ~ctrs ?(cse = false) (ctx : Ctx.t) q units =
      earliest unit. *)
   let recordings = ref [] in
   let executed = ref 0 and replayed = ref 0 and matched = ref 0 in
-  Urm_util.Timer.Stopwatch.timed sw_eval (fun () ->
-      List.iter
-        (fun ((sq, weights) : Reformulate.t * float array) ->
-          let mass = Answer.vec_mass weights in
-          match sq.Reformulate.body with
-          | Reformulate.Unsatisfiable | Reformulate.Trivial ->
-            Reformulate.null_answer_into acc sq
-              ~factor:(Reformulate.factor ctx.catalog sq)
-              mass
-          | Reformulate.Expr _ -> (
-            let k = Reformulate.key sq in
-            match Hashtbl.find_opt memo k with
-            | Some r ->
-              incr replayed;
-              Reformulate.replay_answers_into acc r mass
-            | None ->
-              incr executed;
-              let e = Hashtbl.find prepared_tbl k in
-              let factor = Reformulate.factor ctx.catalog sq in
-              let stream = Ctx.eval_wbatches ~ctrs ctx e ~weights in
-              let r, stream_matched =
-                Reformulate.record_weighted_answers_into acc sq ~factor
-                  stream ~weights ~candidates:(List.rev !recordings)
-              in
-              if stream_matched then incr matched
-              else recordings := r :: !recordings;
-              Hashtbl.add memo k r))
-        units);
+  let visit ((sq, weights) : Reformulate.t * float array) =
+    let mass = Answer.vec_mass weights in
+    match sq.Reformulate.body with
+    | Reformulate.Unsatisfiable | Reformulate.Trivial ->
+      Reformulate.null_answer_into acc sq
+        ~factor:(Reformulate.factor ctx.catalog sq)
+        mass
+    | Reformulate.Expr _ -> (
+      let k = Reformulate.key sq in
+      match Hashtbl.find_opt memo k with
+      | Some r ->
+        incr replayed;
+        Reformulate.replay_answers_into acc r mass
+      | None ->
+        incr executed;
+        let e = Hashtbl.find prepared_tbl k in
+        let factor = Reformulate.factor ctx.catalog sq in
+        let stream = Ctx.eval_wbatches ~ctrs ctx e ~weights in
+        let r, stream_matched =
+          Reformulate.record_weighted_answers_into acc sq ~factor stream
+            ~weights ~candidates:(List.rev !recordings)
+        in
+        if stream_matched then incr matched
+        else recordings := r :: !recordings;
+        Hashtbl.add memo k r)
+  in
+  (* [stop] sees the answer after every unit but the last, with the mass
+     of the units not yet visited; [true] ends the pass there. *)
+  let processed = ref 0 in
+  let rec pass unvisited = function
+    | [] -> ()
+    | ((_, weights) as unit) :: rest ->
+      visit unit;
+      incr processed;
+      let unvisited = unvisited -. Answer.vec_mass weights in
+      let stopped =
+        match stop with
+        | Some stop -> rest <> [] && stop acc ~unvisited
+        | None -> false
+      in
+      if not stopped then pass unvisited rest
+  in
+  let total =
+    List.fold_left (fun acc (_, w) -> acc +. Answer.vec_mass w) 0. units
+  in
+  Urm_util.Timer.Stopwatch.timed sw_eval (fun () -> pass total units);
   {
     answer = acc;
-    units = List.length units;
+    units = !processed;
     executed = !executed;
     replayed = !replayed;
     matched = !matched;
@@ -174,10 +197,10 @@ let eval ~ctrs ?(cse = false) (ctx : Ctx.t) q units =
    Counters live under the caller's metrics scope; building the units is
    the rewrite phase, and evaluation fuses aggregation, so the aggregate
    phase reads 0. *)
-let run ~metrics ?cse (ctx : Ctx.t) q build =
+let run ~metrics ?cse ?stop (ctx : Ctx.t) q build =
   let ctrs = Eval.fresh_counters ~metrics () in
   let units, rewrite = Urm_util.Timer.time build in
-  let r = eval ~ctrs ?cse ctx q units in
+  let r = eval ~ctrs ?cse ?stop ctx q units in
   ( Report.make
       ~engine:(Compile.engine_name (Ctx.engine ctx) ^ "+factorized")
       ~answer:r.answer

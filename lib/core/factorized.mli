@@ -17,7 +17,9 @@
 
 type result = {
   answer : Answer.t;
-  units : int;  (** e-units processed (incl. unsatisfiable/trivial) *)
+  units : int;
+      (** e-units processed (incl. unsatisfiable/trivial) — fewer than
+          given when [stop] ended the pass early *)
   executed : int;  (** plans actually run *)
   replayed : int;  (** units served from the replay memo *)
   matched : int;
@@ -40,29 +42,39 @@ val weighted_units :
 (** [singleton_units ctx q ms] one unit per mapping with a degenerate
     weight vector — basic, and q-sharing over its representatives (each
     already carries its partition's mass): per-mapping accumulation order
-    is preserved and duplicate reformulation keys replay. *)
+    is preserved and duplicate reformulation keys replay.  Reformulation
+    probes the source instance ({!Reformulate.selection_probe}, one memo
+    per call): a mapping whose equality selection matches no source row
+    becomes an [Unsatisfiable] unit at the same position, which adds the
+    same θ / COUNT 0 / SUM Null its evaluated plan would, without
+    compiling or running it. *)
 val singleton_units :
   Ctx.t -> Query.t -> Mapping.t list -> (Reformulate.t * float array) list
 
-(** [eval ~ctrs ?cse ctx q units] the single pass.  [cse] (default
+(** [eval ~ctrs ?cse ?stop ctx q units] the single pass.  [cse] (default
     [false]) turns on cross-unit common-subexpression materialisation —
-    the factorized e-MQO. *)
+    the factorized e-MQO.  [stop acc ~unvisited] is called after every
+    unit but the last, with the answer so far and the summed mass of the
+    units not yet visited; returning [true] ends the pass there (top-k and
+    threshold's early termination). *)
 val eval :
   ctrs:Urm_relalg.Eval.counters ->
   ?cse:bool ->
+  ?stop:(Answer.t -> unvisited:float -> bool) ->
   Ctx.t ->
   Query.t ->
   (Reformulate.t * float array) list ->
   result
 
-(** [run ~metrics ?cse ctx q build] one factorized run of an exact
-    algorithm: counters under [metrics], [build ()] timed as the rewrite
+(** [run ~metrics ?cse ?stop ctx q build] one factorized run of an exact
+    algorithm (or, with [stop], of top-k / threshold): counters under [metrics], [build ()] timed as the rewrite
     phase, then {!eval}.  The report carries the plan and evaluate times
     of the result, [groups] = units processed, aggregate 0 (evaluation
     fuses it), and an engine name suffixed ["+factorized"]. *)
 val run :
   metrics:Urm_obs.Metrics.t ->
   ?cse:bool ->
+  ?stop:(Answer.t -> unvisited:float -> bool) ->
   Ctx.t ->
   Query.t ->
   (unit -> (Reformulate.t * float array) list) ->

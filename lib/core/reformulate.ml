@@ -37,7 +37,24 @@ let cover_of target q m alias =
   |> List.map (fun s -> fst (Schema.split_qualified s))
   |> List.sort_uniq String.compare
 
-let source_query target q m =
+(* The selection-emptiness probe: memoised per (source attribute,
+   constant) for the probe's lifetime, answered through the catalog's
+   index path ({!Catalog.has_value}) — the access path of the engine's own
+   σ[col = const] over a stored relation, so the probe and the plan agree
+   on which constants match (no Int/Float coercion). *)
+let selection_probe cat =
+  let memo = Hashtbl.create 16 in
+  fun source_attr v ->
+    let key = (source_attr, v) in
+    match Hashtbl.find_opt memo key with
+    | Some b -> b
+    | None ->
+      let rel, col = Schema.split_qualified source_attr in
+      let b = Catalog.has_value cat rel col v in
+      Hashtbl.add memo key b;
+      b
+
+let source_query ?(holds = fun _ _ -> true) target q m =
   let source_of ta = Mapping.source_of m (Query.qualified q ta) in
   let col_of ta =
     Option.map (fun s -> column_for ~alias:ta.Query.alias ~source_attr:s) (source_of ta)
@@ -76,6 +93,12 @@ let source_query target q m =
     || (match q.Query.aggregate with
        | Some (Query.Sum ta) -> source_of ta = None
        | Some Query.Count | None -> false)
+    (* A selection whose source instance holds no matching row empties the
+       whole product, exactly as an unmapped selection attribute does. *)
+    || List.exists
+         (fun (ta, v) ->
+           match source_of ta with Some s -> not (holds s v) | None -> false)
+         q.Query.selections
   in
   if unsatisfiable then
     { body = Unsatisfiable; outputs; aggregate = q.Query.aggregate; grouped; factor_rels }

@@ -39,8 +39,27 @@ type t = {
 (** Output labels in order (the target-side header of the answer). *)
 val output_labels : t -> string list
 
-(** [source_query target q m] reformulates [q] through mapping [m]. *)
-val source_query : Urm_relalg.Schema.t -> Query.t -> Mapping.t -> t
+(** [source_query ?holds target q m] reformulates [q] through mapping
+    [m].  [holds s v] tells whether the source instance holds a row whose
+    qualified source attribute [s] equals [v] (default: always).  The
+    reformulation rule it feeds: a selection whose source instance holds
+    no matching row is unsatisfiable, like one whose attribute is
+    unmapped — the product it filters is empty, so the body becomes
+    [Unsatisfiable] and the answer is the same θ / COUNT = 0 / SUM = Null
+    the evaluated expression would give. *)
+val source_query :
+  ?holds:(string -> Urm_relalg.Value.t -> bool) ->
+  Urm_relalg.Schema.t ->
+  Query.t ->
+  Mapping.t ->
+  t
+
+(** [selection_probe cat] a [holds] function for {!source_query} over the
+    source instance [cat]: one {!Urm_relalg.Catalog.has_value} probe per
+    (source attribute, constant), memoised for the lifetime of the
+    returned closure (one run). *)
+val selection_probe :
+  Urm_relalg.Catalog.t -> string -> Urm_relalg.Value.t -> bool
 
 (** [key sq] identity of the source query: two mappings with equal keys
     produce identical answers.  This is what e-basic deduplicates on. *)

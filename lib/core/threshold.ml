@@ -1,76 +1,30 @@
-open Urm_relalg
-
-type result = {
+type result = Bounded.result = {
   report : Report.t;
   visited_eunits : int;
   stopped_early : bool;
 }
 
-let run ?(strategy = Eunit.Sef) ?seed ?use_memo
-    ?(metrics = Urm_obs.Metrics.global) ~tau (ctx : Ctx.t) q ms =
+let eps = Prob.eps
+
+(* Decided: no unseen tuple can still reach τ (the unvisited mass UB is
+   below it), and every candidate is either in (lb ≥ τ) or out (even
+   lb + UB falls short of τ). *)
+let decided ~tau acc ~unvisited =
+  unvisited < tau -. eps
+  &&
+  try
+    Answer.iter
+      (fun _ p -> if p < tau -. eps && p +. unvisited >= tau -. eps then raise Exit)
+      acc;
+    true
+  with Exit -> false
+
+let run ?strategy ?seed ?use_memo ?metrics ~tau ctx q ms =
   if tau <= 0. || tau > 1. then invalid_arg "Threshold.run: tau must be in (0, 1]";
-  let m = Urm_obs.Metrics.scope metrics "threshold" in
-  let reps, rewrite =
-    Urm_util.Timer.time (fun () -> Qsharing.representatives ctx q ms)
-  in
-  Urm_obs.Metrics.incr ~by:(List.length reps)
-    (Urm_obs.Metrics.counter (Urm_obs.Metrics.scope m "eunit") "representatives");
-  let env = Eunit.make_env ?seed ?use_memo ~metrics:m ~strategy ctx q in
-  let eps = Prob.eps in
-  (* Candidate tuples with their accumulated lower bounds.  Tuples whose
-     best possible probability (lb + UB) drops below τ are discarded. *)
-  let table : (Value.t array, float ref) Hashtbl.t = Hashtbl.create 64 in
-  let ub = ref 1.0 in
-  let decide leaf =
-    let mass, tuples =
-      match leaf with
-      | Eunit.Null_answer mass -> (mass, [])
-      | Eunit.Tuples (tuples, mass) -> (mass, tuples)
-    in
-    List.iter
-      (fun t ->
-        match Hashtbl.find_opt table t with
-        | Some r -> r := !r +. mass
-        | None ->
-          (* A new tuple can reach τ only if the remaining mass (which
-             includes this leaf) suffices. *)
-          if !ub >= tau -. eps then Hashtbl.replace table t (ref mass))
-      tuples;
-    ub := !ub -. mass;
-    (* Drop candidates that can no longer qualify. *)
-    let doomed =
-      Hashtbl.fold
-        (fun t r acc -> if !r +. !ub < tau -. eps then t :: acc else acc)
-        table []
-    in
-    List.iter (Hashtbl.remove table) doomed;
-    (* Stop when no unseen tuple can qualify and every tracked candidate is
-       decided (already at τ, since the undecided ones were just dropped or
-       still need future mass). *)
-    !ub < tau -. eps
-    && Hashtbl.fold (fun _ r ok -> ok && !r >= tau -. eps) table true
-  in
-  let finished, evaluate =
-    Urm_util.Timer.time (fun () ->
-        Eunit.run_qt env (Eunit.init q reps) ~emit:(fun leaf -> not (decide leaf)))
-  in
-  let answer = Answer.create (Reformulate.output_header q) in
-  Hashtbl.iter (fun t r -> if !r >= tau -. eps then Answer.add answer t !r) table;
-  let ctrs = Eunit.counters env in
-  let report =
-    {
-      Report.answer;
-      intervals = None;
-      timings = { Report.rewrite; plan = 0.; evaluate; aggregate = 0. };
-      source_operators = ctrs.Eval.operators;
-      rows_produced = ctrs.Eval.rows_produced;
-      groups = List.length reps;
-      engine = Urm_relalg.Compile.engine_name (Ctx.engine ctx);
-    }
-  in
-  Report.record_metrics m report;
-  {
-    report;
-    visited_eunits = Eunit.eunits_created env;
-    stopped_early = not finished;
-  }
+  Bounded.run ~scope:"threshold" ?strategy ?seed ?use_memo ?metrics
+    ~stop:(decided ~tau)
+    ~finish:(fun acc ->
+      let answer = Answer.create (Answer.output acc) in
+      Answer.iter (fun t p -> if p >= tau -. eps then Answer.add answer t p) acc;
+      answer)
+    ctx q ms

@@ -1,12 +1,15 @@
 (** Probability-threshold queries: all answers with probability ≥ τ.
 
     A companion to {!Topk} in the same spirit (the "probability threshold"
-    query class of the uncertain-database literature the paper builds on):
-    the u-trace is pruned with the same lower/upper-bound reasoning —
-    a tuple is {e in} once its accumulated lower bound reaches τ, {e out}
-    once even the whole unvisited mass cannot lift it to τ, and traversal
-    stops as soon as every candidate is decided and no new tuple can still
-    qualify. *)
+    query class of the uncertain-database literature the paper builds on)
+    and the same pass ({!Bounded}): a tuple is {e in} once its accumulated
+    lower bound reaches τ, {e out} once even the whole unvisited mass UB
+    cannot lift it to τ, and the pass stops as soon as every candidate is
+    decided and UB < τ, so no unseen tuple can still qualify.  The test
+    runs once per unit — a representative of one {!Factorized.eval} pass in
+    descending mass order on the plan engine ([visited_eunits] counts
+    them), a u-trace leaf on the interpreted engine ([visited_eunits]
+    counts u-trace e-units). *)
 
 type result = {
   report : Report.t;
@@ -14,7 +17,7 @@ type result = {
           accumulated lower-bound probabilities (exact when
           [stopped_early = false]) *)
   visited_eunits : int;
-  stopped_early : bool;
+  stopped_early : bool;  (** the pass ended before its last unit *)
 }
 
 (** [run ~tau ctx q ms] with [0 < tau ≤ 1].

@@ -1,119 +1,37 @@
-open Urm_relalg
-
-type result = {
+type result = Bounded.result = {
   report : Report.t;
   visited_eunits : int;
   stopped_early : bool;
 }
 
-let run ?(strategy = Eunit.Sef) ?seed ?use_memo
-    ?(metrics = Urm_obs.Metrics.global) ~k (ctx : Ctx.t) q ms =
-  if k <= 0 then invalid_arg "Topk.run: k must be positive";
-  let m = Urm_obs.Metrics.scope metrics "topk" in
-  let reps, rewrite =
-    Urm_util.Timer.time (fun () -> Qsharing.representatives ctx q ms)
-  in
-  Urm_obs.Metrics.incr ~by:(List.length reps)
-    (Urm_obs.Metrics.counter (Urm_obs.Metrics.scope m "eunit") "representatives");
-  let env = Eunit.make_env ?seed ?use_memo ~metrics:m ~strategy ctx q in
-  (* Candidate tuples with their accumulated lower-bound probability. *)
-  let table : (Value.t array, float ref) Hashtbl.t = Hashtbl.create 64 in
-  let ub = ref 1.0 in
-  let lb = ref 0.0 in
-  let eps = Prob.eps in
-  (* The k-th highest lower bound currently in the table ([0.] with fewer
-     than k candidates), and whether at most k candidates can still reach
-     the top-k (a candidate's best possible probability is lb + UB). *)
-  let update_bounds_and_decide () =
-    (* k-th largest lb via a bounded min-heap: O(n log k), no sorting. *)
-    let heap = Urm_util.Heap.create Float.compare in
-    Hashtbl.iter
-      (fun _ r ->
-        if Urm_util.Heap.length heap < k then Urm_util.Heap.push heap !r
-        else if !r > Urm_util.Heap.peek heap then begin
-          ignore (Urm_util.Heap.pop heap);
-          Urm_util.Heap.push heap !r
+let eps = Prob.eps
+
+(* The paper's decide_result: the top-k set is proven once the unvisited
+   mass UB cannot lift any tuple past LB_k, the k-th highest lower bound
+   ([0.] with fewer than k candidates), and at most k candidates can still
+   reach LB_k (a candidate's best possible probability is lb + UB). *)
+let proven ~k acc ~unvisited =
+  let lb_k = Answer.kth_prob acc k in
+  unvisited <= lb_k +. eps
+  &&
+  let survivors = ref 0 in
+  try
+    Answer.iter
+      (fun _ p ->
+        if p +. unvisited > lb_k +. eps then begin
+          incr survivors;
+          if !survivors > k then raise Exit
         end)
-      table;
-    lb := (if Urm_util.Heap.length heap >= k then Urm_util.Heap.peek heap else 0.);
-    !ub <= !lb +. eps
-    &&
-    let survivors = ref 0 in
-    (try
-       Hashtbl.iter
-         (fun _ r ->
-           if !r +. !ub > !lb +. eps then begin
-             incr survivors;
-             if !survivors > k then raise Exit
-           end)
-         table;
-       true
-     with Exit -> false)
-  in
-  (* The paper's decide_result: fold one leaf's tuples into the bounds and
-     report whether the top-k set is now proven.  A new tuple is only worth
-     tracking if the unvisited mass could still lift it past LB. *)
-  let decide leaf =
-    let mass, tuples =
-      match leaf with
-      | Eunit.Null_answer mass -> (mass, [])
-      | Eunit.Tuples (tuples, mass) -> (mass, tuples)
-    in
-    List.iter
-      (fun t ->
-        match Hashtbl.find_opt table t with
-        | Some r -> r := !r +. mass
-        | None -> if !ub > !lb +. eps then Hashtbl.replace table t (ref mass))
-      tuples;
-    ub := !ub -. mass;
-    update_bounds_and_decide ()
-  in
-  let finished, evaluate =
-    Urm_util.Timer.time (fun () ->
-        Eunit.run_qt env (Eunit.init q reps) ~emit:(fun leaf -> not (decide leaf)))
-  in
-  let answer = Answer.create (Reformulate.output_header q) in
-  let compare_tuples ta tb =
-    let rec go i =
-      if i >= Array.length ta then 0
-      else
-        let c = Value.compare ta.(i) tb.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  in
-  (* Select the k best candidates with a bounded min-heap (the table can be
-     much larger than k). *)
-  let worst_first (ta, a) (tb, b) =
-    let c = Float.compare a b in
-    if c <> 0 then c else compare_tuples tb ta
-  in
-  let heap = Urm_util.Heap.create worst_first in
-  Hashtbl.iter
-    (fun t r ->
-      let entry = (t, !r) in
-      if Urm_util.Heap.length heap < k then Urm_util.Heap.push heap entry
-      else if worst_first entry (Urm_util.Heap.peek heap) > 0 then begin
-        ignore (Urm_util.Heap.pop heap);
-        Urm_util.Heap.push heap entry
-      end)
-    table;
-  Urm_util.Heap.iter (fun (t, p) -> Answer.add answer t p) heap;
-  let ctrs = Eunit.counters env in
-  let report =
-    {
-      Report.answer;
-      intervals = None;
-      timings = { Report.rewrite; plan = 0.; evaluate; aggregate = 0. };
-      source_operators = ctrs.Eval.operators;
-      rows_produced = ctrs.Eval.rows_produced;
-      groups = List.length reps;
-      engine = Urm_relalg.Compile.engine_name (Ctx.engine ctx);
-    }
-  in
-  Report.record_metrics m report;
-  {
-    report;
-    visited_eunits = Eunit.eunits_created env;
-    stopped_early = not finished;
-  }
+      acc;
+    true
+  with Exit -> false
+
+let run ?strategy ?seed ?use_memo ?metrics ~k ctx q ms =
+  if k <= 0 then invalid_arg "Topk.run: k must be positive";
+  Bounded.run ~scope:"topk" ?strategy ?seed ?use_memo ?metrics
+    ~stop:(proven ~k)
+    ~finish:(fun acc ->
+      let answer = Answer.create (Answer.output acc) in
+      List.iter (fun (t, p) -> Answer.add answer t p) (Answer.top_k acc k);
+      answer)
+    ctx q ms

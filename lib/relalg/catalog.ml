@@ -1,11 +1,15 @@
 type t = {
+  id : int;
   tables : (string, Relation.t) Hashtbl.t;
   indexes : (string * string, (Value.t, int list) Hashtbl.t) Hashtbl.t;
   mutable use_indexes : bool;
 }
 
+let next_id = Atomic.make 0
+let fresh_id () = Atomic.fetch_and_add next_id 1
+
 let create () =
-  { tables = Hashtbl.create 16; indexes = Hashtbl.create 16; use_indexes = true }
+  { id = fresh_id (); tables = Hashtbl.create 16; indexes = Hashtbl.create 16; use_indexes = true }
 
 let add t name rel =
   Hashtbl.replace t.tables name rel;
@@ -24,6 +28,7 @@ let cow t replacements =
   let replaced name = List.exists (fun (n, _) -> String.equal n name) replacements in
   let fresh =
     {
+      id = fresh_id ();
       tables = Hashtbl.copy t.tables;
       indexes = Hashtbl.create (Hashtbl.length t.indexes);
       use_indexes = t.use_indexes;
@@ -41,6 +46,7 @@ let cow t replacements =
     replacements;
   fresh
 
+let id t = t.id
 let find t name = Hashtbl.find t.tables name
 let mem t name = Hashtbl.mem t.tables name
 
@@ -87,6 +93,14 @@ let lookup t rname col v =
       (fun acc row -> if Value.equal row.(pos) v then row :: acc else acc)
       [] rel
   end
+
+(* Whether [lookup] would return any row, without building the row list. *)
+let has_value t rname col v =
+  if t.use_indexes then Hashtbl.mem (index t rname col) v
+  else
+    let rel = find t rname in
+    let pos = Relation.col_pos rel col in
+    Relation.fold (fun found row -> found || Value.equal row.(pos) v) false rel
 
 let set_indexing t b = t.use_indexes <- b
 let indexing_enabled t = t.use_indexes

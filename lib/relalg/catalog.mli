@@ -16,6 +16,12 @@ val add : t -> string -> Relation.t -> unit
     [Invalid_argument] when a replacement names an unknown relation. *)
 val cow : t -> (string * Relation.t) list -> t
 
+(** [id t] this catalog's identity, unique per {!create} and {!cow}: a
+    cache entry derived from one catalog version keys on it rather than
+    holding the catalog itself, so it does not keep a superseded version's
+    relations and indexes alive. *)
+val id : t -> int
+
 (** [find t name] raises [Not_found] for unknown relations. *)
 val find : t -> string -> Relation.t
 
@@ -40,6 +46,11 @@ val build_indexes : t -> unit
 (** [lookup t rel col v] rows of [rel] whose [col] equals [v], via the
     index. *)
 val lookup : t -> string -> string -> Value.t -> Value.t array list
+
+(** [has_value t rel col v] = [lookup t rel col v <> []], answered by the
+    same index (or scan) without collecting the rows — the emptiness test
+    of an equality selection over a stored relation. *)
+val has_value : t -> string -> string -> Value.t -> bool
 
 (** [set_indexing t false] disables index use ({!lookup} then scans); used by
     the index ablation bench. *)

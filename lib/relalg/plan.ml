@@ -116,7 +116,7 @@ let const r =
 let index_probe ~name ~col ~value ~cols =
   make ~kind:Eval.Op_select ~cols
     ~desc:(Printf.sprintf "probe(%s.%s=%s)" name col (Value.to_string value))
-    ~check:(fun env -> Catalog.lookup env.cat name col value <> [])
+    ~check:(fun env -> Catalog.has_value env.cat name col value)
     (fun env bsink ->
       Eval.record_access env.ctrs
         (if Catalog.indexing_enabled env.cat then Eval.Index_probe else Eval.Scan);
@@ -221,8 +221,11 @@ let hash_join ~build_left ~lkey ~rkey ~residual left right =
      join index, built on the first execution and probed by the rest.  The
      [Atomic] publishes the fully-built table; a concurrent first execution
      may build twice, and the last store wins (both tables are identical).
-     Buckets list their rows in reverse build order. *)
-  let memo : (Catalog.t * (Value.t, Value.t array list) Hashtbl.t) option
+     Buckets list their rows in reverse build order.  The memo keys on the
+     catalog's id, not the catalog: a cached plan last run on a superseded
+     catalog version must not keep that version's relations and indexes
+     alive. *)
+  let memo : (int * (Value.t, Value.t array list) Hashtbl.t) option
              Atomic.t =
     Atomic.make None
   in
@@ -231,7 +234,7 @@ let hash_join ~build_left ~lkey ~rkey ~residual left right =
   in
   let table_for env =
     match Atomic.get memo with
-    | Some (cat, table) when cat == env.cat -> table
+    | Some (id, table) when id = Catalog.id env.cat -> table
     | _ ->
       let table : (Value.t, Value.t array list) Hashtbl.t =
         Hashtbl.create 64
@@ -240,7 +243,7 @@ let hash_join ~build_left ~lkey ~rkey ~residual left right =
           let k = row.(bkey) in
           let prev = try Hashtbl.find table k with Not_found -> [] in
           Hashtbl.replace table k (row :: prev));
-      Atomic.set memo (Some (env.cat, table));
+      Atomic.set memo (Some (Catalog.id env.cat, table));
       table
   in
   (* [combine build_row probe_row] the joined row, columns in

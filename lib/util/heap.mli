@@ -1,8 +1,7 @@
 (** Imperative binary heap, parameterised by an explicit comparison.
 
-    Used by the top-k algorithm (Algorithm 4 of the paper) to maintain
-    candidate answer tuples ordered by lower-bound probability, and by the
-    MQO planner's benefit queue. *)
+    Used by Murty's k-best assignment enumeration as its subproblem
+    queue. *)
 
 type 'a t
 

@@ -705,7 +705,12 @@ let qcheck_top_k_prefix =
     (QCheck.make gen) (fun (adds, k) ->
       let a = Urm.Answer.create [ "x"; "y" ] in
       List.iter (fun ((x, y), p) -> Urm.Answer.add a [| x; y |] p) adds;
-      Urm.Answer.top_k a k = List.filteri (fun i _ -> i < k) (Urm.Answer.to_list a))
+      let first_k = List.filteri (fun i _ -> i < k) (Urm.Answer.to_list a) in
+      Urm.Answer.top_k a k = first_k
+      && Urm.Answer.kth_prob a k
+         = (match List.rev first_k with
+           | (_, p) :: _ when List.length first_k = k -> p
+           | _ -> 0.))
 
 let suite =
   [

@@ -224,6 +224,27 @@ let test_tracer () =
   Alcotest.(check bool) "tracer does not change answers" true
     (Urm.Answer.equal a1.Urm.Report.answer a2.Urm.Report.answer)
 
+(* Runs that share a metrics registry each report their own e-unit and
+   memo-hit counts, while the registry keeps the running totals. *)
+let test_counts_are_per_run () =
+  let metrics = Urm_obs.Metrics.create () in
+  let ctx = Urm.Ctx.make ~engine:Compile.Interpreted ~catalog:(catalog ()) ~source ~target () in
+  let run () =
+    let _, stats = Urm.Osharing.run_with_stats ~metrics ctx (q_sel ()) (mappings ()) in
+    let top = Urm.Topk.run ~metrics ~k:1 ctx (q_sel ()) (mappings ()) in
+    (stats, top.Urm.Topk.visited_eunits)
+  in
+  let s1, v1 = run () in
+  let s2, v2 = run () in
+  Alcotest.(check bool) "e-units counted" true (s1.Urm.Osharing.eunits > 0 && v1 > 0);
+  Alcotest.(check int) "o-sharing e-units" s1.Urm.Osharing.eunits s2.Urm.Osharing.eunits;
+  Alcotest.(check int) "o-sharing memo hits" s1.Urm.Osharing.memo_hits
+    s2.Urm.Osharing.memo_hits;
+  Alcotest.(check int) "top-k visited e-units" v1 v2;
+  Alcotest.(check (option int)) "registry keeps the running total"
+    (Some (2 * s1.Urm.Osharing.eunits))
+    (Urm_obs.Metrics.find_counter metrics "o-sharing/eunit/executions")
+
 let test_strategy_names () =
   Alcotest.(check string) "sef" "SEF" (Urm.Eunit.strategy_name Urm.Eunit.Sef);
   Alcotest.(check string) "snf" "SNF" (Urm.Eunit.strategy_name Urm.Eunit.Snf);
@@ -242,4 +263,5 @@ let suite =
     Alcotest.test_case "unmapped selection → θ" `Quick test_unmapped_selection_goes_null;
     Alcotest.test_case "tracer" `Quick test_tracer;
     Alcotest.test_case "strategy names" `Quick test_strategy_names;
+    Alcotest.test_case "e-unit counts are per run" `Quick test_counts_are_per_run;
   ]

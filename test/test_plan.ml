@@ -458,6 +458,31 @@ let test_nonempty_short_circuits () =
   Alcotest.(check int) "residual ran once per joined row"
     (Relation.cardinality joined) !residual_calls
 
+(* The hash-join build table is memoised per catalog version, but a plan
+   last run on a superseded version (a copy-on-write commit) must not keep
+   that version alive: the plan cache outlives it. *)
+let test_join_memo_releases_catalog () =
+  let plan =
+    Plan.of_pipe ~header:[ "k"; "l" ]
+      (Plan.hash_join ~build_left:true ~lkey:0 ~rkey:0 ~residual:None
+         (Plan.scan ~name:"K" ~cols:[ "k" ])
+         (Plan.scan ~name:"L" ~cols:[ "l" ]))
+  in
+  let weak = Weak.create 1 in
+  let run_on_fresh_catalog () =
+    let cat = Catalog.create () in
+    Catalog.add cat "K" (Relation.create ~cols:[ "k" ] [ [| i 1 |]; [| i 2 |] ]);
+    Catalog.add cat "L" (Relation.create ~cols:[ "l" ] [ [| i 2 |] ]);
+    Weak.set weak 0 (Some cat);
+    Relation.cardinality (Plan.execute cat plan)
+  in
+  Alcotest.(check int) "joined" 1 (run_on_fresh_catalog ());
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "old catalog collected" false (Weak.check weak 0);
+  (* The plan — and its memo — outlive the collection, as in a cache. *)
+  Alcotest.(check (list string)) "plan still live" [ "k"; "l" ] (Plan.header plan)
+
 (* ------------------------------------------------------------------ *)
 (* Ctx-level plan reuse: the same shape evaluated twice compiles once. *)
 
@@ -526,6 +551,8 @@ let suite =
       test_build_side;
     Alcotest.test_case "aggregate null/string semantics match" `Quick
       test_aggregate_semantics;
+    Alcotest.test_case "join memo does not keep an old catalog alive" `Quick
+      test_join_memo_releases_catalog;
     Alcotest.test_case "Ctx reuses one plan across evaluations" `Quick
       test_ctx_reuse;
     Alcotest.test_case "canonical fingerprints share one cache entry" `Quick
