@@ -3,25 +3,39 @@ module Lru = Urm_util.Lru
 
 type entry = { payload : Urm_util.Json.t; deps : string list }
 
+(* Each count is kept per cache — what {!stats} reports, so two servers in
+   one process never see each other's hits — and mirrored into the
+   registry scope given at creation, which the process-wide dump reads. *)
+type count = { mine : int Atomic.t; shared : Metrics.counter }
+
+let count metrics name =
+  { mine = Atomic.make 0; shared = Metrics.counter metrics name }
+
+let bump ?(by = 1) c =
+  ignore (Atomic.fetch_and_add c.mine by);
+  Metrics.incr ~by c.shared
+
+let read c = Atomic.get c.mine
+
 type t = {
   lru : entry Lru.t;
-  hit : Metrics.counter;
-  miss : Metrics.counter;
-  evict : Metrics.counter;
-  inv_selective : Metrics.counter;
-  inv_wholesale : Metrics.counter;
-  inv_removed : Metrics.counter;
+  hit : count;
+  miss : count;
+  evict : count;
+  inv_selective : count;
+  inv_wholesale : count;
+  inv_removed : count;
 }
 
 let create ?(metrics = Metrics.scope Metrics.global "service") ~capacity () =
   {
     lru = Lru.create ~capacity;
-    hit = Metrics.counter metrics "cache.hit";
-    miss = Metrics.counter metrics "cache.miss";
-    evict = Metrics.counter metrics "cache.evict";
-    inv_selective = Metrics.counter metrics "cache.invalidate.selective";
-    inv_wholesale = Metrics.counter metrics "cache.invalidate.wholesale";
-    inv_removed = Metrics.counter metrics "cache.invalidate.removed";
+    hit = count metrics "cache.hit";
+    miss = count metrics "cache.miss";
+    evict = count metrics "cache.evict";
+    inv_selective = count metrics "cache.invalidate.selective";
+    inv_wholesale = count metrics "cache.invalidate.wholesale";
+    inv_removed = count metrics "cache.invalidate.removed";
   }
 
 (* The full canonical text, not its 64-bit digest: a hash collision within
@@ -35,17 +49,17 @@ let key ~session ~query ~algorithm ~variant =
 let find t k =
   match Lru.find t.lru k with
   | Some e ->
-    Metrics.incr t.hit;
+    bump t.hit;
     Some e.payload
   | None ->
-    Metrics.incr t.miss;
+    bump t.miss;
     None
 
 let add t ?(guard = fun () -> true) ~deps k payload =
   match Lru.add_guarded t.lru k { payload; deps } ~guard with
   | None -> ()
   | Some evicted ->
-    if evicted <> [] then Metrics.incr ~by:(List.length evicted) t.evict
+    if evicted <> [] then bump ~by:(List.length evicted) t.evict
 
 type scope = All | Relations of string list
 
@@ -58,20 +72,18 @@ let invalidate t ~fingerprint scope =
   let removed =
     match scope with
     | All ->
-      Metrics.incr t.inv_wholesale;
+      bump t.inv_wholesale;
       Lru.remove_if t.lru (fun k _ -> has_prefix ~prefix k)
     | Relations rels ->
-      Metrics.incr t.inv_selective;
+      bump t.inv_selective;
       Lru.remove_if t.lru (fun k e ->
           has_prefix ~prefix k
           && List.exists (fun r -> List.mem r e.deps) rels)
   in
-  Metrics.incr ~by:removed t.inv_removed;
+  bump ~by:removed t.inv_removed;
   removed
 
-let stats t = (Metrics.value t.hit, Metrics.value t.miss, Metrics.value t.evict)
+let stats t = (read t.hit, read t.miss, read t.evict)
 
 let invalidation_stats t =
-  ( Metrics.value t.inv_selective,
-    Metrics.value t.inv_wholesale,
-    Metrics.value t.inv_removed )
+  (read t.inv_selective, read t.inv_wholesale, read t.inv_removed)

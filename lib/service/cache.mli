@@ -16,9 +16,10 @@
 
     Hits, misses and evictions are counted as [cache.hit], [cache.miss]
     and [cache.evict]; invalidation as [cache.invalidate.selective],
-    [cache.invalidate.wholesale] and [cache.invalidate.removed] — all
-    under the metrics scope given at creation (the server passes its
-    ["service"] scope). *)
+    [cache.invalidate.wholesale] and [cache.invalidate.removed].  Each
+    count is kept per cache — {!stats} and {!invalidation_stats} report
+    this cache's own — and also recorded under the metrics scope given at
+    creation (the server passes its ["service"] scope). *)
 
 type t
 
@@ -48,7 +49,8 @@ type scope =
     session with that fingerprint and returns how many were removed. *)
 val invalidate : t -> fingerprint:string -> scope -> int
 
-val stats : t -> int * int * int  (** (hits, misses, evictions) *)
+val stats : t -> int * int * int  (** this cache's (hits, misses, evictions) *)
 
-(** (selective, wholesale, removed-entry) invalidation counts. *)
+(** This cache's (selective, wholesale, removed-entry) invalidation
+    counts. *)
 val invalidation_stats : t -> int * int * int

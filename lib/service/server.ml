@@ -22,88 +22,17 @@ let default_config =
     engine = Urm_relalg.Compile.Vectorized;
   }
 
-(* Connections live in {!Wire}: line/frame mode sniffing, locked writes,
-   wake/teardown — shared with the shard router's accept path. *)
-let send conn line = Wire.send_reply conn line
-
-(* ------------------------------------------------------------------ *)
-(* Sliding latency window for percentile reporting *)
-
-type ring = {
-  buf : float array;
-  mutable filled : int;
-  mutable next : int;
-  rlock : Mutex.t;
-}
-
-let ring_create n =
-  { buf = Array.make n 0.; filled = 0; next = 0; rlock = Mutex.create () }
-
-let ring_add r x =
-  Mutex.lock r.rlock;
-  r.buf.(r.next) <- x;
-  r.next <- (r.next + 1) mod Array.length r.buf;
-  r.filled <- min (r.filled + 1) (Array.length r.buf);
-  Mutex.unlock r.rlock
-
-let ring_to_list r =
-  Mutex.lock r.rlock;
-  let out = List.init r.filled (fun i -> r.buf.(i)) in
-  Mutex.unlock r.rlock;
-  out
-
-(* ------------------------------------------------------------------ *)
-
-(* A batch frame is admitted as one job (one queue slot, one worker):
-   its requests execute sequentially and are answered positionally in a
-   single [Batch_reply] — the server-side batching path.  Requests that
-   failed to parse occupy their slot as pre-rendered error replies. *)
-type work =
-  | Single of Protocol.request
-  | Batched of (Protocol.request, string) result list
-
-type job = { jconn : Wire.t; work : work; enqueued : float }
-
 type t = {
   cfg : config;
-  sock : Unix.file_descr;
-  bound_port : int;
+  front : Front.t;
   session_catalog : Session.catalog;
   cache : Cache.t;
-  requests : Metrics.counter;
-  rejected : Metrics.counter;
-  depth : Metrics.counter;
-  request_timer : Metrics.timer;
-  queue : job Queue.t;
-  qlock : Mutex.t;
-  qcond : Condition.t;
-  mutable stopping : bool;
-  mutable conns : Wire.t list;
-  mutable readers : Thread.t list;
-  conns_lock : Mutex.t;
-  lat : ring;
-  mutable workers : unit Domain.t array;
-  mutable acceptor : Thread.t option;
 }
 
-let port t = t.bound_port
+let port t = Front.port t.front
 let sessions t = t.session_catalog
-
-(* Live connection records — the fuzz suite's leak probe: every reader
-   that exits (clean EOF or protocol error) removes its record. *)
-let connection_count t =
-  Mutex.lock t.conns_lock;
-  let n = List.length t.conns in
-  Mutex.unlock t.conns_lock;
-  n
-
-let stop t =
-  Mutex.lock t.qlock;
-  if not t.stopping then begin
-    t.stopping <- true;
-    Condition.broadcast t.qcond
-  end;
-  Mutex.unlock t.qlock
+let connection_count t = Front.connections t.front
+let stop t = Front.stop t.front
 
 (* ------------------------------------------------------------------ *)
 (* Request execution *)
@@ -654,31 +583,17 @@ let exec_open_session t req : (Json.t, failure) result =
       | Json.Obj fields -> Ok (Json.Obj (fields @ [ ("created", Json.Bool created) ]))
       | other -> Ok other))
 
-(* Totalised percentiles ({!Urm_util.Stats.percentile_or_zero}): the ring
-   may legitimately have [filled = 0] — a server polled before its first
-   request, or an idle shard inside a roll-up — and must report 0 rather
-   than raise into the metrics path. *)
 let latency_summary t =
-  let lats = ring_to_list t.lat in
-  let p q = Urm_util.Stats.percentile_or_zero q lats in
-  (List.length lats, p 0.5, p 0.95, p 0.99)
+  let l = Front.latency t.front in
+  (l.Front.count, l.Front.p50, l.Front.p95, l.Front.p99)
 
 let exec_metrics t : Json.t =
-  let count, p50, p95, p99 = latency_summary t in
   let hits, misses, evictions = Cache.stats t.cache in
   let num f = Json.Num (float_of_int f) in
   Json.Obj
     [
-      ("requests", num (Metrics.value t.requests));
-      ( "latency",
-        Json.Obj
-          [
-            ("count", num count);
-            ("p50", Json.Num p50);
-            ("p95", Json.Num p95);
-            ("p99", Json.Num p99);
-            ("mean", Json.Num (Urm_util.Stats.mean (ring_to_list t.lat)));
-          ] );
+      ("requests", num (Front.requests t.front));
+      ("latency", Front.latency_json t.front);
       ( "cache",
         let selective, wholesale, removed = Cache.invalidation_stats t.cache in
         Json.Obj
@@ -719,13 +634,9 @@ let exec_metrics t : Json.t =
             (Session.list t.session_catalog)
         in
         Json.Obj [ ("hit", num hit); ("miss", num miss); ("evict", num evict) ] );
-      ( "queue",
-        Json.Obj
-          [
-            ("depth", num (Metrics.value t.depth));
-            ("rejected", num (Metrics.value t.rejected));
-          ] );
+      ("queue", Front.queue_json t.front);
       ("sessions", num (List.length (Session.list t.session_catalog)));
+      ("connections", num (Front.connections t.front));
     ]
 
 let execute t (req : Protocol.request) : (Json.t, failure) result =
@@ -757,9 +668,8 @@ let execute t (req : Protocol.request) : (Json.t, failure) result =
     Ok (Json.Obj [ ("draining", Json.Bool true) ])
   | other -> Error (`Bad ("unknown op " ^ other))
 
-(* ------------------------------------------------------------------ *)
-(* Executor pool *)
-
+(* The server's request handler; {!Front.serve}'s guard maps any other
+   escaping exception to a typed error. *)
 let reply_of t (req : Protocol.request) =
   let id = req.Protocol.id in
   match execute t req with
@@ -769,246 +679,31 @@ let reply_of t (req : Protocol.request) =
   | Error (`Conflict m) -> Protocol.error ~id ~code:"conflict" m
   | Error (`Error m) -> Protocol.error ~id ~code:"error" m
   | exception Stale_range m -> Protocol.error ~id ~code:"stale_range" m
-  | exception Failure m -> Protocol.error ~id ~code:"bad_request" m
-  | exception Invalid_argument m -> Protocol.error ~id ~code:"bad_request" m
-  | exception Not_found -> Protocol.error ~id ~code:"not_found" "not found"
-  | exception exn -> Protocol.error ~id ~code:"error" (Printexc.to_string exn)
-
-let handle t job =
-  let executed =
-    match job.work with
-    | Single req ->
-      Wire.send_reply ~id:req.Protocol.id job.jconn (reply_of t req);
-      1
-    | Batched items ->
-      let replies =
-        List.map
-          (function
-            | Ok req -> (req.Protocol.id, reply_of t req)
-            | Error pre -> (Json.Null, pre))
-          items
-      in
-      Wire.send_batch_reply job.jconn replies;
-      List.length items
-  in
-  let dt = Urm_util.Timer.now () -. job.enqueued in
-  Metrics.record t.request_timer dt;
-  Metrics.incr ~by:executed t.requests;
-  ring_add t.lat dt
-
-let worker_loop t () =
-  let rec loop () =
-    Mutex.lock t.qlock;
-    while Queue.is_empty t.queue && not t.stopping do
-      Condition.wait t.qcond t.qlock
-    done;
-    if Queue.is_empty t.queue then Mutex.unlock t.qlock (* drained, stopping *)
-    else begin
-      let job = Queue.pop t.queue in
-      Mutex.unlock t.qlock;
-      Metrics.incr ~by:(-1) t.depth;
-      handle t job;
-      loop ()
-    end
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Admission and connection readers *)
-
-(* Free admission slots right now — the credit value of [Hello_ack] and
-   [Credit] frames.  Advisory: a snapshot, not a reservation. *)
-let free_slots t =
-  Mutex.lock t.qlock;
-  let n = max 0 (t.cfg.queue_depth - Queue.length t.queue) in
-  Mutex.unlock t.qlock;
-  n
-
-let reject work conn ~code ~message =
-  let err (req : Protocol.request) =
-    Protocol.error ~id:req.Protocol.id ~code message
-  in
-  match work with
-  | Single req -> send conn (err req)
-  | Batched items ->
-    Wire.send_frame conn
-      (Frame.Batch_reply
-         (List.map (function Ok req -> err req | Error pre -> pre) items))
-
-let enqueue t conn work =
-  Mutex.lock t.qlock;
-  if t.stopping then begin
-    Mutex.unlock t.qlock;
-    reject work conn ~code:"unavailable" ~message:"server is draining"
-  end
-  else if Queue.length t.queue >= t.cfg.queue_depth then begin
-    Mutex.unlock t.qlock;
-    Metrics.incr t.rejected;
-    reject work conn ~code:"busy" ~message:"admission queue is full";
-    (* Explicit backpressure for framed clients: volunteer the current
-       credit alongside the rejection so a pipelining sender can pace
-       itself instead of spinning on [busy]. *)
-    if conn.Wire.mode = Wire.Frames then
-      Wire.send_frame conn (Frame.Credit (free_slots t))
-  end
-  else begin
-    Queue.push { jconn = conn; work; enqueued = Urm_util.Timer.now () } t.queue;
-    Condition.signal t.qcond;
-    Mutex.unlock t.qlock;
-    Metrics.incr t.depth
-  end
-
-let reader t conn =
-  let parse_item doc =
-    match Protocol.parse_request doc with
-    | Ok req -> Ok req
-    | Error msg ->
-      Error
-        (Protocol.error ~id:Json.Null ~code:"bad_request"
-           ("malformed request: " ^ msg))
-  in
-  let enqueue_doc doc =
-    match parse_item doc with
-    | Ok req -> enqueue t conn (Single req)
-    | Error pre -> send conn pre
-  in
-  (* Returns [true] to keep reading, [false] to drop the connection. *)
-  let step () =
-    match Wire.recv conn with
-    | Wire.Eof -> false
-    | Wire.Line line ->
-      if not (String.equal (String.trim line) "") then enqueue_doc line;
-      true
-    | Wire.Framed (Frame.Request doc) ->
-      enqueue_doc doc;
-      true
-    | Wire.Framed (Frame.Batch docs) ->
-      (match List.map parse_item docs with
-      | [] -> Wire.send_frame conn (Frame.Batch_reply [])
-      | items -> enqueue t conn (Batched items));
-      true
-    | Wire.Framed (Frame.Hello _) ->
-      Wire.send_frame conn (Frame.Hello_ack (free_slots t));
-      true
-    | Wire.Framed (Frame.Credit _) ->
-      Wire.send_frame conn (Frame.Credit (free_slots t));
-      true
-    | Wire.Framed
-        (Frame.Hello_ack _ | Frame.Reply _ | Frame.Batch_reply _
-        | Frame.Proto_error _) ->
-      Wire.send_frame conn
-        (Frame.Proto_error
-           ("unexpected_frame", "frame type flows server-to-client only"));
-      false
-    | Wire.Malformed err ->
-      (* Answer the malformation, then close: a corrupted binary stream
-         has no resynchronisation point. *)
-      Wire.send_frame conn
-        (Frame.Proto_error (Frame.error_code err, Frame.error_message err));
-      false
-  in
-  let rec loop () = if step () then loop () in
-  loop ();
-  Wire.teardown conn;
-  (* Drop this connection's record and our own thread handle so a
-     long-lived server accepting many short connections doesn't
-     accumulate dead entries.  Queued jobs may still reference [conn];
-     [send] checks [alive] before writing. *)
-  let self = Thread.id (Thread.self ()) in
-  Mutex.lock t.conns_lock;
-  t.conns <- List.filter (fun c -> c != conn) t.conns;
-  t.readers <- List.filter (fun th -> Thread.id th <> self) t.readers;
-  Mutex.unlock t.conns_lock
-
-let acceptor_loop t () =
-  let stopping () =
-    Mutex.lock t.qlock;
-    let s = t.stopping in
-    Mutex.unlock t.qlock;
-    s
-  in
-  let rec loop () =
-    if stopping () then ()
-    else begin
-      (* Short select timeout so a drain is noticed promptly even with no
-         incoming connections. *)
-      (match Unix.select [ t.sock ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept t.sock with
-        | fd, _ ->
-          (* Bound blocking reply writes: a stalled client whose socket
-             buffer fills must not wedge a worker domain forever — the
-             timed-out write surfaces as Sys_error in [send], which marks
-             the connection dead. *)
-          (if t.cfg.send_timeout > 0. then
-             try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.cfg.send_timeout
-             with Unix.Unix_error _ | Invalid_argument _ -> ());
-          let conn = Wire.of_fd fd in
-          Mutex.lock t.conns_lock;
-          t.conns <- conn :: t.conns;
-          t.readers <- Thread.create (reader t) conn :: t.readers;
-          Mutex.unlock t.conns_lock
-        | exception Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  loop ();
-  (try Unix.close t.sock with Unix.Unix_error _ -> ())
-
-(* ------------------------------------------------------------------ *)
 
 let start ?(metrics = Metrics.scope Metrics.global "service") (cfg : config) =
   if cfg.workers <= 0 then invalid_arg "Server.start: workers must be positive";
   if cfg.queue_depth <= 0 then invalid_arg "Server.start: queue_depth must be positive";
-  (* A write to a disconnected client must surface as EPIPE/Sys_error in
-     [send] — the default SIGPIPE action would terminate the process. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt sock Unix.SO_REUSEADDR true;
-  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-  Unix.listen sock 64;
-  let bound_port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> cfg.port
+  let front =
+    Front.listen ~metrics
+      {
+        Front.name = "server";
+        host = cfg.host;
+        port = cfg.port;
+        executors = cfg.workers;
+        executor = Front.Domains;
+        queue_depth = cfg.queue_depth;
+        send_timeout = cfg.send_timeout;
+      }
   in
   let t =
     {
       cfg;
-      sock;
-      bound_port;
+      front;
       session_catalog = Session.create_catalog ();
       cache = Cache.create ~metrics ~capacity:cfg.cache_capacity ();
-      requests = Metrics.counter metrics "requests";
-      rejected = Metrics.counter metrics "queue.rejected";
-      depth = Metrics.counter metrics "queue.depth";
-      request_timer = Metrics.timer metrics "phase.request";
-      queue = Queue.create ();
-      qlock = Mutex.create ();
-      qcond = Condition.create ();
-      stopping = false;
-      conns = [];
-      readers = [];
-      conns_lock = Mutex.create ();
-      lat = ring_create 4096;
-      workers = [||];
-      acceptor = None;
     }
   in
-  t.workers <- Array.init cfg.workers (fun _ -> Domain.spawn (worker_loop t));
-  t.acceptor <- Some (Thread.create (acceptor_loop t) ());
+  Front.serve front (reply_of t);
   t
 
-let wait t =
-  (match t.acceptor with Some th -> Thread.join th | None -> ());
-  Array.iter Domain.join t.workers;
-  Mutex.lock t.conns_lock;
-  let conns = t.conns and readers = t.readers in
-  t.conns <- [];
-  t.readers <- [];
-  Mutex.unlock t.conns_lock;
-  List.iter Wire.wake conns;
-  List.iter Thread.join readers;
-  List.iter Wire.teardown conns
+let wait t = Front.wait t.front

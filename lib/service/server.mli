@@ -1,20 +1,14 @@
 (** The concurrent query service.
 
-    A server owns a loopback TCP listening socket speaking the
-    {!Protocol} wire format — ND-JSON lines, or the binary framing of
-    {!Frame} when a connection's first byte is the frame magic (see
-    {!Wire}) — a {!Session} catalog, a {!Cache} of answers, and an
-    executor pool of OCaml domains fed by a bounded admission queue.
-    Per-connection reader threads parse requests and enqueue jobs; when
-    the queue is at [queue_depth] the request is rejected immediately
-    with a [busy] error instead of building unbounded backlog (framed
-    connections additionally receive a [Credit] frame carrying the free
-    slot count — explicit backpressure).  A [Batch] frame is admitted as
-    one job whose requests execute sequentially and are answered in one
-    [Batch_reply].  Worker domains pop jobs, evaluate them over the
-    (immutable, shared) session state, and write the reply under a
-    per-connection lock.  Malformed frames are answered with a
-    [Proto_error] frame, then the connection is closed.
+    A server owns a {!Session} catalog and a {!Cache} of answers, and
+    serves the {!Protocol} wire format through its {!Front} door: a
+    loopback listening socket speaking ND-JSON lines or the binary
+    framing of {!Frame} (see {!Wire}), a bounded admission queue with
+    [busy] rejections and [Credit] backpressure, and an executor pool of
+    [workers] OCaml domains that evaluate requests over the (immutable,
+    shared) session state.  The shard router runs its connections through
+    the same {!Front}, so the two processes share one implementation of
+    the wire behaviour.
 
     A [query] request carrying [range_lo]/[range_hi] evaluates only that
     contiguous mapping range and returns its grouped partial answer
@@ -24,12 +18,15 @@
 
     Every reply is capped at {!Frame.max_payload} bytes: a larger one is
     answered with a typed [reply_too_large] error ({!Wire.send_reply}).
+    Every reply write is bounded by [send_timeout]: a client that stops
+    reading loses its connection, not an executor.
 
-    Request latency (admission to reply, seconds) is recorded in the
-    ["service"] metrics scope as the [phase.request] timer and in a
-    sliding window from which {!latency_summary} derives p50/p95/p99.
-    Counters: [requests], [cache.{hit,miss,evict}],
-    [queue.{depth,rejected}].
+    The [metrics] op reports this server's own counts — requests, latency
+    window (p50/p95/p99/mean), cache, queue, sessions, live connections —
+    never those of another server in the same process.  Besides, request
+    latency (admission to reply, seconds) is recorded in the ["service"]
+    metrics scope as the [phase.request] timer, next to the counters
+    [requests], [cache.{hit,miss,evict}] and [queue.{depth,rejected}].
 
     Shutdown — {!stop}, or a client [shutdown] request — is a graceful
     drain: no further admissions, queued work completes and is answered,
@@ -56,8 +53,9 @@ val default_config : config
 type t
 
 (** [start ?metrics config] binds, listens and returns immediately with
-    the pool running.  [metrics] defaults to the ["service"] scope of
-    {!Urm_obs.Metrics.global}.  Ignores SIGPIPE process-wide so writes to
+    the pool running.  [metrics] (the registry scope the counters and the
+    [phase.request] timer are recorded in) defaults to the ["service"]
+    scope of {!Urm_obs.Metrics.global}.  Ignores SIGPIPE process-wide so writes to
     disconnected clients surface as I/O errors rather than killing the
     server.  Raises [Unix.Unix_error] when the port is taken. *)
 val start : ?metrics:Urm_obs.Metrics.t -> config -> t

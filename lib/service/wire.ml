@@ -6,6 +6,7 @@ type t = {
   oc : out_channel;
   wlock : Mutex.t;
   mutable alive : bool;
+  mutable closed : bool;
   mutable mode : mode;
 }
 
@@ -16,6 +17,7 @@ let of_fd fd =
     oc = Unix.out_channel_of_descr fd;
     wlock = Mutex.create ();
     alive = true;
+    closed = false;
     mode = Lines;
   }
 
@@ -49,7 +51,12 @@ let send_raw t f =
         try
           f t.oc;
           flush t.oc
-        with Sys_error _ | Unix.Unix_error _ -> t.alive <- false)
+        with Sys_error _ | Unix.Unix_error _ | Sys_blocked_io ->
+          (* [Sys_blocked_io] is a write that outlived SO_SNDTIMEO.  Either
+             way the stream may end mid-message: stop writing, and shut the
+             socket down so the reader sees end of input and tears down. *)
+          t.alive <- false;
+          (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()))
 
 (* Every reply document is bounded by one frame's payload, in either
    dialect: a larger one would make [Frame.encode] raise in the writer,
@@ -106,8 +113,11 @@ let wake t =
 
 let teardown t =
   Mutex.lock t.wlock;
-  if t.alive then begin
-    t.alive <- false;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
+  t.alive <- false;
+  if not t.closed then begin
+    t.closed <- true;
+    (* Through the channel, so a reply left half-written by a failed write
+       is dropped here and not flushed into a reused fd at exit. *)
+    close_out_noerr t.oc
   end;
   Mutex.unlock t.wlock

@@ -6,9 +6,12 @@
     unchanged while framed clients get pipelining, batching and credit.
 
     Writes are serialised by a per-connection lock and never raise: an
-    I/O failure marks the connection dead and later writes become no-ops
-    (the reply to a vanished client is discarded, not fatal).  Both
-    {!Server} and the shard router build their reader loops on {!recv}. *)
+    I/O failure — including a write that outlives the socket's send
+    timeout — marks the connection dead, shuts the socket down so its
+    reader stops, and later writes become no-ops (the reply to a vanished
+    or stalled client is discarded, not fatal).  {!Front}, the front door
+    of both {!Server} and the shard router, builds its reader loop on
+    {!recv}. *)
 
 type mode = Lines | Frames
 
@@ -17,7 +20,8 @@ type t = {
   ic : in_channel;
   oc : out_channel;
   wlock : Mutex.t;
-  mutable alive : bool;
+  mutable alive : bool;  (** writable: no write has failed, not torn down *)
+  mutable closed : bool;  (** the fd is closed *)
   mutable mode : mode;
 }
 
@@ -54,4 +58,5 @@ val wake : t -> unit
     reader then observes [Eof] and runs {!teardown}. *)
 
 val teardown : t -> unit
-(** Mark dead and close the fd.  Idempotent. *)
+(** Mark dead and close the fd — also after a failed write already marked
+    it dead.  Idempotent. *)

@@ -3,8 +3,7 @@ module Metrics = Urm_obs.Metrics
 module Protocol = Urm_service.Protocol
 module Client = Urm_service.Client
 module Server = Urm_service.Server
-module Wire = Urm_service.Wire
-module Frame = Urm_service.Frame
+module Front = Urm_service.Front
 module Partial = Urm_service.Partial
 
 type config = {
@@ -75,23 +74,9 @@ type slot = {
   slock : Mutex.t;
 }
 
-type work =
-  | Single of Protocol.request
-  | Batched of (Protocol.request, string) result list
-
-type job = { jconn : Wire.t; work : work; enqueued : float }
-
-type ring = {
-  buf : float array;
-  mutable filled : int;
-  mutable next : int;
-  rlock : Mutex.t;
-}
-
 type t = {
   cfg : config;
-  sock : Unix.file_descr;
-  bound_port : int;
+  front : Front.t;
   slots : slot array;
   sessions : (string, sess) Hashtbl.t;
   sess_lock : Mutex.t;  (** guards [sessions] *)
@@ -99,23 +84,11 @@ type t = {
       (** serialises session-state changes (open/close/mutate) and worker
           respawns, so a replay always sees a consistent log.  Lock order:
           [admin_lock] before any [slot.slock]; never the reverse. *)
-  queue : job Queue.t;
-  qlock : Mutex.t;
-  qcond : Condition.t;
-  mutable stopping : bool;
-  mutable conns : Wire.t list;
-  mutable readers : Thread.t list;
-  conns_lock : Mutex.t;
-  lat : ring;
-  requests : int Atomic.t;
-  rejected : int Atomic.t;
   restarts_n : int Atomic.t;
-  mutable forwarder_threads : Thread.t array;
-  mutable acceptor : Thread.t option;
   mutable health : Thread.t option;
 }
 
-let port t = t.bound_port
+let port t = Front.port t.front
 let restarts t = Atomic.get t.restarts_n
 
 let worker_pids t =
@@ -126,38 +99,8 @@ let worker_pids t =
          Mutex.unlock slot.slock;
          p)
 
-let is_stopping t =
-  Mutex.lock t.qlock;
-  let s = t.stopping in
-  Mutex.unlock t.qlock;
-  s
-
-let stop t =
-  Mutex.lock t.qlock;
-  if not t.stopping then begin
-    t.stopping <- true;
-    Condition.broadcast t.qcond
-  end;
-  Mutex.unlock t.qlock
-
-(* ------------------------------------------------------------------ *)
-(* Latency ring (same discipline as the server's) *)
-
-let ring_create n =
-  { buf = Array.make n 0.; filled = 0; next = 0; rlock = Mutex.create () }
-
-let ring_add r x =
-  Mutex.lock r.rlock;
-  r.buf.(r.next) <- x;
-  r.next <- (r.next + 1) mod Array.length r.buf;
-  r.filled <- min (r.filled + 1) (Array.length r.buf);
-  Mutex.unlock r.rlock
-
-let ring_to_list r =
-  Mutex.lock r.rlock;
-  let out = List.init r.filled (fun i -> r.buf.(i)) in
-  Mutex.unlock r.rlock;
-  out
+let is_stopping t = Front.stopping t.front
+let stop t = Front.stop t.front
 
 (* ------------------------------------------------------------------ *)
 (* Worker calls *)
@@ -167,12 +110,8 @@ let connect_worker (p : Launcher.proc) =
 
 (* One call to a worker; a transport failure closes the slot's client so
    the next caller (or the health thread) triggers a respawn. *)
-let slot_call t slot ~op params =
-  ignore t;
-  Mutex.lock slot.slock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock slot.slock)
-    (fun () ->
+let slot_call slot ~op params =
+  Mutex.protect slot.slock (fun () ->
       let client =
         match slot.cl with
         | Some c -> Ok c
@@ -232,10 +171,7 @@ let replay t c =
 (* Caller holds [admin_lock].  No-op when the slot is already healthy
    (a concurrent retry or the health thread beat us to it). *)
 let respawn_slot t slot =
-  Mutex.lock slot.slock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock slot.slock)
-    (fun () ->
+  Mutex.protect slot.slock (fun () ->
       let healthy =
         Option.is_some slot.cl
         && (match slot.proc with Some p -> Launcher.alive p | None -> false)
@@ -274,22 +210,19 @@ let respawn_slot t slot =
     end)
 
 let ensure_worker t slot =
-  Mutex.lock t.admin_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.admin_lock)
-    (fun () -> respawn_slot t slot)
+  Mutex.protect t.admin_lock (fun () -> respawn_slot t slot)
 
 (* The client-facing discipline: one transparent retry against a freshly
    respawned worker, then a typed [shard_unavailable].  [respawn]
    abstracts over whether the caller already holds [admin_lock]. *)
 let call_retrying ~respawn t slot ~op params =
-  match slot_call t slot ~op params with
+  match slot_call slot ~op params with
   | Error ("transport", m) -> (
     match respawn t slot with
     | Error m2 ->
       Error ("shard_unavailable", Printf.sprintf "shard %d: %s (%s)" slot.index m m2)
     | Ok () -> (
-      match slot_call t slot ~op params with
+      match slot_call slot ~op params with
       | Error ("transport", m2) ->
         Error ("shard_unavailable", Printf.sprintf "shard %d: %s" slot.index m2)
       | r -> r))
@@ -354,10 +287,7 @@ let broadcast_rest t ~home ~op params =
 let exec_open t (req : Protocol.request) =
   let id = req.Protocol.id in
   let params = params_of req in
-  Mutex.lock t.admin_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.admin_lock)
-    (fun () ->
+  Mutex.protect t.admin_lock (fun () ->
       let home = route_slot t req in
       match call_admin t home ~op:"open-session" params with
       | Error (code, m) -> Protocol.error ~id ~code m
@@ -380,10 +310,7 @@ let exec_open t (req : Protocol.request) =
 let exec_close t (req : Protocol.request) =
   let id = req.Protocol.id in
   let params = params_of req in
-  Mutex.lock t.admin_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.admin_lock)
-    (fun () ->
+  Mutex.protect t.admin_lock (fun () ->
       let home = route_slot t req in
       match call_admin t home ~op:"close-session" params with
       | Error (code, m) -> Protocol.error ~id ~code m
@@ -417,10 +344,7 @@ let refresh_h t home (s : sess) =
 let exec_mutate t (req : Protocol.request) =
   let id = req.Protocol.id in
   let params = params_of req in
-  Mutex.lock t.admin_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.admin_lock)
-    (fun () ->
+  Mutex.protect t.admin_lock (fun () ->
       let home = route_slot t req in
       let sess =
         match Protocol.str_param req "session" with
@@ -510,10 +434,8 @@ let fan_out t (s : sess) (req : Protocol.request) ~alg ~slot_params =
         results
     in
     if stale then begin
-      Mutex.lock t.admin_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.admin_lock)
-        (fun () -> refresh_h t (t.slots.(Hash.owner ~shards s.sfp)) s);
+      Mutex.protect t.admin_lock (fun () ->
+          refresh_h t t.slots.(Hash.owner ~shards s.sfp) s);
       attempt s.sh
     end
     else results
@@ -608,39 +530,24 @@ let exec_query t (req : Protocol.request) =
 
 let exec_metrics t =
   let shard_replies =
-    Array.map (fun slot -> slot_call t slot ~op:"metrics" []) t.slots
+    Array.map (fun slot -> slot_call slot ~op:"metrics" []) t.slots
   in
   let num f = Json.Num (float_of_int f) in
-  let lats = ring_to_list t.lat in
-  let p q = Urm_util.Stats.percentile_or_zero q lats in
   Mutex.lock t.sess_lock;
   let n_sessions = Hashtbl.length t.sessions in
   Mutex.unlock t.sess_lock;
-  Mutex.lock t.qlock;
-  let depth = Queue.length t.queue in
-  Mutex.unlock t.qlock;
   Json.Obj
     [
       ( "router",
         Json.Obj
           [
             ("shards", num (Array.length t.slots));
-            ("requests", num (Atomic.get t.requests));
+            ("requests", num (Front.requests t.front));
             ("restarts", num (Atomic.get t.restarts_n));
-            ( "latency",
-              Json.Obj
-                [
-                  ("count", num (List.length lats));
-                  ("p50", Json.Num (p 0.5));
-                  ("p95", Json.Num (p 0.95));
-                  ("p99", Json.Num (p 0.99));
-                  ("mean", Json.Num (Urm_util.Stats.mean lats));
-                ] );
-            ( "queue",
-              Json.Obj
-                [ ("depth", num depth); ("rejected", num (Atomic.get t.rejected)) ]
-            );
+            ("latency", Front.latency_json t.front);
+            ("queue", Front.queue_json t.front);
             ("sessions", num n_sessions);
+            ("connections", num (Front.connections t.front));
           ] );
       ( "shards",
         Json.Arr
@@ -661,189 +568,26 @@ let exec_metrics t =
     ]
 
 let exec_shutdown t =
-  Array.iter (fun slot -> ignore (slot_call t slot ~op:"shutdown" [])) t.slots;
+  Array.iter (fun slot -> ignore (slot_call slot ~op:"shutdown" [])) t.slots;
   stop t;
   Json.Obj [ ("draining", Json.Bool true) ]
 
-(* The guard mirrors {!Urm_service.Server.reply_of}: forwarder threads
-   are never respawned, so an exception escaping any branch — not just
-   "query" — would permanently shrink the pool and silently drop the
-   client's reply.  Every op must reduce to a typed reply. *)
+(* The router's request handler; {!Front.serve}'s guard turns any
+   escaping exception into a typed error reply. *)
 let execute t (req : Protocol.request) : string =
   let id = req.Protocol.id in
-  match
-    match req.Protocol.op with
-    | "ping" -> Protocol.ok ~id (Json.Obj [ ("pong", Json.Bool true) ])
-    | "metrics" -> Protocol.ok ~id (exec_metrics t)
-    | "shutdown" -> Protocol.ok ~id (exec_shutdown t)
-    | "open-session" -> exec_open t req
-    | "close-session" -> exec_close t req
-    | "mutate" -> exec_mutate t req
-    | "query" -> exec_query t req
-    | _other ->
-      (* sessions, topk, threshold, approx, unknown ops: whole-request
-         forwarding keeps replies byte-identical to a single process. *)
-      forward t (route_slot t req) req
-  with
-  | reply -> reply
-  | exception Failure m -> Protocol.error ~id ~code:"bad_request" m
-  | exception Invalid_argument m -> Protocol.error ~id ~code:"bad_request" m
-  | exception Not_found -> Protocol.error ~id ~code:"not_found" "not found"
-  | exception exn -> Protocol.error ~id ~code:"error" (Printexc.to_string exn)
-
-(* ------------------------------------------------------------------ *)
-(* Front door: admission, forwarder pool, acceptor — the same loop
-   shapes as {!Urm_service.Server}, over forwarder threads instead of
-   evaluation domains (router work is I/O-bound). *)
-
-let handle t job =
-  let executed =
-    match job.work with
-    | Single req ->
-      Wire.send_reply ~id:req.Protocol.id job.jconn (execute t req);
-      1
-    | Batched items ->
-      let replies =
-        List.map
-          (function
-            | Ok req -> (req.Protocol.id, execute t req)
-            | Error pre -> (Json.Null, pre))
-          items
-      in
-      Wire.send_batch_reply job.jconn replies;
-      List.length items
-  in
-  ignore (Atomic.fetch_and_add t.requests executed);
-  ring_add t.lat (Urm_util.Timer.now () -. job.enqueued)
-
-let forwarder_loop t () =
-  let rec loop () =
-    Mutex.lock t.qlock;
-    while Queue.is_empty t.queue && not t.stopping do
-      Condition.wait t.qcond t.qlock
-    done;
-    if Queue.is_empty t.queue then Mutex.unlock t.qlock
-    else begin
-      let job = Queue.pop t.queue in
-      Mutex.unlock t.qlock;
-      handle t job;
-      loop ()
-    end
-  in
-  loop ()
-
-let free_slots t =
-  Mutex.lock t.qlock;
-  let n = max 0 (t.cfg.queue_depth - Queue.length t.queue) in
-  Mutex.unlock t.qlock;
-  n
-
-let reject work conn ~code ~message =
-  let err (req : Protocol.request) =
-    Protocol.error ~id:req.Protocol.id ~code message
-  in
-  match work with
-  | Single req -> Wire.send_reply conn (err req)
-  | Batched items ->
-    Wire.send_frame conn
-      (Frame.Batch_reply
-         (List.map (function Ok req -> err req | Error pre -> pre) items))
-
-let enqueue t conn work =
-  Mutex.lock t.qlock;
-  if t.stopping then begin
-    Mutex.unlock t.qlock;
-    reject work conn ~code:"unavailable" ~message:"router is draining"
-  end
-  else if Queue.length t.queue >= t.cfg.queue_depth then begin
-    Mutex.unlock t.qlock;
-    Atomic.incr t.rejected;
-    reject work conn ~code:"busy" ~message:"admission queue is full";
-    if conn.Wire.mode = Wire.Frames then
-      Wire.send_frame conn (Frame.Credit (free_slots t))
-  end
-  else begin
-    Queue.push { jconn = conn; work; enqueued = Urm_util.Timer.now () } t.queue;
-    Condition.signal t.qcond;
-    Mutex.unlock t.qlock
-  end
-
-let reader t conn =
-  let parse_item doc =
-    match Protocol.parse_request doc with
-    | Ok req -> Ok req
-    | Error msg ->
-      Error
-        (Protocol.error ~id:Json.Null ~code:"bad_request"
-           ("malformed request: " ^ msg))
-  in
-  let enqueue_doc doc =
-    match parse_item doc with
-    | Ok req -> enqueue t conn (Single req)
-    | Error pre -> Wire.send_reply conn pre
-  in
-  let step () =
-    match Wire.recv conn with
-    | Wire.Eof -> false
-    | Wire.Line line ->
-      if not (String.equal (String.trim line) "") then enqueue_doc line;
-      true
-    | Wire.Framed (Frame.Request doc) ->
-      enqueue_doc doc;
-      true
-    | Wire.Framed (Frame.Batch docs) ->
-      (match List.map parse_item docs with
-      | [] -> Wire.send_frame conn (Frame.Batch_reply [])
-      | items -> enqueue t conn (Batched items));
-      true
-    | Wire.Framed (Frame.Hello _) ->
-      Wire.send_frame conn (Frame.Hello_ack (free_slots t));
-      true
-    | Wire.Framed (Frame.Credit _) ->
-      Wire.send_frame conn (Frame.Credit (free_slots t));
-      true
-    | Wire.Framed
-        (Frame.Hello_ack _ | Frame.Reply _ | Frame.Batch_reply _
-        | Frame.Proto_error _) ->
-      Wire.send_frame conn
-        (Frame.Proto_error
-           ("unexpected_frame", "frame type flows server-to-client only"));
-      false
-    | Wire.Malformed err ->
-      Wire.send_frame conn
-        (Frame.Proto_error (Frame.error_code err, Frame.error_message err));
-      false
-  in
-  let rec loop () = if step () then loop () in
-  loop ();
-  Wire.teardown conn;
-  let self = Thread.id (Thread.self ()) in
-  Mutex.lock t.conns_lock;
-  t.conns <- List.filter (fun c -> c != conn) t.conns;
-  t.readers <- List.filter (fun th -> Thread.id th <> self) t.readers;
-  Mutex.unlock t.conns_lock
-
-let acceptor_loop t () =
-  let rec loop () =
-    if is_stopping t then ()
-    else begin
-      (match Unix.select [ t.sock ] [] [] 0.2 with
-      | [], _, _ -> ()
-      | _ :: _, _, _ -> (
-        match Unix.accept t.sock with
-        | fd, _ ->
-          let conn = Wire.of_fd fd in
-          Mutex.lock t.conns_lock;
-          t.conns <- conn :: t.conns;
-          t.readers <- Thread.create (reader t) conn :: t.readers;
-          Mutex.unlock t.conns_lock
-        | exception Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      loop ()
-    end
-  in
-  loop ();
-  try Unix.close t.sock with Unix.Unix_error _ -> ()
+  match req.Protocol.op with
+  | "ping" -> Protocol.ok ~id (Json.Obj [ ("pong", Json.Bool true) ])
+  | "metrics" -> Protocol.ok ~id (exec_metrics t)
+  | "shutdown" -> Protocol.ok ~id (exec_shutdown t)
+  | "open-session" -> exec_open t req
+  | "close-session" -> exec_close t req
+  | "mutate" -> exec_mutate t req
+  | "query" -> exec_query t req
+  | _other ->
+    (* sessions, topk, threshold, approx, unknown ops: whole-request
+       forwarding keeps replies byte-identical to a single process. *)
+    forward t (route_slot t req) req
 
 (* Reap crashed workers promptly and (optionally) respawn them before
    the next request has to pay for it. *)
@@ -883,7 +627,6 @@ let start (cfg : config) =
   if cfg.shards <= 0 then invalid_arg "Router.start: shards must be positive";
   if cfg.forwarders <= 0 then
     invalid_arg "Router.start: forwarders must be positive";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* Spawn the fleet before binding: a failed spawn aborts cleanly. *)
   let procs = Array.make cfg.shards None in
   let failure = ref None in
@@ -902,22 +645,23 @@ let start (cfg : config) =
     Error m
   | None -> (
     match
-      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock
-        (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-      Unix.listen sock 64;
-      sock
+      (* Router work is I/O-bound: forwarder threads, not domains.  Reply
+         writes are bounded like the server's, by its default timeout. *)
+      Front.listen
+        {
+          Front.name = "router";
+          host = cfg.host;
+          port = cfg.port;
+          executors = cfg.forwarders;
+          executor = Front.Threads;
+          queue_depth = cfg.queue_depth;
+          send_timeout = Server.default_config.Server.send_timeout;
+        }
     with
     | exception Unix.Unix_error (e, _, _) ->
       Array.iter (function Some p -> Launcher.kill p | None -> ()) procs;
       Error (Unix.error_message e)
-    | sock ->
-      let bound_port =
-        match Unix.getsockname sock with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> cfg.port
-      in
+    | front ->
       let slots =
         Array.init cfg.shards (fun i ->
             {
@@ -933,37 +677,21 @@ let start (cfg : config) =
       let t =
         {
           cfg;
-          sock;
-          bound_port;
+          front;
           slots;
           sessions = Hashtbl.create 16;
           sess_lock = Mutex.create ();
           admin_lock = Mutex.create ();
-          queue = Queue.create ();
-          qlock = Mutex.create ();
-          qcond = Condition.create ();
-          stopping = false;
-          conns = [];
-          readers = [];
-          conns_lock = Mutex.create ();
-          lat = ring_create 4096;
-          requests = Atomic.make 0;
-          rejected = Atomic.make 0;
           restarts_n = Atomic.make 0;
-          forwarder_threads = [||];
-          acceptor = None;
           health = None;
         }
       in
-      t.forwarder_threads <-
-        Array.init cfg.forwarders (fun _ -> Thread.create (forwarder_loop t) ());
-      t.acceptor <- Some (Thread.create (acceptor_loop t) ());
+      Front.serve front (execute t);
       t.health <- Some (Thread.create (health_loop t) ());
       Ok t)
 
 let wait t =
-  (match t.acceptor with Some th -> Thread.join th | None -> ());
-  Array.iter Thread.join t.forwarder_threads;
+  Front.wait t.front;
   (match t.health with Some th -> Thread.join th | None -> ());
   (* Drain and reap the fleet (idempotent when a wire shutdown already
      did it — the workers are then gone and the calls fail silently). *)
@@ -982,12 +710,4 @@ let wait t =
         slot.proc <- None
       | None -> ());
       Mutex.unlock slot.slock)
-    t.slots;
-  Mutex.lock t.conns_lock;
-  let conns = t.conns and readers = t.readers in
-  t.conns <- [];
-  t.readers <- [];
-  Mutex.unlock t.conns_lock;
-  List.iter Wire.wake conns;
-  List.iter Thread.join readers;
-  List.iter Wire.teardown conns
+    t.slots

@@ -33,9 +33,14 @@
     commit reply — before the broadcast, so a worker that died
     mid-broadcast replays the batch it missed.
 
-    The router's own wire behaviour matches the server's: ND-JSON or
-    binary frames by first-byte sniffing, batch frames, credit
-    backpressure, proto-error-then-close on malformed frames. *)
+    The router and the server share one front door
+    ({!Urm_service.Front}): ND-JSON or binary frames by first-byte
+    sniffing, batch frames, credit backpressure, proto-error-then-close
+    on malformed frames, reply writes bounded by the server's default
+    send timeout (10 s), and per-instance counts in [metrics] (the
+    ["router"] object, including live ["connections"]).  Its executors
+    are [forwarders] threads rather than domains: router work is
+    I/O-bound. *)
 
 type config = {
   host : string;

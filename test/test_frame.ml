@@ -1,14 +1,15 @@
 (* The binary frame protocol: qcheck encode/decode round-trips for every
    frame type, hand-built adversarial headers for every error path, and a
-   live-server fuzz — 1000 adversarial byte strings thrown at a running
-   service, which must answer each malformed frame with a [Proto_error]
-   (where the connection is still writable), never crash, and tear every
-   connection down. *)
+   live fuzz — 1000 adversarial byte strings thrown at a running server
+   and at a one-shard router, which must answer each malformed frame with
+   a [Proto_error] (where the connection is still writable), never crash,
+   and tear every connection down. *)
 
 module Json = Urm_util.Json
 module Frame = Urm_service.Frame
 module Server = Urm_service.Server
 module Client = Urm_service.Client
+module Router = Urm_shard.Router
 
 (* ------------------------------------------------------------------ *)
 (* Frame crafting: a private re-implementation of the header encoder so
@@ -279,13 +280,10 @@ let adversarial_gen =
        return (String.make 1 Frame.magic ^ junk));
     ]
 
-let test_server_survives_fuzz () =
-  let server =
-    Server.start
-      { Server.default_config with port = 0; workers = 2; queue_depth = 16 }
-  in
-  let port = Server.port server in
-  let baseline = Server.connection_count server in
+(* The fuzz body, against any front door on [port]; [connections] reads
+   its live connection count for the leak check. *)
+let survives_fuzz ~port ~connections =
+  let baseline = connections () in
   let rand = Random.State.make [| 0xF5AE; 9 |] in
   let n = 1000 in
   let got_proto_error = ref 0 and got_reply = ref 0 in
@@ -349,19 +347,53 @@ let test_server_survives_fuzz () =
   (* ... and must not leak a single fuzz connection. *)
   let deadline = Unix.gettimeofday () +. 10. in
   let rec settle () =
-    if Server.connection_count server <= baseline then ()
+    let live = connections () in
+    if live <= baseline then ()
     else if Unix.gettimeofday () > deadline then
-      Alcotest.failf "leaked connections: %d live, baseline %d"
-        (Server.connection_count server)
-        baseline
+      Alcotest.failf "leaked connections: %d live, baseline %d" live baseline
     else begin
       Thread.delay 0.05;
       settle ()
     end
   in
-  settle ();
+  settle ()
+
+let test_server_survives_fuzz () =
+  let server =
+    Server.start
+      { Server.default_config with port = 0; workers = 2; queue_depth = 16 }
+  in
+  survives_fuzz ~port:(Server.port server) ~connections:(fun () ->
+      Server.connection_count server);
   Server.stop server;
   Server.wait server
+
+(* The router shares the server's front door; it reports its live
+   connections in [metrics] (the probe's own connection included, in the
+   baseline as in every later reading). *)
+let test_router_survives_fuzz () =
+  match Router.start { Router.default_config with port = 0; shards = 1 } with
+  | Error m -> Alcotest.fail m
+  | Ok router ->
+    let port = Router.port router in
+    let connections () =
+      let c = Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          match Client.call c ~op:"metrics" [] with
+          | Ok m -> (
+            match Json.member "router" m with
+            | Some r -> (
+              match Json.member "connections" r with
+              | Some (Json.Num n) -> int_of_float n
+              | _ -> Alcotest.fail "router metrics lack \"connections\"")
+            | None -> Alcotest.fail "metrics lack \"router\"")
+          | Error (code, m) -> Alcotest.failf "metrics: %s: %s" code m)
+    in
+    survives_fuzz ~port ~connections;
+    Router.stop router;
+    Router.wait router
 
 (* ------------------------------------------------------------------ *)
 
@@ -446,4 +478,6 @@ let suite =
       test_server_survives_fuzz;
     Alcotest.test_case "over-cap replies are typed errors" `Quick
       test_reply_too_large;
+    Alcotest.test_case "live router survives 1000 adversarial frames" `Slow
+      test_router_survives_fuzz;
   ]

@@ -25,5 +25,6 @@ let () =
       ("anytime", Test_anytime.suite);
       ("incr", Test_incr.suite);
       ("frame", Test_frame.suite);
+      ("front", Test_front.suite);
       ("shard", Test_shard.suite);
     ]
