@@ -654,8 +654,8 @@ let serve_cmd =
           ~doc:
             "Run as a shard router over this many spawned worker processes \
              (0 = single-process service).  Session state is replicated to \
-             every worker; basic-algorithm queries fan out over mapping \
-             ranges and merge bit-identically.")
+             every worker; basic, e-basic, e-mqo and q-sharing queries fan \
+             out over unit slots and merge bit-identically.")
   in
   let workers_t =
     Arg.(

@@ -1,6 +1,7 @@
 (** Grouped partial answers: the wire form in which a worker returns the
-    per-unit answers of one fan-out range (basic: one unit per mapping) or
-    slot (e-basic, e-MQO, q-sharing: one unit per distinct e-unit), and the
+    per-unit answers of one fan-out slot (a contiguous chunk of the unit
+    list: one unit per mapping for basic, per representative for
+    q-sharing, per distinct e-unit for e-basic and e-MQO), and the
     router's merge of them.
 
     {v
@@ -9,14 +10,14 @@
      "groups": [{"parts": [[i, p], …], "tuples": [[v, …], …]}, …]}
     v}
 
-    Each tuple of the range appears once.  Its {e signature} is the
-    ascending list of [(unit index, probability)] additions the range's
+    Each tuple of the slot appears once.  Its {e signature} is the
+    ascending list of [(unit index, probability)] additions the slot's
     units make to its bucket; tuples with bit-identical signatures share a
     group.  On Q4 every mapping yields the same tuples with its own
-    probability, so a range is one group, and the reply is O(answers)
+    probability, so a basic slot is one group, and the reply is O(answers)
     rather than O(units × answers).
 
-    Bit-identity: merging replies in ascending range order, and within a
+    Bit-identity: merging replies in ascending slot order, and within a
     group applying the parts in order to each tuple ({!Urm.Answer.add_id}
     then {!Urm.Answer.bump}), gives every bucket exactly the sequence of
     float additions a single process makes — unit by unit, ascending — so
@@ -39,5 +40,5 @@ val encode :
 val merge : Urm_util.Json.t list -> Urm.Answer.t
 (** [merge replies] the answer over the first reply's output, with every
     reply's groups and then θ parts applied, replies taken in the given
-    (ascending range/slot) order.  Raises [Failure] on an empty list, a
+    (ascending slot) order.  Raises [Failure] on an empty list, a
     malformed reply, or parts that are not in ascending unit order. *)

@@ -46,7 +46,8 @@ val ok : id:Json.t -> Json.t -> string
 (** [error ~id ~code message] — codes in use: [bad_request], [busy],
     [not_found], [conflict], [unavailable], [error], [reply_too_large]
     when a reply would exceed one frame's payload, [stale_range] (a
-    fan-out request behind a mutate), and (from the shard router)
+    fan-out slot whose [expect_h] differs from the live mapping count — a
+    mutate raced the fan-out), and (from the shard router)
     [shard_unavailable] when a worker process died and its replacement
     was not ready in time. *)
 val error : id:Json.t -> code:string -> string -> string

@@ -40,11 +40,11 @@ let stop t = Front.stop t.front
 type failure =
   [ `Bad of string | `Not_found of string | `Conflict of string | `Error of string ]
 
-(* Raised inside a snapshot compute when a partial-range query's bounds
-   fall outside the snapshot's mapping set — the caller's cached mapping
-   count is behind a concurrent mutate.  {!reply_of} surfaces it as the
-   typed "stale_range" error code so the shard router can refresh and
-   retry without parsing message text. *)
+(* Raised inside a snapshot compute when a fan-out slot's [expect_h]
+   differs from the snapshot's mapping count — the caller's cached mapping
+   count is out of step with a concurrent mutate.  {!reply_of} surfaces it
+   as the typed "stale_range" error code so the shard router can refresh
+   and retry without parsing message text. *)
 exception Stale_range of string
 
 let algorithm_of_string = function
@@ -143,55 +143,23 @@ let unit_partials ctx q ~lo units =
 
 let slice lo hi l = List.filteri (fun i _ -> lo <= i && i < hi) l
 
-(* Partial evaluation over a contiguous mapping range [lo, hi): the shard
-   router's fan-out unit for the [basic] algorithm, whose units are one
-   singleton per mapping. *)
-let exec_query_partial t session q ~alg_name ~lo ~hi : (Json.t, failure) result =
-  if not (String.equal alg_name "basic") then
-    Error (`Bad "partial range evaluation supports only algorithm \"basic\"")
-  else if lo < 0 || hi < lo then
-    Error (`Bad "\"range_lo\"/\"range_hi\" must satisfy 0 <= lo <= hi")
-  else
-    let variant = Printf.sprintf "partial:%d:%d" lo hi in
-    Ok
-      (cached_eval t session q ~algorithm:alg_name ~variant (fun snap ->
-           let ctx = snap.Urm_incr.Vcatalog.ctx
-           and mappings = snap.Urm_incr.Vcatalog.mappings in
-           let n = List.length mappings in
-           if hi > n then
-             raise
-               (Stale_range
-                  (Printf.sprintf "range [%d, %d) outside the %d mappings" lo hi n));
-           let units = Urm.Factorized.singleton_units ctx q (slice lo hi mappings) in
-           Json.Obj
-             ([
-                ("query", Json.Str (Urm.Query.to_string q));
-                ("algorithm", Json.Str "basic");
-                ( "range",
-                  Json.Obj
-                    [
-                      ("lo", Json.Num (float_of_int lo));
-                      ("hi", Json.Num (float_of_int hi));
-                    ] );
-              ]
-             @ unit_partials ctx q ~lo units)))
-
-(* Partial evaluation of the sharing algorithms: the shard router fans the
-   distinct e-unit list instead of the mapping range.  Every worker holds
-   every session, so each worker derives the same unit list deterministically
-   and evaluates its contiguous chunk [slot·n/slots, (slot+1)·n/slots).
-   [expect_h] is the router's cached mapping count — a mismatch means a
-   mutate raced the fan-out and surfaces as the typed [stale_range] error,
-   same refresh-and-retry discipline as the basic range fan-out. *)
-let unit_fan_algorithms = [ "e-basic"; "e-mqo"; "q-sharing" ]
+(* Partial evaluation for the shard router's fan-out.  Every worker holds
+   every session, so each worker derives the same unit list
+   deterministically — one singleton per mapping for [basic], one per
+   representative for q-sharing, the weighted distinct e-units for e-basic
+   and e-MQO — and evaluates its contiguous chunk
+   [slot·n/slots, (slot+1)·n/slots).  [expect_h] is the router's cached
+   mapping count: a mismatch means a mutate raced the fan-out and surfaces
+   as the typed [stale_range] error, so the router refreshes and retries. *)
+let unit_fan_algorithms = [ "basic"; "e-basic"; "e-mqo"; "q-sharing" ]
 
 let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
     (Json.t, failure) result =
   if not (List.mem alg_name unit_fan_algorithms) then
     Error
       (`Bad
-        "e-unit slot evaluation supports only algorithms \"e-basic\", \
-         \"e-mqo\" and \"q-sharing\"")
+        ("slot evaluation supports only algorithms "
+        ^ String.concat ", " unit_fan_algorithms))
   else if slots <= 0 || slot < 0 || slot >= slots then
     Error (`Bad "\"slot\"/\"slots\" must satisfy 0 <= slot < slots")
   else
@@ -208,6 +176,7 @@ let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
                      expect_h h));
            let units =
              match alg_name with
+             | "basic" -> Urm.Factorized.singleton_units ctx q mappings
              | "q-sharing" ->
                Urm.Factorized.singleton_units ctx q
                  (Urm.Qsharing.representatives ctx q mappings)
@@ -240,24 +209,15 @@ let exec_query t req : (Json.t, failure) result =
         Option.value ~default:"o-sharing" (Protocol.str_param req "algorithm")
       in
       let limit = answers_limit req in
-      match
-        ( Protocol.int_param req "range_lo",
-          Protocol.int_param req "range_hi",
-          Protocol.int_param req "slot",
-          Protocol.int_param req "slots" )
-      with
-      | _, _, Some slot, Some slots ->
+      match (Protocol.int_param req "slot", Protocol.int_param req "slots") with
+      | Some slot, Some slots ->
         let expect_h =
           Option.value ~default:(-1) (Protocol.int_param req "expect_h")
         in
         exec_query_units t session q ~alg_name ~slot ~slots ~expect_h
-      | _, _, Some _, None | _, _, None, Some _ ->
+      | Some _, None | None, Some _ ->
         Error (`Bad "give both \"slot\" and \"slots\", or neither")
-      | Some lo, Some hi, None, None ->
-        exec_query_partial t session q ~alg_name ~lo ~hi
-      | Some _, None, None, None | None, Some _, None, None ->
-        Error (`Bad "give both \"range_lo\" and \"range_hi\", or neither")
-      | None, None, None, None ->
+      | None, None ->
       if String.equal alg_name "incr" then
         (* The maintained answer: built on first use, patched forward by
            delta evaluation on every later one.  Always fresh at the

@@ -10,11 +10,10 @@
     the same {!Front}, so the two processes share one implementation of
     the wire behaviour.
 
-    A [query] request carrying [range_lo]/[range_hi] evaluates only that
-    contiguous mapping range and returns its grouped partial answer
-    ({!Partial}; algorithm [basic] only); one carrying [slot]/[slots] does
-    the same over a chunk of the e-unit list ({!unit_fan_algorithms}) —
-    the shard router's fan-out units; see lib/shard.
+    A [query] request carrying [slot]/[slots] evaluates only that
+    contiguous chunk of its algorithm's unit list and returns its grouped
+    partial answer ({!Partial}; algorithms {!unit_fan_algorithms} only) —
+    the shard router's one fan-out unit; see lib/shard.
 
     Every reply is capped at {!Frame.max_payload} bytes: a larger one is
     answered with a typed [reply_too_large] error ({!Wire.send_reply}).
@@ -73,9 +72,10 @@ val sessions : t -> Session.catalog
 val answers_json : Urm.Answer.t -> int -> Urm_util.Json.t
 
 (** The algorithms whose [query] requests accept [slot]/[slots]/[expect_h]
-    and evaluate one contiguous chunk of their e-unit list — the shard
-    router fans these over e-unit slots ([basic] fans over mapping ranges
-    instead). *)
+    and evaluate one contiguous chunk of their unit list — one singleton
+    unit per mapping for [basic], the e-units for the sharing algorithms.
+    The shard router fans exactly these out; [expect_h] differing from
+    the live mapping count is a typed [stale_range] error. *)
 val unit_fan_algorithms : string list
 
 (** Begin graceful drain; returns immediately. Idempotent. *)

@@ -4,11 +4,8 @@
     their fingerprint — every router instance computes the same owner
     from the key and the shard count alone, no coordination state, and
     changing the shard count moves only the minimal number of sessions.
-    Within a session, [basic] query evaluation fans out over contiguous
-    mapping ranges, one per shard, so the router can replay each tuple's
-    per-mapping additions in ascending order ({!Urm_service.Partial}) —
-    the sequential run's order of float additions, which a regrouped
-    (e.g. per-range) sum would not reproduce bit for bit. *)
+    Placement picks only the home shard: within a session, the router's
+    fan-out splits the unit list by slot on the workers, not here. *)
 
 val owner : shards:int -> string -> int
 (** [owner ~shards key] ∈ [\[0, shards)], stable across processes
@@ -18,4 +15,7 @@ val owner : shards:int -> string -> int
 val ranges : shards:int -> h:int -> (int * int) array
 (** [ranges ~shards ~h] contiguous [\[lo, hi)] mapping ranges covering
     [0..h-1], one per shard, sizes differing by at most one.  Empty
-    ranges appear when [h < shards]. *)
+    ranges appear when [h < shards].  Not on the routing path: range i
+    equals the chunk a worker evaluates for [basic] slot i of [shards]
+    (one unit per mapping), and it is kept for the benchmark's
+    partial-request probe. *)

@@ -35,7 +35,7 @@ let default_config =
    batches (ids assigned, rows coerced) so a replay does not depend on
    re-running mutation resolution, and it is kept newest-first so a
    commit is an O(1) cons; {!replay} reverses it.  [sh] is the current
-   mapping count (the fan-out range bound), refreshed after mapping-set
+   mapping count (the fan-out's [expect_h]), refreshed after mapping-set
    mutations. *)
 type sess = {
   sname : string;
@@ -383,27 +383,27 @@ let exec_mutate t (req : Protocol.request) =
         Protocol.ok ~id result)
 
 (* ------------------------------------------------------------------ *)
-(* The basic-algorithm fan-out *)
+(* The fan-out *)
 
 let answers_limit req =
   Option.value ~default:20 (Protocol.int_param req "answers")
 
-(* The shared fan-out core: [slot_params ~shards ~h] builds, per attempt,
-   the function giving each slot its extra request parameters ([None] for
-   a slot with nothing to do).  The basic algorithm fans contiguous
-   mapping ranges; the sharing algorithms fan e-unit slots (the worker
-   derives the distinct-unit list itself — every worker holds every
-   session — and evaluates its contiguous chunk). *)
-let fan_out t (s : sess) (req : Protocol.request) ~alg ~slot_params =
+(* Every algorithm in {!Server.unit_fan_algorithms} fans out the same way:
+   slot i of [shards] evaluates its contiguous chunk of the algorithm's
+   unit list (the worker derives the list itself — every worker holds
+   every session).  [expect_h] lets the worker detect a racing mapping-set
+   mutation (typed stale_range, retried once after a refresh).  Merging
+   replies in ascending slot order replays per-unit contributions in
+   ascending unit order — the factorized executor's own accumulation
+   order — so the recombined answer is byte-identical to one process. *)
+let fan_out t (s : sess) ~alg (req : Protocol.request) =
   let id = req.Protocol.id in
   let shards = Array.length t.slots in
   let base_params = params_of req in
   let attempt h =
-    let params_of_slot = slot_params ~shards ~h in
     (* The sentinel must be an [Error]: a fan-out thread that dies from
        an uncaught exception leaves its slot untouched, and an [Ok]
-       sentinel would be silently dropped from the merge as if the range
-       were empty.  Only a genuinely empty slot writes [Ok Null]. *)
+       sentinel would be silently dropped from the merge. *)
     let results =
       Array.make shards (Error ("internal", "shard fan-out thread died"))
     in
@@ -412,13 +412,15 @@ let fan_out t (s : sess) (req : Protocol.request) ~alg ~slot_params =
           Thread.create
             (fun () ->
               results.(i) <-
-                (match params_of_slot i with
-                | None -> Ok Json.Null
-                | Some extra -> (
-                  try
-                    call_with_retry t t.slots.(i) ~op:"query"
-                      (base_params @ extra)
-                  with exn -> Error ("internal", Printexc.to_string exn))))
+                (try
+                   call_with_retry t t.slots.(i) ~op:"query"
+                     (base_params
+                     @ [
+                         ("slot", Json.Num (float_of_int i));
+                         ("slots", Json.Num (float_of_int shards));
+                         ("expect_h", Json.Num (float_of_int h));
+                       ])
+                 with exn -> Error ("internal", Printexc.to_string exn)))
             ())
     in
     Array.iter Thread.join threads;
@@ -440,65 +442,27 @@ let fan_out t (s : sess) (req : Protocol.request) ~alg ~slot_params =
     end
     else results
   in
-  match
-    Array.to_list results
-    |> List.filter_map (function Error e -> Some e | Ok _ -> None)
-  with
-  | (code, m) :: _ -> Protocol.error ~id ~code m
-  | [] -> (
-    let replies =
-      Array.to_list results
-      |> List.filter_map (function Ok Json.Null -> None | Ok r -> Some r | Error _ -> None)
-    in
-    match replies with
-    | [] -> Protocol.error ~id ~code:"error" "no shard produced a partial answer"
-    | first :: _ ->
-      (* Replies in ascending range/slot order: [Partial.merge] replays
-         every bucket's per-unit additions in the sequential order. *)
-      let answer = Partial.merge replies in
-      let limit = answers_limit req in
-      Protocol.ok ~id
-        (Json.Obj
-           [
-             ( "query",
-               Option.value ~default:Json.Null (Json.member "query" first) );
-             ("algorithm", Json.Str alg);
-             ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
-             ("null_prob", Json.Num (Urm.Answer.null_prob answer));
-             ("answers", Server.answers_json answer limit);
-             ("sharded", Json.Num (float_of_int shards));
-           ]))
-
-let fan_basic t (s : sess) (req : Protocol.request) =
-  fan_out t s req ~alg:"basic" ~slot_params:(fun ~shards ~h ->
-      let ranges = Hash.ranges ~shards ~h in
-      fun i ->
-        let lo, hi = ranges.(i) in
-        if hi <= lo then None
-        else
-          Some
-            [
-              ("algorithm", Json.Str "basic");
-              ("range_lo", Json.Num (float_of_int lo));
-              ("range_hi", Json.Num (float_of_int hi));
-            ])
-
-(* The sharing-algorithm fan-out: each slot evaluates its chunk of the
-   e-unit list; [expect_h] lets the worker detect a racing mapping-set
-   mutation (typed stale_range, retried once after a refresh).  Merging
-   replies in ascending slot order replays per-unit contributions in
-   ascending unit order — the factorized executor's own accumulation
-   order — so the recombined answer is byte-identical to one process. *)
-let fan_units t (s : sess) ~alg (req : Protocol.request) =
-  fan_out t s req ~alg ~slot_params:(fun ~shards ~h ->
-      fun i ->
-        Some
-          [
-            ("algorithm", Json.Str alg);
-            ("slot", Json.Num (float_of_int i));
-            ("slots", Json.Num (float_of_int shards));
-            ("expect_h", Json.Num (float_of_int h));
-          ])
+  let results = Array.to_list results in
+  match List.find_map (function Error e -> Some e | Ok _ -> None) results with
+  | Some (code, m) -> Protocol.error ~id ~code m
+  | None ->
+    (* One reply per slot, in ascending slot order: [Partial.merge]
+       replays every bucket's per-unit additions in the sequential order. *)
+    let replies = List.filter_map Result.to_option results in
+    let answer = Partial.merge replies in
+    let limit = answers_limit req in
+    Protocol.ok ~id
+      (Json.Obj
+         [
+           ( "query",
+             Option.value ~default:Json.Null
+               (Json.member "query" (List.hd replies)) );
+           ("algorithm", Json.Str alg);
+           ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
+           ("null_prob", Json.Num (Urm.Answer.null_prob answer));
+           ("answers", Server.answers_json answer limit);
+           ("sharded", Json.Num (float_of_int shards));
+         ])
 
 let exec_query t (req : Protocol.request) =
   let alg =
@@ -512,17 +476,10 @@ let exec_query t (req : Protocol.request) =
     | Some name -> find_sess t name
     | None | (exception Failure _) -> None
   in
-  let unsliced =
-    Protocol.param req "range_lo" = None
-    && Protocol.param req "range_hi" = None
-    && Protocol.param req "slot" = None
-    && Protocol.param req "slots" = None
-  in
+  let unsliced = Protocol.param req "slot" = None && Protocol.param req "slots" = None in
   match sess with
-  | Some s when String.equal alg "basic" && s.sh > 0 && unsliced ->
-    fan_basic t s req
   | Some s when List.mem alg Server.unit_fan_algorithms && s.sh > 0 && unsliced ->
-    fan_units t s ~alg req
+    fan_out t s ~alg req
   | _ -> forward t (route_slot t req) req
 
 (* ------------------------------------------------------------------ *)

@@ -12,16 +12,17 @@
     deterministic state, hence byte-identical to a single-process
     server.
 
-    [query] with algorithm [basic] fans out: each shard evaluates a
-    contiguous mapping range ([range_lo]/[range_hi], see {!Server}) and
-    returns a grouped partial answer ({!Urm_service.Partial}: each tuple
-    once, with its ascending per-mapping additions); e-basic, e-MQO and
-    q-sharing fan out the same way over e-unit slots.  The router merges
-    the replies in ascending range order — the same sequence of float
-    additions per answer bucket as sequential evaluation, which matters
-    because float addition is not associative — so the recombined answer
-    is bit-identical to sequential evaluation at any shard count (JSON
-    floats render as %.17g and round-trip exactly).
+    [query] under an algorithm of {!Urm_service.Server.unit_fan_algorithms}
+    (basic, e-basic, e-MQO, q-sharing) fans out: shard i of N evaluates
+    slot i of N, a contiguous chunk of the algorithm's unit list
+    ([slot]/[slots]/[expect_h], see {!Urm_service.Server}; basic has one
+    unit per mapping), and returns a grouped partial answer
+    ({!Urm_service.Partial}: each tuple once, with its ascending per-unit
+    additions).  The router merges the replies in ascending slot order —
+    the same sequence of float additions per answer bucket as sequential
+    evaluation, which matters because float addition is not associative —
+    so the recombined answer is bit-identical to sequential evaluation at
+    any shard count (JSON floats render as %.17g and round-trip exactly).
 
     Lifecycle: workers are spawned at {!start} ({!Launcher}); a health
     thread reaps crashed workers and respawns them, replaying every

@@ -8,8 +8,8 @@
    through the router against a local versioned-catalog oracle.
 
    Afterwards the per-shard cache counters must balance exactly: a
-   fanned-out query (basic over mapping ranges, e-basic/e-mqo/q-sharing
-   over e-unit slots) costs one partial-answer lookup per shard, a
+   fanned-out query (basic, e-basic, e-mqo and q-sharing, over unit
+   slots) costs one partial-answer lookup per shard, a
    forwarded operation costs one on its home shard, incr and mutate
    cost none, and nothing is evicted.  The run reports the router's
    p50/p95/p99 and the per-shard cache hit/evict tallies.
@@ -68,9 +68,9 @@ let key_of_answer answer limit =
          ("null", Json.Num (Urm.Answer.null_prob answer));
        ])
 
-(* The query mix: "basic" entries fan out over every shard (mapping
-   ranges), e-basic/q-sharing fan out over e-unit slots, and o-sharing
-   forwards whole to the session's home shard. *)
+(* The query mix: basic, e-basic and q-sharing entries fan out over
+   every shard (one unit slot each), and o-sharing forwards whole to the
+   session's home shard. *)
 let shared_script =
   [
     ("Q1", "o-sharing", 20);
@@ -90,9 +90,9 @@ let algorithm_of = function
   | other -> failwith ("stress-shard: no oracle algorithm for " ^ other)
 
 (* Cache-lookup cost of one query request, for the fleet-wide accounting:
-   fanned algorithms (basic over mapping ranges, e-basic/e-mqo/q-sharing
-   over e-unit slots — Server.unit_fan_algorithms) pay one partial lookup
-   per shard; forwarded ones pay one on their home shard. *)
+   fanned algorithms (basic, e-basic, e-mqo and q-sharing over unit
+   slots — Server.unit_fan_algorithms) pay one partial lookup per shard;
+   forwarded ones pay one on their home shard. *)
 let lookups_of_alg = function
   | "basic" | "e-basic" | "e-mqo" | "q-sharing" -> shards
   | _ -> 1

@@ -222,20 +222,21 @@ let sql_params text alg =
   ]
 
 (* Checked on every case of the property below (answer-cache hits after
-   the first), under both fan-out protocols: a COUNT, a SUM, a grouped
-   aggregate, and a selection that only some mappings satisfy (the others
-   contribute θ alone).  At 4 shards the aggregates' few e-units leave
-   some e-basic slots empty. *)
+   the first), under singleton (basic) and weighted (e-basic) unit lists:
+   a COUNT, a SUM, a grouped aggregate, and a selection that only some
+   mappings satisfy (the others contribute θ alone).  At 4 shards the
+   aggregates' few e-units leave some e-basic slots empty. *)
 let edge_cases =
   lazy
     (let f = Lazy.force fixture in
      let contact =
-       (* A contact name under mapping 0: other mappings read the
-          attribute from another column and find no such row. *)
+       (* A contact name under mapping 0 (basic slot 0 of h is unit 0
+          alone): other mappings read the attribute from another column
+          and find no such row. *)
        let reply =
          call_or_fail "contact names" f.c_oracle ~op:"query"
            (sql_params "SELECT contactName FROM PO" "basic"
-           @ [ ("range_lo", Json.Num 0.); ("range_hi", Json.Num 1.) ])
+           @ [ ("slot", Json.Num 0.); ("slots", Json.Num (float_of_int h)) ])
        in
        match member "groups" reply with
        | Json.Arr (g :: _) -> (
@@ -265,18 +266,19 @@ let edge_cases =
          theta_only;
        ])
 
-(* The oracle's basic answer rebuilt from its own range replies split at
-   [k] with an empty range [k, k) between them. *)
-let split_merge_key f params k =
-  let range lo hi =
-    call_or_fail "oracle range" f.c_oracle ~op:"query"
+(* The oracle's basic answer rebuilt from its own slot replies at
+   [slots] = h + 1: more slots than units, so slot 0 is empty. *)
+let split_merge_key f params =
+  let slots = h + 1 in
+  let slot i =
+    call_or_fail "oracle slot" f.c_oracle ~op:"query"
       (params
       @ [
-          ("range_lo", Json.Num (float_of_int lo));
-          ("range_hi", Json.Num (float_of_int hi));
+          ("slot", Json.Num (float_of_int i));
+          ("slots", Json.Num (float_of_int slots));
         ])
   in
-  let merged = Partial.merge [ range 0 k; range k k; range k h ] in
+  let merged = Partial.merge (List.init slots slot) in
   answer_key
     (Json.Obj
        [
@@ -310,18 +312,18 @@ let qcheck_differential =
               String.equal expected got)
             f.routers
           && (List.assoc "algorithm" params <> Json.Str "basic"
-             || String.equal expected (split_merge_key f params (h / 2))))
+             || String.equal expected (split_merge_key f params)))
         (query_params qname alg :: Lazy.force edge_cases))
 
-(* The grouped reply must stay O(answers): a Q4 range reply over every
-   mapping is at most twice the bytes of the final answer's JSON (the
-   per-unit format was h = 6 times the tuples). *)
+(* The grouped reply must stay O(answers): a Q4 basic slot reply over
+   every mapping (slot 0 of 1) is at most twice the bytes of the final
+   answer's JSON (the per-unit format was h = 6 times the tuples). *)
 let test_partial_is_o_answers () =
   let f = Lazy.force fixture in
   let reply =
-    call_or_fail "Q4 range" f.c_oracle ~op:"query"
+    call_or_fail "Q4 slot" f.c_oracle ~op:"query"
       (query_params "Q4" "basic"
-      @ [ ("range_lo", Json.Num 0.); ("range_hi", Json.Num (float_of_int h)) ])
+      @ [ ("slot", Json.Num 0.); ("slots", Json.Num 1.) ])
   in
   let merged = Partial.merge [ reply ] in
   let final = String.length (Json.to_string (Urm.Answer.to_json merged)) in
@@ -329,7 +331,7 @@ let test_partial_is_o_answers () =
   Alcotest.(check bool) "Q4 has answers at test scale" true
     (Urm.Answer.size merged > 100);
   if sent > 2 * final then
-    Alcotest.failf "range reply %d bytes > 2 × final answer %d bytes" sent final
+    Alcotest.failf "slot reply %d bytes > 2 × final answer %d bytes" sent final
 
 let test_approx_differential () =
   let f = Lazy.force fixture in
@@ -397,26 +399,24 @@ let test_batch_pipelining () =
           (List.length replies))
     f.routers
 
-(* A partial-range query beyond the live mapping count must surface the
-   worker's typed [stale_range] error — the router's refresh-and-retry
-   keys off this code, so it must never regress into a generic
-   bad_request whose message the router would have to parse. *)
+(* A fan-out slot whose expected mapping count differs from the live one
+   must surface the worker's typed [stale_range] error — the router's
+   refresh-and-retry keys off this code, so it must never regress into a
+   generic bad_request whose message the router would have to parse. *)
 let test_stale_range_is_typed () =
   let f = Lazy.force fixture in
-  (* Both fan-out protocols: a mapping range beyond the live count, and an
-     e-unit slot whose expected mapping count is behind a mutate. *)
-  let probes =
-    [
-      query_params "Q1" "basic"
-      @ [ ("range_lo", Json.Num 0.); ("range_hi", Json.Num 999.) ];
-      query_params "Q1" "e-basic"
-      @ [
-          ("slot", Json.Num 0.);
-          ("slots", Json.Num 1.);
-          ("expect_h", Json.Num 999.);
-        ];
-    ]
+  (* Singleton and weighted unit lists, a count above the live one, and
+     one below it: a fan-out that split the old count after an
+     add-mapping commit must not drop the new mapping's mass. *)
+  let slot alg expect_h =
+    query_params "Q1" alg
+    @ [
+        ("slot", Json.Num 0.);
+        ("slots", Json.Num 1.);
+        ("expect_h", Json.Num (float_of_int expect_h));
+      ]
   in
+  let probes = [ slot "basic" 999; slot "basic" (h - 1); slot "e-basic" 999 ] in
   List.iter
     (fun params ->
       List.iter
@@ -425,7 +425,7 @@ let test_stale_range_is_typed () =
           | Error ("stale_range", _) -> ()
           | Error (code, m) ->
             Alcotest.failf "%s: wanted stale_range, got %s: %s" label code m
-          | Ok _ -> Alcotest.failf "%s: out-of-range query succeeded" label)
+          | Ok _ -> Alcotest.failf "%s: stale slot query succeeded" label)
         (("oracle", f.c_oracle)
         :: List.map
              (fun (shards, _, c) -> (Printf.sprintf "%d-shard router" shards, c))
@@ -573,7 +573,7 @@ let test_metrics_rollup () =
 (* A fan-out whose per-unit replies would overflow a frame *)
 
 (* Q4 at scale 0.01 has 22,500 answers under every mapping: at h = 48 one
-   range reply in the per-unit format was ~170 MB, over the 64 MiB frame
+   slot reply in the per-unit format was ~170 MB, over the 64 MiB frame
    cap, and the worker died in its writer while the router waited
    forever.  Grouped, the reply is ~1 MB and the merge byte-identical. *)
 let test_wide_range_fan_out () =
