@@ -226,10 +226,11 @@ let run_eval quick =
    instead of re-interpreting per unit.  Per algorithm × engine × h, times
    Q4 on the pipeline workload and checks the answer against the
    interpreted e-basic oracle of the same h — byte-for-byte on the rendered
-   JSON for the sharing algorithms (they all accumulate per mapping in
-   ascending mapping order, so even the float bits must agree), and with
-   [Answer.equal ~eps] for basic (it groups the same additions per mapping
-   instead of per e-unit, so last-ulp float bits legitimately differ).  Any
+   JSON for the sharing algorithms (they add the same unit masses to each
+   bucket, and sums are exact, so even the float bits must agree), and
+   with [Answer.equal ~eps] for basic (it adds each mapping's probability
+   where the others add a unit's [vec_mass], itself a rounded float sum,
+   so last-ulp float bits legitimately differ).  Any
    divergence exits non-zero, so the factorized path cannot silently
    drift.  Each row records the report's effective engine
    ("vectorized+factorized" on every plan-engine row, basic included).
@@ -720,9 +721,11 @@ let run_incr quick =
    End-to-end service latency and throughput over the binary-framed wire
    at shards ∈ {1, 2, 3}: one router + N worker processes per point, a
    mixed loop of [basic] fan-out queries, with every reply byte-compared
-   against the shards = 1 reply of the same query (the grouped-partial
-   merge determinism contract), recorded as "identical_to_shards1" in
-   BENCH_shard.json.  Repeats hit the workers' answer caches, so the
+   against the shards = 1 reply of the same query (exact sums make the
+   merge independent of how units are chunked), recorded as
+   "identical_to_shards1" in BENCH_shard.json.  The untimed warm pass
+   also byte-checks the e-basic and q-sharing fan-outs, whose chunks hold
+   several units each.  Repeats hit the workers' answer caches, so the
    numbers isolate the wire + fan-out + merge overhead rather than
    re-measuring evaluation cost. *)
 
@@ -774,33 +777,37 @@ let run_shard quick =
           | Error (code, m) ->
             Format.eprintf "shard sweep: open-session: %s: %s@." code m;
             exit 1);
-          let query q =
+          let query ?(alg = "basic") q =
             Client.call c ~op:"query"
-              [ session; ("query", Json.Str q); ("algorithm", Json.Str "basic") ]
+              [ session; ("query", Json.Str q); ("algorithm", Json.Str alg) ]
           in
           let identical = ref true in
-          let check q reply =
+          let check ?(alg = "basic") q reply =
             let key = answer_key reply in
-            match Hashtbl.find_opt baseline q with
-            | None -> Hashtbl.replace baseline q key
+            match Hashtbl.find_opt baseline (alg ^ " " ^ q) with
+            | None -> Hashtbl.replace baseline (alg ^ " " ^ q) key
             | Some expected ->
               if not (String.equal key expected) then begin
                 identical := false;
                 mismatch := true;
                 Format.eprintf
-                  "shard sweep: %s at shards = %d diverged from shards = 1@." q
-                  shards
+                  "shard sweep: %s %s at shards = %d diverged from shards = 1@."
+                  alg q shards
               end
           in
           (* Warm pass: populate/ check the baselines outside the timing. *)
           List.iter
-            (fun q ->
-              match query q with
-              | Ok reply -> check q reply
-              | Error (code, m) ->
-                Format.eprintf "shard sweep: warm %s: %s: %s@." q code m;
-                exit 1)
-            queries;
+            (fun alg ->
+              List.iter
+                (fun q ->
+                  match query ~alg q with
+                  | Ok reply -> check ~alg q reply
+                  | Error (code, m) ->
+                    Format.eprintf "shard sweep: warm %s %s: %s: %s@." alg q
+                      code m;
+                    exit 1)
+                queries)
+            [ "basic"; "e-basic"; "q-sharing" ];
           let lats = ref [] in
           let t0 = Unix.gettimeofday () in
           for i = 0 to requests - 1 do

@@ -93,31 +93,125 @@ let tbl_fold f tb init =
     tb.hashes;
   !acc
 
+(* Exact sums (Shewchuk, "Adaptive Precision Floating-Point Arithmetic",
+   1997).  A bucket holds the exact sum S of every mass added to it:
+   probability masses span well under 106 bits, so S is nearly always the
+   exact sum of a float pair, and a read rounds it once (nearest-even).
+   A sum that needs more floats spills to its canonical expansion c₁ =
+   RN(S), c₂ = RN(S − c₁), …, which is also the wire form: one
+   representation per real value.  Masses must be finite.  Expansions
+   below are float lists, ascending magnitude, nonoverlapping and
+   zero-free, unless said otherwise. *)
+
+(* Shewchuk's Grow-Expansion with zero elimination: [e] + [x], exactly. *)
+let grow_expansion e x =
+  let rec go x = function
+    | [] -> if x = 0. then [] else [ x ]
+    | y :: rest ->
+      let s = x +. y in
+      let b = s -. x in
+      let err = (x -. (s -. b)) +. (y -. b) in
+      if err = 0. then go s rest else err :: go s rest
+  in
+  go x e
+
+(* [hi] plus an expansion given largest first, correctly rounded: sum from
+   the top while exact, then settle a half-way tie by the sign of what
+   lies below (the final step of CPython's [math.fsum]). *)
+let rec round_desc hi = function
+  | [] -> hi
+  | y :: rest -> (
+    let s = hi +. y in
+    let lo = y -. (s -. hi) in
+    let x = s +. (2. *. lo) in
+    match rest with
+    | _ when lo = 0. -> round_desc s rest
+    | z :: _ when lo < 0. = (z < 0.) && x -. s = 2. *. lo -> x
+    | _ -> s)
+
+(* The canonical expansion (largest first) of [e]'s exact sum.  Stops at a
+   non-finite component, so an overflow cannot loop. *)
+let rec canonical e =
+  if e = [] then []
+  else
+    let c = round_desc 0. (List.rev e) in
+    if Float.is_finite c then c :: canonical (grow_expansion e (-.c)) else [ c ]
+
 type t = {
   output : string list;
   arity : int;
   rows : table;
-  (* Bucket id → accumulated probability.  Ids are dense insertion indices
-     and probabilities live unboxed in one float array, so a replayed
-     accumulation (see {!bump}) is a plain array update with no pointer
-     chasing or allocation. *)
-  mutable vals : float array;
+  (* Bucket id → a float pair whose exact sum is the bucket's, at
+     [2·id] and [2·id + 1]: unboxed and on one cache line, so a replayed
+     accumulation (see {!bump}) is a few flops with no pointer chasing or
+     allocation.  A spilled bucket keeps c₁ and nan there.  Id 0 is θ. *)
+  mutable sums : float array;
+  long : (int, float list) Hashtbl.t; (* id → canonical expansion, > 2 terms *)
   mutable next_id : int; (* monotonic — compacted ids are never reused *)
-  mutable null_mass : float;
 }
+
+let null_id = 0
 
 let create output =
   {
     output;
     arity = List.length output;
     rows = tbl_create ();
-    vals = Array.make 16 0.;
-    next_id = 0;
-    null_mass = 0.;
+    sums = Array.make 32 0.;
+    long = Hashtbl.create 1;
+    next_id = 1;
   }
 
 let output t = t.output
 let tuple_equal = tuple_eq
+
+(* [id]'s correctly rounded sum: one rounding of its exact pair. *)
+let value t id =
+  let hi = t.sums.(2 * id) and lo = t.sums.((2 * id) + 1) in
+  if Float.is_nan lo then hi else hi +. lo
+
+(* [id]'s exact sum as its canonical expansion, largest first. *)
+let exact t id =
+  match Hashtbl.find_opt t.long id with
+  | Some e -> e
+  | None ->
+    let hi = t.sums.(2 * id) and lo = t.sums.((2 * id) + 1) in
+    let s = hi +. lo in
+    let b = s -. hi in
+    List.filter (fun c -> c <> 0.) [ s; (hi -. (s -. b)) +. (lo -. b) ]
+
+let set_exact t id e =
+  let c k = Option.value ~default:0. (List.nth_opt e k) in
+  let long = List.compare_length_with e 2 > 0 in
+  t.sums.(2 * id) <- c 0;
+  t.sums.((2 * id) + 1) <- (if long then Float.nan else c 1);
+  if long then Hashtbl.replace t.long id e else Hashtbl.remove t.long id
+
+(* The hot path: (hi + lo) + p by two TwoSums.  When their errors sum
+   exactly, S = s + u is the new pair; otherwise (or when [lo] is the
+   spill marker nan, which makes the error nan) the bucket takes the
+   expansion path. *)
+let[@inline] accumulate t id p =
+  let i = 2 * id in
+  let hi = t.sums.(i) and lo = t.sums.(i + 1) in
+  let s = hi +. p in
+  let b = s -. hi in
+  let e = (hi -. (s -. b)) +. (p -. b) in
+  let u = e +. lo in
+  let b = u -. e in
+  if (e -. (u -. b)) +. (lo -. b) = 0. then begin
+    t.sums.(i) <- s;
+    t.sums.(i + 1) <- u
+  end
+  else set_exact t id (canonical (grow_expansion (List.rev (exact t id)) p))
+
+let ensure t n =
+  let len = Array.length t.sums in
+  if 2 * n > len then begin
+    let b = Array.make (max (2 * n) (2 * len)) 0. in
+    Array.blit t.sums 0 b 0 len;
+    t.sums <- b
+  end
 
 (* Find-or-insert in a single probe; accumulates [p] into [tuple]'s bucket
    and returns the bucket's id. *)
@@ -130,11 +224,9 @@ let add_id t tuple p =
   if tb.hashes.(i) < 0 then (
     let id = t.next_id in
     t.next_id <- id + 1;
-    if id >= Array.length t.vals then (
-      let n = Array.make (2 * Array.length t.vals) 0. in
-      Array.blit t.vals 0 n 0 (Array.length t.vals);
-      t.vals <- n);
-    t.vals.(id) <- p;
+    ensure t (id + 1);
+    t.sums.(2 * id) <- p;
+    t.sums.((2 * id) + 1) <- 0.;
     tb.hashes.(i) <- h;
     tb.keys.(i) <- tuple;
     tb.ids.(i) <- id;
@@ -142,7 +234,7 @@ let add_id t tuple p =
     id)
   else (
     let id = tb.ids.(i) in
-    t.vals.(id) <- t.vals.(id) +. p;
+    accumulate t id p;
     id)
 
 let add t tuple p = ignore (add_id t tuple p)
@@ -159,63 +251,66 @@ let reserve t n =
       cap := 2 * !cap
     done;
     grow_to tb !cap);
-  let vneeded = t.next_id + n in
-  if vneeded > Array.length t.vals then (
-    let cap = ref (Array.length t.vals) in
-    while !cap < vneeded do
-      cap := 2 * !cap
-    done;
-    let nv = Array.make !cap 0. in
-    Array.blit t.vals 0 nv 0 (Array.length t.vals);
-    t.vals <- nv)
+  ensure t (t.next_id + n)
 
-(* Replay a further accumulation into a bucket previously returned by
+(* Replay a further accumulation into buckets previously returned by
    {!add_id} — valid for the answer's lifetime; {!compact} drops a ghost
-   bucket's table entry but never reassigns its id. *)
-let bump t id p = t.vals.(id) <- t.vals.(id) +. p
+   bucket's table entry but never reassigns its id.  One call per replay
+   keeps [p] unboxed and [accumulate] inlined across the whole loop. *)
+let bump t ids p =
+  for i = 0 to Array.length ids - 1 do
+    accumulate t ids.(i) p
+  done
 
 let tbl_find tb key =
   let i = slot tb (Hashtbl.hash key) key in
   if tb.hashes.(i) < 0 then None else Some tb.ids.(i)
 
-(* The collapsed mass of a weight vector: summed left to right from [0.],
-   which is exactly an incremental per-mapping sum (and the mass
-   [Ebasic.distinct_source_queries] hands the interpreted oracles) — so
-   factorized answers stay bit-identical to the interpreted per-unit
-   accumulation. *)
+(* The collapsed mass of a weight vector, summed left to right from [0.]
+   — the mass [Ebasic.distinct_source_queries] hands the interpreted
+   oracles, so a unit adds the same float on every engine. *)
 let vec_mass w = Array.fold_left ( +. ) 0. w
 
 (* Bulk weighted accumulate: fold a whole weight vector into one bucket
    addition.  One call replaces the h per-mapping [add]s a non-factorized
    evaluation would perform for this tuple. *)
 let add_vec t tuple w = add t tuple (vec_mass w)
-let add_null t p = t.null_mass <- t.null_mass +. p
-let null_prob t = t.null_mass
+let add_null t p = accumulate t null_id p
+let null_prob t = value t null_id
+let null_exact t = exact t null_id
+let iter_exact f t = tbl_iter (fun tuple id -> f tuple (exact t id)) t.rows
 
-(* Merging sums the source's per-tuple masses into the target.  When
-   partial answers are built over disjoint contiguous mapping ranges and
-   merged in ascending range order, every tuple's probability is summed in
-   ascending mapping order — exactly the accumulation order of the
-   sequential loop — so the merged answer is bit-identical to a sequential
-   run, for any number of ranges. *)
+(* Adding an expansion's components one by one is exact, so the bucket
+   ends on the same canonical sum whatever the list's form; an empty list
+   (a zero sum) still creates the bucket. *)
+let add_exact t tuple = function
+  | [] -> add t tuple 0.
+  | c :: cs ->
+    let id = add_id t tuple c in
+    List.iter (accumulate t id) cs
+
+(* Merging adds the source's exact sums, not their rounded values, so any
+   grouping of the same additions into parts, merged in any order, ends on
+   the same sums. *)
 let merge_into t other =
   if t.output <> other.output then invalid_arg "Answer.merge_into: header mismatch";
-  tbl_iter (fun tuple id -> add t tuple other.vals.(id)) other.rows;
-  t.null_mass <- t.null_mass +. other.null_mass
+  iter_exact (add_exact t) other;
+  List.iter (add_null t) (null_exact other)
 
-(* Delta maintenance patches buckets with signed increments: a tuple whose
-   contributions were fully retracted is left holding the float residue of
-   [+p … -p] cancellation (≈ ulp-sized, possibly negative) rather than
-   disappearing.  [equal] matches buckets one-to-one, so such ghosts would
-   make a patched answer differ from a fresh evaluation even though every
-   probability agrees within eps.  The epsilon floor removes them; genuine
-   buckets always carry at least one mapping's probability, which in any
+(* Delta maintenance patches buckets with signed increments.  Sums are
+   exact, but the increments are not: a shape weight is patched as
+   [prob − old], so a fully retracted tuple's bucket can keep an
+   ulp-sized residue (possibly negative) instead of summing to zero.
+   [equal] matches buckets one-to-one, so such ghosts would make a patched
+   answer differ from a fresh evaluation even though every probability
+   agrees within eps.  The epsilon floor removes them; genuine buckets
+   always carry at least one mapping's probability, which in any
    normalised mapping set is orders of magnitude above {!Prob.eps}. *)
 let compact ?(eps = Prob.eps) t =
   let tb = t.rows in
   let doomed =
     tbl_fold
-      (fun _ id n -> if Float.abs t.vals.(id) <= eps then n + 1 else n)
+      (fun _ id n -> if Float.abs (value t id) <= eps then n + 1 else n)
       tb 0
   in
   if doomed > 0 then (
@@ -229,10 +324,11 @@ let compact ?(eps = Prob.eps) t =
     tb.count <- 0;
     Array.iteri
       (fun j h ->
-        if h >= 0 && Float.abs t.vals.(oids.(j)) > eps then
+        if h >= 0 && Float.abs (value t oids.(j)) > eps then
           place tb h okeys.(j) oids.(j))
       ohashes);
-  if t.null_mass < 0. && t.null_mass >= -.eps then t.null_mass <- 0.
+  let theta = null_prob t in
+  if theta < 0. && theta >= -.eps then set_exact t null_id []
 
 let compare_tuples a b =
   let rec go i =
@@ -251,10 +347,10 @@ let rank (ta, pa) (tb, pb) =
   let c = Float.compare pb pa in
   if c <> 0 then c else compare_tuples ta tb
 
-let iter f t = tbl_iter (fun tuple id -> f tuple t.vals.(id)) t.rows
+let iter f t = tbl_iter (fun tuple id -> f tuple (value t id)) t.rows
 
 let to_list t =
-  tbl_fold (fun tuple id acc -> (tuple, t.vals.(id)) :: acc) t.rows []
+  tbl_fold (fun tuple id acc -> (tuple, value t id) :: acc) t.rows []
   |> List.sort rank
 
 (* Bounded selection: a size-[k] max-heap under [order] keeps the k best
@@ -309,10 +405,15 @@ let kth_prob t k =
          iter (fun _ p -> f p) t)).(0)
 
 let size t = t.rows.count
-let total_prob t = tbl_fold (fun _ id acc -> acc +. t.vals.(id)) t.rows t.null_mass
+(* The exact sum of every bucket and θ, rounded once. *)
+let total_prob t =
+  let acc = create [] in
+  iter_exact (fun _ e -> List.iter (add_null acc) e) t;
+  List.iter (add_null acc) (null_exact t);
+  null_prob acc
 
 let prob_of t tuple =
-  match tbl_find t.rows tuple with Some id -> t.vals.(id) | None -> 0.
+  match tbl_find t.rows tuple with Some id -> value t id | None -> 0.
 
 let approx_tuple_equal ta tb =
   Array.length ta = Array.length tb
@@ -332,7 +433,7 @@ let approx_tuple_equal ta tb =
    asymmetric). *)
 let equal ?(eps = Prob.eps) a b =
   a.output = b.output
-  && abs_float (a.null_mass -. b.null_mass) <= eps
+  && abs_float (null_prob a -. null_prob b) <= eps
   && a.rows.count = b.rows.count
   &&
   let consumed : (Value.t array, unit) Hashtbl.t =
@@ -340,7 +441,7 @@ let equal ?(eps = Prob.eps) a b =
   in
   let claim tuple p =
     let matches key id =
-      (not (Hashtbl.mem consumed key)) && abs_float (b.vals.(id) -. p) <= eps
+      (not (Hashtbl.mem consumed key)) && abs_float (value b id -. p) <= eps
     in
     match tbl_find b.rows tuple with
     | Some id when matches tuple id ->
@@ -363,7 +464,7 @@ let equal ?(eps = Prob.eps) a b =
         true
       | None -> false)
   in
-  tbl_fold (fun tuple id ok -> ok && claim tuple a.vals.(id)) a.rows true
+  tbl_fold (fun tuple id ok -> ok && claim tuple (value a id)) a.rows true
 
 (* Serialisation follows [to_list]'s deterministic ranking, so two answers
    with bit-identical probabilities render to byte-identical JSON — the
@@ -391,7 +492,7 @@ let to_json t =
                    ("prob", Num p);
                  ])
              rows) );
-      ("null_prob", Num t.null_mass);
+      ("null_prob", Num (null_prob t));
     ]
 
 let pp ppf t =
@@ -402,5 +503,5 @@ let pp ppf t =
         (String.concat ", " (Array.to_list (Array.map Value.to_string tuple)))
         p)
     (to_list t);
-  if t.null_mass > 0. then Format.fprintf ppf "@,  θ : %.4f" t.null_mass;
+  if null_prob t > 0. then Format.fprintf ppf "@,  θ : %.4f" (null_prob t);
   Format.fprintf ppf "@]"

@@ -5,7 +5,15 @@
     Tuples are over the target schema — each position is the value of one
     output target attribute, [Null] where the mapping had no correspondence
     — so answers produced under different mappings aggregate correctly
-    (duplicates sum their probabilities). *)
+    (duplicates sum their probabilities).
+
+    Sums are exact: every bucket and θ holds the exact sum of all masses
+    added to it, and every read ({!to_list}, {!iter}, {!top_k},
+    {!kth_prob}, {!prob_of}, {!null_prob}, {!total_prob}, {!to_json},
+    {!equal}, {!compact}) sees its correctly rounded (nearest-even) value.
+    The same masses therefore give bit-identical answers whatever order
+    they were added in and however they were split between answers joined
+    by {!merge_into}.  Masses must be finite. *)
 
 type t
 
@@ -22,9 +30,9 @@ val add : t -> Urm_relalg.Value.t array -> float -> unit
 val add_null : t -> float -> unit
 
 (** [vec_mass w] the collapsed probability mass of a mapping weight
-    vector, summed left to right — the same accumulation order as the
-    per-mapping incremental sum, so collapsing is bit-identical to adding
-    each mapping's probability in ascending mapping order. *)
+    vector: a plain float sum, left to right.  It is the one mass a unit
+    adds per tuple, on every engine; it is not exact, so adding it is not
+    bit-identical to adding each mapping's probability separately. *)
 val vec_mass : float array -> float
 
 (** [add_vec t tuple w] the bulk weighted-accumulate entry point of the
@@ -35,14 +43,15 @@ val add_vec : t -> Urm_relalg.Value.t array -> float array -> unit
 
 (** [add_id t tuple p] like {!add}, but returns the tuple's bucket id so
     further probability can be replayed with {!bump} — the engines'
-    per-reformulation answer memo.  Ids are dense insertion indices, stay
-    valid for the answer's lifetime, and are never reassigned (not even by
-    {!compact}). *)
+    per-reformulation answer memo.  Ids are insertion indices, stay valid
+    for the answer's lifetime, and are never reassigned (not even by
+    {!compact}).  Allocation-free while the bucket's exact sum fits two
+    floats, as probability sums in practice do. *)
 val add_id : t -> Urm_relalg.Value.t array -> float -> int
 
-(** [bump t id p] accumulates [p] onto the bucket behind [id] (from
-    {!add_id}) — an unboxed array update, the replay fast path. *)
-val bump : t -> int -> float -> unit
+(** [bump t ids p] accumulates [p] exactly onto each bucket behind [ids]
+    (from {!add_id}) — unboxed array updates, the replay fast path. *)
+val bump : t -> int array -> float -> unit
 
 (** [reserve t n] pre-sizes the bucket table for [n] further insertions, so
     a bulk insert pass of known size pays one redistribution instead of
@@ -54,22 +63,36 @@ val reserve : t -> int -> unit
     -0. = 0., as under polymorphic comparison). *)
 val tuple_equal : Urm_relalg.Value.t array -> Urm_relalg.Value.t array -> bool
 
-(** [merge_into t other] sums [other]'s tuple probabilities and θ mass into
-    [t].  Merging per-unit partial answers in ascending unit order
-    reproduces the sequential accumulation order exactly, whatever order
-    the parts were computed in.  Raises [Invalid_argument] when the outputs
-    differ. *)
+(** [merge_into t other] adds [other]'s exact tuple sums and θ sum into
+    [t] — not their rounded values, so answers built over any split of the
+    same additions merge, in any order, to the answer of a single pass.
+    Raises [Invalid_argument] when the outputs differ. *)
 val merge_into : t -> t -> unit
 
 val null_prob : t -> float
 
-(** [compact ?eps t] removes buckets whose accumulated probability is within
-    [eps] (default {!Prob.eps}) of zero and clamps an eps-negative θ back to
-    0.  Incremental maintenance calls this after every mutation batch: a
-    retracted tuple's bucket holds only float cancellation residue, and
-    dropping it restores the bucket census a fresh evaluation would
-    produce, so {!equal} keeps holding under repeated add/subtract
-    cycles. *)
+(** [iter_exact f t] calls [f tuple e] on every distinct tuple (θ
+    excluded), in no particular order, with [e] the bucket's exact sum as
+    its canonical component list: largest first, [c₁] the rounded value
+    and each further component the rounded rest, empty for a zero sum.
+    Equal sums give bit-equal lists. *)
+val iter_exact : (Urm_relalg.Value.t array -> float list -> unit) -> t -> unit
+
+(** [null_exact t] θ's exact sum as a canonical component list. *)
+val null_exact : t -> float list
+
+(** [add_exact t tuple e] adds the exact sum of the floats [e] onto
+    [tuple] (creating its bucket even when [e] is empty) — the inverse of
+    {!iter_exact}.  θ's list goes back with {!add_null} per component. *)
+val add_exact : t -> Urm_relalg.Value.t array -> float list -> unit
+
+(** [compact ?eps t] removes buckets whose probability is within [eps]
+    (default {!Prob.eps}) of zero and clamps an eps-negative θ back to 0.
+    Incremental maintenance calls this after every mutation batch: sums
+    are exact, but its shape weights are patched by float subtraction, so
+    a retracted tuple's bucket can keep an ulp-sized residue; dropping it
+    restores the bucket census a fresh evaluation would produce, so
+    {!equal} keeps holding under repeated add/subtract cycles. *)
 val compact : ?eps:float -> t -> unit
 
 (** Distinct tuples with their probabilities, sorted by probability
@@ -94,7 +117,8 @@ val kth_prob : t -> int -> float
 (** Number of distinct tuples (θ excluded). *)
 val size : t -> int
 
-(** Total probability mass including θ. *)
+(** Total probability mass including θ: the exact sum of every bucket,
+    rounded once. *)
 val total_prob : t -> float
 
 (** [prob_of t tuple] the accumulated probability of [tuple] ([0.] when

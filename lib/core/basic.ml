@@ -6,7 +6,7 @@ open Urm_relalg
    would not fit in memory) but attributed to the paper's three phases
    with stopwatches: rewrite, evaluate, aggregate (Fig. 10(a)).  The plan
    engine runs the factorized executor over one singleton unit per
-   mapping: same per-mapping accumulation order, and mappings sharing a
+   mapping: the same per-mapping additions, and mappings sharing a
    reformulation key replay the first one's answer cells instead of
    re-executing its plan. *)
 

@@ -50,8 +50,8 @@ let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
 (* Each distinct source query runs once on the plan engine, streaming its
    batches into the answer with the unit's whole mapping-mass vector (no
    cross-unit CSE — that is e-MQO's job).  Bit-identical to
-   [run_interpreted]: same unit order, and the collapsed vector mass is the
-   oracle's summed mass. *)
+   [run_interpreted]: each unit adds the oracle's collapsed mass, and
+   {!Answer} sums exactly. *)
 let run ?(metrics = Urm_obs.Metrics.global) (ctx : Ctx.t) q ms =
   let m = Urm_obs.Metrics.scope metrics "e-basic" in
   let report =

@@ -7,11 +7,9 @@ let body_expr (sq, _) =
    together (one shared MQO plan) and returns one partial answer per unit,
    index-aligned with [units], plus the plan and execution times.
 
-   Contributions are kept per unit instead of being folded into one
-   accumulator in plan-execution order: callers merge the parts in
-   ascending unit order, so probabilities accumulate in a
-   schedule-independent order — the plan's internal evaluation order cannot
-   perturb the final float sums. *)
+   Contributions are kept per unit and merged by the caller, which times
+   the merge as the aggregate phase.  Sums are exact, so the plan's
+   internal evaluation order cannot perturb them either way. *)
 let eval_units ~ctrs (ctx : Ctx.t) q units =
   let units = Array.of_list units in
   let header = Reformulate.output_header q in

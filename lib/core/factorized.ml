@@ -8,16 +8,15 @@ open Urm_relalg
    reformulation contains it.  This executor compiles each distinct e-unit
    to one plan, executes it exactly once, and streams its result batches
    into the answer with the unit's whole mapping-mass weight vector folded
-   into every bucket in a single addition ([Answer.add_vec_ref]), instead
+   into every bucket in a single addition ([Answer.add_vec]), instead
    of re-running the plan h times.
 
-   Bit-identity with the interpreted per-unit oracle: units are processed
-   in first-seen order (the order [weighted_units] produces), each bucket
-   receives exactly one addition of the vector's left-to-right sum per
-   unit (the same float the oracle's incremental
-   per-mapping sum yields), and units sharing a reformulation key replay
-   the first occurrence's bucket cells in unit order — so per-bucket
-   addition order matches the sequential interpreted run exactly. *)
+   Bit-identity with the interpreted per-unit oracle: each bucket receives
+   one addition of the unit's [Answer.vec_mass] per unit that yields its
+   tuple (the same float the oracle adds), whether the unit executes,
+   replays the first occurrence's bucket cells or matches a recorded
+   stream.  [Answer] sums exactly, so the bits do not depend on unit order
+   or on how a caller splits the unit list. *)
 
 type result = {
   answer : Answer.t;
@@ -55,8 +54,8 @@ let weighted_units (ctx : Ctx.t) q ms =
 
 (* One unit per mapping, degenerate weight vector — basic, and q-sharing
    over its representatives (each already carries its partition's mass):
-   the per-mapping accumulation order is preserved, and repeated
-   reformulation keys replay instead of re-executing.  Each equality
+   each mapping adds its own probability, and repeated reformulation keys
+   replay instead of re-executing.  Each equality
    selection is probed once per (source attribute, constant) first, so a
    mapping whose selection matches no source row reformulates to
    [Unsatisfiable] and never compiles or runs a plan — same θ / COUNT 0 /
@@ -125,9 +124,8 @@ let eval ~ctrs ?(cse = false) ?stop (ctx : Ctx.t) q units =
   in
   let prepared_tbl = Hashtbl.create 16 in
   List.iter (fun (k, e) -> Hashtbl.replace prepared_tbl k e) prepared;
-  (* The single pass: ascending unit order, executing each distinct e-unit
-     once and replaying repeated reformulation keys, so per-bucket addition
-     order is the sequential oracle's. *)
+  (* The single pass, in unit order: each distinct e-unit executes once
+     and repeated reformulation keys replay. *)
   let memo : (string, Reformulate.recording) Hashtbl.t = Hashtbl.create 16 in
   (* Recordings of executed units with genuinely new result streams, most
      recent first — reversed into execution order when offered as stream

@@ -9,11 +9,10 @@
     additionally share materialised common subexpressions through the
     {!Urm_mqo.Dag} pass.
 
-    Answers are bit-identical to the sequential interpreted per-unit
-    oracle: units are processed in first-seen order, the collapsed vector
-    mass equals the oracle's incremental per-mapping sum, and repeated
-    reformulation keys replay the first occurrence's bucket cells in unit
-    order. *)
+    Answers are bit-identical to the interpreted per-unit oracle: each
+    unit adds the same collapsed vector mass to the same buckets, and
+    {!Answer} sums exactly, so neither unit order nor a split of the unit
+    list into chunks changes a bit. *)
 
 type result = {
   answer : Answer.t;
@@ -34,15 +33,15 @@ type result = {
 (** [weighted_units ctx q ms] the distinct e-units of [q] under [ms],
     grouped by {!Reformulate.key} in first-seen order, with their
     per-mapping probability vectors (ascending mapping order) — the
-    mapping→e-unit incidence.  The collapsed {!Answer.vec_mass} of each
-    vector is bit-identical to the incremental per-mapping sum. *)
+    mapping→e-unit incidence.  Each unit adds the collapsed
+    {!Answer.vec_mass} of its vector. *)
 val weighted_units :
   Ctx.t -> Query.t -> Mapping.t list -> (Reformulate.t * float array) list
 
 (** [singleton_units ctx q ms] one unit per mapping with a degenerate
     weight vector — basic, and q-sharing over its representatives (each
-    already carries its partition's mass): per-mapping accumulation order
-    is preserved and duplicate reformulation keys replay.  Reformulation
+    already carries its partition's mass): each mapping adds its own
+    probability and duplicate reformulation keys replay.  Reformulation
     probes the source instance ({!Reformulate.selection_probe}, one memo
     per call): a mapping whose equality selection matches no source row
     becomes an [Unsatisfiable] unit at the same position, which adds the

@@ -260,7 +260,7 @@ let answers_into acc sq ~factor rel p =
    reformulation touched and the emitted target-tuple stream, both in
    emission order.  Units sharing a {!key} produce identical target tuples,
    so a later unit replays the ids with its own mass instead of
-   re-evaluating — same buckets, same per-bucket addition order, hence
+   re-evaluating — the same additions to the same buckets, hence
    bit-identical to a fresh evaluation.  The tuples serve the factorized
    executor's cross-unit result-stream memo (see
    [record_weighted_answers_into]). *)
@@ -280,10 +280,7 @@ let push buf count x =
   incr count
 
 let replay_answers_into acc r p =
-  let ids = r.ids in
-  for i = 0 to Array.length ids - 1 do
-    Answer.bump acc ids.(i) p
-  done;
+  Answer.bump acc r.ids p;
   if r.null then Answer.add_null acc p
 
 (* The factorized executor's recording: one pass over the weight-vector
@@ -298,16 +295,15 @@ let replay_answers_into acc r p =
    paying a hash probe per tuple, and shares the candidate's recording.
 
    Bit-identity: bucket additions are deferred until the drive completes,
-   which preserves their relative (emission) order, and a full stream match
-   means the replayed additions are exactly the additions a fresh
-   accumulation would have made — same buckets, same order, no hashing
-   involved in the match (structural tuple equality only). *)
+   and a full stream match means the replayed additions are exactly the
+   additions a fresh accumulation would have made — same buckets, no
+   hashing involved in the match (structural tuple equality only). *)
 let record_weighted_answers_into acc sq ~factor (header, wdrive) ~weights
     ~candidates =
   (* Collapse the weight vector once per unit, not per emitted tuple: the
-     left-to-right fold is the same float the oracle's incremental
-     per-mapping sum reaches, and hoisting it turns the accumulation from
-     O(h · tuples) flops into O(h + tuples). *)
+     left-to-right fold is the same float the oracle adds per unit, and
+     hoisting it turns the accumulation from O(h · tuples) flops into
+     O(h + tuples). *)
   let mass = Answer.vec_mass weights in
   let cands = Array.of_list candidates in
   let nc = Array.length cands in
@@ -362,8 +358,7 @@ let record_weighted_answers_into acc sq ~factor (header, wdrive) ~weights
   (* Every target tuple of the result stream flows through [emit]; θ sets
      [null].  Must agree with {!answers_into} over the materialised result;
      per-mapping tuples are distinct by construction (see
-     {!iter_plain_tuples}), so the within-mapping accumulation order cannot
-     affect the summed probabilities. *)
+     {!iter_plain_tuples}). *)
   let pos c =
     let rec go i = function
       | [] -> raise Not_found
@@ -439,8 +434,7 @@ let record_weighted_answers_into acc sq ~factor (header, wdrive) ~weights
                  getters)
           done);
     if not !any then null := true);
-  (* θ only ever fires on an empty stream, so adding it after the loop is
-     the same accumulation order as adding it at emission time. *)
+  (* θ only ever fires on an empty stream, so it is added after the loop. *)
   let matched = ref None in
   for c = nc - 1 downto 0 do
     if

@@ -125,23 +125,16 @@ let cached_eval t session q ~algorithm ~variant compute =
     with_cached payload false
 
 (* The reply fields the fan-out requests share — the output header and
-   the grouped partial answer ({!Partial}) of units [lo, lo + n) of the
-   algorithm's unit list, each evaluated alone by the factorized executor.
-   Each tuple is sent once with its ascending per-unit additions, not once
-   per unit, so the router replays the single-process float addition
-   sequence of every bucket (bit-identical at any shard count) from a
-   reply of O(answers) rather than O(units × answers). *)
-let unit_partials ctx q ~lo units =
-  let answer unit =
-    let ctrs = Urm_relalg.Eval.fresh_counters () in
-    (Urm.Factorized.eval ~ctrs ctx q [ unit ]).Urm.Factorized.answer
-  in
+   the partial answer ({!Partial}) of one chunk of the algorithm's unit
+   list, evaluated in one factorized pass, so the chunk's units share the
+   replay memo and stream matching.  Each tuple is sent once with its
+   exact subtotal; sums are exact, so the router's merge is bit-identical
+   at any shard count. *)
+let unit_partials ctx q units =
+  let ctrs = Urm_relalg.Eval.fresh_counters () in
   Partial.encode
     ~output:(Urm.Reformulate.output_header q)
-    ~lo
-    (Seq.map answer (List.to_seq units))
-
-let slice lo hi l = List.filteri (fun i _ -> lo <= i && i < hi) l
+    (Urm.Factorized.eval ~ctrs ctx q units).Urm.Factorized.answer
 
 (* Partial evaluation for the shard router's fan-out.  Every worker holds
    every session, so each worker derives the same unit list
@@ -196,7 +189,8 @@ let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
                       ("of", Json.Num (float_of_int slots));
                     ] );
               ]
-             @ unit_partials ctx q ~lo (slice lo hi units))))
+             @ unit_partials ctx q
+                 (List.filteri (fun i _ -> lo <= i && i < hi) units))))
 
 let exec_query t req : (Json.t, failure) result =
   match session_of t req with

@@ -392,10 +392,9 @@ let answers_limit req =
    slot i of [shards] evaluates its contiguous chunk of the algorithm's
    unit list (the worker derives the list itself — every worker holds
    every session).  [expect_h] lets the worker detect a racing mapping-set
-   mutation (typed stale_range, retried once after a refresh).  Merging
-   replies in ascending slot order replays per-unit contributions in
-   ascending unit order — the factorized executor's own accumulation
-   order — so the recombined answer is byte-identical to one process. *)
+   mutation (typed stale_range, retried once after a refresh).  The slots
+   add the same masses to each bucket as one process does, and sums are
+   exact, so the recombined answer is byte-identical to one process. *)
 let fan_out t (s : sess) ~alg (req : Protocol.request) =
   let id = req.Protocol.id in
   let shards = Array.length t.slots in
@@ -446,8 +445,8 @@ let fan_out t (s : sess) ~alg (req : Protocol.request) =
   match List.find_map (function Error e -> Some e | Ok _ -> None) results with
   | Some (code, m) -> Protocol.error ~id ~code m
   | None ->
-    (* One reply per slot, in ascending slot order: [Partial.merge]
-       replays every bucket's per-unit additions in the sequential order. *)
+    (* One reply per slot; [Partial.merge] sums exact subtotals, so
+       their order does not matter. *)
     let replies = List.filter_map Result.to_option results in
     let answer = Partial.merge replies in
     let limit = answers_limit req in

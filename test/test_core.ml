@@ -712,6 +712,133 @@ let qcheck_top_k_prefix =
            | (_, p) :: _ when List.length first_k = k -> p
            | _ -> 0.))
 
+(* Exact sums against an integer oracle: masses k·2⁻⁶⁰ with |k| < 2⁵⁰, so
+   a bucket's exact sum is the int Σk (at most 1,000 addends stay below
+   2⁶⁰) and [ldexp (float_of_int Σk) (-60)] is its correctly rounded
+   value.  Buckets are fed through [add], [add_id]/[bump] and θ. *)
+let qcheck_answer_exact =
+  let bound = (1 lsl 50) - 1 in
+  let gen =
+    QCheck.Gen.(
+      list_size (0 -- 1000)
+        (triple (0 -- 3) (int_range (-bound) bound) bool))
+  in
+  QCheck.Test.make ~name:"answer sums are exact and correctly rounded"
+    ~count:200 (QCheck.make gen) (fun adds ->
+      let a = Urm.Answer.create [ "x" ] in
+      let sums = Array.make 4 0 and ids = Array.make 4 (-1) in
+      List.iter
+        (fun (key, k, via_id) ->
+          let p = ldexp (float_of_int k) (-60) in
+          sums.(key) <- sums.(key) + k;
+          if key = 3 then Urm.Answer.add_null a p
+          else if via_id && ids.(key) >= 0 then
+            Urm.Answer.bump a [| ids.(key) |] p
+          else ids.(key) <- Urm.Answer.add_id a [| i key |] p)
+        adds;
+      let rounded n = ldexp (float_of_int n) (-60) in
+      let same x y =
+        Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+      in
+      List.for_all
+        (fun key -> same (Urm.Answer.prob_of a [| i key |]) (rounded sums.(key)))
+        [ 0; 1; 2 ]
+      && same (Urm.Answer.null_prob a) (rounded sums.(3))
+      && same (Urm.Answer.total_prob a) (rounded (Array.fold_left ( + ) 0 sums)))
+
+(* Half-way cases settle by the exact sum, not by the addition order:
+   1 + 2⁻⁵³ is a tie (to even, 1), any mass beyond it breaks the tie. *)
+let test_answer_ties () =
+  let sum masses =
+    let a = Urm.Answer.create [ "x" ] in
+    List.iter (Urm.Answer.add a [| i 0 |]) masses;
+    Urm.Answer.prob_of a [| i 0 |]
+  in
+  let u = ldexp 1. (-53) and tiny = ldexp 1. (-100) in
+  let check name expected masses =
+    Alcotest.(check (float 0.)) name expected (sum masses)
+  in
+  check "1 + 2⁻⁵³ rounds to even" 1. [ 1.; u ];
+  check "1 + 2⁻⁵³ + 2⁻¹⁰⁰ rounds up" (1. +. (2. *. u)) [ 1.; u; tiny ];
+  check "order does not matter" (1. +. (2. *. u)) [ tiny; u; 1. ];
+  check "below the tie rounds down" 1. [ 1.; u; -.tiny ];
+  check "odd neighbour ties up" (1. +. (4. *. u)) [ 1. +. (2. *. u); u ];
+  check "a tail past two floats breaks a tie" (1. +. (2. *. u))
+    [ ldexp 1. (-200); u; 1. ];
+  check "and so does a negative one" 1. [ 1.; u; -.ldexp 1. (-200) ];
+  (* Three components: the bucket spills, and comes back when the tail
+     cancels. *)
+  let a = Urm.Answer.create [ "x" ] in
+  let e60 = ldexp 1. (-60) and e200 = ldexp 1. (-200) in
+  List.iter (Urm.Answer.add a [| i 0 |]) [ e200; 1.; e60 ];
+  let exact () =
+    let got = ref [] in
+    Urm.Answer.iter_exact (fun _ e -> got := e) a;
+    !got
+  in
+  Alcotest.(check (list (float 0.))) "spilled" [ 1.; e60; e200 ] (exact ());
+  List.iter (Urm.Answer.add a [| i 0 |]) [ -.e60; -.e200 ];
+  Alcotest.(check (list (float 0.))) "back to one" [ 1. ] (exact ());
+  Urm.Answer.add a [| i 0 |] (-1.);
+  Alcotest.(check (list (float 0.))) "zero is empty" [] (exact ());
+  Alcotest.(check int) "bucket kept" 1 (Urm.Answer.size a)
+
+(* The same additions in any order, split into any sub-answers fed by any
+   entry point and merged in any order, render to the same bytes.  Masses
+   mix signs and span 200 binary orders, so buckets spill past two
+   components. *)
+let qcheck_answer_order_free =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (0 -- 60)
+           (pair (-1 -- 3)
+              (oneofl
+                 [
+                   0.1; 0.2; 0.3; 1. /. 3.; 0.7; 1e-3; -0.1; 1e-20;
+                   ldexp 1. (-60); ldexp 1. (-200); 0.30000000000000004;
+                 ])))
+        int)
+  in
+  QCheck.Test.make ~name:"answer sums ignore order and grouping" ~count:500
+    (QCheck.make gen) (fun (adds, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let shuffle l =
+        List.map (fun x -> (Random.State.bits rng, x)) l
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
+      in
+      let render a = Urm_util.Json.to_string (Urm.Answer.to_json a) in
+      let feed a ids (key, p) =
+        if key < 0 then Urm.Answer.add_null a p
+        else
+          let tuple = [| i key |] in
+          match (Random.State.int rng 3, Hashtbl.find_opt ids key) with
+          | 0, Some id -> Urm.Answer.bump a [| id |] p
+          | 1, _ -> Urm.Answer.add_vec a tuple [| p |]
+          | _ -> Hashtbl.replace ids key (Urm.Answer.add_id a tuple p)
+      in
+      let reference = Urm.Answer.create [ "x" ] in
+      List.iter
+        (fun (key, p) ->
+          if key < 0 then Urm.Answer.add_null reference p
+          else Urm.Answer.add reference [| i key |] p)
+        adds;
+      let parts = 1 + Random.State.int rng 4 in
+      let subs =
+        Array.init parts (fun _ -> (Urm.Answer.create [ "x" ], Hashtbl.create 4))
+      in
+      List.iter
+        (fun add ->
+          let a, ids = subs.(Random.State.int rng parts) in
+          feed a ids add)
+        (shuffle adds);
+      let merged = Urm.Answer.create [ "x" ] in
+      List.iter
+        (fun (a, _) -> Urm.Answer.merge_into merged a)
+        (shuffle (Array.to_list subs));
+      String.equal (render reference) (render merged))
+
 let suite =
   [
     Alcotest.test_case "mapping 1:1 checked" `Quick test_mapping_one_to_one;
@@ -751,4 +878,8 @@ let suite =
     Alcotest.test_case "mapgen from candidates" `Quick test_mapgen_from_candidates;
     QCheck_alcotest.to_alcotest qcheck_answers_agree;
     QCheck_alcotest.to_alcotest qcheck_top_k_prefix;
+    QCheck_alcotest.to_alcotest qcheck_answer_exact;
+    Alcotest.test_case "answer ties round by the exact sum" `Quick
+      test_answer_ties;
+    QCheck_alcotest.to_alcotest qcheck_answer_order_free;
   ]

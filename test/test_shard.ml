@@ -1,10 +1,9 @@
 (* Differential oracle for the shard router: the same session, queries
    and mutation batches against a single-process server and against
    routers with 1, 2 and 4 worker processes must produce byte-identical
-   answer payloads — the fan-outs merge grouped partials that replay each
-   bucket's per-unit additions in ascending order, every other operation
-   forwards whole, and JSON floats render as %.17g, so any divergence is
-   a real bug, not noise.
+   answer payloads — the fan-outs merge per-chunk exact subtotals, answer
+   sums are exact, every other operation forwards whole, and JSON floats
+   render as %.17g, so any divergence is a real bug, not noise.
 
    The routers spawn workers by re-executing this test binary; test_main
    calls [Urm_shard.Launcher.exec_if_worker] before Alcotest ever runs. *)
@@ -137,9 +136,9 @@ let test_hash_ranges () =
 (* ------------------------------------------------------------------ *)
 (* Grouped partials, without a server *)
 
-(* The reference merge: one addition per (unit, tuple) in unit order —
-   every unit's answers in [to_list] order, each tuple rebuilt from its
-   wire form and added to the running bucket, then the unit's θ. *)
+(* The reference merge: one exact addition per (unit, tuple) in unit
+   order — every unit's exact sums, each tuple rebuilt from its wire form
+   and added to the running bucket, then the unit's θ. *)
 let per_unit_merge output units =
   let acc = Urm.Answer.create output in
   let wire v =
@@ -147,18 +146,19 @@ let per_unit_merge output units =
   in
   List.iter
     (fun a ->
-      List.iter
-        (fun (tuple, p) -> Urm.Answer.add acc (Array.map wire tuple) p)
-        (Urm.Answer.to_list a);
-      Urm.Answer.add_null acc (Urm.Answer.null_prob a))
+      Urm.Answer.iter_exact
+        (fun tuple e -> Urm.Answer.add_exact acc (Array.map wire tuple) e)
+        a;
+      List.iter (Urm.Answer.add_null acc) (Urm.Answer.null_exact a))
     units;
   acc
 
-(* Random units split into random consecutive ranges: merging the grouped
-   replies in range order renders byte-identically to the per-unit merge.
-   Keys mix Int and integral Float values, which the wire folds into one
-   bucket, and probabilities repeat, so groups, wire collisions within a
-   unit and empty ranges all occur. *)
+(* Random units split into random consecutive chunks: each chunk's reply
+   is encoded from one answer that merges the chunk's units, and the
+   replies, read back from their wire text, merge in a random order to
+   the bytes of the per-unit merge.  Keys mix Int and integral Float
+   values, which the wire folds into one bucket, and probabilities repeat,
+   so groups, wire collisions within a unit and empty chunks all occur. *)
 let qcheck_grouped_merge =
   let gen =
     QCheck.Gen.(
@@ -178,10 +178,10 @@ let qcheck_grouped_merge =
              (pair value (oneofl [ 0.1; 0.2; 0.30000000000000004 ])))
           (oneofl [ 0.; 0.05; 0.1 ])
       in
-      pair (list_size (0 -- 8) unit) (list_size (0 -- 4) (0 -- 8)))
+      triple (list_size (0 -- 8) unit) (list_size (0 -- 4) (0 -- 8)) int)
   in
   QCheck.Test.make ~name:"grouped partials merge like per-unit partials"
-    ~count:500 (QCheck.make gen) (fun (units, cuts) ->
+    ~count:500 (QCheck.make gen) (fun (units, cuts, seed) ->
       let units =
         List.map
           (fun (adds, theta) ->
@@ -195,18 +195,24 @@ let qcheck_grouped_merge =
       let points = (0 :: List.sort compare (List.map (min n) cuts)) @ [ n ] in
       let rec replies = function
         | lo :: (hi :: _ as rest) ->
-          let reply =
-            Json.Obj
-              (Partial.encode ~output:[ "v" ] ~lo
-                 (List.to_seq (List.filteri (fun i _ -> lo <= i && i < hi) units)))
-          in
+          let chunk = Urm.Answer.create [ "v" ] in
+          List.iteri
+            (fun i a -> if lo <= i && i < hi then Urm.Answer.merge_into chunk a)
+            units;
+          let reply = Json.Obj (Partial.encode ~output:[ "v" ] chunk) in
           (* Through the wire text, as the router receives it. *)
           (match Json.parse (Json.to_string reply) with
           | Ok reply -> reply :: replies rest
           | Error m -> failwith m)
         | _ -> []
       in
-      let merged = Partial.merge (replies points) in
+      let rng = Random.State.make [| seed |] in
+      let shuffled =
+        List.map (fun r -> (Random.State.bits rng, r)) (replies points)
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
+      in
+      let merged = Partial.merge shuffled in
       String.equal
         (Json.to_string (Urm.Answer.to_json (per_unit_merge [ "v" ] units)))
         (Json.to_string (Urm.Answer.to_json merged)))
