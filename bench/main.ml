@@ -157,7 +157,7 @@ let run_eval quick =
                       | None ->
                         baseline := Some answer;
                         true
-                      | Some b -> Urm.Answer.equal ~eps:Urm.Prob.eps b answer
+                      | Some b -> Urm.Answer.equal b answer
                     in
                     if not identical then mismatch := true;
                     let hit, miss, evict = Urm.Ctx.plan_stats ctx in
@@ -222,15 +222,12 @@ let run_eval quick =
    The factorized multi-mapping executor's headline: on the plan engine
    every exact algorithm runs one vectorized pass over its units for all h
    mappings — the distinct e-units for e-basic and e-MQO, one singleton
-   unit per mapping (or per q-sharing/o-sharing representative) otherwise —
-   instead of re-interpreting per unit.  Per algorithm × engine × h, times
-   Q4 on the pipeline workload and checks the answer against the
-   interpreted e-basic oracle of the same h — byte-for-byte on the rendered
-   JSON for the sharing algorithms (they add the same unit masses to each
-   bucket, and sums are exact, so even the float bits must agree), and
-   with [Answer.equal ~eps] for basic (it adds each mapping's probability
-   where the others add a unit's [vec_mass], itself a rounded float sum,
-   so last-ulp float bits legitimately differ).  Any
+   unit per mapping for basic, one unit per q-sharing partition for
+   q-sharing and o-sharing — instead of re-interpreting per unit.  Per
+   algorithm × engine × h, times Q4 on the pipeline workload and checks
+   the rendered JSON byte-for-byte against the interpreted e-basic oracle
+   of the same h: every unit adds its mappings' exact mass and sums are
+   exact, so even the float bits must agree, basic included.  Any
    divergence exits non-zero, so the factorized path cannot silently
    drift.  Each row records the report's effective engine
    ("vectorized+factorized" on every plan-engine row, basic included).
@@ -260,7 +257,7 @@ let run_share quick =
   let p = Urm_workload.Pipeline.create ~seed:cfg.E.seed ~scale:cfg.E.scale () in
   let mismatch = ref false in
   Format.printf "=== sharing sweep (Q4, factorized vs interpreted) ===@.@.";
-  let row alg engine h ms ~compare ~oracle =
+  let row alg engine h ms ~oracle =
     let ctx = Urm_workload.Pipeline.ctx ~engine p target in
     let report = ref None in
     let secs =
@@ -273,12 +270,9 @@ let run_share quick =
     let matches =
       match !oracle with
       | None ->
-        oracle := Some (answer, rendered);
+        oracle := Some rendered;
         true
-      | Some (oans, obytes) -> (
-        match compare with
-        | `Bytes -> String.equal obytes rendered
-        | `Eps -> Urm.Answer.equal ~eps:Urm.Prob.eps oans answer)
+      | Some obytes -> String.equal obytes rendered
     in
     if not matches then mismatch := true;
     let alg_name = Urm.Algorithms.name alg in
@@ -297,9 +291,7 @@ let run_share quick =
         ("engine", Urm_util.Json.Str engine_name);
         ("effective_engine", Urm_util.Json.Str report.Urm.Report.engine);
         ("seconds", Urm_util.Json.Num secs);
-        ( "comparison",
-          Urm_util.Json.Str
-            (match compare with `Bytes -> "bytes" | `Eps -> "eps") );
+        ("comparison", Urm_util.Json.Str "bytes");
         ("matches_oracle", Urm_util.Json.Bool matches);
       ]
   in
@@ -324,20 +316,17 @@ let run_share quick =
         let interp =
           List.map
             (fun alg ->
-              row alg Urm_relalg.Compile.Interpreted h ms ~compare:`Bytes
-                ~oracle)
+              row alg Urm_relalg.Compile.Interpreted h ms ~oracle)
             sharing
         in
         let vect_basic =
-          row Urm.Algorithms.Basic Urm_relalg.Compile.Vectorized h ms
-            ~compare:`Eps ~oracle
+          row Urm.Algorithms.Basic Urm_relalg.Compile.Vectorized h ms ~oracle
         in
         let vect =
           vect_basic
           :: List.map
                (fun alg ->
-                 row alg Urm_relalg.Compile.Vectorized h ms ~compare:`Bytes
-                   ~oracle)
+                 row alg Urm_relalg.Compile.Vectorized h ms ~oracle)
                sharing
         in
         interp @ vect)
@@ -558,9 +547,9 @@ let run_anytime quick =
 
    The headline claim of lib/incr: after a mutation batch, patching the
    maintained answer by delta evaluation (State.catch_up) beats
-   re-evaluating the query from scratch, and the patched answer stays
-   within Prob.eps of the fresh one at every benchmarked point — any
-   inequality makes the harness exit non-zero.  Per h × batch size,
+   re-evaluating the query from scratch, and the patched answer renders
+   the fresh one's bytes at every benchmarked point — any difference
+   makes the harness exit non-zero.  Per h × batch size,
    commits [runs] epochs of fresh-key tuple inserts into a relation the
    query reads (inserts elsewhere would be skipped by every shape, timing
    nothing) and times the catch-up against a full Basic re-evaluation
@@ -646,10 +635,12 @@ let run_incr quick =
                   head.Vcatalog.mappings
               in
               f_sum := !f_sum +. (Urm_util.Timer.now () -. t1);
+              let bytes a = Urm_util.Json.to_string (Urm.Answer.to_json a) in
               if
                 not
-                  (Urm.Answer.equal ~eps:Urm.Prob.eps
-                     report.Urm.Report.answer (State.answer state))
+                  (String.equal
+                     (bytes report.Urm.Report.answer)
+                     (bytes (State.answer state)))
               then mismatch := true
             done;
             let delta_secs = !d_sum /. float_of_int runs in
@@ -673,7 +664,7 @@ let run_incr quick =
                 ("delta_seconds", Json.Num delta_secs);
                 ("full_seconds", Json.Num full_secs);
                 ("speedup", Json.Num speedup);
-                ("equal_within_eps", Json.Bool (not !mismatch));
+                ("identical_to_fresh", Json.Bool (not !mismatch));
               ])
           batch_sizes)
       h_sweep
@@ -877,7 +868,7 @@ let run_shard quick =
 (* Part 1g: the top-k sweep (id "topk").
 
    Per query (Q4, Q7, Q10) × h ∈ {8, 100} × k ∈ {1, 5, 20}: top-k on the
-   plan engine (one factorized pass over the representatives in
+   plan engine (one factorized pass over the q-sharing partitions in
    descending mass order), the interpreted u-trace top-k, and the exact
    factorized e-MQO beside them.  Each column is 3 runs on one context,
    each from a compacted heap; the JSON keeps every run with its min

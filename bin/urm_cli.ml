@@ -483,7 +483,8 @@ let plan_cmd =
       Format.printf "%a reformulates into %d distinct source queries over %d mappings:@."
         Urm.Query.pp q (List.length distinct) (List.length ms);
       List.iter
-        (fun (sq, prob) ->
+        (fun (sq, mass) ->
+          let prob = Urm.Answer.round mass in
           match sq.Urm.Reformulate.body with
           | Urm.Reformulate.Expr e ->
             Format.printf "@.  [p=%.3f] %s@." prob (Urm_relalg.Algebra.to_string e)

@@ -254,7 +254,7 @@ let reserve t n =
   ensure t (t.next_id + n)
 
 (* Replay a further accumulation into buckets previously returned by
-   {!add_id} — valid for the answer's lifetime; {!compact} drops a ghost
+   {!add_id} — valid for the answer's lifetime; {!compact} drops a zero
    bucket's table entry but never reassigns its id.  One call per replay
    keeps [p] unboxed and [accumulate] inlined across the whole loop. *)
 let bump t ids p =
@@ -266,15 +266,13 @@ let tbl_find tb key =
   let i = slot tb (Hashtbl.hash key) key in
   if tb.hashes.(i) < 0 then None else Some tb.ids.(i)
 
-(* The collapsed mass of a weight vector, summed left to right from [0.]
-   — the mass [Ebasic.distinct_source_queries] hands the interpreted
-   oracles, so a unit adds the same float on every engine. *)
-let vec_mass w = Array.fold_left ( +. ) 0. w
+(* A unit's mass: the exact sum of its mappings' probabilities, as the
+   canonical expansion a bucket reads back ({!iter_exact}).  Adding its
+   components adds exactly Σ Pr(m), so a unit of several mappings leaves
+   the same bucket sums as its mappings added one by one. *)
+let mass w = canonical (Array.fold_left grow_expansion [] w)
+let round = function c :: _ -> c | [] -> 0.
 
-(* Bulk weighted accumulate: fold a whole weight vector into one bucket
-   addition.  One call replaces the h per-mapping [add]s a non-factorized
-   evaluation would perform for this tuple. *)
-let add_vec t tuple w = add t tuple (vec_mass w)
 let add_null t p = accumulate t null_id p
 let null_prob t = value t null_id
 let null_exact t = exact t null_id
@@ -297,38 +295,25 @@ let merge_into t other =
   iter_exact (add_exact t) other;
   List.iter (add_null t) (null_exact other)
 
-(* Delta maintenance patches buckets with signed increments.  Sums are
-   exact, but the increments are not: a shape weight is patched as
-   [prob − old], so a fully retracted tuple's bucket can keep an
-   ulp-sized residue (possibly negative) instead of summing to zero.
-   [equal] matches buckets one-to-one, so such ghosts would make a patched
-   answer differ from a fresh evaluation even though every probability
-   agrees within eps.  The epsilon floor removes them; genuine buckets
-   always carry at least one mapping's probability, which in any
-   normalised mapping set is orders of magnitude above {!Prob.eps}. *)
-let compact ?(eps = Prob.eps) t =
+(* Drop the buckets whose exact sum is zero: a tuple retracted by the
+   negation of every mass it was given.  Any other bucket's exact sum is a
+   nonzero multiple of the least subnormal, so its rounded value is never
+   0 and survives. *)
+let compact t =
   let tb = t.rows in
-  let doomed =
-    tbl_fold
-      (fun _ id n -> if Float.abs (value t id) <= eps then n + 1 else n)
-      tb 0
-  in
-  if doomed > 0 then (
-    (* Rebuild without the ghosts; surviving buckets keep their ids so
+  let live id = value t id <> 0. in
+  if tbl_fold (fun _ id n -> if live id then n else n + 1) tb 0 > 0 then (
+    (* Rebuild without the zeros; surviving buckets keep their ids so
        outstanding {!add_id} handles stay live — [next_id] never goes
-       backwards, so a ghost's id is never reassigned. *)
+       backwards, so a dropped bucket's id is never reassigned. *)
     let ohashes = tb.hashes and okeys = tb.keys and oids = tb.ids in
     tb.hashes <- Array.make (Array.length ohashes) (-1);
     tb.keys <- Array.make (Array.length okeys) dummy_key;
     tb.ids <- Array.make (Array.length oids) 0;
     tb.count <- 0;
     Array.iteri
-      (fun j h ->
-        if h >= 0 && Float.abs (value t oids.(j)) > eps then
-          place tb h okeys.(j) oids.(j))
-      ohashes);
-  let theta = null_prob t in
-  if theta < 0. && theta >= -.eps then set_exact t null_id []
+      (fun j h -> if h >= 0 && live oids.(j) then place tb h okeys.(j) oids.(j))
+      ohashes)
 
 let compare_tuples a b =
   let rec go i =
@@ -426,14 +411,16 @@ let approx_tuple_equal ta tb =
 (* Equality is a one-to-one matching of buckets: every tuple of [a] must
    claim a distinct, not-yet-consumed bucket of [b] whose key matches
    (exactly, else approximately — float-valued aggregates computed by
-   differently-ordered summations land on slightly different keys) with
-   probability within [eps].  Without consumption, two near-identical
-   float keys of [a] could both match one bucket of [b] and equal sizes
-   would still report equality on unequal answers (and the check was
+   differently-ordered summations land on slightly different keys) with a
+   bit-equal probability.  Without consumption, two near-identical float
+   keys of [a] could both match one bucket of [b] and equal sizes would
+   still report equality on unequal answers (and the check was
    asymmetric). *)
-let equal ?(eps = Prob.eps) a b =
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let equal a b =
   a.output = b.output
-  && abs_float (null_prob a -. null_prob b) <= eps
+  && same_bits (null_prob a) (null_prob b)
   && a.rows.count = b.rows.count
   &&
   let consumed : (Value.t array, unit) Hashtbl.t =
@@ -441,7 +428,7 @@ let equal ?(eps = Prob.eps) a b =
   in
   let claim tuple p =
     let matches key id =
-      (not (Hashtbl.mem consumed key)) && abs_float (value b id -. p) <= eps
+      (not (Hashtbl.mem consumed key)) && same_bits (value b id) p
     in
     match tbl_find b.rows tuple with
     | Some id when matches tuple id ->

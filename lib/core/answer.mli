@@ -29,17 +29,17 @@ val add : t -> Urm_relalg.Value.t array -> float -> unit
 (** [add_null t p] accumulates probability onto θ. *)
 val add_null : t -> float -> unit
 
-(** [vec_mass w] the collapsed probability mass of a mapping weight
-    vector: a plain float sum, left to right.  It is the one mass a unit
-    adds per tuple, on every engine; it is not exact, so adding it is not
-    bit-identical to adding each mapping's probability separately. *)
-val vec_mass : float array -> float
+(** [mass w] the exact sum of the probabilities [w] as its canonical
+    component list (the form of {!iter_exact}; its head is the correctly
+    rounded sum, and a zero sum is empty): the mass a unit of several
+    mappings adds, one addition per component, on every engine.  Adding it
+    leaves every bucket the exact sum of Pr(m) over the mappings yielding
+    the tuple, however the mappings were grouped into units. *)
+val mass : float array -> float list
 
-(** [add_vec t tuple w] the bulk weighted-accumulate entry point of the
-    factorized executor: folds the whole weight vector [w] into [tuple]'s
-    bucket with a single addition of {!vec_mass}[ w] — one call replaces
-    the h per-mapping {!add}s of a non-factorized evaluation. *)
-val add_vec : t -> Urm_relalg.Value.t array -> float array -> unit
+(** [round m] the correctly rounded value of a {!mass}: its head, [0.]
+    for a zero sum. *)
+val round : float list -> float
 
 (** [add_id t tuple p] like {!add}, but returns the tuple's bucket id so
     further probability can be replayed with {!bump} — the engines'
@@ -86,14 +86,11 @@ val null_exact : t -> float list
     {!iter_exact}.  θ's list goes back with {!add_null} per component. *)
 val add_exact : t -> Urm_relalg.Value.t array -> float list -> unit
 
-(** [compact ?eps t] removes buckets whose probability is within [eps]
-    (default {!Prob.eps}) of zero and clamps an eps-negative θ back to 0.
-    Incremental maintenance calls this after every mutation batch: sums
-    are exact, but its shape weights are patched by float subtraction, so
-    a retracted tuple's bucket can keep an ulp-sized residue; dropping it
-    restores the bucket census a fresh evaluation would produce, so
-    {!equal} keeps holding under repeated add/subtract cycles. *)
-val compact : ?eps:float -> t -> unit
+(** [compact t] removes the buckets whose exact sum is zero — tuples
+    retracted by the negation of every mass they were given.  Incremental
+    maintenance calls this after every mutation batch, so a patched answer
+    keeps the bucket census (and the bytes) of a fresh evaluation. *)
+val compact : t -> unit
 
 (** Distinct tuples with their probabilities, sorted by probability
     descending (ties broken by tuple order, deterministically). *)
@@ -125,12 +122,12 @@ val total_prob : t -> float
     absent). *)
 val prob_of : t -> Urm_relalg.Value.t array -> float
 
-(** [equal ?eps a b] same outputs, same θ mass, and a one-to-one matching
-    of [a]'s tuples onto [b]'s buckets (exact keys first, then approximate
-    — float aggregate keys may differ across summation orders) with
-    probabilities within [eps] (default {!Prob.eps}).  Each bucket of [b]
-    is consumed by at most one tuple of [a], so the check is symmetric. *)
-val equal : ?eps:float -> t -> t -> bool
+(** [equal a b] same outputs, bit-equal θ, and a one-to-one matching of
+    [a]'s tuples onto [b]'s buckets (exact keys first, then approximate —
+    float aggregate keys may differ across summation orders) with
+    bit-equal probabilities.  Each bucket of [b] is consumed by at most
+    one tuple of [a], so the check is symmetric. *)
+val equal : t -> t -> bool
 
 (** [{"output": […], "answers": [{"tuple": […], "prob": p}, …],
     "null_prob": θ}] in {!to_list} order — deterministic, so equal answers

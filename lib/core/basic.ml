@@ -29,10 +29,10 @@ let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
       in
       Urm_util.Timer.Stopwatch.timed sw_aggregate (fun () ->
           let factor = Reformulate.factor ctx.catalog sq in
-          let p = m.Mapping.prob in
+          let mass = [ m.Mapping.prob ] in
           match rel with
-          | Some r -> Reformulate.answers_into acc sq ~factor r p
-          | None -> Reformulate.null_answer_into acc sq ~factor p))
+          | Some r -> Reformulate.answers_into acc sq ~factor r mass
+          | None -> Reformulate.null_answer_into acc sq ~factor mass))
     ms;
   {
     Report.answer = acc;
@@ -50,17 +50,16 @@ let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
     engine = "interpreted";
   }
 
-let run_scoped ~metrics (ctx : Ctx.t) q ms =
-  match Ctx.engine ctx with
-  | Compile.Interpreted ->
-    run_interpreted ~ctrs:(Eval.fresh_counters ~metrics ()) ctx q ms
-  | Compile.Vectorized ->
-    fst
-      (Factorized.run ~metrics ctx q (fun () ->
-           Factorized.singleton_units ctx q ms))
-
-let run ?(metrics = Urm_obs.Metrics.global) ctx q ms =
+let run ?(metrics = Urm_obs.Metrics.global) (ctx : Ctx.t) q ms =
   let m = Urm_obs.Metrics.scope metrics "basic" in
-  let r = run_scoped ~metrics:m ctx q ms in
+  let r =
+    match Ctx.engine ctx with
+    | Compile.Interpreted ->
+      run_interpreted ~ctrs:(Eval.fresh_counters ~metrics:m ()) ctx q ms
+    | Compile.Vectorized ->
+      fst
+        (Factorized.run ~metrics:m ctx q (fun () ->
+             Factorized.singleton_units ctx q ms))
+  in
   Report.record_metrics m r;
   r

@@ -8,10 +8,3 @@
     ["basic"] scope of [metrics] (default {!Urm_obs.Metrics.global}). *)
 val run :
   ?metrics:Urm_obs.Metrics.t -> Ctx.t -> Query.t -> Mapping.t list -> Report.t
-
-(** [run_scoped ~metrics …] like {!run} but records directly into [metrics]
-    without adding the ["basic"] scope or the per-run summary — for callers
-    (q-sharing) that run basic under their own scope and adjust the report
-    before recording it. *)
-val run_scoped :
-  metrics:Urm_obs.Metrics.t -> Ctx.t -> Query.t -> Mapping.t list -> Report.t

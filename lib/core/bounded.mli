@@ -6,8 +6,8 @@
     - On the interpreted engine a unit is a leaf of o-sharing's u-trace
       ({!Eunit.run_qt}); the stop test runs once per leaf, and
       [visited_eunits] counts the u-trace e-units created.
-    - On the plan engine a unit is one of o-sharing's representatives
-      ({!Qsharing.representatives}) as a singleton unit of one
+    - On the plan engine a unit is one q-sharing partition
+      ({!Qsharing.partitions}, as {!Factorized.partition_units}) of one
       {!Factorized.eval} pass without CSE, visited in descending mass
       order; the stop test runs once per unit, and [visited_eunits] counts
       the units visited.

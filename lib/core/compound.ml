@@ -99,7 +99,9 @@ let run (ctx : Ctx.t) c ms =
         List.iter
           (fun (_, group) ->
             let m = List.hd group in
-            let mass = Mapping.total_prob group in
+            let mass =
+              Answer.mass (Array.of_list (List.map (fun m -> m.Mapping.prob) group))
+            in
             let rec eval_set = function
               | Query q -> member_set m q
               | Union (a, b) -> Tset.union (eval_set a) (eval_set b)
@@ -107,8 +109,8 @@ let run (ctx : Ctx.t) c ms =
               | Except (a, b) -> Tset.diff (eval_set a) (eval_set b)
             in
             let set = eval_set c in
-            if Hashtbl.length set = 0 then Answer.add_null acc mass
-            else Hashtbl.iter (fun tuple () -> Answer.add acc tuple mass) set)
+            if Hashtbl.length set = 0 then List.iter (Answer.add_null acc) mass
+            else Hashtbl.iter (fun tuple () -> Answer.add_exact acc tuple mass) set)
           groups)
   in
   {

@@ -17,7 +17,7 @@ type piece = {
 type t = {
   pieces : piece list;
   pending : Query.op list;
-  mappings : Mapping.t list;
+  mappings : Mapping.t list list;
 }
 
 type env = {
@@ -67,11 +67,16 @@ let trace env fmt =
   | Some f -> Format.kasprintf f fmt
 let eunits_created env = env.n_eunits
 let init q mappings = { pieces = []; pending = Query.operators q; mappings }
-let mass u = Mapping.total_prob u.mappings
+let mass u = Mapping.total_prob (List.concat u.mappings)
+
+(* A group's exact mass: every mapping of its partitions. *)
+let group_mass group =
+  Answer.mass
+    (Array.of_list (List.concat_map (List.map (fun m -> m.Mapping.prob)) group))
 
 type leaf =
-  | Tuples of Value.t array list * float
-  | Null_answer of float
+  | Tuples of Value.t array list * float list
+  | Null_answer of float list
 
 (* ------------------------------------------------------------------ *)
 (* Source-operator execution with cross-branch memoisation.  Evaluation
@@ -226,7 +231,7 @@ let op_label env u op m =
 (* Operator selection: Random / SNF / SEF (paper §VI-A). *)
 
 let partitions_for env u op =
-  Ptree.partition_by_labels (op_label env u op) u.mappings
+  Ptree.partition_by_labels (fun p -> op_label env u op (List.hd p)) u.mappings
 
 let select_next env u =
   let candidates =
@@ -287,7 +292,7 @@ type step = Child of t | Leaf of leaf
 let remaining u op = List.filter (fun o -> o <> op) u.pending
 
 let update_or_null env u op pieces i rel group =
-  if Relation.is_empty rel then Leaf (leaf_null env (Mapping.total_prob group))
+  if Relation.is_empty rel then Leaf (leaf_null env (group_mass group))
   else begin
     let p = List.nth pieces i in
     let p' = { p with rel = Some rel; hint = Algebra.Mat rel } in
@@ -296,8 +301,8 @@ let update_or_null env u op pieces i rel group =
 
 let exec_select env u op i group =
   let ta, v = List.nth env.q.Query.selections i in
-  let m = List.hd group in
-  let g_mass = Mapping.total_prob group in
+  let m = List.hd (List.hd group) in
+  let g_mass = group_mass group in
   match source_of env m ta with
   | None -> Leaf (leaf_null env g_mass)
   | Some src ->
@@ -308,8 +313,8 @@ let exec_select env u op i group =
 
 let exec_join env u op i group =
   let a, b = List.nth env.q.Query.joins i in
-  let m = List.hd group in
-  let g_mass = Mapping.total_prob group in
+  let m = List.hd (List.hd group) in
+  let g_mass = group_mass group in
   match (source_of env m a, source_of env m b) with
   | None, _ | _, None -> Leaf (leaf_null env g_mass)
   | Some sa, Some sb ->
@@ -343,8 +348,8 @@ let exec_join env u op i group =
     end
 
 let exec_product env u op a1 a2 group =
-  let m = List.hd group in
-  let g_mass = Mapping.total_prob group in
+  let m = List.hd (List.hd group) in
+  let g_mass = group_mass group in
   (* Executing a Cartesian product materialises nothing: its sides are
      loaded (that is what the partition key reflects) and the cross product
      itself is deferred to the output operator, where the engine factorises
@@ -357,8 +362,8 @@ let exec_product env u op a1 a2 group =
   else Child { pieces; pending = remaining u op; mappings = group }
 
 let exec_output env u group =
-  let m = List.hd group in
-  let g_mass = Mapping.total_prob group in
+  let m = List.hd (List.hd group) in
+  let g_mass = group_mass group in
   (* Aggregate multiplicity of the factored-out unreferenced aliases. *)
   let factor =
     match env.q.Query.aggregate with
@@ -525,7 +530,9 @@ let branches env u =
   let groups =
     List.sort
       (fun (_, a) (_, b) ->
-        Float.compare (Mapping.total_prob b) (Mapping.total_prob a))
+        Float.compare
+          (Mapping.total_prob (List.concat b))
+          (Mapping.total_prob (List.concat a)))
       groups
   in
   (op, groups)
@@ -536,12 +543,13 @@ let rec run_qt env u ~emit =
     | [] -> true
     | (label, group) :: rest -> begin
       trace env "  partition %s: %d mapping(s), mass %.3f" label
-        (List.length group) (Mapping.total_prob group);
+        (List.length group) (Mapping.total_prob (List.concat group));
       match exec_op env u op group with
       | Leaf l ->
         (match l with
-        | Tuples (ts, m) -> trace env "  leaf: %d tuple(s), mass %.3f" (List.length ts) m
-        | Null_answer m -> trace env "  leaf: θ, mass %.3f" m);
+        | Tuples (ts, m) ->
+          trace env "  leaf: %d tuple(s), mass %.3f" (List.length ts) (Answer.round m)
+        | Null_answer m -> trace env "  leaf: θ, mass %.3f" (Answer.round m));
         if emit l then visit rest else false
       | Child c -> if run_qt env c ~emit then visit rest else false
     end

@@ -37,7 +37,9 @@ type piece = {
 type t = {
   pieces : piece list;
   pending : Query.op list;
-  mappings : Mapping.t list;  (** representatives; probs are partition masses *)
+  mappings : Mapping.t list list;
+      (** q-sharing partitions of the e-unit's mappings; the first
+          mapping of each represents it *)
 }
 
 (** Shared state of one o-sharing run. *)
@@ -75,16 +77,17 @@ val set_tracer : env -> (string -> unit) -> unit
     counted per environment like {!memo_hits}. *)
 val eunits_created : env -> int
 
-(** [init ctx q representatives] the root e-unit: the full pending operator
-    list, no pieces, all representative mappings. *)
-val init : Query.t -> Mapping.t list -> t
+(** [init q partitions] the root e-unit: the full pending operator list,
+    no pieces, all of q-sharing's partitions ({!Qsharing.partitions}). *)
+val init : Query.t -> Mapping.t list list -> t
 
 (** A leaf of the u-trace: what one fully-executed e-unit contributes. *)
 type leaf =
-  | Tuples of Urm_relalg.Value.t array list * float
+  | Tuples of Urm_relalg.Value.t array list * float list
       (** distinct target tuples over the query's output header, and the
-          probability mass of the e-unit's mappings *)
-  | Null_answer of float  (** θ with its mass *)
+          exact probability mass of every mapping in the e-unit's
+          partitions, as {!Answer.mass} components *)
+  | Null_answer of float list  (** θ with its mass *)
 
 (** [run_qt env u ~emit] recursively evaluates the u-trace rooted at [u]
     (paper Algorithm 2).  [emit] is called on every leaf; returning [false]

@@ -7,16 +7,16 @@ open Urm_relalg
    distinct e-units, each owed the probability mass of the mappings whose
    reformulation contains it.  This executor compiles each distinct e-unit
    to one plan, executes it exactly once, and streams its result batches
-   into the answer with the unit's whole mapping-mass weight vector folded
-   into every bucket in a single addition ([Answer.add_vec]), instead
-   of re-running the plan h times.
+   into the answer with the unit's whole mapping mass added to every
+   bucket ([Answer.mass]: the exact sum, one addition per component),
+   instead of re-running the plan h times.
 
-   Bit-identity with the interpreted per-unit oracle: each bucket receives
-   one addition of the unit's [Answer.vec_mass] per unit that yields its
-   tuple (the same float the oracle adds), whether the unit executes,
-   replays the first occurrence's bucket cells or matches a recorded
-   stream.  [Answer] sums exactly, so the bits do not depend on unit order
-   or on how a caller splits the unit list. *)
+   Bit-identity with the interpreted oracles: each bucket receives the
+   exact mass of every unit that yields its tuple, whether the unit
+   executes, replays the first occurrence's bucket cells or matches a
+   recorded stream.  [Answer] sums exactly, so the bits depend neither on
+   unit order, nor on how a caller splits the unit list, nor on how the
+   mappings are grouped into units. *)
 
 type result = {
   answer : Answer.t;
@@ -52,20 +52,24 @@ let weighted_units (ctx : Ctx.t) q ms =
       (sq, Array.of_list (List.rev ws)))
     !order
 
-(* One unit per mapping, degenerate weight vector — basic, and q-sharing
-   over its representatives (each already carries its partition's mass):
-   each mapping adds its own probability, and repeated reformulation keys
-   replay instead of re-executing.  Each equality
-   selection is probed once per (source attribute, constant) first, so a
-   mapping whose selection matches no source row reformulates to
-   [Unsatisfiable] and never compiles or runs a plan — same θ / COUNT 0 /
-   SUM Null, at the same unit position, as its empty evaluation. *)
-let singleton_units (ctx : Ctx.t) q ms =
+(* One unit per partition of mappings known to reformulate alike (the
+   q-sharing partition tree), reformulated through its first member and
+   carrying every member's probability.  Each equality selection is probed
+   once per (source attribute, constant) first, so a unit whose selection
+   matches no source row reformulates to [Unsatisfiable] and never
+   compiles or runs a plan — same θ / COUNT 0 / SUM Null, at the same unit
+   position, as its empty evaluation. *)
+let partition_units (ctx : Ctx.t) q partitions =
   let holds = Reformulate.selection_probe ctx.catalog in
   List.map
-    (fun m ->
-      (Reformulate.source_query ~holds ctx.target q m, [| m.Mapping.prob |]))
-    ms
+    (function
+      | [] -> invalid_arg "Factorized.partition_units: empty partition"
+      | first :: _ as members ->
+        ( Reformulate.source_query ~holds ctx.target q first,
+          Array.of_list (List.map (fun m -> m.Mapping.prob) members) ))
+    partitions
+
+let singleton_units ctx q ms = partition_units ctx q (List.map (fun m -> [ m ]) ms)
 
 let eval ~ctrs ?(cse = false) ?stop (ctx : Ctx.t) q units =
   let acc = Answer.create (Reformulate.output_header q) in
@@ -133,8 +137,7 @@ let eval ~ctrs ?(cse = false) ?stop (ctx : Ctx.t) q units =
      earliest unit. *)
   let recordings = ref [] in
   let executed = ref 0 and replayed = ref 0 and matched = ref 0 in
-  let visit ((sq, weights) : Reformulate.t * float array) =
-    let mass = Answer.vec_mass weights in
+  let visit (sq : Reformulate.t) weights mass =
     match sq.Reformulate.body with
     | Reformulate.Unsatisfiable | Reformulate.Trivial ->
       Reformulate.null_answer_into acc sq
@@ -152,8 +155,8 @@ let eval ~ctrs ?(cse = false) ?stop (ctx : Ctx.t) q units =
         let factor = Reformulate.factor ctx.catalog sq in
         let stream = Ctx.eval_wbatches ~ctrs ctx e ~weights in
         let r, stream_matched =
-          Reformulate.record_weighted_answers_into acc sq ~factor stream
-            ~weights ~candidates:(List.rev !recordings)
+          Reformulate.record_weighted_answers_into acc sq ~factor stream ~mass
+            ~candidates:(List.rev !recordings)
         in
         if stream_matched then incr matched
         else recordings := r :: !recordings;
@@ -164,10 +167,10 @@ let eval ~ctrs ?(cse = false) ?stop (ctx : Ctx.t) q units =
   let processed = ref 0 in
   let rec pass unvisited = function
     | [] -> ()
-    | ((_, weights) as unit) :: rest ->
-      visit unit;
+    | (sq, weights, mass) :: rest ->
+      visit sq weights mass;
       incr processed;
-      let unvisited = unvisited -. Answer.vec_mass weights in
+      let unvisited = unvisited -. Answer.round mass in
       let stopped =
         match stop with
         | Some stop -> rest <> [] && stop acc ~unvisited
@@ -175,8 +178,9 @@ let eval ~ctrs ?(cse = false) ?stop (ctx : Ctx.t) q units =
       in
       if not stopped then pass unvisited rest
   in
+  let units = List.map (fun (sq, w) -> (sq, w, Answer.mass w)) units in
   let total =
-    List.fold_left (fun acc (_, w) -> acc +. Answer.vec_mass w) 0. units
+    List.fold_left (fun acc (_, _, m) -> acc +. Answer.round m) 0. units
   in
   Urm_util.Timer.Stopwatch.timed sw_eval (fun () -> pass total units);
   {

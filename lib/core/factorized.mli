@@ -3,16 +3,16 @@
 
     Each distinct e-unit compiles to one plan and executes exactly once;
     result batches stream into the answer over the weight-vector channel
-    ({!Ctx.eval_wbatches}), folding the Pr(mᵢ) mass of every mapping whose
-    reformulation contains the e-unit into each bucket with a single
-    addition ({!Answer.add_vec}).  With [cse] the distinct units
+    ({!Ctx.eval_wbatches}), adding the exact Pr(mᵢ) sum of every mapping
+    whose reformulation contains the e-unit ({!Answer.mass}) to each
+    bucket, one addition per component.  With [cse] the distinct units
     additionally share materialised common subexpressions through the
     {!Urm_mqo.Dag} pass.
 
-    Answers are bit-identical to the interpreted per-unit oracle: each
-    unit adds the same collapsed vector mass to the same buckets, and
-    {!Answer} sums exactly, so neither unit order nor a split of the unit
-    list into chunks changes a bit. *)
+    Answers are bit-identical to the interpreted oracles: each unit adds
+    its mappings' exact mass to the buckets of its tuples, and {!Answer}
+    sums exactly, so neither unit order, nor a split of the unit list into
+    chunks, nor the grouping of mappings into units changes a bit. *)
 
 type result = {
   answer : Answer.t;
@@ -33,20 +33,26 @@ type result = {
 (** [weighted_units ctx q ms] the distinct e-units of [q] under [ms],
     grouped by {!Reformulate.key} in first-seen order, with their
     per-mapping probability vectors (ascending mapping order) — the
-    mapping→e-unit incidence.  Each unit adds the collapsed
-    {!Answer.vec_mass} of its vector. *)
+    mapping→e-unit incidence.  Each unit adds the exact sum of its vector
+    ({!Answer.mass}). *)
 val weighted_units :
   Ctx.t -> Query.t -> Mapping.t list -> (Reformulate.t * float array) list
 
-(** [singleton_units ctx q ms] one unit per mapping with a degenerate
-    weight vector — basic, and q-sharing over its representatives (each
-    already carries its partition's mass): each mapping adds its own
-    probability and duplicate reformulation keys replay.  Reformulation
-    probes the source instance ({!Reformulate.selection_probe}, one memo
-    per call): a mapping whose equality selection matches no source row
-    becomes an [Unsatisfiable] unit at the same position, which adds the
-    same θ / COUNT 0 / SUM Null its evaluated plan would, without
-    compiling or running it. *)
+(** [partition_units ctx q partitions] one unit per partition of mappings
+    that reformulate alike (q-sharing's {!Ptree.partition}), reformulated
+    through its first member and weighted by every member's probability,
+    so it adds the partition's exact mass.  Reformulation probes the
+    source instance ({!Reformulate.selection_probe}, one memo per call): a
+    unit whose equality selection matches no source row becomes
+    [Unsatisfiable] at the same position, which adds the same θ / COUNT 0
+    / SUM Null its evaluated plan would, without compiling or running it.
+    Raises [Invalid_argument] on an empty partition. *)
+val partition_units :
+  Ctx.t -> Query.t -> Mapping.t list list -> (Reformulate.t * float array) list
+
+(** [singleton_units ctx q ms] {!partition_units} over one singleton
+    partition per mapping — basic's units: each mapping adds its own
+    probability and duplicate reformulation keys replay. *)
 val singleton_units :
   Ctx.t -> Query.t -> Mapping.t list -> (Reformulate.t * float array) list
 

@@ -31,13 +31,15 @@ let run (ctx : Ctx.t) q ms =
         Hashtbl.add groups key (sq, ref [ m ]);
         order := key :: !order)
     ms;
-  let acc : (Value.t array, float ref * int list ref) Hashtbl.t = Hashtbl.create 64 in
-  let null_mass = ref 0. in
+  let answer = Answer.create (Reformulate.output_header q) in
+  let support : (Value.t array, int list ref) Hashtbl.t = Hashtbl.create 64 in
   let null_support = ref [] in
   List.iter
     (fun key ->
       let sq, members = Hashtbl.find groups key in
-      let mass = Mapping.total_prob !members in
+      let mass =
+        Answer.mass (Array.of_list (List.map (fun m -> m.Mapping.prob) !members))
+      in
       let ids = List.map (fun m -> m.Mapping.id) !members in
       let rel =
         match sq.Reformulate.body with
@@ -49,31 +51,26 @@ let run (ctx : Ctx.t) q ms =
       in
       match tuples with
       | [] ->
-        null_mass := !null_mass +. mass;
+        List.iter (Answer.add_null answer) mass;
         null_support := ids @ !null_support
       | _ ->
         List.iter
           (fun t ->
-            match Hashtbl.find_opt acc t with
-            | Some (p, support) ->
-              p := !p +. mass;
-              support := ids @ !support
-            | None -> Hashtbl.replace acc t (ref mass, ref ids))
+            Answer.add_exact answer t mass;
+            match Hashtbl.find_opt support t with
+            | Some ids' -> ids' := ids @ !ids'
+            | None -> Hashtbl.replace support t (ref ids))
           tuples)
     (List.rev !order);
-  let entries =
-    Hashtbl.fold
-      (fun tuple (p, support) out ->
-        { tuple; prob = !p; support = List.sort_uniq Int.compare !support } :: out)
-      acc []
-    |> List.sort (fun a b ->
-           let c = Float.compare b.prob a.prob in
-           if c <> 0 then c else compare a.tuple b.tuple)
-  in
   {
-    output = Reformulate.output_header q;
-    entries;
-    null_prob = !null_mass;
+    output = Answer.output answer;
+    entries =
+      List.map
+        (fun (tuple, prob) ->
+          let ids = !(Hashtbl.find support tuple) in
+          { tuple; prob; support = List.sort_uniq Int.compare ids })
+        (Answer.to_list answer);
+    null_prob = Answer.null_prob answer;
     null_support = List.sort_uniq Int.compare !null_support;
   }
 

@@ -4,8 +4,8 @@ type stats = { eunits : int; memo_hits : int; representatives : int }
 
 (* The interpreted engine runs the paper's Algorithm 2 — the adaptive
    u-trace traversal in {!Eunit}, kept as the differential oracle.  The
-   plan engines run the factorized executor over the same representatives
-   with cross-unit CSE: the global e-unit DAG subsumes the adaptive
+   plan engines run the factorized executor over one unit per q-sharing
+   partition with cross-unit CSE: the global e-unit DAG subsumes the adaptive
    traversal's operator sharing (every shared subexpression materialises
    exactly once), and the batched single pass is what makes o-sharing
    profit from vectorized execution.  [strategy], [seed] and [use_memo]
@@ -21,23 +21,23 @@ let run_with_stats ?(strategy = Eunit.Sef) ?seed ?use_memo ?tracer
   let report, stats =
     match Ctx.engine ctx with
     | Urm_relalg.Compile.Interpreted ->
-      let reps, rewrite =
-        Urm_util.Timer.time (fun () -> Qsharing.representatives ctx q ms)
+      let parts, rewrite =
+        Urm_util.Timer.time (fun () -> Qsharing.partitions ctx q ms)
       in
-      count "representatives" (List.length reps);
+      count "representatives" (List.length parts);
       let env = Eunit.make_env ?seed ?use_memo ~metrics:m ~strategy ctx q in
       Option.iter (Eunit.set_tracer env) tracer;
       let answer = Answer.create (Reformulate.output_header q) in
       let emit = function
         | Eunit.Tuples (tuples, mass) ->
-          List.iter (fun t -> Answer.add answer t mass) tuples;
+          List.iter (fun t -> Answer.add_exact answer t mass) tuples;
           true
         | Eunit.Null_answer mass ->
-          Answer.add_null answer mass;
+          List.iter (Answer.add_null answer) mass;
           true
       in
       let (_ : bool), evaluate =
-        Urm_util.Timer.time (fun () -> Eunit.run_qt env (Eunit.init q reps) ~emit)
+        Urm_util.Timer.time (fun () -> Eunit.run_qt env (Eunit.init q parts) ~emit)
       in
       let ctrs = Eunit.counters env in
       ( {
@@ -46,13 +46,13 @@ let run_with_stats ?(strategy = Eunit.Sef) ?seed ?use_memo ?tracer
           timings = { Report.rewrite; plan = 0.; evaluate; aggregate = 0. };
           source_operators = ctrs.Eval.operators;
           rows_produced = ctrs.Eval.rows_produced;
-          groups = List.length reps;
+          groups = List.length parts;
           engine = "interpreted";
         },
         {
           eunits = Eunit.eunits_created env;
           memo_hits = Eunit.memo_hits env;
-          representatives = List.length reps;
+          representatives = List.length parts;
         } )
     | Urm_relalg.Compile.Vectorized ->
       let trace fmt =
@@ -61,12 +61,13 @@ let run_with_stats ?(strategy = Eunit.Sef) ?seed ?use_memo ?tracer
       let report, r =
         Factorized.run ~metrics:m ~cse:true ctx q (fun () ->
             let units =
-              Factorized.singleton_units ctx q (Qsharing.representatives ctx q ms)
+              Factorized.partition_units ctx q (Qsharing.partitions ctx q ms)
             in
             if Option.is_some tracer then
               List.iteri
                 (fun i ((sq, w) : Reformulate.t * float array) ->
-                  trace "e-unit #%d (mass %.3f): %s" i (Answer.vec_mass w)
+                  trace "e-unit #%d (mass %.3f): %s" i
+                    (Answer.round (Answer.mass w))
                     (Reformulate.key sq))
                 units;
             units)

@@ -1,18 +1,13 @@
-(** Shared numeric tolerance for probability bookkeeping.
+(** The numeric tolerance of the paper's bounds.
 
-    Probabilities in this system are sums of mapping masses, accumulated in
-    different orders by different algorithms; float addition is not
-    associative, so any comparison of accumulated masses must allow for
-    rounding noise.  [eps] is comfortably above the error of summing a few
-    thousand doubles and far below any genuine probability difference the
-    workloads produce.
-
-    Everything that compares probability masses — {!Answer.equal}, top-k
-    pruning ({!Topk}), threshold decisions ({!Threshold}) — uses this one
-    constant, so they agree on when two masses are "equal".  (Previously
-    {!Answer.equal} used 1e-9 while the pruning code hard-coded 1e-12: a
-    tuple could be pruned as decided under one tolerance yet compare as
-    undecided under the other.) *)
+    Answers sum exactly ({!Answer}): every exact algorithm, on every
+    engine, gives bit-identical probabilities, and {!Answer.equal} compares
+    them bit for bit.  A tolerance is left only where the paper itself
+    thresholds a float bound against a float mass: top-k pruning
+    ({!Topk}), threshold decisions ({!Threshold}) and the u-trace's
+    "no mass left" test ({!Bounded}), which compare sums of rounded masses
+    and must not decide on an ulp.  They share this one constant, so they
+    agree on when two masses are "equal". *)
 
 val eps : float
 (** [1e-9]. *)

@@ -22,9 +22,8 @@ val partition_naive :
     routine). *)
 val represent : Mapping.t list list -> Mapping.t list
 
-(** [partition_by_labels key ms] generic partitioning of mappings by an
-    arbitrary label function (used by o-sharing's per-operator grouping);
-    deterministic first-insertion order.  Returns the label with each
-    group. *)
-val partition_by_labels :
-  (Mapping.t -> string) -> Mapping.t list -> (string * Mapping.t list) list
+(** [partition_by_labels key xs] generic partitioning by an arbitrary
+    label function (o-sharing's per-operator grouping of partitions,
+    compound queries' grouping of mappings); deterministic first-insertion
+    order.  Returns the label with each group. *)
+val partition_by_labels : ('a -> string) -> 'a list -> (string * 'a list) list

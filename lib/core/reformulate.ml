@@ -180,14 +180,19 @@ let scale_value factor v =
   | Value.Null -> Value.Null
   | Value.Str _ -> invalid_arg "Reformulate.scale_value: string aggregate"
 
-let null_answer_into acc sq ~factor p =
+(* A mass is a component list ({!Answer.mass}) whose exact sum the
+   adders below give each tuple (and θ); an empty one still creates the
+   tuples' buckets, as adding 0. does. *)
+let add_null acc mass = List.iter (Answer.add_null acc) mass
+
+let null_answer_into acc sq ~factor mass =
   match (sq.aggregate, sq.grouped, sq.body) with
   (* A grouped aggregate over nothing has no groups: the answer is θ. *)
-  | Some _, true, _ -> Answer.add_null acc p
-  | Some Query.Count, false, Trivial -> Answer.add acc [| Value.Int factor |] p
-  | Some Query.Count, false, _ -> Answer.add acc [| Value.Int 0 |] p
-  | Some (Query.Sum _), false, _ -> Answer.add acc [| Value.Null |] p
-  | None, _, _ -> Answer.add_null acc p
+  | Some _, true, _ -> add_null acc mass
+  | Some Query.Count, false, Trivial -> Answer.add_exact acc [| Value.Int factor |] mass
+  | Some Query.Count, false, _ -> Answer.add_exact acc [| Value.Int 0 |] mass
+  | Some (Query.Sum _), false, _ -> Answer.add_exact acc [| Value.Null |] mass
+  | None, _, _ -> add_null acc mass
 
 (* Iterate the target tuples of a plain (non-aggregate) evaluated result:
    the source query ends in Distinct over exactly the mapped output columns
@@ -246,15 +251,16 @@ let iter_grouped_tuples sq ~factor rel ~f =
       f tuple)
     rel
 
-let answers_into acc sq ~factor rel p =
+let answers_into acc sq ~factor rel mass =
+  let add tuple = Answer.add_exact acc tuple mass in
   match (sq.aggregate, sq.grouped) with
   | Some _, true ->
-    if Relation.is_empty rel then Answer.add_null acc p
-    else iter_grouped_tuples sq ~factor rel ~f:(fun tuple -> Answer.add acc tuple p)
-  | Some _, false -> Answer.add acc (aggregate_tuple sq ~factor rel) p
+    if Relation.is_empty rel then add_null acc mass
+    else iter_grouped_tuples sq ~factor rel ~f:add
+  | Some _, false -> add (aggregate_tuple sq ~factor rel)
   | None, _ ->
-    if Relation.is_empty rel then Answer.add_null acc p
-    else iter_plain_tuples sq rel ~f:(fun tuple -> Answer.add acc tuple p)
+    if Relation.is_empty rel then add_null acc mass
+    else iter_plain_tuples sq rel ~f:add
 
 (* A recorded accumulation: the answer-bucket ids one evaluation of a
    reformulation touched and the emitted target-tuple stream, both in
@@ -279,13 +285,13 @@ let push buf count x =
   !buf.(!count) <- x;
   incr count
 
-let replay_answers_into acc r p =
-  Answer.bump acc r.ids p;
-  if r.null then Answer.add_null acc p
+let replay_answers_into acc r mass =
+  List.iter (Answer.bump acc r.ids) mass;
+  if r.null then add_null acc mass
 
 (* The factorized executor's recording: one pass over the weight-vector
-   channel ({!Urm.Ctx.eval_wbatches}) that accumulates the e-unit's whole
-   collapsed mapping mass and records the emitted stream — while
+   channel ({!Urm.Ctx.eval_wbatches}) that accumulates the e-unit's exact
+   mapping mass and records the emitted stream — while
    simultaneously comparing that stream, tuple by tuple, against the
    [candidates] recorded by previously executed units.  Distinct
    reformulations frequently produce identical result streams (they differ
@@ -298,13 +304,8 @@ let replay_answers_into acc r p =
    and a full stream match means the replayed additions are exactly the
    additions a fresh accumulation would have made — same buckets, no
    hashing involved in the match (structural tuple equality only). *)
-let record_weighted_answers_into acc sq ~factor (header, wdrive) ~weights
+let record_weighted_answers_into acc sq ~factor (header, wdrive) ~mass
     ~candidates =
-  (* Collapse the weight vector once per unit, not per emitted tuple: the
-     left-to-right fold is the same float the oracle adds per unit, and
-     hoisting it turns the accumulation from O(h · tuples) flops into
-     O(h + tuples). *)
-  let mass = Answer.vec_mass weights in
   let cands = Array.of_list candidates in
   let nc = Array.length cands in
   let live = Array.make nc true in
@@ -462,8 +463,10 @@ let record_weighted_answers_into acc sq ~factor (header, wdrive) ~weights
       end
     in
     Answer.reserve acc (Array.length tuples);
-    let ids = Array.map (fun tu -> Answer.add_id acc tu mass) tuples in
-    if !null then Answer.add_null acc mass;
+    let first, rest = match mass with [] -> (0., []) | c :: cs -> (c, cs) in
+    let ids = Array.map (fun tu -> Answer.add_id acc tu first) tuples in
+    List.iter (Answer.bump acc ids) rest;
+    if !null then add_null acc mass;
     ({ ids; null = !null; tuples }, false)
 
 let result_tuples sq ~factor rel =

@@ -73,12 +73,15 @@ val factor : Urm_relalg.Catalog.t -> t -> int
     attribute gets (["A@rel#col"]). *)
 val column_for : alias:string -> source_attr:string -> string
 
-(** [answers_into acc sq ~factor rel p] folds the evaluation result [rel] of
-    [sq] into accumulator [acc] with probability [p]: builds target tuples
+(** [answers_into acc sq ~factor rel mass] folds the evaluation result
+    [rel] of [sq] into accumulator [acc] with the exact sum of the
+    components [mass] (see {!Answer.mass}; [\[p\]] for one mapping's
+    probability; an empty list still creates the buckets): builds target tuples
     (Null for unmapped outputs), removes duplicates (set semantics per
     mapping), θ for an empty plain result, aggregate values scaled by
     [factor]. *)
-val answers_into : Answer.t -> t -> factor:int -> Urm_relalg.Relation.t -> float -> unit
+val answers_into :
+  Answer.t -> t -> factor:int -> Urm_relalg.Relation.t -> float list -> unit
 
 (** A recorded accumulation: the answer-bucket cells one evaluation of a
     reformulation touched, plus its emitted target-tuple stream, in
@@ -87,11 +90,13 @@ val answers_into : Answer.t -> t -> factor:int -> Urm_relalg.Relation.t -> float
     recording stands in for re-evaluating the shared shape. *)
 type recording
 
-(** [record_weighted_answers_into acc sq ~factor wstream ~weights
+(** [record_weighted_answers_into acc sq ~factor wstream ~mass
     ~candidates] the factorized executor's accumulate: streams [sq]'s
     result over the weight-vector channel ({!Urm.Ctx.eval_wbatches}) and
-    folds the e-unit's whole collapsed mapping mass into each tuple's
-    bucket — one plan execution for all the mappings in [weights].  The
+    adds the e-unit's exact mapping mass [mass] (as {!answers_into}) to
+    each tuple's bucket: the first component on insertion, one
+    {!Answer.bump} over the recorded ids per further component — one plan
+    execution for all the unit's mappings.  The
     emitted stream is simultaneously compared against [candidates]
     (recordings of previously executed units, in execution order); on an
     exact stream match the candidate's bucket ids are replayed instead of
@@ -102,20 +107,21 @@ val record_weighted_answers_into :
   t ->
   factor:int ->
   string list * ((Urm_relalg.Column.weighted -> unit) -> unit) ->
-  weights:float array ->
+  mass:float list ->
   candidates:recording list ->
   recording * bool
 
-(** [replay_answers_into acc r p] re-applies a recording with probability
-    [p]: the same buckets receive the same additions, in the same order, as
+(** [replay_answers_into acc r mass] re-applies a recording with the
+    mass [mass] (one {!Answer.bump} per component): the same buckets receive the same additions, in the same order, as
     a fresh evaluation would produce — bit-identical, without evaluating.
     [acc] must be the answer [r] was recorded against. *)
-val replay_answers_into : Answer.t -> recording -> float -> unit
+val replay_answers_into : Answer.t -> recording -> float list -> unit
 
-(** [null_answer_into acc sq ~factor p] the contribution of a mapping whose
+(** [null_answer_into acc sq ~factor mass] the contribution (as
+    {!answers_into}) of a mapping whose
     body is [Unsatisfiable] or [Trivial]: θ for plain queries; COUNT = 0
     (unsatisfiable) or COUNT = factor (trivial); SUM = Null. *)
-val null_answer_into : Answer.t -> t -> factor:int -> float -> unit
+val null_answer_into : Answer.t -> t -> factor:int -> float list -> unit
 
 (** [output_header q] the answer header shared by all mappings of a query
     (labels of {!Query.output_attrs}, or the aggregate label). *)

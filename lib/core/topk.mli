@@ -9,7 +9,7 @@
     answer (DESIGN.md, semantics decision 7).  See {!Bounded} for the pass
     on each engine:
 
-    - plan engine: o-sharing's representatives as singleton units of one
+    - plan engine: one unit per q-sharing partition in one
       {!Factorized.eval} pass, in descending mass order, the bounds checked
       once per unit; [visited_eunits] counts the units visited;
     - interpreted engine: the paper's u-trace traversal, the bounds checked

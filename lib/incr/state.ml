@@ -3,15 +3,14 @@ module Metrics = Urm_obs.Metrics
 
 (* One distinct reformulation shape: every mapping whose source query has
    the same [Reformulate.key] contributes the same target tuples, so the
-   shape carries the summed probability mass of its member mappings
+   shape carries the exact probability mass of its member mappings
    (exactly e-basic's grouping, kept live instead of recomputed). *)
 type shape = {
   key : string;
   sq : Urm.Reformulate.t;
   expr_rels : string list;  (* stored relations of the body; [] for null bodies *)
   mutable factor : int;
-  mutable weight : float;  (* Σ Pr(m) over member mappings *)
-  mutable members : int;
+  mutable members : (int * float) list;  (* member mapping id, Pr(m) *)
   mutable tuples : (Value.t array, unit) Hashtbl.t;  (* empty = θ *)
 }
 
@@ -47,20 +46,33 @@ let shape_key (ctx : Urm.Ctx.t) q m =
   let sq = Urm.Reformulate.source_query ctx.Urm.Ctx.target q m in
   (Urm.Reformulate.key sq, sq)
 
-(* Add [dw] mass to every tuple the shape currently produces (θ when it
+(* The shape's weight: the exact Σ Pr(m) over its members, as
+   {!Urm.Answer.mass} components.  Every bucket then holds the exact sum
+   a fresh evaluation gives it, and a retraction — the weight negated —
+   returns it to exactly zero. *)
+let weight s = Urm.Answer.mass (Array.of_list (List.map snd s.members))
+let neg = List.map Float.neg
+
+(* Add [mass] to every tuple the shape currently produces (θ when it
    produces none). *)
-let patch_shape answer s dw =
-  if dw <> 0. then
-    if Hashtbl.length s.tuples = 0 then Urm.Answer.add_null answer dw
-    else Hashtbl.iter (fun tu () -> Urm.Answer.add answer tu dw) s.tuples
+let patch_shape answer s mass =
+  if Hashtbl.length s.tuples = 0 then List.iter (Urm.Answer.add_null answer) mass
+  else Hashtbl.iter (fun tu () -> Urm.Answer.add_exact answer tu mass) s.tuples
+
+(* Drop the buckets that sum to exactly 0 — retracted tuples — but keep
+   those a zero-weight shape still yields: a fresh evaluation gives every
+   tuple some mapping yields a bucket, at probability 0 if need be.
+   Weights are non-negative, so a zero bucket's shapes all weigh 0. *)
+let compact t =
+  Urm.Answer.compact t.answer;
+  Hashtbl.iter (fun _ s -> if weight s = [] then patch_shape t.answer s []) t.shapes
 
 let add_member t (ctx : Urm.Ctx.t) m =
   let k, sq = shape_key ctx t.query m in
-  let prob = m.Urm.Mapping.prob in
+  let member = (m.Urm.Mapping.id, m.Urm.Mapping.prob) in
   match Hashtbl.find_opt t.shapes k with
   | Some s ->
-    s.weight <- s.weight +. prob;
-    s.members <- s.members + 1;
+    s.members <- member :: s.members;
     s
   | None ->
     let factor, tuples = eval_shape ctx sq in
@@ -69,7 +81,7 @@ let add_member t (ctx : Urm.Ctx.t) m =
       | Urm.Reformulate.Expr e -> Delta.base_names e
       | _ -> []
     in
-    let s = { key = k; sq; expr_rels; factor; weight = prob; members = 1; tuples } in
+    let s = { key = k; sq; expr_rels; factor; members = [ member ]; tuples } in
     Hashtbl.replace t.shapes k s;
     t.order <- k :: t.order;
     s
@@ -86,8 +98,8 @@ let build (snap : Vcatalog.snapshot) q =
   in
   List.iter (fun m -> ignore (add_member t snap.ctx m)) snap.mappings;
   t.order <- List.rev t.order;
-  List.iter (fun k -> let s = Hashtbl.find t.shapes k in patch_shape t.answer s s.weight) t.order;
-  Urm.Answer.compact t.answer;
+  List.iter (fun k -> let s = Hashtbl.find t.shapes k in patch_shape t.answer s (weight s)) t.order;
+  compact t;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -115,16 +127,17 @@ let reeval_shape t (post : Vcatalog.snapshot) s =
   let factor, tuples = eval_shape post.ctx s.sq in
   let was_empty = Hashtbl.length s.tuples = 0 in
   let now_empty = Hashtbl.length tuples = 0 in
+  let w = weight s in
   Hashtbl.iter
     (fun tu () ->
-      if not (Hashtbl.mem s.tuples tu) then Urm.Answer.add t.answer tu s.weight)
+      if not (Hashtbl.mem s.tuples tu) then Urm.Answer.add_exact t.answer tu w)
     tuples;
   Hashtbl.iter
     (fun tu () ->
-      if not (Hashtbl.mem tuples tu) then Urm.Answer.add t.answer tu (-.s.weight))
+      if not (Hashtbl.mem tuples tu) then Urm.Answer.add_exact t.answer tu (neg w))
     s.tuples;
-  if was_empty && not now_empty then Urm.Answer.add_null t.answer (-.s.weight);
-  if (not was_empty) && now_empty then Urm.Answer.add_null t.answer s.weight;
+  if was_empty && not now_empty then List.iter (Urm.Answer.add_null t.answer) (neg w);
+  if (not was_empty) && now_empty then List.iter (Urm.Answer.add_null t.answer) w;
   s.tuples <- tuples;
   s.factor <- factor
 
@@ -137,16 +150,17 @@ let delta_shape t (pre : Vcatalog.snapshot) (post : Vcatalog.snapshot) deltas s 
       Delta.candidates post.ctx s.sq ~factor:s.factor ~old_of ~delta_of e
     in
     let was_empty = Hashtbl.length s.tuples = 0 in
+    let w = weight s in
     let added = ref 0 in
     List.iter
       (fun tu ->
         if not (Hashtbl.mem s.tuples tu) then begin
           Hashtbl.replace s.tuples tu ();
-          Urm.Answer.add t.answer tu s.weight;
+          Urm.Answer.add_exact t.answer tu w;
           incr added
         end)
       candidates;
-    if was_empty && !added > 0 then Urm.Answer.add_null t.answer (-.s.weight)
+    if was_empty && !added > 0 then List.iter (Urm.Answer.add_null t.answer) (neg w)
   | Urm.Reformulate.Unsatisfiable | Urm.Reformulate.Trivial -> assert false
 
 let remove_shape t k =
@@ -202,9 +216,10 @@ let apply ?(metrics = Metrics.global) t (e : Vcatalog.entry) =
         let mp = List.find (fun mp -> mp.Urm.Mapping.id = mapping) !mappings in
         let k, _ = shape_key post.ctx t.query mp in
         let s = Hashtbl.find t.shapes k in
-        let dw = prob -. mp.Urm.Mapping.prob in
-        patch_shape t.answer s dw;
-        s.weight <- s.weight +. dw;
+        patch_shape t.answer s [ -.mp.Urm.Mapping.prob ];
+        patch_shape t.answer s [ prob ];
+        s.members <-
+          List.map (fun (id, p) -> (id, if id = mapping then prob else p)) s.members;
         mappings :=
           List.map
             (fun mp ->
@@ -215,20 +230,19 @@ let apply ?(metrics = Metrics.global) t (e : Vcatalog.entry) =
         let mp = List.find (fun mp -> mp.Urm.Mapping.id = mapping) !mappings in
         let k, _ = shape_key post.ctx t.query mp in
         let s = Hashtbl.find t.shapes k in
-        patch_shape t.answer s (-.mp.Urm.Mapping.prob);
-        s.weight <- s.weight -. mp.Urm.Mapping.prob;
-        s.members <- s.members - 1;
-        if s.members = 0 then remove_shape t k;
+        patch_shape t.answer s [ -.mp.Urm.Mapping.prob ];
+        s.members <- List.filter (fun (id, _) -> id <> mapping) s.members;
+        if s.members = [] then remove_shape t k;
         mappings := List.filter (fun mp -> mp.Urm.Mapping.id <> mapping) !mappings
       | Mutation.Add_mapping { id = Some id; pairs; prob; score } ->
         let mp = Urm.Mapping.make ~id ~prob ~score pairs in
         let s = add_member t post.ctx mp in
-        patch_shape t.answer s prob;
+        patch_shape t.answer s [ prob ];
         mappings := !mappings @ [ mp ]
       | Mutation.Add_mapping { id = None; _ } ->
         invalid_arg "State.apply: unresolved add-mapping (commit the batch first)")
     batch;
-  Urm.Answer.compact t.answer;
+  compact t;
   t.epoch <- post.epoch
 
 let catch_up ?metrics vcat t =

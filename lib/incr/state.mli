@@ -5,7 +5,7 @@
     per-shape decomposition that produced it: every exact algorithm of the
     paper computes  answer = Σ_shapes weight(shape) · tuples(shape), where
     a shape is one distinct reformulation ({!Urm.Reformulate.key}) and its
-    weight the summed probability of the mappings sharing it.  Keeping the
+    weight the exact summed probability of the mappings sharing it.  Keeping the
     decomposition live makes the answer patchable:
 
     - data mutations touch only shapes whose body (or aggregate factor)
@@ -17,10 +17,14 @@
     - probability reweights/prunes/adds patch bucket masses directly,
       evaluating at most the newly-added shape.
 
-    After every batch the answer is {!Urm.Answer.compact}ed, so bucket
-    drift from repeated add/subtract cycles never accumulates and the
-    maintained answer stays {!Urm.Answer.equal} (within [Prob.eps]) to a
-    fresh evaluation at the same epoch. *)
+    A shape's weight is the exact sum of its members' probabilities
+    ({!Urm.Answer.mass}); a tuple gains or loses exactly that weight, and
+    a reweight or prune adds the exact difference.  Every bucket therefore
+    holds the exact sum a fresh evaluation gives it, a retracted one sums
+    to exactly zero, and after every batch {!Urm.Answer.compact} drops
+    those zeros (keeping the zero buckets of tuples a zero-weight shape
+    still yields, as a fresh evaluation does) — the maintained answer
+    renders a fresh basic evaluation's bytes at the same epoch. *)
 
 type t
 

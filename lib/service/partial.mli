@@ -1,6 +1,6 @@
 (** Partial answers: the wire form in which a worker returns the answer of
     one fan-out slot (a contiguous chunk of the unit list: one unit per
-    mapping for basic, per representative for q-sharing, per distinct
+    mapping for basic, per partition for q-sharing, per distinct
     e-unit for e-basic and e-MQO), and the router's merge of them.
 
     {v

@@ -139,7 +139,7 @@ let unit_partials ctx q units =
 (* Partial evaluation for the shard router's fan-out.  Every worker holds
    every session, so each worker derives the same unit list
    deterministically — one singleton per mapping for [basic], one per
-   representative for q-sharing, the weighted distinct e-units for e-basic
+   partition for q-sharing, the weighted distinct e-units for e-basic
    and e-MQO — and evaluates its contiguous chunk
    [slot·n/slots, (slot+1)·n/slots).  [expect_h] is the router's cached
    mapping count: a mismatch means a mutate raced the fan-out and surfaces
@@ -171,8 +171,8 @@ let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
              match alg_name with
              | "basic" -> Urm.Factorized.singleton_units ctx q mappings
              | "q-sharing" ->
-               Urm.Factorized.singleton_units ctx q
-                 (Urm.Qsharing.representatives ctx q mappings)
+               Urm.Factorized.partition_units ctx q
+                 (Urm.Qsharing.partitions ctx q mappings)
              | _ -> Urm.Factorized.weighted_units ctx q mappings
            in
            let n = List.length units in

@@ -1,10 +1,9 @@
 (** Walker-Vose alias tables: sampling from a discrete distribution in O(1)
     per draw after O(n) construction.
 
-    The shared weighted sampler of the repository: {!Urm.Montecarlo} draws
-    validation worlds through it and [lib/anytime]'s budgeted estimator
-    samples mappings weighted by [Pr(mi)] — both deterministic from an
-    explicit {!Prng.t}. *)
+    The weighted sampler of the repository: [lib/anytime]'s budgeted
+    estimator samples mappings weighted by [Pr(mi)] through it,
+    deterministically from an explicit {!Prng.t}. *)
 
 type t
 

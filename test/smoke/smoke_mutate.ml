@@ -63,27 +63,6 @@ let answer_key_of_json json =
     (Json.Obj
        [ ("answers", member "answers" json); ("null", member "null_prob" json) ])
 
-(* Tolerant comparison for the maintained answer: patched buckets carry
-   float residue within Prob.eps of a fresh evaluation, so byte equality
-   is too strict — compare tuple sets and probabilities within eps. *)
-let answers_eps_equal a b =
-  let bag json =
-    match member "answers" json with
-    | Json.Arr items ->
-      List.map
-        (fun it -> (Json.to_string (member "tuple" it), num "prob" it))
-        items
-      |> List.sort compare
-    | _ -> []
-  in
-  let ba = bag a and bb = bag b in
-  List.length ba = List.length bb
-  && List.for_all2
-       (fun (ta, pa) (tb, pb) ->
-         String.equal ta tb && Float.abs (pa -. pb) <= 1e-9)
-       ba bb
-  && Float.abs (num "null_prob" a -. num "null_prob" b) <= 1e-9
-
 let () =
   (* The local oracle: the same pipeline parameters give the same instance
      and mapping set, and committing the same batches to a local versioned
@@ -174,7 +153,7 @@ let () =
   let incr0 = query "incr" in
   check "incr is built on first use" (String.equal (str "status" incr0) "built");
   check "incr epoch 0" (num "epoch" incr0 = 0.);
-  check "built incr equals basic" (answers_eps_equal incr0 basic0);
+  check "built incr equals basic" (String.equal (answer_key_of_json incr0) (answer_key_of_json basic0));
 
   (* Batch 1 over the wire and on the oracle. *)
   let r1 = mutate "mutate (data)" batch1 in
@@ -197,7 +176,7 @@ let () =
     (String.equal (str "status" incr1) "patched");
   check "incr epoch 1" (num "epoch" incr1 = 1.);
   check "patched incr equals basic after the data batch"
-    (answers_eps_equal incr1 basic1);
+    (String.equal (answer_key_of_json incr1) (answer_key_of_json basic1));
 
   (* Batch 2: the reweight must change the answer and flush the cache. *)
   let r2 = mutate "mutate (reweight)" batch2 in
@@ -222,7 +201,7 @@ let () =
   check "incr patched across the reweight"
     (String.equal (str "status" incr2) "patched");
   check "patched incr equals basic after the reweight"
-    (answers_eps_equal incr2 basic2);
+    (String.equal (answer_key_of_json incr2) (answer_key_of_json basic2));
 
   (* Metrics surface both invalidation views. *)
   let m = get_exn "metrics" (Client.call c ~op:"metrics" []) in

@@ -53,22 +53,6 @@ let test_alias_invalid () =
   Alcotest.(check bool) "negative" true
     (raises (fun () -> Urm_util.Alias.create [| 0.5; -0.1 |]))
 
-let test_montecarlo_sampler_matches_alias () =
-  (* Montecarlo.sampler is the alias table applied to mappings: drawing
-     from both with the same PRNG state must pick the same mappings. *)
-  let ms = Test_extensions.mappings () in
-  let draw = Urm.Montecarlo.sampler ms in
-  let table =
-    Urm_util.Alias.create
-      (Array.of_list (List.map (fun m -> m.Urm.Mapping.prob) ms))
-  in
-  let arr = Array.of_list ms in
-  let r1 = Urm_util.Prng.create seed and r2 = Urm_util.Prng.create seed in
-  for _ = 1 to 1000 do
-    let a = draw r1 and b = arr.(Urm_util.Alias.draw table r2) in
-    Alcotest.(check int) "same mapping" b.Urm.Mapping.id a.Urm.Mapping.id
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Normal quantile and Wilson intervals *)
 
@@ -452,8 +436,6 @@ let suite =
       test_alias_frequencies;
     Alcotest.test_case "alias: unnormalised weights" `Quick test_alias_unnormalised;
     Alcotest.test_case "alias: invalid inputs" `Quick test_alias_invalid;
-    Alcotest.test_case "montecarlo sampler = alias table" `Quick
-      test_montecarlo_sampler_matches_alias;
     Alcotest.test_case "normal quantile (Acklam)" `Quick test_normal_quantile;
     Alcotest.test_case "wilson interval shape" `Quick test_wilson_interval;
     Alcotest.test_case "report intervals round-trip" `Quick test_interval_roundtrip;

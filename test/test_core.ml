@@ -264,6 +264,9 @@ let test_answer_equal () =
   Urm.Answer.add a [| i 1 |] 0.5;
   Urm.Answer.add b [| i 1 |] 0.5;
   Alcotest.(check bool) "equal" true (Urm.Answer.equal a b);
+  let c = Urm.Answer.create [ "x" ] in
+  Urm.Answer.add c [| i 1 |] (Float.succ 0.5);
+  Alcotest.(check bool) "one ulp apart" false (Urm.Answer.equal a c);
   Urm.Answer.add b [| i 2 |] 0.1;
   Alcotest.(check bool) "not equal" false (Urm.Answer.equal a b)
 
@@ -413,7 +416,7 @@ let test_all_algorithms_agree () =
       List.iter
         (fun alg ->
           let r = (Urm.Algorithms.run alg ctx q ms).Urm.Report.answer in
-          if not (Urm.Answer.equal ~eps:1e-9 baseline r) then
+          if not (Urm.Answer.equal baseline r) then
             Alcotest.failf "%s disagrees with basic on %s:@.basic: %s@.other: %s"
               (Urm.Algorithms.name alg) q.Urm.Query.name
               (Format.asprintf "%a" Urm.Answer.pp baseline)
@@ -677,7 +680,7 @@ let qcheck_answers_agree =
       let baseline = (Urm.Algorithms.run Urm.Algorithms.Basic ctx q ms).Urm.Report.answer in
       List.for_all
         (fun alg ->
-          Urm.Answer.equal ~eps:1e-9 baseline
+          Urm.Answer.equal baseline
             (Urm.Algorithms.run alg ctx q ms).Urm.Report.answer)
         all_algorithms)
 
@@ -815,7 +818,7 @@ let qcheck_answer_order_free =
           let tuple = [| i key |] in
           match (Random.State.int rng 3, Hashtbl.find_opt ids key) with
           | 0, Some id -> Urm.Answer.bump a [| id |] p
-          | 1, _ -> Urm.Answer.add_vec a tuple [| p |]
+          | 1, _ -> Urm.Answer.add_exact a tuple (Urm.Answer.mass [| p |])
           | _ -> Hashtbl.replace ids key (Urm.Answer.add_id a tuple p)
       in
       let reference = Urm.Answer.create [ "x" ] in

@@ -63,8 +63,11 @@ let q_sel () =
     ~projection:[ Urm.Query.at "Person" "phone" ]
     ()
 
+(* One singleton partition per mapping. *)
+let singletons ms = List.map (fun m -> [ m ]) ms
+
 let test_init_pending () =
-  let u = Urm.Eunit.init (q_sel ()) (mappings ()) in
+  let u = Urm.Eunit.init (q_sel ()) (singletons (mappings ())) in
   Alcotest.(check int) "pieces empty" 0 (List.length u.Urm.Eunit.pieces);
   Alcotest.(check int) "pending = sel + output" 2 (List.length u.Urm.Eunit.pending);
   Alcotest.(check (float 1e-9)) "mass" 1.0 (Urm.Eunit.mass u)
@@ -73,15 +76,14 @@ let collect_leaves ?(strategy = Urm.Eunit.Sef) q ms =
   let env = Urm.Eunit.make_env ~strategy (ctx ()) q in
   let leaves = ref [] in
   let finished =
-    Urm.Eunit.run_qt env (Urm.Eunit.init q ms) ~emit:(fun l ->
+    Urm.Eunit.run_qt env (Urm.Eunit.init q (singletons ms)) ~emit:(fun l ->
         leaves := l :: !leaves;
         true)
   in
   (env, List.rev !leaves, finished)
 
 let leaf_mass = function
-  | Urm.Eunit.Tuples (_, m) -> m
-  | Urm.Eunit.Null_answer m -> m
+  | Urm.Eunit.Tuples (_, m) | Urm.Eunit.Null_answer m -> Urm.Answer.round m
 
 let test_leaves_partition_probability () =
   let _, leaves, finished = collect_leaves (q_sel ()) (mappings ()) in
@@ -114,7 +116,7 @@ let test_early_abort () =
   let env = Urm.Eunit.make_env ~strategy:Urm.Eunit.Sef (ctx ()) (q_sel ()) in
   let count = ref 0 in
   let finished =
-    Urm.Eunit.run_qt env (Urm.Eunit.init (q_sel ()) (mappings ())) ~emit:(fun _ ->
+    Urm.Eunit.run_qt env (Urm.Eunit.init (q_sel ()) (singletons (mappings ()))) ~emit:(fun _ ->
         incr count;
         false)
   in
@@ -130,8 +132,8 @@ let test_all_strategies_same_answer () =
       List.iter
         (fun l ->
           match l with
-          | Urm.Eunit.Tuples (ts, m) -> List.iter (fun t -> Urm.Answer.add acc t m) ts
-          | Urm.Eunit.Null_answer m -> Urm.Answer.add_null acc m)
+          | Urm.Eunit.Tuples (ts, m) -> List.iter (fun t -> Urm.Answer.add_exact acc t m) ts
+          | Urm.Eunit.Null_answer m -> List.iter (Urm.Answer.add_null acc) m)
         leaves;
       match !reference with
       | None -> reference := Some acc
@@ -146,10 +148,10 @@ let test_random_strategy_seed_invariance () =
         let env = Urm.Eunit.make_env ~seed ~strategy:Urm.Eunit.Random (ctx ()) (q_sel ()) in
         let acc = Urm.Answer.create [ "Person.phone" ] in
         ignore
-          (Urm.Eunit.run_qt env (Urm.Eunit.init (q_sel ()) (mappings ())) ~emit:(fun l ->
+          (Urm.Eunit.run_qt env (Urm.Eunit.init (q_sel ()) (singletons (mappings ()))) ~emit:(fun l ->
                (match l with
-               | Urm.Eunit.Tuples (ts, m) -> List.iter (fun t -> Urm.Answer.add acc t m) ts
-               | Urm.Eunit.Null_answer m -> Urm.Answer.add_null acc m);
+               | Urm.Eunit.Tuples (ts, m) -> List.iter (fun t -> Urm.Answer.add_exact acc t m) ts
+               | Urm.Eunit.Null_answer m -> List.iter (Urm.Answer.add_null acc) m);
                true));
         acc)
       [ 1; 2; 3; 42 ]
@@ -178,7 +180,7 @@ let test_memo_hits_under_random () =
   List.iter
     (fun seed ->
       let env = Urm.Eunit.make_env ~seed ~strategy:Urm.Eunit.Random (ctx ()) q in
-      ignore (Urm.Eunit.run_qt env (Urm.Eunit.init q (mappings ())) ~emit:(fun _ -> true));
+      ignore (Urm.Eunit.run_qt env (Urm.Eunit.init q (singletons (mappings ()))) ~emit:(fun _ -> true));
       total_hits := !total_hits + Urm.Eunit.memo_hits env)
     [ 1; 2; 3; 4; 5; 6 ];
   Alcotest.(check bool) "memo hit somewhere" true (!total_hits > 0)

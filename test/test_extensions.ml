@@ -103,7 +103,7 @@ let check_compound c =
   let ms = mappings () in
   let fast = (Urm.Compound.run ctx c ms).Urm.Report.answer in
   let slow = compound_reference ctx c ms in
-  if not (Urm.Answer.equal ~eps:1e-9 fast slow) then
+  if not (Urm.Answer.equal fast slow) then
     Alcotest.failf "compound mismatch:@.fast %a@.ref %a" Urm.Answer.pp fast
       Urm.Answer.pp slow
 
@@ -381,23 +381,47 @@ let test_translate_unmapped_relation_empty () =
 (* ------------------------------------------------------------------ *)
 (* Monte-Carlo validation + lineage *)
 
+(* Monte-Carlo estimates come from the anytime estimator with a fixed
+   20,000-sample budget: ε = 0 never converges, so every run draws them
+   all. *)
+let mc_estimate ~seed ctx q ms =
+  let budget =
+    { Urm_anytime.Budget.default with max_samples = Some 20_000; epsilon = 0. }
+  in
+  (Urm_anytime.Estimator.run ~seed ~budget ctx q ms).Urm_anytime.Estimator.report
+    .Urm.Report.answer
+
+(* Largest |p_exact − p_estimate| over the tuples of either answer, θ
+   included. *)
+let max_deviation ~exact ~estimate =
+  let dev_over a b =
+    List.fold_left
+      (fun acc (t, p) -> Float.max acc (abs_float (p -. Urm.Answer.prob_of b t)))
+      0. (Urm.Answer.to_list a)
+  in
+  Float.max
+    (abs_float (Urm.Answer.null_prob exact -. Urm.Answer.null_prob estimate))
+    (Float.max (dev_over exact estimate) (dev_over estimate exact))
+
 let test_montecarlo_close_to_exact () =
   let ctx = ctx () in
   let ms = mappings () in
   let q = phone_where_addr "aaa" in
   let exact = (Urm.Basic.run ctx q ms).Urm.Report.answer in
-  let estimate = Urm.Montecarlo.estimate ~seed:5 ~samples:20000 ctx q ms in
-  let dev = Urm.Montecarlo.max_deviation ~exact ~estimate in
+  let estimate = mc_estimate ~seed:5 ctx q ms in
+  let dev = max_deviation ~exact ~estimate in
   (* max binomial std-dev at p=0.5, n=20000 ≈ 0.0035; allow 5σ *)
   if dev > 0.02 then Alcotest.failf "MC deviation %.4f too large" dev
 
 let test_montecarlo_sampler_distribution () =
   let rng = Urm_util.Prng.create 3 in
   let ms = mappings () in
+  let arr = Array.of_list ms in
+  let table = Urm_util.Alias.create (Array.map (fun m -> m.Urm.Mapping.prob) arr) in
   let counts = Hashtbl.create 8 in
   let n = 50000 in
   for _ = 1 to n do
-    let m = Urm.Montecarlo.sample rng ms in
+    let m = arr.(Urm_util.Alias.draw table rng) in
     Hashtbl.replace counts m.Urm.Mapping.id
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts m.Urm.Mapping.id))
   done;
@@ -417,20 +441,24 @@ let test_lineage () =
   let ms = mappings () in
   let q = phone_where_addr "aaa" in
   let lin = Urm.Lineage.run ctx q ms in
-  (* probabilities match basic *)
+  (* probabilities are basic's, bit for bit *)
   let exact = (Urm.Basic.run ctx q ms).Urm.Report.answer in
+  let bits name expected got =
+    Alcotest.(check int64) name (Int64.bits_of_float expected) (Int64.bits_of_float got)
+  in
+  bits "null prob" (Urm.Answer.null_prob exact) lin.Urm.Lineage.null_prob;
   List.iter
     (fun e ->
-      Alcotest.(check (float 1e-9)) "prob" (Urm.Answer.prob_of exact e.Urm.Lineage.tuple)
-        e.Urm.Lineage.prob;
+      bits "prob" (Urm.Answer.prob_of exact e.Urm.Lineage.tuple) e.Urm.Lineage.prob;
       (* support mass = probability *)
       let mass =
-        List.fold_left
-          (fun acc id ->
-            acc +. (List.find (fun m -> m.Urm.Mapping.id = id) ms).Urm.Mapping.prob)
-          0. e.Urm.Lineage.support
+        Urm.Answer.mass
+          (Array.of_list
+             (List.map
+                (fun id -> (List.find (fun m -> m.Urm.Mapping.id = id) ms).Urm.Mapping.prob)
+                e.Urm.Lineage.support))
       in
-      Alcotest.(check (float 1e-9)) "support mass" e.Urm.Lineage.prob mass)
+      bits "support mass" e.Urm.Lineage.prob (Urm.Answer.round mass))
     lin.Urm.Lineage.entries;
   (* the paper's example: 123 is supported exactly by m0 and m1 *)
   Alcotest.(check (list int)) "support of 123" [ 0; 1 ]

@@ -26,8 +26,10 @@ let fresh_answer alg (snap : Vcatalog.snapshot) q =
   (Urm.Algorithms.run alg snap.Vcatalog.ctx q snap.Vcatalog.mappings)
     .Urm.Report.answer
 
+(* The maintained answer renders a fresh evaluation's bytes. *)
 let check_equal msg expected got =
-  if not (Urm.Answer.equal ~eps:Urm.Prob.eps expected got) then
+  if not (String.equal (Test_differential.bytes expected) (Test_differential.bytes got))
+  then
     Alcotest.failf "%s:@.expected %a@.got %a" msg Urm.Answer.pp expected
       Urm.Answer.pp got
 
@@ -36,19 +38,26 @@ let check_equal msg expected got =
 
 let test_compact () =
   let a = Urm.Answer.create [ "x" ] in
-  let tu = [| s "t" |] in
-  Urm.Answer.add a tu 0.3;
+  let tu = [| s "t" |] and residue = [| s "residue" |] in
+  Urm.Answer.add a tu 0.1;
+  Urm.Answer.add a tu 0.2;
   Urm.Answer.add a [| s "keep" |] 0.5;
-  (* Retract in three unequal pieces: float cancellation leaves a residue. *)
-  Urm.Answer.add a tu (-0.1);
+  (* Retracting every mass given, in another order, sums to exactly 0. *)
   Urm.Answer.add a tu (-0.2);
+  Urm.Answer.add a tu (-0.1);
+  (* 0.3 − 0.1 − 0.2 is −2⁻⁵⁵ exactly: a genuine mass, not a zero. *)
+  Urm.Answer.add a residue 0.3;
+  Urm.Answer.add a residue (-0.1);
+  Urm.Answer.add a residue (-0.2);
   Urm.Answer.add_null a 0.2;
   Urm.Answer.add_null a (-0.2);
   Urm.Answer.compact a;
-  Alcotest.(check int) "ghost bucket dropped" 1 (Urm.Answer.size a);
-  Alcotest.(check bool) "θ clamped to non-negative" true (Urm.Answer.null_prob a >= 0.);
-  Alcotest.(check (float 1e-12)) "surviving bucket intact" 0.5
-    (Urm.Answer.prob_of a [| s "keep" |])
+  Alcotest.(check int) "zero bucket dropped" 2 (Urm.Answer.size a);
+  Alcotest.(check (float 0.)) "θ exactly zero" 0. (Urm.Answer.null_prob a);
+  Alcotest.(check (float 0.)) "surviving bucket intact" 0.5
+    (Urm.Answer.prob_of a [| s "keep" |]);
+  Alcotest.(check (float 0.)) "nonzero residue kept" (-.ldexp 1. (-55))
+    (Urm.Answer.prob_of a residue)
 
 (* ------------------------------------------------------------------ *)
 (* Mutation JSON round trip *)
@@ -146,15 +155,45 @@ let test_snapshot_isolation () =
   check_equal "pinned snapshot unchanged" a0 (fresh_answer Urm.Algorithms.Basic snap0 q);
   let head = Vcatalog.head vcat in
   let a1 = fresh_answer Urm.Algorithms.Basic head q in
-  Alcotest.(check bool) "head answer moved" false
-    (Urm.Answer.equal ~eps:Urm.Prob.eps a0 a1);
+  (* The commit moves real mass: the census, θ or a tuple shifts by more
+     than 1e-9. *)
+  let shifted p q = Float.abs (p -. q) > 1e-9 in
+  Alcotest.(check bool) "head answer moved" true
+    (Urm.Answer.size a0 <> Urm.Answer.size a1
+    || shifted (Urm.Answer.null_prob a0) (Urm.Answer.null_prob a1)
+    || List.exists
+         (fun (t, p) -> shifted p (Urm.Answer.prob_of a1 t))
+         (Urm.Answer.to_list a0));
   let state, status = State.catch_up vcat state in
   Alcotest.(check bool) "caught up by patching" true (status = `Patched);
   check_equal "patched state matches fresh eval" a1 (State.answer state)
 
+(* A mapping reweighted to 0 still yields its tuples, so a fresh
+   evaluation keeps their buckets at probability 0 (only m3 yields 789 in
+   Fig. 3); the maintained answer keeps them too, patched or rebuilt. *)
+let test_zero_weight_keeps_buckets () =
+  let vcat = vcat_of () in
+  let q = Test_core.q_paper () in
+  let state = State.build (Vcatalog.head vcat) q in
+  let reweight prob =
+    match Vcatalog.commit vcat [ Mutation.Reweight { mapping = 3; prob } ] with
+    | Error msg -> Alcotest.failf "commit failed: %s" msg
+    | Ok _ -> fresh_answer Urm.Algorithms.Basic (Vcatalog.head vcat) q
+  in
+  let fresh = reweight 0. in
+  Alcotest.(check bool) "fresh keeps 789 at probability 0" true
+    (List.mem ([| s "789" |], 0.) (Urm.Answer.to_list fresh));
+  let state, _ = State.catch_up vcat state in
+  check_equal "patched to weight 0" fresh (State.answer state);
+  check_equal "built at weight 0" fresh (State.answer (State.build (Vcatalog.head vcat) q));
+  let fresh = reweight 0.2 in
+  let state, _ = State.catch_up vcat state in
+  check_equal "patched back" fresh (State.answer state)
+
 (* ------------------------------------------------------------------ *)
 (* Drift regression: 10^4 insert/delete pairs leave the maintained answer
-   equal to a fresh evaluation (satellite: epsilon-floor guard). *)
+   rendering a fresh evaluation's bytes: retracted buckets sum to exactly
+   zero and are compacted away. *)
 
 let test_drift_regression () =
   let vcat = vcat_of () in
@@ -325,7 +364,11 @@ let qcheck_delta_equals_full =
                   state := st;
                   let head = Vcatalog.head vcat in
                   let fresh = fresh_answer Urm.Algorithms.Basic head q in
-                  if not (Urm.Answer.equal ~eps:Urm.Prob.eps fresh (State.answer !state))
+                  if
+                    not
+                      (String.equal
+                         (Test_differential.bytes fresh)
+                         (Test_differential.bytes (State.answer !state)))
                   then
                     QCheck.Test.fail_reportf
                       "[%s] patched state diverged from basic after batch \
@@ -341,7 +384,7 @@ let qcheck_delta_equals_full =
           List.for_all
             (fun alg ->
               let fresh = fresh_answer alg head q in
-              Urm.Answer.equal ~eps:Urm.Prob.eps fresh (State.answer !state)
+              Test_differential.same_answer q fresh (State.answer !state)
               ||
               QCheck.Test.fail_reportf "[%s] final state disagrees with %s" ename
                 (Urm.Algorithms.name alg))
@@ -359,4 +402,6 @@ let suite =
     Alcotest.test_case "drift: 10^4 insert/delete pairs stay eps-equal" `Slow
       test_drift_regression;
     QCheck_alcotest.to_alcotest qcheck_delta_equals_full;
+    Alcotest.test_case "a zero-weight mapping keeps its zero buckets" `Quick
+      test_zero_weight_keeps_buckets;
   ]

@@ -217,6 +217,36 @@ let qcheck_grouped_merge =
         (Json.to_string (Urm.Answer.to_json (per_unit_merge [ "v" ] units)))
         (Json.to_string (Urm.Answer.to_json merged)))
 
+(* A malformed worker reply is an error, never a partly merged answer:
+   each broken variant of a well-formed reply must raise out of
+   [Partial.merge], and so must an empty reply list. *)
+let test_merge_rejects_malformed () =
+  let a = Urm.Answer.create [ "v"; "w" ] in
+  Urm.Answer.add a [| Urm_relalg.Value.Int 1; Urm_relalg.Value.Str "x" |] 0.5;
+  Urm.Answer.add_null a 0.25;
+  let good = Partial.encode ~output:[ "v"; "w" ] a in
+  let with_field name v =
+    Json.Obj (List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) good)
+  in
+  let group p tuples = Json.Arr [ Json.Obj [ ("p", p); ("tuples", Json.Arr tuples) ] ] in
+  let num x = Json.Num x in
+  let rejects name replies =
+    match Partial.merge replies with
+    | exception _ -> ()
+    | (_ : Urm.Answer.t) -> Alcotest.failf "%s: merged into an answer" name
+  in
+  ignore (Partial.merge [ Json.Obj good ]);
+  rejects "reply without groups"
+    [ Json.Obj (List.filter (fun (k, _) -> k <> "groups") good) ];
+  rejects "non-numeric component"
+    [ with_field "groups" (group (Json.Arr [ Json.Str "0.5" ]) [ Json.Arr [ num 1.; Json.Str "x" ] ]) ];
+  rejects "non-numeric θ component" [ with_field "null" (Json.Arr [ Json.Null ]) ];
+  rejects "non-array tuple"
+    [ with_field "groups" (group (Json.Arr [ num 0.5 ]) [ Json.Str "x" ]) ];
+  rejects "tuple of the wrong arity"
+    [ with_field "groups" (group (Json.Arr [ num 0.5 ]) [ Json.Arr [ num 1. ] ]) ];
+  rejects "empty reply list" []
+
 (* ------------------------------------------------------------------ *)
 (* Random queries: router ≡ single process, any shard count *)
 
@@ -676,4 +706,6 @@ let suite =
     Alcotest.test_case "h = 48 Q4 fan-out fits one frame" `Slow
       test_wide_range_fan_out;
     Alcotest.test_case "teardown reaps every worker" `Slow test_teardown;
+    Alcotest.test_case "merge rejects malformed worker replies" `Quick
+      test_merge_rejects_malformed;
   ]

@@ -69,7 +69,7 @@ let test_every_query_runs_and_agrees () =
       List.iter
         (fun alg ->
           let r = (Urm.Algorithms.run alg ctx q ms).Urm.Report.answer in
-          if not (Urm.Answer.equal ~eps:1e-6 basic r) then
+          if not (Urm.Answer.equal basic r) then
             Alcotest.failf "%s disagrees on %s" (Urm.Algorithms.name alg) name)
         [
           Urm.Algorithms.Ebasic; Urm.Algorithms.Emqo; Urm.Algorithms.Qsharing;
@@ -182,8 +182,8 @@ let test_montecarlo_validates_workload () =
       let ctx = Urm_workload.Pipeline.ctx p target in
       let ms = Urm_workload.Pipeline.mappings p target ~h:10 in
       let exact = (Urm.Algorithms.run Urm.Algorithms.Basic ctx q ms).Urm.Report.answer in
-      let estimate = Urm.Montecarlo.estimate ~seed:9 ~samples:20000 ctx q ms in
-      let dev = Urm.Montecarlo.max_deviation ~exact ~estimate in
+      let estimate = Test_extensions.mc_estimate ~seed:9 ctx q ms in
+      let dev = Test_extensions.max_deviation ~exact ~estimate in
       if dev > 0.02 then
         Alcotest.failf "%s: Monte-Carlo deviates by %.4f from the exact answer" qname dev)
     [ "Q1"; "Q5"; "Q7"; "Q10" ]
@@ -235,7 +235,7 @@ let qcheck_random_workload_queries_agree =
       let baseline = (Urm.Algorithms.run Urm.Algorithms.Basic ctx q ms).Urm.Report.answer in
       List.for_all
         (fun alg ->
-          Urm.Answer.equal ~eps:1e-6 baseline
+          Urm.Answer.equal baseline
             (Urm.Algorithms.run alg ctx q ms).Urm.Report.answer)
         [
           Urm.Algorithms.Ebasic; Urm.Algorithms.Emqo; Urm.Algorithms.Qsharing;
