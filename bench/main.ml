@@ -1053,6 +1053,115 @@ let run_topk quick =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Mapping-enumeration sweep: [Murty.k_best], which reoptimises every
+   subproblem from its parent's potentials (one augmenting path per
+   child), against the reference that solves each child from scratch
+   ([Murty_ref]).  Per target (Excel, Noris, Paragon; the matcher's score
+   matrix against TPC-H) × h ∈ {8, 100, 300, 1000} ({8, 100} quick): 3
+   runs of each, each from a compacted heap, with min and median.
+   Written to BENCH_murty.json.  Exits non-zero unless every new list
+   equals the reference's: the same pair lists in the same order, scores
+   equal bit for bit. *)
+
+let murty_file = "BENCH_murty.json"
+
+let run_murty quick =
+  let module J = Urm_util.Json in
+  let module M = Urm_bipartite.Murty in
+  let runs = 3 in
+  let h_sweep = if quick then [ 8; 100 ] else [ 8; 100; 300; 1000 ] in
+  let measure f =
+    let last = ref [] in
+    let secs =
+      List.init runs (fun _ ->
+          Gc.compact ();
+          let t0 = Unix.gettimeofday () in
+          last := f ();
+          Unix.gettimeofday () -. t0)
+    in
+    (secs, !last)
+  in
+  let same (a : M.assignment) (b : M.assignment) =
+    Int64.equal (Int64.bits_of_float a.score) (Int64.bits_of_float b.score)
+    && a.pairs = b.pairs
+  in
+  let median xs = Urm_util.Stats.percentile 0.5 xs in
+  let min_of = List.fold_left Float.min infinity in
+  let column secs =
+    J.Obj
+      [
+        ("runs", J.Arr (List.map (fun s -> J.Num s) secs));
+        ("min", J.Num (min_of secs));
+        ("median", J.Num (median secs));
+      ]
+  in
+  let diverged = ref false in
+  Format.printf "=== mapping enumeration (reoptimised vs reference Murty, min of %d) ===@.@."
+    runs;
+  let rows =
+    List.concat_map
+      (fun (name, target) ->
+        let cands =
+          Urm_matcher.Match.candidates ~source:Urm_tpch.Gen.schema ~target ()
+        in
+        let _, _, weights = Urm.Mapgen.weights cands in
+        let n = Array.length weights and m = Array.length weights.(0) in
+        List.map
+          (fun h ->
+            let ref_secs, expected =
+              measure (fun () -> Murty_ref.k_best ~weights ~k:h)
+            in
+            let new_secs, got = measure (fun () -> M.k_best ~weights ~k:h) in
+            let identical =
+              List.length got = List.length expected && List.for_all2 same got expected
+            in
+            if not identical then diverged := true;
+            let speedup = min_of ref_secs /. min_of new_secs in
+            Format.printf
+              "  %-8s h=%-5d reference %8.4fs  reoptimised %8.4fs  (%5.1fx)%s@." name h
+              (min_of ref_secs) (min_of new_secs) speedup
+              (if identical then "" else "  DIVERGED");
+            J.Obj
+              [
+                ("target", J.Str name);
+                ("h", J.Num (float_of_int h));
+                ("rows", J.Num (float_of_int n));
+                ("cols", J.Num (float_of_int m));
+                ("mappings", J.Num (float_of_int (List.length got)));
+                ("reference", column ref_secs);
+                ("reoptimised", column new_secs);
+                ("speedup_min", J.Num speedup);
+                ("identical", J.Bool identical);
+              ])
+          h_sweep)
+      Urm_workload.Targets.all
+  in
+  let json =
+    J.Obj
+      [
+        ("git_rev", J.Str (git_rev ()));
+        ( "config",
+          J.Obj
+            [
+              ("source", J.Str "TPC-H");
+              ("h", J.Arr (List.map (fun h -> J.Num (float_of_int h)) h_sweep));
+              ("runs", J.Num (float_of_int runs));
+              ("gc_compact_before_each_run", J.Bool true);
+            ] );
+        ("rows", J.Arr rows);
+      ]
+  in
+  let oc = open_out murty_file in
+  output_string oc (J.to_string json);
+  output_char oc '\n';
+  close_out oc;
+  Format.printf "@.wrote mapping-enumeration sweep to %s@.@." murty_file;
+  if !diverged then begin
+    Format.eprintf "murty sweep: a k-best list differs from the reference's@.";
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel micro-benchmarks, one per table/figure. *)
 
 let micro_tests () =
@@ -1160,4 +1269,5 @@ let () =
   if not skip_tables && wanted only "incr" then run_incr quick;
   if not skip_tables && wanted only "shard" then run_shard quick;
   if not skip_tables && wanted only "topk" then run_topk quick;
+  if not skip_tables && wanted only "murty" then run_murty quick;
   if not skip_bechamel then run_bechamel only

@@ -5,100 +5,87 @@ let pp_assignment ppf a =
     (String.concat "; "
        (List.map (fun (i, j) -> Printf.sprintf "%d→%d" i j) a.pairs))
 
-let big = 1e6
-
-(* A constrained subproblem in Murty's partition.  Column [-1] denotes "row
-   left unmatched" (assigned to a dummy column). *)
-type subproblem = { forced : (int * int) list; forbidden : (int * int) list }
-
-(* Solve one subproblem.  Returns the full row assignment (col or -1 per
-   row) and the real-edge score, or None when constraints are unsatisfiable. *)
-let solve_sub weights n m sub =
-  let cols = m + n in
-  let w = Array.make_matrix n cols (-.big) in
-  for i = 0 to n - 1 do
-    for j = 0 to m - 1 do
-      if weights.(i).(j) > 0. then w.(i).(j) <- weights.(i).(j)
-    done;
-    for k = 0 to n - 1 do
-      w.(i).(m + k) <- 0.
-    done
-  done;
-  let forbid_row_real i = for j = 0 to m - 1 do w.(i).(j) <- -.big done in
-  let forbid_row_dummy i = for k = 0 to n - 1 do w.(i).(m + k) <- -.big done in
-  List.iter
-    (fun (i, j) ->
-      if j = -1 then forbid_row_real i
-      else begin
-        (* Row i must take column j: block every alternative for both. *)
-        for j' = 0 to cols - 1 do
-          if j' <> j then w.(i).(j') <- -.big
-        done;
-        for i' = 0 to n - 1 do
-          if i' <> i then w.(i').(j) <- -.big
-        done
-      end)
-    sub.forced;
-  List.iter
-    (fun (i, j) -> if j = -1 then forbid_row_dummy i else w.(i).(j) <- -.big)
-    sub.forbidden;
-  let row_assignment, _ = Hungarian.solve_max w in
-  let feasible = ref true in
-  let pairs = ref [] in
-  let score = ref 0. in
-  Array.iteri
-    (fun i j ->
-      if w.(i).(j) <= -.(big /. 2.) then feasible := false
-      else if j < m then begin
-        pairs := (i, j) :: !pairs;
-        score := !score +. weights.(i).(j)
-      end)
-    row_assignment;
-  if not !feasible then None
-  else begin
-    let full = Array.to_list (Array.mapi (fun i j -> (i, if j < m then j else -1)) row_assignment) in
-    Some (full, { pairs = List.rev !pairs; score = !score })
-  end
-
-let key_of pairs = List.sort compare pairs
+(* A subproblem of Murty's partition and its optimal solution.  Children
+   branch over rows in ascending order, so every subproblem has the same
+   shape: rows before [row] keep their columns in [state], row [row] may
+   not take any column of [bans] (column [-1] stands for "unmatched"), and
+   later rows are free. *)
+type node = { score : float; row : int; bans : int list; state : Hungarian.t }
 
 let k_best ~weights ~k =
   let n = Array.length weights in
   if n = 0 || k <= 0 then []
   else begin
     let m = Array.length weights.(0) in
-    let cmp (_, _, a) (_, _, b) = Float.compare b.score a.score in
-    let queue = Urm_util.Heap.create cmp in
-    let push sub =
-      match solve_sub weights n m sub with
-      | Some (full, a) -> Urm_util.Heap.push queue (full, sub, a)
-      | None -> ()
+    (* Square padding to N = n + m: columns m.. are slots for unmatched
+       rows, rows n.. take the columns no real row does.  Padding edges
+       cost 0, a real edge costs minus its weight, a missing edge
+       (weight <= 0) is infinite.  With every column assigned, no free
+       column is left with a stale potential after a reoptimisation. *)
+    let size = n + m in
+    let base =
+      Array.init size (fun r ->
+          Array.init size (fun c ->
+              if r >= n || c >= m then 0.
+              else if weights.(r).(c) > 0. then -.weights.(r).(c)
+              else infinity))
     in
-    push { forced = []; forbidden = [] };
-    let seen = Hashtbl.create 64 in
+    (* A row before the branch row is already on its column whenever the
+       path reaches it, so it has nowhere else to go (an unmatched one
+       keeps its own slot: every slot costs it the same). *)
+    let frozen = Array.make size infinity in
+    let banned = Array.make size 0. in
+    let score_of cols =
+      let s = ref 0. in
+      for i = 0 to n - 1 do
+        if cols.(i) < m then s := !s +. weights.(i).(cols.(i))
+      done;
+      !s
+    in
+    let root = Hungarian.create ~rows:size ~cols:size in
+    for r = 0 to size - 1 do
+      ignore (Hungarian.augment root ~cost:(Array.get base) r : bool)
+    done;
+    let queue =
+      Urm_util.Heap.create (fun (a : node) (b : node) -> Float.compare b.score a.score)
+    in
+    Urm_util.Heap.push queue
+      { score = score_of (Hungarian.assignment root); row = 0; bans = []; state = root };
     let out = ref [] in
     let found = ref 0 in
     while !found < k && not (Urm_util.Heap.is_empty queue) do
-      let full, sub, a = Urm_util.Heap.pop queue in
-      let key = key_of a.pairs in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        out := a :: !out;
-        incr found;
-        (* Murty partition: for each position t of the full row assignment,
-           force the first t rows to their columns and forbid the t-th. *)
-        let rec branch prefix = function
-          | [] -> ()
-          | (i, j) :: rest ->
-            push
-              {
-                forced = List.rev_append prefix sub.forced;
-                forbidden = (i, j) :: sub.forbidden;
-              };
-            branch ((i, j) :: prefix) rest
-        in
-        branch [] full
-      end
+      let node = Urm_util.Heap.pop queue in
+      let cols = Hungarian.assignment node.state in
+      let pairs = ref [] in
+      for i = n - 1 downto 0 do
+        if cols.(i) < m then pairs := (i, cols.(i)) :: !pairs
+      done;
+      out := { pairs = !pairs; score = node.score } :: !out;
+      incr found;
+      (* Murty partition of the rest of the node's space: child i keeps
+         rows before i, moves row i off its column and frees the rows
+         after it.  Rows before [node.row] are fixed already, so their
+         children are empty.  Each child starts from a copy of this
+         node's potentials and assignment, raises costs only (so the
+         potentials stay feasible), frees row i and needs one augmenting
+         path. *)
+      if !found < k then
+        for i = node.row to n - 1 do
+          let col = if cols.(i) < m then cols.(i) else -1 in
+          let bans = if i = node.row then col :: node.bans else [ col ] in
+          Array.blit base.(i) 0 banned 0 size;
+          List.iter
+            (fun c ->
+              if c >= 0 then banned.(c) <- infinity
+              else Array.fill banned m n infinity)
+            bans;
+          let state = Hungarian.copy node.state in
+          Hungarian.release state i;
+          let cost r = if r < i then frozen else if r = i then banned else base.(r) in
+          if Hungarian.augment state ~cost i then
+            Urm_util.Heap.push queue
+              { score = score_of (Hungarian.assignment state); row = i; bans; state }
+        done
     done;
     List.rev !out
   end

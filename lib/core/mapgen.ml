@@ -3,39 +3,43 @@ let index_of l =
   List.iteri (fun i x -> Hashtbl.replace h x i) l;
   h
 
+let weights cands =
+  let targets =
+    List.sort_uniq String.compare (List.map (fun c -> c.Urm_matcher.Match.dst) cands)
+  in
+  let sources =
+    List.sort_uniq String.compare (List.map (fun c -> c.Urm_matcher.Match.src) cands)
+  in
+  let t_index = index_of targets and s_index = index_of sources in
+  let t_arr = Array.of_list targets and s_arr = Array.of_list sources in
+  let weights = Array.make_matrix (Array.length t_arr) (Array.length s_arr) 0. in
+  List.iter
+    (fun c ->
+      let i = Hashtbl.find t_index c.Urm_matcher.Match.dst in
+      let j = Hashtbl.find s_index c.Urm_matcher.Match.src in
+      weights.(i).(j) <- Float.max weights.(i).(j) c.Urm_matcher.Match.score)
+    cands;
+  (t_arr, s_arr, weights)
+
+(* The one probability rule of a ranked set: each mapping's score over
+   the set's total, summed in rank order from 0. *)
+let by_score ms =
+  let total = List.fold_left (fun acc (m : Mapping.t) -> acc +. m.score) 0. ms in
+  List.map (fun (m : Mapping.t) -> Mapping.with_prob m (m.score /. total)) ms
+
 let from_candidates ~h cands =
   if cands = [] then []
   else begin
-    let targets =
-      List.sort_uniq String.compare (List.map (fun c -> c.Urm_matcher.Match.dst) cands)
-    in
-    let sources =
-      List.sort_uniq String.compare (List.map (fun c -> c.Urm_matcher.Match.src) cands)
-    in
-    let t_index = index_of targets and s_index = index_of sources in
-    let t_arr = Array.of_list targets and s_arr = Array.of_list sources in
-    let weights = Array.make_matrix (Array.length t_arr) (Array.length s_arr) 0. in
-    List.iter
-      (fun c ->
-        let i = Hashtbl.find t_index c.Urm_matcher.Match.dst in
-        let j = Hashtbl.find s_index c.Urm_matcher.Match.src in
-        weights.(i).(j) <- Float.max weights.(i).(j) c.Urm_matcher.Match.score)
-      cands;
-    let assignments = Urm_bipartite.Murty.k_best ~weights ~k:h in
-    let assignments =
-      List.filter (fun (a : Urm_bipartite.Murty.assignment) -> a.score > 0.) assignments
-    in
-    let total =
-      List.fold_left
-        (fun acc (a : Urm_bipartite.Murty.assignment) -> acc +. a.score)
-        0. assignments
-    in
-    List.mapi
-      (fun id (a : Urm_bipartite.Murty.assignment) ->
-        let pairs = List.map (fun (i, j) -> (t_arr.(i), s_arr.(j))) a.pairs in
-        Mapping.make ~id ~prob:(a.score /. total) ~score:a.score pairs)
-      assignments
+    let t_arr, s_arr, weights = weights cands in
+    Urm_bipartite.Murty.k_best ~weights ~k:h
+    |> List.filter (fun (a : Urm_bipartite.Murty.assignment) -> a.score > 0.)
+    |> List.mapi (fun id (a : Urm_bipartite.Murty.assignment) ->
+           let pairs = List.map (fun (i, j) -> (t_arr.(i), s_arr.(j))) a.pairs in
+           Mapping.make ~id ~prob:0. ~score:a.score pairs)
+    |> by_score
   end
+
+let prefix ~h ms = by_score (List.filteri (fun i (m : Mapping.t) -> i < h && m.score > 0.) ms)
 
 (* Murty's k-best enumeration is exact but its cost per mapping grows with
    the score matrix, which rules it out for the anytime experiments at
@@ -147,12 +151,9 @@ let synthetic ?(seed = 42) ~h cands =
       incr attempts;
       admit (random_matching ())
     done;
-    let ms = List.rev !out in
-    let total = List.fold_left (fun a (_, s) -> a +. s) 0. ms in
-    List.mapi
-      (fun id (pairs, score) ->
-        Mapping.make ~id ~prob:(score /. total) ~score pairs)
-      ms
+    List.rev !out
+    |> List.mapi (fun id (pairs, score) -> Mapping.make ~id ~prob:0. ~score pairs)
+    |> by_score
   end
 
 let generate ?threshold ~h ~source ~target () =

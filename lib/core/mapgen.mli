@@ -3,11 +3,23 @@
     matchings with Murty's algorithm, and normalise their total similarity
     scores into probabilities. *)
 
+(** [weights cands] the score matrix Murty ranks: target attributes
+    (rows) and source attributes (columns), each sorted, and for each pair
+    the best candidate score, [0.] where there is none. *)
+val weights :
+  Urm_matcher.Match.candidate list -> string array * string array * float array array
+
 (** [from_candidates ~h cands] the up-to-[h] best mappings derivable from
     the matcher's correspondence candidates.  Zero-score (empty) matchings
     are dropped; probabilities are each mapping's score over the total score
     of the returned set. *)
 val from_candidates : h:int -> Urm_matcher.Match.candidate list -> Mapping.t list
+
+(** [prefix ~h ms] the first [h] mappings of a larger {!from_candidates}
+    result, with probabilities recomputed from their scores exactly as
+    [from_candidates ~h] computes them: the same mappings, bit for bit,
+    as a fresh enumeration of [h]. *)
+val prefix : h:int -> Mapping.t list -> Mapping.t list
 
 (** [synthetic ?seed ~h cands] up to [h] distinct one-to-one mappings for
     the anytime experiments at scales (h = 10⁴..10⁶) where Murty's exact

@@ -20,18 +20,15 @@ let instance_rows p = Urm_relalg.Catalog.total_rows p.catalog
 let ctx ?engine p target =
   Urm.Ctx.make ?engine ~catalog:p.catalog ~source:Urm_tpch.Gen.schema ~target ()
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
 let mappings p target ~h =
   let name = target.Urm_relalg.Schema.sname in
   match Hashtbl.find_opt p.mapping_cache (name, h) with
   | Some ms -> ms
   | None ->
-    (* A cached larger set serves smaller h by prefix + renormalisation
-       (Murty enumerates best-first, so the prefix is exactly the h-best). *)
+    (* A cached larger set serves smaller h by prefix, its probabilities
+       recomputed from the scores (Murty enumerates best-first, so the
+       prefix is exactly the h-best, and a fresh enumeration of h gives
+       the same bits). *)
     let from_larger =
       Hashtbl.fold
         (fun (n, h') ms acc ->
@@ -44,7 +41,7 @@ let mappings p target ~h =
     in
     let ms =
       match from_larger with
-      | Some (_, larger) -> Urm.Mapping.normalize (take h larger)
+      | Some (_, larger) -> Urm.Mapgen.prefix ~h larger
       | None ->
         Urm.Mapgen.generate ~h ~source:Urm_tpch.Gen.schema ~target ()
     in

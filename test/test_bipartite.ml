@@ -160,6 +160,97 @@ let qcheck_murty_vs_brute =
       List.length got = min k (List.length brute)
       && List.for_all2 (fun a b -> abs_float (a -. b) < 1e-9) got expected)
 
+(* One augmenting path re-solves a square problem after a row's assigned
+   edge is banned: start from the optimum's potentials, raise the cost to
+   infinity, free the row and augment once. *)
+let qcheck_hungarian_reoptimises =
+  let gen =
+    QCheck.Gen.(
+      2 -- 5 >>= fun n ->
+      pair (int_bound (n - 1))
+        (array_size (return n) (array_size (return n) (float_bound_inclusive 10.))))
+  in
+  QCheck.Test.make ~name:"hungarian reoptimises one banned row" ~count:100
+    (QCheck.make gen) (fun (row, cost) ->
+      let n = Array.length cost in
+      let t = Hungarian.create ~rows:n ~cols:n in
+      for i = 0 to n - 1 do
+        assert (Hungarian.augment t ~cost:(Array.get cost) i)
+      done;
+      let banned = Array.map Array.copy cost in
+      banned.(row).((Hungarian.assignment t).(row)) <- infinity;
+      Hungarian.release t row;
+      assert (Hungarian.augment t ~cost:(Array.get banned) row);
+      let a = Hungarian.assignment t in
+      let total = ref 0. in
+      Array.iteri (fun i j -> total := !total +. banned.(i).(j)) a;
+      List.length (List.sort_uniq compare (Array.to_list a)) = n
+      && abs_float (!total -. brute_min_assignment banned) < 1e-9)
+
+let test_hungarian_no_path () =
+  let cost = [| [| 1.; infinity |]; [| 2.; infinity |] |] in
+  let t = Hungarian.create ~rows:2 ~cols:2 in
+  Alcotest.(check bool) "first row" true (Hungarian.augment t ~cost:(Array.get cost) 0);
+  Alcotest.(check bool) "second row has no column" false
+    (Hungarian.augment t ~cost:(Array.get cost) 1);
+  Alcotest.check_raises "solve_min"
+    (Invalid_argument "Hungarian.solve_min: no finite assignment") (fun () ->
+      ignore (Hungarian.solve_min cost))
+
+let bits (a : Murty.assignment) = Int64.bits_of_float a.score
+
+(* Consecutive runs of bit-equal scores. *)
+let tie_groups xs =
+  List.fold_left
+    (fun acc (a : Murty.assignment) ->
+      match acc with
+      | (b :: _ as g) :: rest when Int64.equal (bits a) (bits b) -> (a :: g) :: rest
+      | _ -> [ a ] :: acc)
+    [] xs
+  |> List.rev_map List.rev
+
+let pair_sets xs = List.sort compare (List.map (fun (a : Murty.assignment) -> a.pairs) xs)
+
+(* Against the from-scratch reference on small matrices with missing edges
+   (weights <= 0) and forced ties (weights from a four-value set, whose
+   sums are exact): bit-equal score sequences, and within each tie group
+   the same assignments, except in a group the cut at k may split. *)
+let qcheck_murty_vs_reference =
+  let gen =
+    QCheck.Gen.(
+      triple (1 -- 7) (1 -- 8) (1 -- 60) >>= fun (n, m, k) ->
+      let w = oneofl [ 0.; -0.5; 0.25; 0.5; 0.75; 1.0 ] in
+      array_size (return n) (array_size (return m) w) >|= fun weights -> (weights, k))
+  in
+  QCheck.Test.make ~name:"murty agrees with the from-scratch reference" ~count:300
+    (QCheck.make gen) (fun (weights, k) ->
+      let got = Murty.k_best ~weights ~k in
+      let expected = Murty_ref.k_best ~weights ~k in
+      let cut = List.length expected = k in
+      let gs = tie_groups got and es = tie_groups expected in
+      List.map bits got = List.map bits expected
+      && List.length (pair_sets got) = List.length (List.sort_uniq compare (pair_sets got))
+      && List.for_all2
+           (fun g e -> pair_sets g = pair_sets e)
+           (if cut then List.filteri (fun i _ -> i < List.length gs - 1) gs else gs)
+           (if cut then List.filteri (fun i _ -> i < List.length es - 1) es else es))
+
+(* The matcher's score matrices of the three targets: the reoptimised
+   enumeration returns the reference's list exactly. *)
+let test_murty_reference_targets () =
+  List.iter
+    (fun (name, target) ->
+      let cands = Urm_matcher.Match.candidates ~source:Urm_tpch.Gen.schema ~target () in
+      let _, _, weights = Urm.Mapgen.weights cands in
+      let got = Murty.k_best ~weights ~k:100 in
+      let expected = Murty_ref.k_best ~weights ~k:100 in
+      Alcotest.(check (list (list (pair int int))))
+        (name ^ " pairs") (List.map (fun (a : Murty.assignment) -> a.pairs) expected)
+        (List.map (fun (a : Murty.assignment) -> a.pairs) got);
+      Alcotest.(check (list int64)) (name ^ " score bits") (List.map bits expected)
+        (List.map bits got))
+    Urm_workload.Targets.all
+
 let suite =
   [
     Alcotest.test_case "hungarian 3x3" `Quick test_hungarian_simple;
@@ -171,7 +262,12 @@ let suite =
     Alcotest.test_case "murty descending" `Quick test_murty_descending;
     Alcotest.test_case "murty partial matchings" `Quick test_murty_partial_allowed;
     Alcotest.test_case "murty exhausts space" `Quick test_murty_k_larger_than_space;
+    Alcotest.test_case "hungarian no augmenting path" `Quick test_hungarian_no_path;
+    Alcotest.test_case "murty = reference on the targets" `Quick
+      test_murty_reference_targets;
     QCheck_alcotest.to_alcotest qcheck_hungarian_optimal;
     QCheck_alcotest.to_alcotest qcheck_hungarian_valid_assignment;
     QCheck_alcotest.to_alcotest qcheck_murty_vs_brute;
+    QCheck_alcotest.to_alcotest qcheck_hungarian_reoptimises;
+    QCheck_alcotest.to_alcotest qcheck_murty_vs_reference;
   ]

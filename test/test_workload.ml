@@ -59,6 +59,43 @@ let test_mapping_cache_prefix () =
     big;
   Alcotest.(check (float 1e-9)) "renormalised" 1. (Urm.Mapping.total_prob small)
 
+(* A cached larger set serves a smaller h with the same bits a fresh
+   enumeration of h gives, so answers do not depend on which h a sweep
+   visited first. *)
+let test_mapping_cache_prefix_bits () =
+  let same (a : Urm.Mapping.t) (b : Urm.Mapping.t) =
+    a.id = b.id && a.pairs = b.pairs
+    && Int64.equal (Int64.bits_of_float a.prob) (Int64.bits_of_float b.prob)
+    && Int64.equal (Int64.bits_of_float a.score) (Int64.bits_of_float b.score)
+  in
+  List.iter
+    (fun target ->
+      let fresh =
+        List.map
+          (fun h -> (h, Urm.Mapgen.generate ~h ~source:Urm_tpch.Gen.schema ~target ()))
+          [ 8; 50; 100 ]
+      in
+      List.iter
+        (fun served ->
+          let p = Urm_workload.Pipeline.create ~seed:7 ~scale:0.001 () in
+          ignore (Urm_workload.Pipeline.mappings p target ~h:served);
+          List.iter
+            (fun (h, expected) ->
+              if h <= served then begin
+                let got = Urm_workload.Pipeline.mappings p target ~h in
+                Alcotest.(check int)
+                  (Printf.sprintf "%s h=%d from %d: length" target.Urm_relalg.Schema.sname h
+                     served)
+                  (List.length expected) (List.length got);
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s h=%d from %d: bit-equal" target.Urm_relalg.Schema.sname h
+                     served)
+                  true (List.for_all2 same expected got)
+              end)
+            fresh)
+        [ 100; 300 ])
+    [ Urm_workload.Targets.excel; Urm_workload.Targets.noris ]
+
 let test_every_query_runs_and_agrees () =
   let p = Lazy.force pipeline in
   List.iter
@@ -305,6 +342,8 @@ let suite =
     Alcotest.test_case "Table III operator inventory" `Quick test_table3_operator_inventory;
     Alcotest.test_case "mapping pipeline" `Quick test_mappings_pipeline;
     Alcotest.test_case "mapping cache prefix" `Quick test_mapping_cache_prefix;
+    Alcotest.test_case "mapping cache prefix is bit-exact" `Quick
+      test_mapping_cache_prefix_bits;
     Alcotest.test_case "all queries agree (integration)" `Slow test_every_query_runs_and_agrees;
     Alcotest.test_case "top-k sound (integration)" `Slow test_topk_sound_on_workload;
     Alcotest.test_case "sweep queries" `Quick test_sweep_queries;
