@@ -892,6 +892,22 @@ let git_rev () =
     | _ -> "unknown")
   | exception Unix.Unix_error _ -> "unknown"
 
+let median xs = Urm_util.Stats.percentile 0.5 xs
+let min_of = List.fold_left Float.min infinity
+
+(* A timed column of a sweep row: every run's seconds with their min and
+   median, plus [extra] fields. *)
+let column name secs extra =
+  let module J = Urm_util.Json in
+  ( name,
+    J.Obj
+      ([
+         ("runs", J.Arr (List.map (fun s -> J.Num s) secs));
+         ("min", J.Num (min_of secs));
+         ("median", J.Num (median secs));
+       ]
+      @ extra) )
+
 (* Whether [got] is a valid top-k of the exact answer [exact]. *)
 let topk_valid ~k exact got =
   let truth = Urm.Answer.top_k exact (k + 1) in
@@ -936,18 +952,6 @@ let run_topk quick =
           dt)
     in
     (secs, Option.get !last)
-  in
-  let median xs = Urm_util.Stats.percentile 0.5 xs in
-  let min_of = List.fold_left Float.min infinity in
-  let column name secs extra =
-    ( name,
-      J.Obj
-        ([
-           ("runs", J.Arr (List.map (fun s -> J.Num s) secs));
-           ("min", J.Num (min_of secs));
-           ("median", J.Num (median secs));
-         ]
-        @ extra) )
   in
   let invalid = ref false and gate = ref None in
   Format.printf "=== top-k sweep (plan engine vs u-trace vs exact e-MQO, min of %d) ===@.@."
@@ -1085,16 +1089,6 @@ let run_murty quick =
     Int64.equal (Int64.bits_of_float a.score) (Int64.bits_of_float b.score)
     && a.pairs = b.pairs
   in
-  let median xs = Urm_util.Stats.percentile 0.5 xs in
-  let min_of = List.fold_left Float.min infinity in
-  let column secs =
-    J.Obj
-      [
-        ("runs", J.Arr (List.map (fun s -> J.Num s) secs));
-        ("min", J.Num (min_of secs));
-        ("median", J.Num (median secs));
-      ]
-  in
   let diverged = ref false in
   Format.printf "=== mapping enumeration (reoptimised vs reference Murty, min of %d) ===@.@."
     runs;
@@ -1128,8 +1122,8 @@ let run_murty quick =
                 ("rows", J.Num (float_of_int n));
                 ("cols", J.Num (float_of_int m));
                 ("mappings", J.Num (float_of_int (List.length got)));
-                ("reference", column ref_secs);
-                ("reoptimised", column new_secs);
+                column "reference" ref_secs [];
+                column "reoptimised" new_secs [];
                 ("speedup_min", J.Num speedup);
                 ("identical", J.Bool identical);
               ])
