@@ -49,6 +49,48 @@ let wanted only id =
   match only with None -> true | Some ids -> List.mem id ids
 
 (* ------------------------------------------------------------------ *)
+(* Shared by the sweeps: the revision, and timed columns with every run's
+   seconds, their min and median. *)
+
+let git_rev () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | ic -> (
+    let rev = try String.trim (input_line ic) with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when rev <> "" -> rev
+    | _ -> "unknown")
+  | exception Unix.Unix_error _ -> "unknown"
+
+let median xs = Urm_util.Stats.percentile 0.5 xs
+let min_of = List.fold_left Float.min infinity
+
+(* A timed column of a sweep row: every run's seconds with their min and
+   median, plus [extra] fields. *)
+let column name secs extra =
+  let module J = Urm_util.Json in
+  ( name,
+    J.Obj
+      ([
+         ("runs", J.Arr (List.map (fun s -> J.Num s) secs));
+         ("min", J.Num (min_of secs));
+         ("median", J.Num (median secs));
+       ]
+      @ extra) )
+
+(* [measure runs f] runs [f] [runs] times, each from a compacted heap:
+   the seconds of every run and the last run's result. *)
+let measure runs f =
+  let last = ref None in
+  let secs =
+    List.init runs (fun _ ->
+        Gc.compact ();
+        let t0 = Unix.gettimeofday () in
+        last := Some (f ());
+        Unix.gettimeofday () -. t0)
+  in
+  (secs, Option.get !last)
+
+(* ------------------------------------------------------------------ *)
 (* Part 1: the paper's tables and figures. *)
 
 let metrics_file = "metrics.json"
@@ -57,9 +99,10 @@ let run_tables only quick =
   let cfg =
     if quick then Urm_workload.Experiments.quick else Urm_workload.Experiments.default
   in
-  Format.printf "=== experiment tables (scale %g, h = %d, runs = %d) ===@.@."
-    cfg.Urm_workload.Experiments.scale cfg.Urm_workload.Experiments.h
-    cfg.Urm_workload.Experiments.runs;
+  if List.exists (fun (id, _) -> wanted only id) Urm_workload.Experiments.all then
+    Format.printf "=== experiment tables (scale %g, h = %d, runs = %d) ===@.@."
+      cfg.Urm_workload.Experiments.scale cfg.Urm_workload.Experiments.h
+      cfg.Urm_workload.Experiments.runs;
   (* One metrics snapshot per experiment: the algorithms all record into the
      global registry, so reset it around each experiment and keep the
      per-experiment JSON. *)
@@ -414,133 +457,152 @@ let run_share quick =
 (* ------------------------------------------------------------------ *)
 (* Part 1d: the anytime sweep (id "anytime").
 
-   The headline claim of lib/anytime: mapping sets far beyond exact reach
-   (h = 10³..10⁵, drawn by the synthetic generator) answered with
-   confidence intervals in less wall-clock than the exact Basic algorithm
-   needs at h = 300.  Per h × sample budget, runs the budgeted estimator
-   on Q4 and records wall time, samples drawn, distinct shapes evaluated,
-   the stop reason and the final max/mean interval widths — the
-   interval-width-vs-budget curve — written to BENCH_anytime.json next to
-   the exact baseline. *)
+   [approx]'s estimate is one bounded exact pass ({!Urm.Approx}) over the
+   q-sharing partitions in descending mass order, stopped once the
+   unvisited mass is at most 2ε.  Per synthetic Q4 mapping set
+   (h = 10³..10⁵) and per target width 2ε ∈ {0.171, 0.086, 0.043} (the
+   widths the Monte-Carlo sweep this replaced reached with 128 / 512 /
+   2048 samples), times the bounded estimate beside the full exact pass
+   over the same partitions (the same pass at ε = 0), each 3 runs from a
+   compacted heap with min and median, and records units visited, the
+   report's phase sum beside the wall time, and the widths.  Exits
+   non-zero unless every interval (θ's too) contains the exact
+   probability of interpreted basic (interpreted e-basic, basic's bytes,
+   beyond h = 10³), no tuple the pass never saw exceeds the unvisited
+   mass, and every converged row is at most 2ε wide.  Written to
+   BENCH_anytime.json. *)
 
 let anytime_file = "BENCH_anytime.json"
 
 let run_anytime quick =
   let module E = Urm_workload.Experiments in
+  let module J = Urm_util.Json in
+  let module A = Urm.Approx in
   let cfg = if quick then E.quick else E.default in
+  let runs = 3 in
   let target, q = Urm_workload.Queries.default in
   let p = Urm_workload.Pipeline.create ~seed:cfg.E.seed ~scale:cfg.E.scale () in
   let ctx = Urm_workload.Pipeline.ctx p target in
-  let exact_h = if quick then 50 else 300 in
-  let exact_ms = Urm_workload.Pipeline.mappings p target ~h:exact_h in
-  let exact_secs =
-    Urm_util.Timer.repeat ~warmup:0 ~runs:cfg.E.runs (fun () ->
-        ignore (Urm.Algorithms.run Urm.Algorithms.Basic ctx q exact_ms))
+  let oracle =
+    Urm_workload.Pipeline.ctx ~engine:Urm_relalg.Compile.Interpreted p target
   in
-  Format.printf "=== anytime sweep (Q4, synthetic mappings) ===@.@.";
-  Format.printf "  exact basic   h=%-7d          %8.3fs (baseline)@." exact_h
-    exact_secs;
   let h_sweep = if quick then [ 1000 ] else [ 1000; 10_000; 100_000 ] in
-  let budgets = if quick then [ 64; 256 ] else [ 128; 512; 2048 ] in
-  let fastest_at_max_h = ref infinity in
+  let widths = [ 0.171; 0.086; 0.043 ] in
+  let failed = ref false in
+  Format.printf
+    "=== anytime sweep (Q4, synthetic mappings, bounded estimate vs full pass, \
+     min of %d) ===@.@."
+    runs;
+  let timed name secs (r : A.result) =
+    let t = r.A.report.Urm.Report.timings in
+    column name secs
+      [
+        ("units", J.Num (float_of_int r.A.units));
+        ("phase_sum", J.Num (Urm.Report.total t));
+        ( "phases",
+          J.Obj
+            [
+              ("rewrite", J.Num t.Urm.Report.rewrite);
+              ("plan", J.Num t.Urm.Report.plan);
+              ("evaluate", J.Num t.Urm.Report.evaluate);
+              ("aggregate", J.Num t.Urm.Report.aggregate);
+            ] );
+      ]
+  in
   let rows =
     List.concat_map
       (fun h ->
         let ms = Urm_workload.Pipeline.synthetic_mappings p target ~h in
+        (* Interpreted basic evaluates every mapping on its own (≈ 15 s per
+           10³ mappings at scale 0.01); beyond h = 10³ the oracle is
+           interpreted e-basic, whose answer is basic's bit for bit. *)
+        let oracle_name, exact =
+          if h <= 1000 then ("interpreted basic", Urm.Basic.run oracle q ms)
+          else ("interpreted e-basic", Urm.Ebasic.run oracle q ms)
+        in
+        let exact = exact.Urm.Report.answer in
+        let full_secs, full = measure runs (fun () -> A.run (A.Estimate 0.) ctx q ms) in
+        Format.printf "  h=%-7d full pass   %8.3fs  %d units@." h (min_of full_secs)
+          full.A.units;
         List.map
-          (fun samples ->
-            (* ε = 0 disables width convergence so the sweep traces the
-               full width-vs-budget curve at every point. *)
-            let budget =
-              {
-                Urm_anytime.Budget.default with
-                Urm_anytime.Budget.max_samples = Some samples;
-                epsilon = 0.;
-              }
+          (fun width ->
+            let secs, r = measure runs (fun () -> A.run (A.Estimate (width /. 2.)) ctx q ms) in
+            let intervals = Option.get r.A.report.Urm.Report.intervals in
+            let inside p (lo, hi) = lo <= p && p <= hi in
+            let seen = Hashtbl.create (List.length intervals) in
+            List.iter (fun (t, _) -> Hashtbl.replace seen t ()) intervals;
+            let covers =
+              List.for_all (fun (t, b) -> inside (Urm.Answer.prob_of exact t) b) intervals
+              && inside (Urm.Answer.null_prob exact) r.A.null_interval
+              && List.for_all
+                   (fun (t, p) -> Hashtbl.mem seen t || p <= r.A.unvisited)
+                   (Urm.Answer.to_list exact)
             in
-            let result = ref None in
-            let secs =
-              Urm_util.Timer.repeat ~warmup:0 ~runs:cfg.E.runs (fun () ->
-                  result :=
-                    Some
-                      (Urm_anytime.Estimator.run ~seed:cfg.E.seed ~budget ctx q
-                         ms))
+            let max_width =
+              List.fold_left
+                (fun acc (_, (lo, hi)) -> Float.max acc (hi -. lo))
+                (Float.max r.A.unvisited (snd r.A.null_interval -. fst r.A.null_interval))
+                intervals
             in
-            let r = Option.get !result in
-            let widths =
-              let nl, nh = r.Urm_anytime.Estimator.null_interval in
-              (nh -. nl)
-              :: List.map
-                   (fun (_, (lo, hi)) -> hi -. lo)
-                   (Option.value ~default:[]
-                      r.Urm_anytime.Estimator.report.Urm.Report.intervals)
-            in
-            let max_width = List.fold_left Float.max 0. widths in
-            let mean_width = Urm_util.Stats.mean widths in
-            if h = List.fold_left max 0 h_sweep then
-              fastest_at_max_h := Float.min !fastest_at_max_h secs;
+            let converged = r.A.stop_reason = A.Converged in
+            let ok = covers && ((not converged) || max_width <= width) in
+            if not ok then failed := true;
+            let t = r.A.report.Urm.Report.timings in
             Format.printf
-              "  anytime       h=%-7d n=%-6d %8.3fs  width max %.4f mean \
-               %.4f  %s@."
-              h r.Urm_anytime.Estimator.samples secs max_width mean_width
-              (Urm_anytime.Budget.stop_reason_name
-                 r.Urm_anytime.Estimator.stop_reason);
-            Urm_util.Json.Obj
+              "  h=%-7d 2ε=%.3f     %8.3fs  %d units  width %.4f  phase sum %.3fs \
+               (rewrite %.3f, evaluate %.3f, aggregate %.3f)  %s%s@."
+              h width (min_of secs) r.A.units max_width (Urm.Report.total t)
+              t.Urm.Report.rewrite t.Urm.Report.evaluate t.Urm.Report.aggregate
+              (A.stop_reason_name r.A.stop_reason)
+              (if ok then "" else "  FAILED");
+            J.Obj
               [
-                ("id", Urm_util.Json.Str "anytime");
-                ("query", Urm_util.Json.Str "Q4");
-                ("h", Urm_util.Json.Num (float_of_int h));
-                ("budget_samples", Urm_util.Json.Num (float_of_int samples));
-                ( "samples",
-                  Urm_util.Json.Num
-                    (float_of_int r.Urm_anytime.Estimator.samples) );
-                ( "shapes",
-                  Urm_util.Json.Num (float_of_int r.Urm_anytime.Estimator.shapes)
-                );
-                ("seconds", Urm_util.Json.Num secs);
-                ("max_width", Urm_util.Json.Num max_width);
-                ("mean_width", Urm_util.Json.Num mean_width);
-                ( "stop_reason",
-                  Urm_util.Json.Str
-                    (Urm_anytime.Budget.stop_reason_name
-                       r.Urm_anytime.Estimator.stop_reason) );
+                ("query", J.Str "Q4");
+                ("h", J.Num (float_of_int h));
+                ("oracle", J.Str oracle_name);
+                ("mappings", J.Num (float_of_int (List.length ms)));
+                ("target_width", J.Num width);
+                ("epsilon", J.Num (width /. 2.));
+                timed "estimate" secs r;
+                timed "full_pass" full_secs full;
+                ("speedup_min", J.Num (min_of full_secs /. min_of secs));
+                ("stopped_early", J.Bool r.A.stopped_early);
+                ("stop_reason", J.Str (A.stop_reason_name r.A.stop_reason));
+                ("max_width", J.Num max_width);
+                ("unseen_hi", J.Num r.A.unvisited);
+                ("covers_exact", J.Bool covers);
+                ("ok", J.Bool ok);
               ])
-          budgets)
+          widths)
       h_sweep
   in
-  let faster = !fastest_at_max_h < exact_secs in
-  Format.printf
-    "@.  anytime at h=%d: best %.3fs vs exact %.3fs at h=%d → %s@."
-    (List.fold_left max 0 h_sweep)
-    !fastest_at_max_h exact_secs exact_h
-    (if faster then "faster" else "NOT faster");
   let json =
-    Urm_util.Json.Obj
+    J.Obj
       [
+        ("git_rev", J.Str (git_rev ()));
         ( "config",
-          Urm_util.Json.Obj
+          J.Obj
             [
-              ("seed", Urm_util.Json.Num (float_of_int cfg.E.seed));
-              ("scale", Urm_util.Json.Num cfg.E.scale);
-              ("runs", Urm_util.Json.Num (float_of_int cfg.E.runs));
-              ("delta", Urm_util.Json.Num Urm_anytime.Budget.default.Urm_anytime.Budget.delta);
+              ("seed", J.Num (float_of_int cfg.E.seed));
+              ("scale", J.Num cfg.E.scale);
+              ("engine", J.Str "vectorized");
+              ("runs", J.Num (float_of_int runs));
+              ("gc_compact_before_each_run", J.Bool true);
             ] );
-        ( "exact",
-          Urm_util.Json.Obj
-            [
-              ("algorithm", Urm_util.Json.Str "basic");
-              ("h", Urm_util.Json.Num (float_of_int exact_h));
-              ("seconds", Urm_util.Json.Num exact_secs);
-            ] );
-        ("faster_than_exact", Urm_util.Json.Bool faster);
-        ("rows", Urm_util.Json.Arr rows);
+        ("rows", J.Arr rows);
       ]
   in
   let oc = open_out anytime_file in
-  output_string oc (Urm_util.Json.to_string json);
+  output_string oc (J.to_string json);
   output_char oc '\n';
   close_out oc;
-  Format.printf "@.wrote anytime sweep to %s@.@." anytime_file
+  Format.printf "@.wrote anytime sweep to %s@.@." anytime_file;
+  if !failed then begin
+    Format.eprintf
+      "anytime sweep: an interval missed the exact answer or a converged row \
+       exceeded 2ε@.";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Part 1e: the incremental-maintenance sweep (id "incr").
@@ -883,31 +945,6 @@ let run_shard quick =
 
 let topk_file = "BENCH_topk.json"
 
-let git_rev () =
-  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
-  | ic -> (
-    let rev = try String.trim (input_line ic) with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when rev <> "" -> rev
-    | _ -> "unknown")
-  | exception Unix.Unix_error _ -> "unknown"
-
-let median xs = Urm_util.Stats.percentile 0.5 xs
-let min_of = List.fold_left Float.min infinity
-
-(* A timed column of a sweep row: every run's seconds with their min and
-   median, plus [extra] fields. *)
-let column name secs extra =
-  let module J = Urm_util.Json in
-  ( name,
-    J.Obj
-      ([
-         ("runs", J.Arr (List.map (fun s -> J.Num s) secs));
-         ("min", J.Num (min_of secs));
-         ("median", J.Num (median secs));
-       ]
-      @ extra) )
-
 (* Whether [got] is a valid top-k of the exact answer [exact]. *)
 let topk_valid ~k exact got =
   let truth = Urm.Answer.top_k exact (k + 1) in
@@ -1074,17 +1111,7 @@ let run_murty quick =
   let module M = Urm_bipartite.Murty in
   let runs = 3 in
   let h_sweep = if quick then [ 8; 100 ] else [ 8; 100; 300; 1000 ] in
-  let measure f =
-    let last = ref [] in
-    let secs =
-      List.init runs (fun _ ->
-          Gc.compact ();
-          let t0 = Unix.gettimeofday () in
-          last := f ();
-          Unix.gettimeofday () -. t0)
-    in
-    (secs, !last)
-  in
+  let measure = measure runs in
   let same (a : M.assignment) (b : M.assignment) =
     Int64.equal (Int64.bits_of_float a.score) (Int64.bits_of_float b.score)
     && a.pairs = b.pairs

@@ -303,123 +303,67 @@ let threshold_cmd =
     Term.(const run $ query_name_t $ tau_t $ scale_t $ seed_t $ h_t $ engine_t $ metrics_t)
 
 let approx_cmd =
-  let run qname samples delta epsilon deadline k tau synthetic scale seed h
-      engine metrics =
+  let run qname epsilon deadline k tau synthetic scale seed h engine metrics =
     match Urm_workload.Queries.by_name qname with
     | exception Not_found ->
       Format.eprintf "unknown query %s (Q1..Q10)@." qname;
       exit 1
-    | target, q -> (
+    | target, q ->
       let module Json = Urm_util.Json in
-      let module B = Urm_anytime.Budget in
+      let mode =
+        match (k, tau) with
+        | Some _, Some _ ->
+          prerr_endline "give --k or --tau, not both";
+          exit 1
+        | Some k, None -> Urm.Approx.Top k
+        | None, Some tau -> Urm.Approx.Above tau
+        | None, None -> Urm.Approx.Estimate epsilon
+      in
       let p = Urm_workload.Pipeline.create ~seed ~scale () in
       let ctx = Urm_workload.Pipeline.ctx ~engine p target in
       let ms =
         if synthetic then Urm_workload.Pipeline.synthetic_mappings p target ~h
         else Urm_workload.Pipeline.mappings p target ~h
       in
-      let budget =
-        {
-          B.default with
-          B.max_samples = (if samples <= 0 then None else Some samples);
-          deadline;
-          delta;
-          epsilon;
-        }
-      in
-      let base report n shapes stop extra =
-        Json.Obj
-          ([
-             ("query", Json.Str qname);
-             ("mappings", Json.Num (float_of_int (List.length ms)));
-             ("delta", Json.Num delta);
-             ("samples", Json.Num (float_of_int n));
-             ("shapes", Json.Num (float_of_int shapes));
-             ("stop_reason", Json.Str (B.stop_reason_name stop));
-           ]
-          @ extra
-          @ [ ("report", Urm.Report.to_json report) ])
-      in
-      match (k, tau) with
-      | Some _, Some _ ->
-        prerr_endline "give --k or --tau, not both";
-        exit 1
-      | Some k, None ->
-        let r = Urm_anytime.Topk.run ~seed ~budget ~k ctx q ms in
-        print_endline
-          (Json.to_string
-             (base r.Urm_anytime.Topk.report r.Urm_anytime.Topk.samples
-                r.Urm_anytime.Topk.shapes r.Urm_anytime.Topk.stop_reason
-                [
-                  ("k", Json.Num (float_of_int k));
-                  ("stopped_early", Json.Bool r.Urm_anytime.Topk.stopped_early);
-                ]));
-        print_metrics metrics
-      | None, Some tau ->
-        let r = Urm_anytime.Threshold.run ~seed ~budget ~tau ctx q ms in
-        print_endline
-          (Json.to_string
-             (base r.Urm_anytime.Threshold.report
-                r.Urm_anytime.Threshold.samples r.Urm_anytime.Threshold.shapes
-                r.Urm_anytime.Threshold.stop_reason
-                [
-                  ("tau", Json.Num tau);
-                  ( "stopped_early",
-                    Json.Bool r.Urm_anytime.Threshold.stopped_early );
-                  ( "undecided",
-                    Json.Num (float_of_int r.Urm_anytime.Threshold.undecided) );
-                ]));
-        print_metrics metrics
-      | None, None ->
-        let r = Urm_anytime.Estimator.run ~seed ~budget ctx q ms in
-        let lo, hi = r.Urm_anytime.Estimator.null_interval in
-        print_endline
-          (Json.to_string
-             (base r.Urm_anytime.Estimator.report
-                r.Urm_anytime.Estimator.samples r.Urm_anytime.Estimator.shapes
-                r.Urm_anytime.Estimator.stop_reason
-                [
-                  ( "null_interval",
-                    Json.Obj [ ("lo", Json.Num lo); ("hi", Json.Num hi) ] );
-                  ("unseen_hi", Json.Num r.Urm_anytime.Estimator.unseen_hi);
-                ]));
-        print_metrics metrics)
-  in
-  let samples_t =
-    Arg.(
-      value & opt int 100_000
-      & info [ "samples" ]
-          ~doc:"Sample budget (draws); 0 removes the cap (δ/ε or --deadline stop the run).")
-  in
-  let delta_t =
-    Arg.(
-      value & opt float 0.05
-      & info [ "delta" ] ~doc:"Confidence parameter: intervals hold with confidence 1−δ.")
+      let r = Urm.Approx.run ?deadline mode ctx q ms in
+      print_endline
+        (Json.to_string
+           (Json.Obj
+              ([
+                 ("query", Json.Str qname);
+                 ("mappings", Json.Num (float_of_int (List.length ms)));
+               ]
+              @ Urm.Approx.fields r)));
+      print_metrics metrics
   in
   let epsilon_t =
     Arg.(
       value & opt float 0.02
       & info [ "epsilon" ]
-          ~doc:"Target interval half-width for the plain estimate (ignored with --k/--tau).")
+          ~doc:
+            "Target interval half-width for the plain estimate: stop once the \
+             unvisited mass is at most 2ε (ignored with --k/--tau; 0 gives the \
+             exact answer).")
   in
   let deadline_t =
     Arg.(
       value
       & opt (some float) None
-      & info [ "deadline" ] ~doc:"Wall-clock budget in seconds.")
+      & info [ "deadline" ]
+          ~doc:"Wall-clock budget in seconds, checked once per unit.")
   in
   let k_opt_t =
     Arg.(
       value
       & opt (some int) None
-      & info [ "k" ] ~doc:"Anytime top-k: stop when the top-k set is stable.")
+      & info [ "k" ] ~doc:"Anytime top-k: stop once the bounds prove the top-k set.")
   in
   let tau_opt_t =
     Arg.(
       value
       & opt (some float) None
       & info [ "tau" ]
-          ~doc:"Anytime threshold: stop when every tuple is decided against τ.")
+          ~doc:"Anytime threshold: stop once every tuple is decided against τ.")
   in
   let synthetic_t =
     Arg.(
@@ -430,16 +374,16 @@ let approx_cmd =
              10⁴..10⁶) instead of Murty's exact enumeration.")
   in
   let doc =
-    "Anytime approximate evaluation: Monte-Carlo sampling over the mapping \
-     distribution with Wilson confidence intervals, under a samples / \
-     wall-clock / (δ, ε) budget.  Prints a JSON result with per-tuple \
-     interval bounds and the stop reason."
+    "Anytime approximate evaluation: the exact pass over the q-sharing \
+     partitions in descending mass order, stopped as soon as its \
+     deterministic bounds [mass seen, mass seen + unvisited mass] answer \
+     the request or the deadline passes.  Prints a JSON result with \
+     per-tuple interval bounds and the stop reason."
   in
   Cmd.v (Cmd.info "approx" ~doc)
     Term.(
-      const run $ query_name_t $ samples_t $ delta_t $ epsilon_t $ deadline_t
-      $ k_opt_t $ tau_opt_t $ synthetic_t $ scale_t $ seed_t $ h_t $ engine_t
-      $ metrics_t)
+      const run $ query_name_t $ epsilon_t $ deadline_t $ k_opt_t $ tau_opt_t
+      $ synthetic_t $ scale_t $ seed_t $ h_t $ engine_t $ metrics_t)
 
 let export_cmd =
   let run dir scale seed =
@@ -697,8 +641,7 @@ let shard_worker_cmd =
   Cmd.v (Cmd.info "shard-worker" ~doc) Term.(const run $ port_t $ engine_t)
 
 let request_cmd =
-  let run port framed op arg session target seed scale h alg answers k tau delta
-      samples sql =
+  let run port framed op arg session target seed scale h alg answers k tau sql =
     let module Json = Urm_util.Json in
     let opt name v f = Option.map (fun v -> (name, f v)) v in
     let params =
@@ -749,15 +692,6 @@ let request_cmd =
                     Some ("tau", Json.Num (Option.value ~default:0.5 tau))
                   else if String.equal op "approx" then
                     opt "tau" tau (fun t -> Json.Num t)
-                  else None);
-                 (if String.equal op "approx" then
-                    opt "delta" delta (fun d -> Json.Num d)
-                  else None);
-                 (if String.equal op "approx" then
-                    opt "samples" samples (fun n -> Json.Num (float_of_int n))
-                  else None);
-                 (if String.equal op "approx" then
-                    Some ("seed", Json.Num (float_of_int seed))
                   else None);
                ]))
       | "raw" -> (
@@ -833,18 +767,6 @@ let request_cmd =
       & info [ "tau" ]
           ~doc:"Probability threshold (default 0.5; anytime threshold for approx).")
   in
-  let delta_t =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "delta" ] ~doc:"Confidence parameter for approx (default 0.05).")
-  in
-  let samples_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "samples" ] ~doc:"Sample budget for approx (default 100000).")
-  in
   let framed_t =
     Arg.(
       value & flag
@@ -857,8 +779,7 @@ let request_cmd =
   Cmd.v (Cmd.info "request" ~doc)
     Term.(
       const run $ port_t $ framed_t $ op_t $ arg_t $ session_t $ target_t
-      $ seed_t $ scale_t $ h_t $ algorithm_t $ answers_t $ k_t $ tau_t $ delta_t
-      $ samples_t $ sql_t)
+      $ seed_t $ scale_t $ h_t $ algorithm_t $ answers_t $ k_t $ tau_t $ sql_t)
 
 let mutate_cmd =
   let module Json = Urm_util.Json in

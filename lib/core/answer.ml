@@ -400,6 +400,9 @@ let total_prob t =
 let prob_of t tuple =
   match tbl_find t.rows tuple with Some id -> value t id | None -> 0.
 
+let exact_of t tuple =
+  match tbl_find t.rows tuple with Some id -> exact t id | None -> []
+
 let approx_tuple_equal ta tb =
   Array.length ta = Array.length tb
   &&

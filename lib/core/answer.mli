@@ -122,6 +122,10 @@ val total_prob : t -> float
     absent). *)
 val prob_of : t -> Urm_relalg.Value.t array -> float
 
+(** [exact_of t tuple] the exact sum behind {!prob_of}, as a canonical
+    component list ([[]] when absent). *)
+val exact_of : t -> Urm_relalg.Value.t array -> float list
+
 (** [equal a b] same outputs, bit-equal θ, and a one-to-one matching of
     [a]'s tuples onto [b]'s buckets (exact keys first, then approximate —
     float aggregate keys may differ across summation orders) with

@@ -4,6 +4,7 @@ type result = {
   report : Report.t;
   visited_eunits : int;
   stopped_early : bool;
+  unvisited : float list;
 }
 
 (* Both engines fold the same candidates into one {!Answer} and ask [stop]
@@ -17,20 +18,23 @@ type result = {
    distribution allows. *)
 
 let run_plan ~metrics ~stop (ctx : Ctx.t) q ms =
-  let n_units = ref 0 in
+  let units = ref [] in
   let report, r =
     Factorized.run ~metrics ~stop ctx q (fun () ->
         let by_mass a b =
           Float.compare (Mapping.total_prob b) (Mapping.total_prob a)
         in
-        let units =
+        units :=
           Factorized.partition_units ctx q
-            (List.stable_sort by_mass (Qsharing.partitions ctx q ms))
-        in
-        n_units := List.length units;
-        units)
+            (List.stable_sort by_mass (Qsharing.partitions ctx q ms));
+        !units)
   in
-  (report, r.Factorized.units, r.Factorized.units < !n_units, !n_units)
+  let rest = List.filteri (fun i _ -> i >= r.Factorized.units) !units in
+  ( report,
+    r.Factorized.units,
+    rest <> [],
+    List.length !units,
+    Answer.mass (Array.concat (List.map snd rest)) )
 
 let run_utrace ~metrics ~strategy ?seed ?use_memo ~stop (ctx : Ctx.t) q ms =
   let parts, rewrite =
@@ -38,7 +42,9 @@ let run_utrace ~metrics ~strategy ?seed ?use_memo ~stop (ctx : Ctx.t) q ms =
   in
   let env = Eunit.make_env ?seed ?use_memo ~metrics ~strategy ctx q in
   let acc = Answer.create (Reformulate.output_header q) in
-  let unvisited = ref (Mapping.total_prob ms) in
+  let unvisited =
+    ref (Answer.mass (Array.of_list (List.map (fun m -> m.Mapping.prob) ms)))
+  in
   let emit leaf =
     let mass =
       match leaf with
@@ -49,10 +55,9 @@ let run_utrace ~metrics ~strategy ?seed ?use_memo ~stop (ctx : Ctx.t) q ms =
         List.iter (Answer.add_null acc) mass;
         mass
     in
-    unvisited := !unvisited -. Answer.round mass;
-    (* Once no mass is left the traversal is over: stopping would only
-       mislabel the run as an early stop. *)
-    not (!unvisited > Prob.eps && stop acc ~unvisited:!unvisited)
+    unvisited :=
+      Answer.mass (Array.of_list (!unvisited @ List.map Float.neg mass));
+    not (stop acc ~unvisited:(Answer.round !unvisited))
   in
   let finished, evaluate =
     Urm_util.Timer.time (fun () -> Eunit.run_qt env (Eunit.init q parts) ~emit)
@@ -69,12 +74,16 @@ let run_utrace ~metrics ~strategy ?seed ?use_memo ~stop (ctx : Ctx.t) q ms =
     },
     Eunit.eunits_created env,
     not finished,
-    List.length parts )
+    List.length parts,
+    !unvisited )
 
 let run ~scope ?(strategy = Eunit.Sef) ?seed ?use_memo
-    ?(metrics = Urm_obs.Metrics.global) ~stop ~finish (ctx : Ctx.t) q ms =
+    ?(metrics = Urm_obs.Metrics.global) ~stop (ctx : Ctx.t) q ms =
   let m = Urm_obs.Metrics.scope metrics scope in
-  let report, visited_eunits, stopped_early, reps =
+  (* Once no mass is left the pass is over: stopping would only mislabel
+     the run as an early stop. *)
+  let stop acc ~unvisited = unvisited > Prob.eps && stop acc ~unvisited in
+  let report, visited_eunits, stopped_early, reps, unvisited =
     match Ctx.engine ctx with
     | Compile.Interpreted ->
       run_utrace ~metrics:m ~strategy ?seed ?use_memo ~stop ctx q ms
@@ -82,6 +91,5 @@ let run ~scope ?(strategy = Eunit.Sef) ?seed ?use_memo
   in
   Urm_obs.Metrics.incr ~by:reps
     (Urm_obs.Metrics.counter (Urm_obs.Metrics.scope m "eunit") "representatives");
-  let report = { report with Report.answer = finish report.Report.answer } in
   Report.record_metrics m report;
-  { report; visited_eunits; stopped_early }
+  { report; visited_eunits; stopped_early; unvisited }

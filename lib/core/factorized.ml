@@ -163,26 +163,31 @@ let eval ~ctrs ?(cse = false) ?stop (ctx : Ctx.t) q units =
         Hashtbl.add memo k r)
   in
   (* [stop] sees the answer after every unit but the last, with the mass
-     of the units not yet visited; [true] ends the pass there. *)
+     of the units not yet visited — kept exact, as a component list, and
+     rounded once per check; [true] ends the pass there. *)
+  let units = List.map (fun (sq, w) -> (sq, w, Answer.mass w)) units in
+  let unvisited =
+    ref
+      (if Option.is_none stop then []
+       else Answer.mass (Array.of_list (List.concat_map (fun (_, _, m) -> m) units)))
+  in
   let processed = ref 0 in
-  let rec pass unvisited = function
+  let rec pass = function
     | [] -> ()
     | (sq, weights, mass) :: rest ->
       visit sq weights mass;
       incr processed;
-      let unvisited = unvisited -. Answer.round mass in
       let stopped =
         match stop with
-        | Some stop -> rest <> [] && stop acc ~unvisited
-        | None -> false
+        | Some stop when rest <> [] ->
+          unvisited :=
+            Answer.mass (Array.of_list (!unvisited @ List.map Float.neg mass));
+          stop acc ~unvisited:(Answer.round !unvisited)
+        | _ -> false
       in
-      if not stopped then pass unvisited rest
+      if not stopped then pass rest
   in
-  let units = List.map (fun (sq, w) -> (sq, w, Answer.mass w)) units in
-  let total =
-    List.fold_left (fun acc (_, _, m) -> acc +. Answer.round m) 0. units
-  in
-  Urm_util.Timer.Stopwatch.timed sw_eval (fun () -> pass total units);
+  Urm_util.Timer.Stopwatch.timed sw_eval (fun () -> pass units);
   {
     answer = acc;
     units = !processed;

@@ -59,9 +59,10 @@ val singleton_units :
 (** [eval ~ctrs ?cse ?stop ctx q units] the single pass.  [cse] (default
     [false]) turns on cross-unit common-subexpression materialisation —
     the factorized e-MQO.  [stop acc ~unvisited] is called after every
-    unit but the last, with the answer so far and the summed mass of the
-    units not yet visited; returning [true] ends the pass there (top-k and
-    threshold's early termination). *)
+    unit but the last, with the answer so far and the mass of the units
+    not yet visited (their exact sum, correctly rounded); returning [true]
+    ends the pass there (top-k, threshold and approx's early
+    termination). *)
 val eval :
   ctrs:Urm_relalg.Eval.counters ->
   ?cse:bool ->
@@ -72,9 +73,9 @@ val eval :
   result
 
 (** [run ~metrics ?cse ?stop ctx q build] one factorized run of an exact
-    algorithm (or, with [stop], of top-k / threshold): counters under [metrics], [build ()] timed as the rewrite
-    phase, then {!eval}.  The report carries the plan and evaluate times
-    of the result, [groups] = units processed, aggregate 0 (evaluation
+    algorithm (or, with [stop], of a {!Bounded} pass): counters under
+    [metrics], [build ()] timed as the rewrite phase, then {!eval}.  The
+    report carries the plan and evaluate times of the result, [groups] = units processed, aggregate 0 (evaluation
     fuses it), and an engine name suffixed ["+factorized"]. *)
 val run :
   metrics:Urm_obs.Metrics.t ->

@@ -42,8 +42,3 @@ let pp ppf m =
   Format.fprintf ppf "@]"
 
 let total_prob ms = List.fold_left (fun acc m -> acc +. m.prob) 0. ms
-
-let normalize ms =
-  let total = total_prob ms in
-  if total <= 0. then invalid_arg "Mapping.normalize: no probability mass";
-  List.map (fun m -> { m with prob = m.prob /. total }) ms

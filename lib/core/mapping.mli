@@ -40,9 +40,5 @@ val o_ratio : t -> t -> float
 
 val pp : Format.formatter -> t -> unit
 
-(** [normalize ms] rescales probabilities to sum to 1.
-    Requires some positive mass. *)
-val normalize : t list -> t list
-
 (** [total_prob ms] sum of probabilities. *)
 val total_prob : t list -> float

@@ -18,7 +18,20 @@ type result = {
           [stopped_early = false]) *)
   visited_eunits : int;
   stopped_early : bool;  (** the pass ended before its last unit *)
+  unvisited : float list;  (** see {!Bounded.result} *)
 }
+
+(** [undecided ~tau acc ~unvisited] the candidates of [acc] neither in
+    (lower bound ≥ τ) nor out (lower bound + UB < τ). *)
+val undecided : tau:float -> Answer.t -> unvisited:float -> int
+
+(** [decided ~tau acc ~unvisited] the stop test: UB < τ and nothing
+    {!undecided}. *)
+val decided : tau:float -> Answer.t -> unvisited:float -> bool
+
+(** [select ~tau acc] the candidates whose lower bound reaches τ: the
+    reported answer. *)
+val select : tau:float -> Answer.t -> Answer.t
 
 (** [run ~tau ctx q ms] with [0 < tau ≤ 1].
     Raises [Invalid_argument] otherwise.  Counters and phase timers are

@@ -2,6 +2,7 @@ type result = Bounded.result = {
   report : Report.t;
   visited_eunits : int;
   stopped_early : bool;
+  unvisited : float list;
 }
 
 let eps = Prob.eps
@@ -26,12 +27,15 @@ let proven ~k acc ~unvisited =
     true
   with Exit -> false
 
+let select ~k acc =
+  let answer = Answer.create (Answer.output acc) in
+  List.iter (fun (t, p) -> Answer.add answer t p) (Answer.top_k acc k);
+  answer
+
 let run ?strategy ?seed ?use_memo ?metrics ~k ctx q ms =
   if k <= 0 then invalid_arg "Topk.run: k must be positive";
-  Bounded.run ~scope:"topk" ?strategy ?seed ?use_memo ?metrics
-    ~stop:(proven ~k)
-    ~finish:(fun acc ->
-      let answer = Answer.create (Answer.output acc) in
-      List.iter (fun (t, p) -> Answer.add answer t p) (Answer.top_k acc k);
-      answer)
-    ctx q ms
+  let r =
+    Bounded.run ~scope:"topk" ?strategy ?seed ?use_memo ?metrics
+      ~stop:(proven ~k) ctx q ms
+  in
+  { r with report = { r.report with answer = select ~k r.report.answer } }

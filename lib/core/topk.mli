@@ -28,7 +28,16 @@ type result = {
       (** units visited (plan engine) or u-trace e-units created
           (interpreted engine) by this run *)
   stopped_early : bool;  (** the pass ended before its last unit *)
+  unvisited : float list;  (** see {!Bounded.result} *)
 }
+
+(** [proven ~k acc ~unvisited] the paper's stop test over the candidates
+    [acc] (lower bounds) and the unvisited mass UB. *)
+val proven : k:int -> Answer.t -> unvisited:float -> bool
+
+(** [select ~k acc] the [k] most probable candidates at their lower
+    bounds: the reported top-k answer. *)
+val select : k:int -> Answer.t -> Answer.t
 
 (** [run ~k ctx q ms] with [k > 0]; raises [Invalid_argument] otherwise.
     [strategy], [seed] and [use_memo] steer only the interpreted u-trace.

@@ -68,11 +68,7 @@ let parse_reply line =
 
 (* ------------------------------------------------------------------ *)
 
-let value_to_json = function
-  | Urm_relalg.Value.Null -> Json.Null
-  | Urm_relalg.Value.Int i -> Json.Num (float_of_int i)
-  | Urm_relalg.Value.Float f -> Json.Num f
-  | Urm_relalg.Value.Str s -> Json.Str s
+let value_to_json = Urm.Report.value_to_json
 
 let value_of_json = function
   | Json.Null -> Urm_relalg.Value.Null

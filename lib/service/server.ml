@@ -315,10 +315,10 @@ let exec_threshold t req : (Json.t, failure) result =
                    ("stopped_early", Json.Bool r.Urm.Threshold.stopped_early);
                  ]))))
 
-(* Anytime approximate evaluation.  The cache key's variant encodes every
-   parameter the sampled result depends on — mode, k/τ, δ, ε, budget and
-   seed — so distinct budgets never alias (the run is deterministic in
-   those, making the cached payload exact replay). *)
+(* Anytime approximate evaluation ({!Urm.Approx}): the mode comes from
+   "k" or "tau" (neither: an estimate at "epsilon", default 0.02), and an
+   optional "deadline" in seconds bounds the pass.  The cache key's
+   variant encodes every parameter the reply depends on. *)
 let exec_approx t req : (Json.t, failure) result =
   match session_of t req with
   | Error _ as e -> e
@@ -326,132 +326,41 @@ let exec_approx t req : (Json.t, failure) result =
     match query_of session req with
     | Error _ as e -> e
     | Ok q -> (
-      let module B = Urm_anytime.Budget in
-      let k = Protocol.int_param req "k" in
-      let tau = Protocol.float_param req "tau" in
-      let delta = Option.value ~default:0.05 (Protocol.float_param req "delta") in
       let epsilon =
         Option.value ~default:0.02 (Protocol.float_param req "epsilon")
       in
-      let samples =
-        Option.value ~default:100_000 (Protocol.int_param req "samples")
-      in
       let deadline = Protocol.float_param req "deadline" in
-      let seed = Option.value ~default:17 (Protocol.int_param req "seed") in
       let limit = answers_limit req in
-      let budget =
-        {
-          B.default with
-          B.max_samples = (if samples <= 0 then None else Some samples);
-          deadline;
-          delta;
-          epsilon;
-        }
+      let mode =
+        match (Protocol.int_param req "k", Protocol.float_param req "tau") with
+        | Some _, Some _ -> Error "give either \"k\" or \"tau\", not both"
+        | Some k, None -> Ok (Urm.Approx.Top k)
+        | None, Some tau -> Ok (Urm.Approx.Above tau)
+        | None, None -> Ok (Urm.Approx.Estimate epsilon)
       in
-      match B.validate budget with
-      | exception Invalid_argument m -> Error (`Bad m)
-      | () -> (
-        let intervals_json report =
-          match report.Urm.Report.intervals with
-          | None -> Json.Arr []
-          | Some bounds ->
-            Json.Arr
-              (List.filteri
-                 (fun i _ -> i < limit)
-                 bounds
-              |> List.map (fun (tuple, (lo, hi)) ->
-                     Json.Obj
-                       [
-                         ( "tuple",
-                           Json.Arr
-                             (List.map Protocol.value_to_json
-                                (Array.to_list tuple)) );
-                         ("lo", Json.Num lo);
-                         ("hi", Json.Num hi);
-                       ]))
-        in
-        let base mode report samples shapes stop extra =
-          let answer = report.Urm.Report.answer in
-          Json.Obj
-            ([
-               ("query", Json.Str (Urm.Query.to_string q));
-               ("mode", Json.Str mode);
-               ("delta", Json.Num delta);
-               ("samples", Json.Num (float_of_int samples));
-               ("shapes", Json.Num (float_of_int shapes));
-               ("stop_reason", Json.Str (B.stop_reason_name stop));
-               ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
-               ("answers", answers_json answer limit);
-               ("intervals", intervals_json report);
-             ]
-            @ extra)
-        in
-        let variant =
-          Printf.sprintf "approx:%s:%h:%h:%d:%s:%d"
-            (match (k, tau) with
-            | Some k, None -> "topk=" ^ string_of_int k
-            | None, Some tau -> Printf.sprintf "tau=%h" tau
-            | _ -> "estimate")
-            delta epsilon samples
-            (match deadline with None -> "-" | Some d -> Printf.sprintf "%h" d)
-            seed
-        in
-        match (k, tau) with
-        | Some _, Some _ -> Error (`Bad "give either \"k\" or \"tau\", not both")
-        | Some k, None when k <= 0 -> Error (`Bad "\"k\" must be positive")
-        | None, Some tau when not (tau > 0. && tau <= 1.) ->
-          Error (`Bad "\"tau\" must lie in (0, 1]")
-        | Some k, None ->
+      match mode with
+      | Error m -> Error (`Bad m)
+      | Ok mode -> (
+        match Urm.Approx.validate ?deadline mode with
+        | exception Invalid_argument m -> Error (`Bad m)
+        | () ->
+          let variant =
+            Printf.sprintf "approx:%s:%s"
+              (match mode with
+              | Urm.Approx.Estimate e -> Printf.sprintf "epsilon=%h" e
+              | Urm.Approx.Top k -> "topk=" ^ string_of_int k
+              | Urm.Approx.Above tau -> Printf.sprintf "tau=%h" tau)
+              (match deadline with None -> "-" | Some d -> Printf.sprintf "%h" d)
+          in
           Ok
             (cached_eval t session q ~algorithm:"approx" ~variant (fun snap ->
                  let r =
-                   Urm_anytime.Topk.run ~seed ~budget ~k
-                     snap.Urm_incr.Vcatalog.ctx q snap.Urm_incr.Vcatalog.mappings
+                   Urm.Approx.run ?deadline mode snap.Urm_incr.Vcatalog.ctx q
+                     snap.Urm_incr.Vcatalog.mappings
                  in
-                 base "topk" r.Urm_anytime.Topk.report
-                   r.Urm_anytime.Topk.samples r.Urm_anytime.Topk.shapes
-                   r.Urm_anytime.Topk.stop_reason
-                   [
-                     ("k", Json.Num (float_of_int k));
-                     ( "stopped_early",
-                       Json.Bool r.Urm_anytime.Topk.stopped_early );
-                   ]))
-        | None, Some tau ->
-          Ok
-            (cached_eval t session q ~algorithm:"approx" ~variant (fun snap ->
-                 let r =
-                   Urm_anytime.Threshold.run ~seed ~budget ~tau
-                     snap.Urm_incr.Vcatalog.ctx q snap.Urm_incr.Vcatalog.mappings
-                 in
-                 base "threshold" r.Urm_anytime.Threshold.report
-                   r.Urm_anytime.Threshold.samples
-                   r.Urm_anytime.Threshold.shapes
-                   r.Urm_anytime.Threshold.stop_reason
-                   [
-                     ("tau", Json.Num tau);
-                     ( "stopped_early",
-                       Json.Bool r.Urm_anytime.Threshold.stopped_early );
-                     ( "undecided",
-                       Json.Num
-                         (float_of_int r.Urm_anytime.Threshold.undecided) );
-                   ]))
-        | None, None ->
-          Ok
-            (cached_eval t session q ~algorithm:"approx" ~variant (fun snap ->
-                 let r =
-                   Urm_anytime.Estimator.run ~seed ~budget
-                     snap.Urm_incr.Vcatalog.ctx q snap.Urm_incr.Vcatalog.mappings
-                 in
-                 let lo, hi = r.Urm_anytime.Estimator.null_interval in
-                 base "estimate" r.Urm_anytime.Estimator.report
-                   r.Urm_anytime.Estimator.samples
-                   r.Urm_anytime.Estimator.shapes
-                   r.Urm_anytime.Estimator.stop_reason
-                   [
-                     ( "null_interval",
-                       Json.Obj [ ("lo", Json.Num lo); ("hi", Json.Num hi) ] );
-                     ("unseen_hi", Json.Num r.Urm_anytime.Estimator.unseen_hi);
-                   ])))))
+                 Json.Obj
+                   (("query", Json.Str (Urm.Query.to_string q))
+                   :: Urm.Approx.fields ~limit r))))))
 
 (* Commit a mutation batch, then invalidate the answer cache before
    replying: any query issued after this reply observes the new epoch, so

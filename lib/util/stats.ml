@@ -39,66 +39,6 @@ let percentile p xs =
 
 let percentile_or_zero p = function [] -> 0. | xs -> percentile p xs
 
-(* Acklam's rational approximation of the standard normal quantile Φ⁻¹:
-   absolute error < 1.15e-9 over (0, 1) — far below the sampling noise any
-   confidence-interval user faces. *)
-let normal_quantile p =
-  if not (p > 0. && p < 1.) then
-    invalid_arg "Stats.normal_quantile: p must lie in (0, 1)";
-  let a =
-    [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
-       1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
-  and b =
-    [| -5.447609879822406e+01; 1.615858368580409e+02; -1.556989798598866e+02;
-       6.680131188771972e+01; -1.328068155288572e+01 |]
-  and c =
-    [| -7.784894002430293e-03; -3.223964580411365e-01; -2.400758277161838e+00;
-       -2.549732539343734e+00; 4.374664141464968e+00; 2.938163982698783e+00 |]
-  and d =
-    [| 7.784695709041462e-03; 3.224671290700398e-01; 2.445134137142996e+00;
-       3.754408661907416e+00 |]
-  in
-  let p_low = 0.02425 in
-  if p < p_low then begin
-    let u = sqrt (-2. *. log p) in
-    (((((c.(0) *. u +. c.(1)) *. u +. c.(2)) *. u +. c.(3)) *. u +. c.(4)) *. u
-    +. c.(5))
-    /. ((((d.(0) *. u +. d.(1)) *. u +. d.(2)) *. u +. d.(3)) *. u +. 1.)
-  end
-  else if p > 1. -. p_low then begin
-    let u = sqrt (-2. *. log (1. -. p)) in
-    -.((((((c.(0) *. u +. c.(1)) *. u +. c.(2)) *. u +. c.(3)) *. u +. c.(4))
-          *. u
-       +. c.(5))
-       /. ((((d.(0) *. u +. d.(1)) *. u +. d.(2)) *. u +. d.(3)) *. u +. 1.))
-  end
-  else begin
-    let q = p -. 0.5 in
-    let r = q *. q in
-    (((((a.(0) *. r +. a.(1)) *. r +. a.(2)) *. r +. a.(3)) *. r +. a.(4)) *. r
-    +. a.(5))
-    *. q
-    /. (((((b.(0) *. r +. b.(1)) *. r +. b.(2)) *. r +. b.(3)) *. r +. b.(4))
-          *. r
-       +. 1.)
-  end
-
-let wilson_interval ~positives ~n ~z =
-  if n <= 0 then invalid_arg "Stats.wilson_interval: n must be positive";
-  if positives < 0 || positives > n then
-    invalid_arg "Stats.wilson_interval: positives must lie in [0, n]";
-  if not (z >= 0.) then invalid_arg "Stats.wilson_interval: z must be >= 0";
-  let nf = float_of_int n in
-  let phat = float_of_int positives /. nf in
-  let z2 = z *. z in
-  let denom = 1. +. (z2 /. nf) in
-  let centre = (phat +. (z2 /. (2. *. nf))) /. denom in
-  let half =
-    z /. denom
-    *. sqrt ((phat *. (1. -. phat) /. nf) +. (z2 /. (4. *. nf *. nf)))
-  in
-  (Float.max 0. (centre -. half), Float.min 1. (centre +. half))
-
 let entropy fractions =
   List.fold_left
     (fun acc f -> if f > 0. then acc -. (f *. (log f /. log 2.)) else acc)

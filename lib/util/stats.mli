@@ -29,22 +29,6 @@ val percentile : float -> float list -> float
     metrics roll-up over idle shards is safe). *)
 val percentile_or_zero : float -> float list -> float
 
-(** [normal_quantile p] the standard normal quantile Φ⁻¹(p) for [p] in
-    (0, 1) (Acklam's rational approximation, |error| < 1.2e-9).  The
-    two-sided critical value for confidence 1−δ is
-    [normal_quantile (1. -. delta /. 2.)].
-    Raises [Invalid_argument] outside (0, 1). *)
-val normal_quantile : float -> float
-
-(** [wilson_interval ~positives ~n ~z] the Wilson score interval
-    [(lo, hi)] ⊆ [\[0,1\]] for a binomial proportion observed as
-    [positives] successes in [n] trials at critical value [z].  Unlike the
-    Wald interval it stays informative at counts 0 and [n] (the anytime
-    estimator's unseen-tuple bound is the [positives = 0] upper limit).
-    Raises [Invalid_argument] on [n <= 0], a count outside [\[0, n\]] or a
-    negative [z]. *)
-val wilson_interval : positives:int -> n:int -> z:float -> float * float
-
 (** [entropy fractions] is [-Σ f log2 f] over the strictly positive entries;
     the spread measure used by the SEF strategy (Definition 1 of the paper). *)
 val entropy : float list -> float

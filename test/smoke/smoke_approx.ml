@@ -2,13 +2,15 @@
    part of @runtest): boot a server on an ephemeral loopback port, open a
    small fixed-seed workload session, and check that
 
-   - the estimate mode stops for a declared reason, reports intervals, and
-     every exact answer probability (from a "query"/basic run of the same
-     query) falls inside the matching interval,
+   - the estimate mode converges, reports intervals, and every exact
+     answer probability (from a "query"/basic run of the same query) falls
+     inside the matching interval with no slack, or below the unseen bound
+     for a tuple the pass never reached,
    - the top-k and threshold modes answer with their mode-specific fields,
    - an exact replay of an approx request is served from the answer cache
      ([cached] flips to true) with an otherwise identical payload,
-   - budget validation rejects nonsense (delta ≥ 1) as a bad request.
+   - parameter validation rejects nonsense (ε < 0, a deadline ≤ 0) as a
+     bad request.
 
    Exit code 0 on success, 1 with a diagnostic on any failure. *)
 
@@ -69,26 +71,16 @@ let () =
          [ session; ("query", Json.Str "Q1"); ("algorithm", Json.Str "basic") ])
   in
 
-  (* Estimate mode: a generous fixed budget at a small delta.  h = 8 worlds
-     sampled 20k times observe every answer tuple, so each exact probability
-     must sit inside its Wilson interval. *)
+  (* Estimate mode: the bounded pass stops once the unvisited mass is at
+     most 2ε, and each exact probability must sit inside its interval. *)
   let approx_params =
-    [
-      session;
-      ("query", Json.Str "Q1");
-      ("samples", Json.Num 20_000.);
-      ("delta", Json.Num 0.001);
-      ("epsilon", Json.Num 0.005);
-      ("seed", Json.Num 42.);
-    ]
+    [ session; ("query", Json.Str "Q1"); ("epsilon", Json.Num 0.05) ]
   in
   let est = get_exn "approx/estimate" (Client.call c ~op:"approx" approx_params) in
   check "estimate mode" (str "mode" est = "estimate");
-  check "stop reason declared"
-    (match str "stop_reason" est with
-    | "converged" | "samples-exhausted" -> true
-    | _ -> false);
-  check "samples spent" (num "samples" est > 0.);
+  check "converged" (str "stop_reason" est = "converged");
+  check "units visited" (num "shapes" est > 0.);
+  check "unseen bound within 2ε" (num "unseen_hi" est <= 0.1);
   check "cold run" (member "cached" est = Json.Bool false);
   let intervals = arr "intervals" est in
   check "intervals present" (intervals <> []);
@@ -105,12 +97,8 @@ let () =
       match
         List.find_opt (fun iv -> String.equal (tuple_key iv) (tuple_key a)) intervals
       with
-      | None -> check "exact tuple observed by the sampler" false
-      | Some iv ->
-        (* 1e-9 slack: the exact probability is a float sum over mappings
-           and can overshoot a certain tuple's 1.0 by an ulp *)
-        let lo = num "lo" iv -. 1e-9 and hi = num "hi" iv +. 1e-9 in
-        check "exact prob inside interval" (lo <= p && p <= hi))
+      | None -> check "unseen tuple below the unseen bound" (p <= num "unseen_hi" est)
+      | Some iv -> check "exact prob inside interval" (num "lo" iv <= p && p <= num "hi" iv))
     exact_answers;
   let nlo = num "lo" (member "null_interval" est)
   and nhi = num "hi" (member "null_interval" est) in
@@ -155,14 +143,17 @@ let () =
     (fun iv -> check "threshold answers clear tau" (num "lo" iv >= 0.3))
     (arr "intervals" thresh);
 
-  (* Budget validation surfaces as bad_request, not a dead worker. *)
-  (match
-     Client.call c ~op:"approx"
-       [ session; ("query", Json.Str "Q1"); ("delta", Json.Num 1.5) ]
-   with
-  | Error ("bad_request", _) -> ()
-  | Error (code, _) -> check ("delta=1.5 rejected as bad_request, got " ^ code) false
-  | Ok _ -> check "delta=1.5 rejected" false);
+  (* Parameter validation surfaces as bad_request, not a dead worker. *)
+  List.iter
+    (fun (label, param) ->
+      match Client.call c ~op:"approx" [ session; ("query", Json.Str "Q1"); param ] with
+      | Error ("bad_request", _) -> ()
+      | Error (code, _) -> check (label ^ " rejected as bad_request, got " ^ code) false
+      | Ok _ -> check (label ^ " rejected") false)
+    [
+      ("epsilon=-0.1", ("epsilon", Json.Num (-0.1)));
+      ("deadline=0", ("deadline", Json.Num 0.));
+    ];
 
   ignore (Client.call c ~op:"shutdown" []);
   Client.close c;

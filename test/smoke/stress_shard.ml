@@ -1,6 +1,6 @@
 (* Multi-process stress for the shard router (dune @smoke): eight
    concurrent framed clients hammer a 3-shard router with a mix of
-   fanned-out basic queries, forwarded algorithms, approx sampling,
+   fanned-out basic queries, forwarded algorithms, approx estimates,
    batch frames and (from one designated client) identity-preserving
    mutation commits — every reply byte-checked against a sequential
    oracle computed locally from the same pipeline parameters.  Then
@@ -144,22 +144,15 @@ let () =
     check (Printf.sprintf "open-session: %s: %s" code msg) false);
 
   (* One sequential approx reply is the oracle for the concurrent ones:
-     fixed seed and budget make the sampler deterministic. *)
-  let approx_params =
-    [
-      session;
-      ("query", Json.Str "Q1");
-      ("samples", Json.Num 300.);
-      ("seed", Json.Num 11.);
-    ]
-  in
+     without a deadline the bounded pass is deterministic. *)
+  let approx_params = [ session; ("query", Json.Str "Q1") ] in
   let approx_full json =
     Json.to_string
       (Json.Obj
          [
            ("answers", member "answers" json);
            ("intervals", member "intervals" json);
-           ("samples", member "samples" json);
+           ("shapes", member "shapes" json);
          ])
   in
   let approx_oracle =

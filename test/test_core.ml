@@ -121,10 +121,6 @@ let test_mapping_o_ratio () =
   Alcotest.(check (float 1e-9)) "pairwise" (4. /. 6.) (Urm.Mapping.o_ratio m0 m1);
   Alcotest.(check (float 1e-9)) "self" 1. (Urm.Mapping.o_ratio m0 m0)
 
-let test_mapping_normalize () =
-  let ms = Urm.Mapping.normalize (fig3_mappings ()) in
-  Alcotest.(check (float 1e-9)) "sums to 1" 1. (Urm.Mapping.total_prob ms)
-
 (* ------------------------------------------------------------------ *)
 (* Query *)
 
@@ -847,7 +843,6 @@ let suite =
     Alcotest.test_case "mapping 1:1 checked" `Quick test_mapping_one_to_one;
     Alcotest.test_case "mapping lookup" `Quick test_mapping_lookup;
     Alcotest.test_case "mapping o-ratio" `Quick test_mapping_o_ratio;
-    Alcotest.test_case "mapping normalize" `Quick test_mapping_normalize;
     Alcotest.test_case "query validation" `Quick test_query_validation;
     Alcotest.test_case "query referenced/output" `Quick test_query_referenced_and_output;
     Alcotest.test_case "query operators" `Quick test_query_operators;

@@ -381,15 +381,42 @@ let test_translate_unmapped_relation_empty () =
 (* ------------------------------------------------------------------ *)
 (* Monte-Carlo validation + lineage *)
 
-(* Monte-Carlo estimates come from the anytime estimator with a fixed
-   20,000-sample budget: ε = 0 never converges, so every run draws them
-   all. *)
+(* A test-local weighted sampler, independent of the library's exact
+   sums: inverse CDF over the cumulative mapping probabilities. *)
+let sampler ~seed ms =
+  let arr = Array.of_list ms in
+  let cumulative = Array.map (fun m -> m.Urm.Mapping.prob) arr in
+  for i = 1 to Array.length arr - 1 do
+    cumulative.(i) <- cumulative.(i) +. cumulative.(i - 1)
+  done;
+  let rng = Urm_util.Prng.create seed in
+  fun () ->
+    let u = Urm_util.Prng.float rng *. cumulative.(Array.length arr - 1) in
+    let i = ref 0 in
+    while !i < Array.length arr - 1 && cumulative.(!i) <= u do incr i done;
+    arr.(!i)
+
+(* Monte-Carlo estimate over 20,000 sampled worlds, each world's answer
+   computed from its one mapping (memoised per mapping). *)
 let mc_estimate ~seed ctx q ms =
-  let budget =
-    { Urm_anytime.Budget.default with max_samples = Some 20_000; epsilon = 0. }
-  in
-  (Urm_anytime.Estimator.run ~seed ~budget ctx q ms).Urm_anytime.Estimator.report
-    .Urm.Report.answer
+  let draw = sampler ~seed ms and n = 20_000 in
+  let worlds = Hashtbl.create 16 in
+  let estimate = Urm.Answer.create (Urm.Reformulate.output_header q) in
+  for _ = 1 to n do
+    let m = draw () in
+    let world =
+      match Hashtbl.find_opt worlds m.Urm.Mapping.id with
+      | Some a -> a
+      | None ->
+        let a = (Urm.Basic.run ctx q [ m ]).Urm.Report.answer in
+        Hashtbl.add worlds m.Urm.Mapping.id a;
+        a
+    in
+    let share = 1. /. float_of_int n in
+    if Urm.Answer.null_prob world > 0. then Urm.Answer.add_null estimate share;
+    Urm.Answer.iter (fun t _ -> Urm.Answer.add estimate t share) world
+  done;
+  estimate
 
 (* Largest |p_exact − p_estimate| over the tuples of either answer, θ
    included. *)
@@ -414,14 +441,12 @@ let test_montecarlo_close_to_exact () =
   if dev > 0.02 then Alcotest.failf "MC deviation %.4f too large" dev
 
 let test_montecarlo_sampler_distribution () =
-  let rng = Urm_util.Prng.create 3 in
   let ms = mappings () in
-  let arr = Array.of_list ms in
-  let table = Urm_util.Alias.create (Array.map (fun m -> m.Urm.Mapping.prob) arr) in
+  let draw = sampler ~seed:3 ms in
   let counts = Hashtbl.create 8 in
   let n = 50000 in
   for _ = 1 to n do
-    let m = arr.(Urm_util.Alias.draw table rng) in
+    let m = draw () in
     Hashtbl.replace counts m.Urm.Mapping.id
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts m.Urm.Mapping.id))
   done;

@@ -198,7 +198,7 @@ let qcheck_mapping_io_roundtrip =
   in
   QCheck.Test.make ~name:"mapping sets survive the wire" ~count:100
     (QCheck.make gen) (fun probs ->
-      let ms = Urm.Mapping.normalize (mapping_set probs) in
+      let ms = mapping_set probs in
       let back = Urm.Mapping_io.of_json (Urm.Mapping_io.to_json ms) in
       List.length back = List.length ms
       && List.for_all2

@@ -34,7 +34,7 @@ let approx_key json =
        [
          ("answers", member "answers" json);
          ("intervals", member "intervals" json);
-         ("samples", member "samples" json);
+         ("shapes", member "shapes" json);
        ])
 
 let open_params =
@@ -375,8 +375,7 @@ let test_approx_differential () =
     [
       ("session", Json.Str "shard");
       ("query", Json.Str "Q1");
-      ("samples", Json.Num 200.);
-      ("seed", Json.Num 11.);
+      ("epsilon", Json.Num 0.05);
     ]
   in
   let expected =
