@@ -134,8 +134,8 @@ let run_tables only quick =
 
    Per algorithm × workload × h, runs the same query under both engines
    (interpreted and vectorized) and records wall time, the vectorized
-   contexts' plan-cache counters and answer identity against the
-   interpreted baseline, written to BENCH_eval.json.  Any mismatch makes the harness
+   contexts' plan-cache counters and whether the rendered answer is the
+   interpreted baseline's byte for byte, written to BENCH_eval.json.  Any mismatch makes the harness
    exit non-zero.  Two workloads:
 
    - "replicated": the top-1 mapping duplicated h times (uniform 1/h
@@ -194,13 +194,16 @@ let run_eval quick =
                       Urm_util.Timer.repeat ~warmup:0 ~runs:cfg.E.runs
                         (fun () -> report := Some (Urm.Algorithms.run alg ctx q ms))
                     in
-                    let answer = (Option.get !report).Urm.Report.answer in
+                    let rendered =
+                      Urm_util.Json.to_string
+                        (Urm.Answer.to_json (Option.get !report).Urm.Report.answer)
+                    in
                     let identical =
                       match !baseline with
                       | None ->
-                        baseline := Some answer;
+                        baseline := Some rendered;
                         true
-                      | Some b -> Urm.Answer.equal b answer
+                      | Some b -> String.equal b rendered
                     in
                     if not identical then mismatch := true;
                     let hit, miss, evict = Urm.Ctx.plan_stats ctx in
@@ -527,7 +530,7 @@ let run_anytime quick =
         List.map
           (fun width ->
             let secs, r = measure runs (fun () -> A.run (A.Estimate (width /. 2.)) ctx q ms) in
-            let intervals = Option.get r.A.report.Urm.Report.intervals in
+            let intervals = r.A.intervals in
             let inside p (lo, hi) = lo <= p && p <= hi in
             let seen = Hashtbl.create (List.length intervals) in
             List.iter (fun (t, _) -> Hashtbl.replace seen t ()) intervals;

@@ -99,43 +99,9 @@ let tbl_fold f tb init =
    exact sum of a float pair, and a read rounds it once (nearest-even).
    A sum that needs more floats spills to its canonical expansion c₁ =
    RN(S), c₂ = RN(S − c₁), …, which is also the wire form: one
-   representation per real value.  Masses must be finite.  Expansions
-   below are float lists, ascending magnitude, nonoverlapping and
-   zero-free, unless said otherwise. *)
-
-(* Shewchuk's Grow-Expansion with zero elimination: [e] + [x], exactly. *)
-let grow_expansion e x =
-  let rec go x = function
-    | [] -> if x = 0. then [] else [ x ]
-    | y :: rest ->
-      let s = x +. y in
-      let b = s -. x in
-      let err = (x -. (s -. b)) +. (y -. b) in
-      if err = 0. then go s rest else err :: go s rest
-  in
-  go x e
-
-(* [hi] plus an expansion given largest first, correctly rounded: sum from
-   the top while exact, then settle a half-way tie by the sign of what
-   lies below (the final step of CPython's [math.fsum]). *)
-let rec round_desc hi = function
-  | [] -> hi
-  | y :: rest -> (
-    let s = hi +. y in
-    let lo = y -. (s -. hi) in
-    let x = s +. (2. *. lo) in
-    match rest with
-    | _ when lo = 0. -> round_desc s rest
-    | z :: _ when lo < 0. = (z < 0.) && x -. s = 2. *. lo -> x
-    | _ -> s)
-
-(* The canonical expansion (largest first) of [e]'s exact sum.  Stops at a
-   non-finite component, so an overflow cannot loop. *)
-let rec canonical e =
-  if e = [] then []
-  else
-    let c = round_desc 0. (List.rev e) in
-    if Float.is_finite c then c :: canonical (grow_expansion e (-.c)) else [ c ]
+   representation per real value.  Masses must be finite.  The list
+   arithmetic is {!Urm_util.Expansion}'s; only the pair update lives
+   here. *)
 
 type t = {
   output : string list;
@@ -203,7 +169,7 @@ let[@inline] accumulate t id p =
     t.sums.(i) <- s;
     t.sums.(i + 1) <- u
   end
-  else set_exact t id (canonical (grow_expansion (List.rev (exact t id)) p))
+  else set_exact t id (Urm_util.Expansion.add (exact t id) p)
 
 let ensure t n =
   let len = Array.length t.sums in
@@ -270,8 +236,8 @@ let tbl_find tb key =
    canonical expansion a bucket reads back ({!iter_exact}).  Adding its
    components adds exactly Σ Pr(m), so a unit of several mappings leaves
    the same bucket sums as its mappings added one by one. *)
-let mass w = canonical (Array.fold_left grow_expansion [] w)
-let round = function c :: _ -> c | [] -> 0.
+let mass = Urm_util.Expansion.sum
+let round = Urm_util.Expansion.round
 
 let add_null t p = accumulate t null_id p
 let null_prob t = value t null_id
@@ -403,58 +369,22 @@ let prob_of t tuple =
 let exact_of t tuple =
   match tbl_find t.rows tuple with Some id -> exact t id | None -> []
 
-let approx_tuple_equal ta tb =
-  Array.length ta = Array.length tb
-  &&
-  let rec go i =
-    i >= Array.length ta || (Value.approx_equal ta.(i) tb.(i) && go (i + 1))
-  in
-  go 0
-
-(* Equality is a one-to-one matching of buckets: every tuple of [a] must
-   claim a distinct, not-yet-consumed bucket of [b] whose key matches
-   (exactly, else approximately — float-valued aggregates computed by
-   differently-ordered summations land on slightly different keys) with a
-   bit-equal probability.  Without consumption, two near-identical float
-   keys of [a] could both match one bucket of [b] and equal sizes would
-   still report equality on unequal answers (and the check was
-   asymmetric). *)
+(* Bucket keys are exact (every aggregate key is order-independent), so
+   equality is one hash probe per bucket. *)
 let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
 let equal a b =
   a.output = b.output
   && same_bits (null_prob a) (null_prob b)
   && a.rows.count = b.rows.count
-  &&
-  let consumed : (Value.t array, unit) Hashtbl.t =
-    Hashtbl.create (max 16 a.rows.count)
-  in
-  let claim tuple p =
-    let matches key id =
-      (not (Hashtbl.mem consumed key)) && same_bits (value b id) p
-    in
-    match tbl_find b.rows tuple with
-    | Some id when matches tuple id ->
-      Hashtbl.add consumed tuple ();
-      true
-    | _ -> (
-      let found =
-        tbl_fold
-          (fun key id acc ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if approx_tuple_equal tuple key && matches key id then Some key
-              else None)
-          b.rows None
-      in
-      match found with
-      | Some key ->
-        Hashtbl.add consumed key ();
-        true
-      | None -> false)
-  in
-  tbl_fold (fun tuple id ok -> ok && claim tuple (value a id)) a.rows true
+  && tbl_fold
+       (fun tuple id ok ->
+         ok
+         &&
+         match tbl_find b.rows tuple with
+         | Some id' -> same_bits (value a id) (value b id')
+         | None -> false)
+       a.rows true
 
 (* Serialisation follows [to_list]'s deterministic ranking, so two answers
    with bit-identical probabilities render to byte-identical JSON — the

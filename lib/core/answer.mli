@@ -126,11 +126,10 @@ val prob_of : t -> Urm_relalg.Value.t array -> float
     component list ([[]] when absent). *)
 val exact_of : t -> Urm_relalg.Value.t array -> float list
 
-(** [equal a b] same outputs, bit-equal θ, and a one-to-one matching of
-    [a]'s tuples onto [b]'s buckets (exact keys first, then approximate —
-    float aggregate keys may differ across summation orders) with
-    bit-equal probabilities.  Each bucket of [b] is consumed by at most
-    one tuple of [a], so the check is symmetric. *)
+(** [equal a b] same outputs, bit-equal θ, the same number of tuples,
+    and every tuple of [a] found in [b] by exact key ({!tuple_equal}) at a
+    bit-equal probability.  Keys need no tolerance: a SUM key is the
+    correctly rounded exact sum of its operands. *)
 val equal : t -> t -> bool
 
 (** [{"output": […], "answers": [{"tuple": […], "prob": p}, …],

@@ -8,6 +8,7 @@ let stop_reason_name = function
 type result = {
   mode : mode;
   report : Report.t;
+  intervals : (Urm_relalg.Value.t array * (float * float)) list;
   null_interval : float * float;
   unvisited : float;
   units : int;
@@ -27,7 +28,8 @@ let validate ?deadline mode =
     invalid_arg "Approx: tau must lie in (0, 1]"
   | _ -> ()
 
-let run ?deadline ?(metrics = Urm_obs.Metrics.global) mode ctx q ms =
+let run ?deadline ?(limit = max_int) ?(metrics = Urm_obs.Metrics.global) mode ctx
+    q ms =
   validate ?deadline mode;
   let converged =
     match mode with
@@ -54,8 +56,10 @@ let run ?deadline ?(metrics = Urm_obs.Metrics.global) mode ctx q ms =
     Answer.round (Answer.mass (Array.of_list (e @ r.Bounded.unvisited)))
   in
   let unvisited = Answer.round r.Bounded.unvisited in
-  (* Selecting the answer and bounding its tuples is the aggregate phase. *)
-  let report, aggregate =
+  (* Selecting the answer and bounding its shown tuples is the aggregate
+     phase; [Answer.top_k]'s order (lower bound descending, then tuple) is
+     the interval order. *)
+  let (answer, intervals), aggregate =
     Urm_util.Timer.time (fun () ->
         let answer =
           match mode with
@@ -63,24 +67,21 @@ let run ?deadline ?(metrics = Urm_obs.Metrics.global) mode ctx q ms =
           | Top k -> Topk.select ~k cands
           | Above tau -> Threshold.select ~tau cands
         in
-        let intervals = ref [] in
-        Answer.iter
-          (fun t lo ->
-            intervals := (t, (lo, upper (Answer.exact_of cands t))) :: !intervals)
-          answer;
-        let rep = r.Bounded.report in
-        Report.make ~intervals:!intervals ~engine:rep.Report.engine ~answer
-          ~timings:rep.Report.timings ~source_operators:rep.Report.source_operators
-          ~rows_produced:rep.Report.rows_produced ~groups:rep.Report.groups ())
+        ( answer,
+          List.map
+            (fun (t, lo) -> (t, (lo, upper (Answer.exact_of cands t))))
+            (Answer.top_k answer limit) ))
   in
   Urm_obs.Metrics.incr
     (Urm_obs.Metrics.counter
        (Urm_obs.Metrics.scope metrics "approx")
        ("stop." ^ stop_reason_name !reason));
+  let rep = r.Bounded.report in
   {
     mode;
     report =
-      { report with Report.timings = { report.Report.timings with Report.aggregate } };
+      { rep with Report.answer; timings = { rep.Report.timings with Report.aggregate } };
+    intervals;
     null_interval = (Answer.null_prob cands, upper (Answer.null_exact cands));
     unvisited;
     units = r.Bounded.visited_eunits;
@@ -92,15 +93,11 @@ let run ?deadline ?(metrics = Urm_obs.Metrics.global) mode ctx q ms =
       | Estimate _ | Top _ -> 0);
   }
 
-let fields ?(limit = max_int) r =
+let fields r =
   let open Urm_util.Json in
   let num i = Num (float_of_int i) in
   let bounds (lo, hi) = [ ("lo", Num lo); ("hi", Num hi) ] in
   let tuple t = ("tuple", Arr (Array.to_list (Array.map Report.value_to_json t))) in
-  let shown =
-    List.filteri (fun i _ -> i < limit)
-      (Option.value ~default:[] r.report.Report.intervals)
-  in
   (match r.mode with
   | Estimate _ -> [ ("mode", Str "estimate") ]
   | Top k -> [ ("mode", Str "topk"); ("k", num k) ]
@@ -114,6 +111,8 @@ let fields ?(limit = max_int) r =
       ("null_interval", Obj (bounds r.null_interval));
       ("size", num (Answer.size r.report.Report.answer));
       ( "answers",
-        Arr (List.map (fun (t, (lo, _)) -> Obj [ tuple t; ("prob", Num lo) ]) shown) );
-      ("intervals", Arr (List.map (fun (t, b) -> Obj (tuple t :: bounds b)) shown));
+        Arr
+          (List.map (fun (t, (lo, _)) -> Obj [ tuple t; ("prob", Num lo) ]) r.intervals)
+      );
+      ("intervals", Arr (List.map (fun (t, b) -> Obj (tuple t :: bounds b)) r.intervals));
     ]

@@ -31,9 +31,10 @@ val stop_reason_name : stop_reason -> string
 
 type result = {
   mode : mode;
-  report : Report.t;
-      (** [answer]: the mode's tuples at their lower bounds; [intervals]:
-          each of them with its [lo, hi] *)
+  report : Report.t;  (** [answer]: the mode's tuples at their lower bounds *)
+  intervals : (Urm_relalg.Value.t array * (float * float)) list;
+      (** the first [limit] tuples of [answer] in {!Answer.to_list} order
+          (lower bound descending, then tuple), each with its [lo, hi] *)
   null_interval : float * float;  (** θ's bounds *)
   unvisited : float;
       (** U, correctly rounded: the upper bound on any tuple never seen *)
@@ -49,13 +50,15 @@ type result = {
     τ ∉ (0, 1] or a deadline ≤ 0. *)
 val validate : ?deadline:float -> mode -> unit
 
-(** [run ?deadline ?metrics mode ctx q ms].  [deadline] is in seconds from
-    the start of the run.  Counters and phase timers go under the
-    ["approx"] scope of [metrics] (default {!Urm_obs.Metrics.global}),
-    with one ["stop.<reason>"] count per run.  Raises [Invalid_argument]
-    as {!validate} does. *)
+(** [run ?deadline ?limit ?metrics mode ctx q ms].  [deadline] is in
+    seconds from the start of the run; [limit] (default all) is how many
+    tuples get an interval, selected as {!Answer.top_k} does.  Counters and
+    phase timers go under the ["approx"] scope of [metrics] (default
+    {!Urm_obs.Metrics.global}), with one ["stop.<reason>"] count per run.
+    Raises [Invalid_argument] as {!validate} does. *)
 val run :
   ?deadline:float ->
+  ?limit:int ->
   ?metrics:Urm_obs.Metrics.t ->
   mode ->
   Ctx.t ->
@@ -63,9 +66,9 @@ val run :
   Mapping.t list ->
   result
 
-(** [fields ?limit r] the reply fields the service and [urm approx]
-    share: ["mode"], ["k"] or ["tau"] and ["undecided"] by mode,
-    ["shapes"] (units visited), ["stop_reason"], ["stopped_early"],
-    ["unseen_hi"] (U), ["null_interval"], ["size"], and the first [limit]
-    (default all) ["answers"] with their ["intervals"]. *)
-val fields : ?limit:int -> result -> (string * Urm_util.Json.t) list
+(** [fields r] the reply fields the service and [urm approx] share:
+    ["mode"], ["k"] or ["tau"] and ["undecided"] by mode, ["shapes"] (units
+    visited), ["stop_reason"], ["stopped_early"], ["unseen_hi"] (U),
+    ["null_interval"], ["size"], and [r.intervals] as ["answers"] and
+    ["intervals"]. *)
+val fields : result -> (string * Urm_util.Json.t) list

@@ -36,7 +36,6 @@ let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
     ms;
   {
     Report.answer = acc;
-    intervals = None;
     timings =
       {
         Report.rewrite = Urm_util.Timer.Stopwatch.elapsed sw_rewrite;

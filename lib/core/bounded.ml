@@ -65,7 +65,6 @@ let run_utrace ~metrics ~strategy ?seed ?use_memo ~stop (ctx : Ctx.t) q ms =
   let ctrs = Eunit.counters env in
   ( {
       Report.answer = acc;
-      intervals = None;
       timings = { Report.rewrite; plan = 0.; evaluate; aggregate = 0. };
       source_operators = ctrs.Eval.operators;
       rows_produced = ctrs.Eval.rows_produced;

@@ -115,7 +115,6 @@ let run (ctx : Ctx.t) c ms =
   in
   {
     Report.answer = acc;
-    intervals = None;
     timings = { Report.rewrite; plan = 0.; evaluate; aggregate = 0. };
     source_operators = ctrs.Eval.operators;
     rows_produced = ctrs.Eval.rows_produced;

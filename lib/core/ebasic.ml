@@ -34,7 +34,6 @@ let run_interpreted ~ctrs (ctx : Ctx.t) q build =
     units;
   {
     Report.answer = acc;
-    intervals = None;
     timings =
       {
         Report.rewrite;

@@ -60,7 +60,6 @@ let run_interpreted ~ctrs (ctx : Ctx.t) q ms =
   in
   {
     Report.answer = acc;
-    intervals = None;
     timings = { Report.rewrite; plan = plan_time; evaluate; aggregate };
     source_operators = ctrs.Eval.operators;
     rows_produced = ctrs.Eval.rows_produced;

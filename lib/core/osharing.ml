@@ -42,7 +42,6 @@ let run_with_stats ?(strategy = Eunit.Sef) ?seed ?use_memo ?tracer
       let ctrs = Eunit.counters env in
       ( {
           Report.answer;
-          intervals = None;
           timings = { Report.rewrite; plan = 0.; evaluate; aggregate = 0. };
           source_operators = ctrs.Eval.operators;
           rows_produced = ctrs.Eval.rows_produced;

@@ -15,30 +15,11 @@ type t = {
   rows_produced : int;
   groups : int;
   engine : string;
-  intervals : (Urm_relalg.Value.t array * (float * float)) list option;
 }
 
-(* Compare like Answer.to_list's tie-break so interval lists render
-   deterministically. *)
-let compare_tuples a b =
-  let rec go i =
-    if i >= Array.length a then 0
-    else
-      let c = Urm_relalg.Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
-
-let make ?intervals ?(engine = "") ~answer ~timings ~source_operators
-    ~rows_produced ~groups () =
-  let intervals =
-    Option.map
-      (List.sort (fun (ta, (la, _)) (tb, (lb, _)) ->
-           let c = Float.compare lb la in
-           if c <> 0 then c else compare_tuples ta tb))
-      intervals
-  in
-  { answer; timings; source_operators; rows_produced; groups; engine; intervals }
+let make ?(engine = "") ~answer ~timings ~source_operators ~rows_produced
+    ~groups () =
+  { answer; timings; source_operators; rows_produced; groups; engine }
 
 (* One record per completed run: the phase breakdown as timers plus run and
    group counts, under the algorithm's metrics scope. *)
@@ -51,76 +32,21 @@ let record_metrics m r =
   record (timer m "phase.evaluate") r.timings.evaluate;
   record (timer m "phase.aggregate") r.timings.aggregate
 
-(* [volatile:false] drops everything that may legitimately differ between
-   two runs computing the same answer — wall-clock timings and operator/row
-   work counters (memoisation and plan sharing change with chunking) — and
-   keeps only the answer and the group count, the rendering byte-identity
-   checks compare. *)
 let value_to_json = function
   | Urm_relalg.Value.Null -> Urm_util.Json.Null
   | Urm_relalg.Value.Int i -> Urm_util.Json.Num (float_of_int i)
   | Urm_relalg.Value.Float f -> Urm_util.Json.Num f
   | Urm_relalg.Value.Str s -> Urm_util.Json.Str s
 
-let value_of_json = function
-  | Urm_util.Json.Null -> Urm_relalg.Value.Null
-  | Urm_util.Json.Num f when Float.is_integer f && Float.abs f < 1e15 ->
-    Urm_relalg.Value.Int (int_of_float f)
-  | Urm_util.Json.Num f -> Urm_relalg.Value.Float f
-  | Urm_util.Json.Str s -> Urm_relalg.Value.Str s
-  | _ -> failwith "Report: interval tuple cell is not a scalar"
-
-let intervals_to_json ivs =
-  let open Urm_util.Json in
-  Arr
-    (List.map
-       (fun (tuple, (lo, hi)) ->
-         Obj
-           [
-             ("tuple", Arr (Array.to_list (Array.map value_to_json tuple)));
-             ("lo", Num lo);
-             ("hi", Num hi);
-           ])
-       ivs)
-
-let intervals_of_json json =
-  match Urm_util.Json.member "intervals" json with
-  | None | Some Urm_util.Json.Null -> None
-  | Some (Urm_util.Json.Arr items) ->
-    Some
-      (List.map
-         (fun item ->
-           let field n =
-             match Urm_util.Json.member n item with
-             | Some v -> v
-             | None -> failwith ("Report: interval missing \"" ^ n ^ "\"")
-           in
-           let tuple =
-             match field "tuple" with
-             | Urm_util.Json.Arr cells ->
-               Array.of_list (List.map value_of_json cells)
-             | _ -> failwith "Report: interval \"tuple\" is not an array"
-           in
-           ( tuple,
-             (Urm_util.Json.to_float (field "lo"),
-              Urm_util.Json.to_float (field "hi")) ))
-         items)
-  | Some _ -> failwith "Report: \"intervals\" is not an array"
-
+(* [volatile:false] drops everything that may legitimately differ between
+   two runs computing the same answer — wall-clock timings and operator/row
+   work counters (memoisation and plan sharing change with chunking) — and
+   keeps only the answer and the group count, the rendering byte-identity
+   checks compare. *)
 let to_json ?(volatile = true) r =
   let open Urm_util.Json in
   let stable =
-    [
-      ("answer", Answer.to_json r.answer);
-      ("groups", Num (float_of_int r.groups));
-    ]
-    (* Omitted entirely when absent: exact reports render exactly as before
-       this field existed (backward-compatible consumers, byte-stable
-       determinism regressions). *)
-    @
-    match r.intervals with
-    | None -> []
-    | Some ivs -> [ ("intervals", intervals_to_json ivs) ]
+    [ ("answer", Answer.to_json r.answer); ("groups", Num (float_of_int r.groups)) ]
   in
   if not volatile then Obj stable
   else

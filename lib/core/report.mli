@@ -27,18 +27,10 @@ type t = {
           ["+factorized"]), which may differ from the engine the context
           requested when an algorithm falls back to its interpreted oracle
           path; [""] when unrecorded.  [urm query] warns on mismatch. *)
-  intervals : (Urm_relalg.Value.t array * (float * float)) list option;
-      (** per-tuple [lo, hi] probability bounds, when the run stopped on
-          bounds ({!Approx}); [None] for the exact algorithms.  Sorted by
-          lower bound descending (ties by tuple), matching
-          {!Answer.to_list}'s discipline. *)
 }
 
-(** [make ?intervals ~answer … ()] assembles a report; [intervals]
-    defaults to [None] and is sorted into the deterministic rendering
-    order. *)
+(** [make ~answer … ()] assembles a report. *)
 val make :
-  ?intervals:(Urm_relalg.Value.t array * (float * float)) list ->
   ?engine:string ->
   answer:Answer.t ->
   timings:timings ->
@@ -56,23 +48,11 @@ val record_metrics : Urm_obs.Metrics.t -> t -> unit
 (** [to_json ?volatile r] the report as JSON.  [volatile:false] (default
     [true]) keeps only the schedule-independent fields — the answer and the
     group count — dropping timings and operator/row counters, which differ
-    across equivalent runs; byte-identity checks compare that rendering.
-    When [intervals] is present it renders as
-    [{"intervals": [{"tuple": […], "lo": l, "hi": h}, …]}] inside the
-    stable fields; when absent the field is omitted entirely, so reports
-    from the exact algorithms render byte-identically to the pre-interval
-    schema. *)
+    across equivalent runs; byte-identity checks compare that rendering. *)
 val to_json : ?volatile:bool -> t -> Urm_util.Json.t
 
 (** [value_to_json v] a tuple cell as JSON, as every rendered answer and
     interval tuple has it. *)
 val value_to_json : Urm_relalg.Value.t -> Urm_util.Json.t
-
-(** [intervals_of_json json] parses the ["intervals"] member of a rendered
-    report back into the {!t.intervals} representation ([None] when the
-    field is absent or [null]) — the round-trip inverse of {!to_json}'s
-    interval rendering.  Raises [Failure] on a malformed field. *)
-val intervals_of_json :
-  Urm_util.Json.t -> (Urm_relalg.Value.t array * (float * float)) list option
 
 val pp : Format.formatter -> t -> unit

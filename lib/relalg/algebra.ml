@@ -1,9 +1,6 @@
 type agg =
   | Count
   | Sum of string
-  | Avg of string
-  | Min of string
-  | Max of string
 
 type t =
   | Base of string
@@ -28,9 +25,6 @@ let rec size = function
 let agg_str = function
   | Count -> "count"
   | Sum c -> "sum(" ^ c ^ ")"
-  | Avg c -> "avg(" ^ c ^ ")"
-  | Min c -> "min(" ^ c ^ ")"
-  | Max c -> "max(" ^ c ^ ")"
 
 let output_col = agg_str
 

@@ -5,12 +5,12 @@
     relations ([Base]), alias instantiations ([Rename]) or materialized
     intermediate results ([Mat], used by o-sharing's e-units). *)
 
+(** The paper's aggregates (Table III: Q9 SUM, Q10 COUNT).  COUNT counts
+    rows, nulls included; SUM is {!Sum_acc}'s exact sum, so both engines
+    and every plan give bit-identical results. *)
 type agg =
   | Count
   | Sum of string
-  | Avg of string
-  | Min of string
-  | Max of string
 
 type t =
   | Base of string  (** stored relation, looked up in the catalog *)

@@ -257,9 +257,6 @@ let agg_spec pipe a =
   match a with
   | Algebra.Count -> Plan.Count_spec
   | Algebra.Sum c -> Plan.Sum_spec (pos c)
-  | Algebra.Avg c -> Plan.Avg_spec (pos c)
-  | Algebra.Min c -> Plan.Min_spec (pos c)
-  | Algebra.Max c -> Plan.Max_spec (pos c)
 
 let subset xs set = List.for_all (fun x -> List.mem x set) xs
 

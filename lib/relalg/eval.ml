@@ -180,43 +180,17 @@ let record_access ctrs path =
   bump ctrs (fun m -> match path with Index_probe -> m.sel_index | Scan -> m.sel_scan)
 
 (* One forward pass per aggregate; no per-column value list is ever
-   materialised.  Null is the neutral element throughout: Sum folds with
-   [Value.add] (which absorbs Null and rejects strings), and Avg follows the
-   same contract — nulls are skipped, a string operand raises. *)
+   materialised.  SUM folds with {!Sum_acc}, the plan engine's accumulator
+   too. *)
 let aggregate agg rel =
-  let fold col f init =
-    let pos = Relation.col_pos rel col in
-    Relation.fold (fun acc row -> f acc row.(pos)) init rel
-  in
-  let extremum col keep =
-    fold col
-      (fun acc v ->
-        if Value.is_null v then acc
-        else
-          match acc with
-          | Some best when not (keep (Value.compare v best)) -> acc
-          | _ -> Some v)
-      None
-    |> Option.value ~default:Value.Null
-  in
   let v =
     match agg with
     | Algebra.Count -> Value.Int (Relation.cardinality rel)
-    | Algebra.Sum col -> fold col Value.add Value.Null
-    | Algebra.Avg col ->
-      let sum, n =
-        fold col
-          (fun (sum, n) v ->
-            if Value.is_null v then (sum, n)
-            else
-              match Value.to_float_opt v with
-              | Some f -> (sum +. f, n + 1)
-              | None -> invalid_arg "Value.add: string operand")
-          (0., 0)
-      in
-      if n = 0 then Value.Null else Value.Float (sum /. float_of_int n)
-    | Algebra.Min col -> extremum col (fun c -> c < 0)
-    | Algebra.Max col -> extremum col (fun c -> c > 0)
+    | Algebra.Sum col ->
+      let pos = Relation.col_pos rel col in
+      let acc = Sum_acc.create () in
+      Relation.iter (fun row -> Sum_acc.add acc row.(pos)) rel;
+      Sum_acc.value acc
   in
   Relation.create ~cols:[ Algebra.output_col agg ] [ [| v |] ]
 

@@ -8,9 +8,9 @@
    copying rows.  Pipeline breakers that build rows (hash joins, distinct,
    group-by) emit through {!Column.batching_sink}.
 
-   Rows come out in a fixed order per plan, so float accumulations
-   downstream (answer probabilities, SUM/AVG) are deterministic; the
-   differential suites check them against the interpreted evaluator.
+   Rows come out in a fixed order per plan.  Nothing downstream depends on
+   it: answer probabilities and SUM are exact sums, so the differential
+   suites require the interpreted evaluator's results bit for bit.
 
    Every operator also carries a short-circuiting emptiness [check] that
    stops at the first qualifying row rather than the first flushed batch:
@@ -348,108 +348,41 @@ let guard gs inner =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Single-pass aggregation.  An [agg_state] is a fresh (feed, finish) pair
-   per execution (and per group), so plans stay re-entrant. *)
+(* Single-pass aggregation: one fold per spec, fed the aggregated
+   column's value one row at a time (COUNT ignores it).  A fresh
+   (feed, finish) pair per execution and per group keeps plans
+   re-entrant. *)
 
-type agg_spec =
-  | Count_spec
-  | Sum_spec of int
-  | Avg_spec of int
-  | Min_spec of int
-  | Max_spec of int
+type agg_spec = Count_spec | Sum_spec of int
 
 let agg_state = function
   | Count_spec ->
     let n = ref 0 in
     ((fun _ -> incr n), fun () -> Value.Int !n)
-  | Sum_spec p ->
-    let acc = ref Value.Null in
-    ((fun row -> acc := Value.add !acc row.(p)), fun () -> !acc)
-  | Avg_spec p ->
-    let sum = ref 0. and n = ref 0 in
-    ( (fun row ->
-        let v = row.(p) in
-        if not (Value.is_null v) then
-          match Value.to_float_opt v with
-          | Some f ->
-            sum := !sum +. f;
-            incr n
-          | None -> invalid_arg "Value.add: string operand"),
-      fun () ->
-        if !n = 0 then Value.Null else Value.Float (!sum /. float_of_int !n) )
-  | (Min_spec p | Max_spec p) as spec ->
-    let keep =
-      match spec with Max_spec _ -> (fun c -> c > 0) | _ -> fun c -> c < 0
-    in
-    let best = ref None in
-    ( (fun row ->
-        let v = row.(p) in
-        if not (Value.is_null v) then
-          match !best with
-          | Some b when not (keep (Value.compare v b)) -> ()
-          | _ -> best := Some v),
-      fun () -> Option.value ~default:Value.Null !best )
+  | Sum_spec _ ->
+    let acc = Sum_acc.create () in
+    (Sum_acc.add acc, fun () -> Sum_acc.value acc)
 
-(* Batch aggregate state for the scalar [aggregate]: same accumulation
-   order as {!agg_state} (rows in selection order), folded per batch. *)
-let agg_bstate spec =
+let spec_name = function Count_spec -> "count" | Sum_spec _ -> "sum"
+
+(* [operand spec b i] the value absolute row [i] of batch [b] feeds
+   [spec]'s fold. *)
+let operand spec b =
   match spec with
-  | Count_spec ->
-    let n = ref 0 in
-    ((fun b -> n := !n + b.Column.n), fun () -> Value.Int !n)
-  | Sum_spec p ->
-    let acc = ref Value.Null in
-    ( (fun b ->
-        let get = Column.getter b.Column.vecs.(p) in
-        for k = 0 to b.Column.n - 1 do
-          acc := Value.add !acc (get b.Column.sel.(k))
-        done),
-      fun () -> !acc )
-  | Avg_spec p ->
-    let sum = ref 0. and n = ref 0 in
-    ( (fun b ->
-        let get = Column.getter b.Column.vecs.(p) in
-        for k = 0 to b.Column.n - 1 do
-          let v = get b.Column.sel.(k) in
-          if not (Value.is_null v) then
-            match Value.to_float_opt v with
-            | Some f ->
-              sum := !sum +. f;
-              incr n
-            | None -> invalid_arg "Value.add: string operand"
-        done),
-      fun () ->
-        if !n = 0 then Value.Null else Value.Float (!sum /. float_of_int !n) )
-  | (Min_spec p | Max_spec p) as spec ->
-    let keep =
-      match spec with Max_spec _ -> (fun c -> c > 0) | _ -> fun c -> c < 0
-    in
-    let best = ref None in
-    ( (fun b ->
-        let get = Column.getter b.Column.vecs.(p) in
-        for k = 0 to b.Column.n - 1 do
-          let v = get b.Column.sel.(k) in
-          if not (Value.is_null v) then
-            match !best with
-            | Some bst when not (keep (Value.compare v bst)) -> ()
-            | _ -> best := Some v
-        done),
-      fun () -> Option.value ~default:Value.Null !best )
-
-let spec_name = function
-  | Count_spec -> "count"
-  | Sum_spec _ -> "sum"
-  | Avg_spec _ -> "avg"
-  | Min_spec _ -> "min"
-  | Max_spec _ -> "max"
+  | Count_spec -> fun _ -> Value.Null
+  | Sum_spec p -> Column.getter b.Column.vecs.(p)
 
 let aggregate ~spec ~col inner =
   make ~kind:Eval.Op_aggregate ~cols:[ col ]
     ~check:(fun _ -> true) (* aggregates always emit exactly one row *)
     ~desc:(Printf.sprintf "agg[%s](%s)" (spec_name spec) inner.desc)
     (fun env bsink ->
-      let feed, finish = agg_bstate spec in
-      inner.biter env feed;
+      let feed, finish = agg_state spec in
+      inner.biter env (fun b ->
+          let get = operand spec b in
+          for k = 0 to b.Column.n - 1 do
+            feed (get b.Column.sel.(k))
+          done);
       bsink (Column.batch_of_rows [| [| finish () |] |] 1))
 
 (* Hash grouping with first-appearance output order (same as the
@@ -460,14 +393,15 @@ let group_by ~key_pos ~spec ~cols inner =
     ~desc:(Printf.sprintf "γ[%s](%s)" (spec_name spec) inner.desc)
     (fun env bsink ->
       let groups :
-          (Value.t array, (Value.t array -> unit) * (unit -> Value.t)) Hashtbl.t
-          =
+          (Value.t array, (Value.t -> unit) * (unit -> Value.t)) Hashtbl.t =
         Hashtbl.create 64
       in
       let order = ref [] in
       inner.biter env (fun b ->
+          let get = operand spec b in
           for k = 0 to b.Column.n - 1 do
-            let row = Column.row b k in
+            let i = b.Column.sel.(k) in
+            let row = Column.row_at b i in
             let key = Array.map (fun i -> row.(i)) key_pos in
             let feed =
               match Hashtbl.find_opt groups key with
@@ -478,7 +412,7 @@ let group_by ~key_pos ~spec ~cols inner =
                 order := key :: !order;
                 fst state
             in
-            feed row
+            feed (get i)
           done);
       let push, flush = Column.batching_sink bsink in
       List.iter

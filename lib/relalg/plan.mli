@@ -87,12 +87,7 @@ val nl_product : pipe -> pipe -> pipe
 val guard : pipe list -> pipe -> pipe
 
 (** Single-pass aggregate state over a pre-resolved column position. *)
-type agg_spec =
-  | Count_spec
-  | Sum_spec of int
-  | Avg_spec of int
-  | Min_spec of int
-  | Max_spec of int
+type agg_spec = Count_spec | Sum_spec of int
 
 (** One-row aggregate ([col] is the output column name). *)
 val aggregate : spec:agg_spec -> col:string -> pipe -> pipe

@@ -12,12 +12,6 @@ let equal a b =
   | Str x, Str y -> String.equal x y
   | (Null | Int _ | Float _ | Str _), _ -> false
 
-let approx_equal ?(rel = 1e-9) a b =
-  match (a, b) with
-  | Float x, Float y ->
-    abs_float (x -. y) <= rel *. Float.max 1. (Float.max (abs_float x) (abs_float y))
-  | _ -> equal a b
-
 let rank = function Null -> 0 | Int _ -> 1 | Float _ -> 2 | Str _ -> 3
 
 let compare a b =
@@ -28,12 +22,6 @@ let compare a b =
   | Str x, Str y -> String.compare x y
   | _ -> Int.compare (rank a) (rank b)
 
-let hash = function
-  | Null -> 17
-  | Int x -> Hashtbl.hash (1, x)
-  | Float x -> Hashtbl.hash (2, x)
-  | Str x -> Hashtbl.hash (3, x)
-
 let pp ppf = function
   | Null -> Format.pp_print_string ppf "NULL"
   | Int x -> Format.pp_print_int ppf x
@@ -42,16 +30,3 @@ let pp ppf = function
 
 let to_string v = Format.asprintf "%a" pp v
 let is_null = function Null -> true | Int _ | Float _ | Str _ -> false
-
-let to_float_opt = function
-  | Int x -> Some (float_of_int x)
-  | Float x -> Some x
-  | Null | Str _ -> None
-
-let add a b =
-  match (a, b) with
-  | Null, x | x, Null -> x
-  | Int x, Int y -> Int (x + y)
-  | Float x, Float y -> Float (x +. y)
-  | Int x, Float y | Float y, Int x -> Float (float_of_int x +. y)
-  | Str _, _ | _, Str _ -> invalid_arg "Value.add: string operand"

@@ -12,25 +12,12 @@ type t =
 
 val equal : t -> t -> bool
 
-(** [approx_equal ?rel a b] like {!equal} but floats compare within relative
-    tolerance [rel] (default [1e-9]) scaled by magnitude — useful when the
-    same aggregate is computed by differently-ordered float summations. *)
-val approx_equal : ?rel:float -> t -> t -> bool
-
 (** Total order: [Null < Int < Float < Str], numeric/lexicographic within a
     constructor. *)
 val compare : t -> t -> int
 
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** [is_null v] *)
 val is_null : t -> bool
-
-(** Numeric view used by SUM/AVG; [None] for [Null] and [Str]. *)
-val to_float_opt : t -> float option
-
-(** [add a b] numeric addition with Null treated as the SQL-style absorbing
-    missing value: [add Null x = x].  Raises [Invalid_argument] on strings. *)
-val add : t -> t -> t

@@ -317,8 +317,9 @@ let exec_threshold t req : (Json.t, failure) result =
 
 (* Anytime approximate evaluation ({!Urm.Approx}): the mode comes from
    "k" or "tau" (neither: an estimate at "epsilon", default 0.02), and an
-   optional "deadline" in seconds bounds the pass.  The cache key's
-   variant encodes every parameter the reply depends on. *)
+   optional "deadline" in seconds bounds the pass, and "answers" caps the
+   tuples bounded and shown.  The cache key's variant encodes every
+   parameter the reply depends on: mode, deadline and answers limit. *)
 let exec_approx t req : (Json.t, failure) result =
   match session_of t req with
   | Error _ as e -> e
@@ -345,22 +346,23 @@ let exec_approx t req : (Json.t, failure) result =
         | exception Invalid_argument m -> Error (`Bad m)
         | () ->
           let variant =
-            Printf.sprintf "approx:%s:%s"
+            Printf.sprintf "approx:%s:%s:%d"
               (match mode with
               | Urm.Approx.Estimate e -> Printf.sprintf "epsilon=%h" e
               | Urm.Approx.Top k -> "topk=" ^ string_of_int k
               | Urm.Approx.Above tau -> Printf.sprintf "tau=%h" tau)
               (match deadline with None -> "-" | Some d -> Printf.sprintf "%h" d)
+              limit
           in
           Ok
             (cached_eval t session q ~algorithm:"approx" ~variant (fun snap ->
                  let r =
-                   Urm.Approx.run ?deadline mode snap.Urm_incr.Vcatalog.ctx q
-                     snap.Urm_incr.Vcatalog.mappings
+                   Urm.Approx.run ?deadline ~limit mode
+                     snap.Urm_incr.Vcatalog.ctx q snap.Urm_incr.Vcatalog.mappings
                  in
                  Json.Obj
                    (("query", Json.Str (Urm.Query.to_string q))
-                   :: Urm.Approx.fields ~limit r))))))
+                   :: Urm.Approx.fields r))))))
 
 (* Commit a mutation batch, then invalidate the answer cache before
    replying: any query issued after this reply observes the new epoch, so

@@ -8,7 +8,8 @@
      for a tuple the pass never reached,
    - the top-k and threshold modes answer with their mode-specific fields,
    - an exact replay of an approx request is served from the answer cache
-     ([cached] flips to true) with an otherwise identical payload,
+     ([cached] flips to true) with an otherwise identical payload, and a
+     request differing only in its "answers" limit is not,
    - parameter validation rejects nonsense (ε < 0, a deadline ≤ 0) as a
      bad request.
 
@@ -119,6 +120,23 @@ let () =
     (String.equal
        (Json.to_string (strip_cached est))
        (Json.to_string (strip_cached replay)));
+
+  (* The "answers" limit is part of the cache key: a Q4 estimate (22,500
+     tuples) asked for 1 answer and then for 50 must not replay the
+     1-answer reply. *)
+  let q4 limit =
+    get_exn "approx/Q4"
+      (Client.call c ~op:"approx"
+         [ session; ("query", Json.Str "Q4"); ("answers", Json.Num limit) ])
+  in
+  let one = q4 1. in
+  let fifty = q4 50. in
+  check "answers:1 shows one tuple" (List.length (arr "answers" one) = 1);
+  check "answers:50 is not the cached 1-answer reply"
+    (member "cached" fifty = Json.Bool false);
+  check "answers:50 shows 50 tuples" (List.length (arr "answers" fifty) = 50);
+  check "answers:50 bounds 50 tuples" (List.length (arr "intervals" fifty) = 50);
+  check "same answer size" (num "size" one = num "size" fifty);
 
   (* Top-k and threshold modes. *)
   let topk =

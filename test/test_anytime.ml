@@ -1,61 +1,10 @@
 (* Anytime approximate evaluation (Urm.Approx): one bounded exact pass,
    stopped on its deterministic bounds, checked on both engines against
    the exact interpreted Basic answer — every interval must contain the
-   exact probability with no slack — plus the report's interval rendering
-   and the synthetic huge-h mapping generator. *)
+   exact probability with no slack — plus the synthetic huge-h mapping
+   generator. *)
 
 let seed = 2012
-
-(* ------------------------------------------------------------------ *)
-(* Report interval JSON round-trip *)
-
-let tuple vs = Array.of_list (List.map (fun v -> Urm_relalg.Value.Str v) vs)
-
-let make_report intervals =
-  let answer = Urm.Answer.create [ "Person.phone" ] in
-  List.iter (fun (t, _) -> Urm.Answer.add answer t 0.5) intervals;
-  Urm.Report.make ~intervals ~answer
-    ~timings:{ Urm.Report.rewrite = 0.; plan = 0.; evaluate = 0.; aggregate = 0. }
-    ~source_operators:0 ~rows_produced:0 ~groups:0 ()
-
-let test_interval_roundtrip () =
-  let intervals =
-    [ (tuple [ "123" ], (0.1, 0.9)); (tuple [ "456" ], (0.25, 0.75)) ]
-  in
-  let r = make_report intervals in
-  let json =
-    Urm_util.Json.parse_exn (Urm_util.Json.to_string (Urm.Report.to_json r))
-  in
-  match Urm.Report.intervals_of_json json with
-  | None -> Alcotest.fail "intervals lost in round-trip"
-  | Some back ->
-    Alcotest.(check int) "count" 2 (List.length back);
-    List.iter
-      (fun (t, (lo, hi)) ->
-        match
-          List.find_opt (fun (t', _) -> compare t' t = 0) back
-        with
-        | None -> Alcotest.fail "tuple lost in round-trip"
-        | Some (_, (lo', hi')) ->
-          Alcotest.(check (float 1e-12)) "lo" lo lo';
-          Alcotest.(check (float 1e-12)) "hi" hi hi')
-      intervals
-
-let test_interval_absent_when_none () =
-  (* Reports without intervals must render exactly as before the field
-     existed (the exact engines' determinism contract), and parse back to
-     [None]. *)
-  let answer = Urm.Answer.create [ "Person.phone" ] in
-  let r =
-    Urm.Report.make ~answer
-      ~timings:{ Urm.Report.rewrite = 0.; plan = 0.; evaluate = 0.; aggregate = 0. }
-      ~source_operators:0 ~rows_produced:0 ~groups:0 ()
-  in
-  let json = Urm.Report.to_json r in
-  Alcotest.(check bool) "no intervals member" true
-    (Urm_util.Json.member "intervals" json = None);
-  Alcotest.(check bool) "parses to None" true
-    (Urm.Report.intervals_of_json json = None)
 
 (* ------------------------------------------------------------------ *)
 (* The bounded pass vs the exact Basic algorithm on the fixture *)
@@ -72,20 +21,19 @@ let fixture_ctxs () =
         ~target:Test_extensions.target ())
 
 let exact_answer ctx q ms = (Urm.Basic.run ctx q ms).Urm.Report.answer
-let intervals (r : A.result) = Option.get r.A.report.Urm.Report.intervals
 
 (* Every reported interval, θ's included, contains the exact probability
    with no slack; an estimate also bounds every tuple it never saw by
    [unvisited]. *)
 let covers exact (r : A.result) =
   let inside p (lo, hi) = lo <= p && p <= hi in
-  List.for_all (fun (t, b) -> inside (Urm.Answer.prob_of exact t) b) (intervals r)
+  List.for_all (fun (t, b) -> inside (Urm.Answer.prob_of exact t) b) r.A.intervals
   && inside (Urm.Answer.null_prob exact) r.A.null_interval
   &&
   match r.A.mode with
   | A.Estimate _ ->
     List.for_all
-      (fun (t, p) -> List.mem_assoc t (intervals r) || p <= r.A.unvisited)
+      (fun (t, p) -> List.mem_assoc t r.A.intervals || p <= r.A.unvisited)
       (Urm.Answer.to_list exact)
   | A.Top _ | A.Above _ -> true
 
@@ -122,7 +70,7 @@ let test_estimator_width_convergence () =
       List.iter
         (fun b ->
           Alcotest.(check bool) (engine ^ ": width within 2ε") true (width b <= 0.2))
-        (r.A.null_interval :: List.map snd (intervals r));
+        (r.A.null_interval :: List.map snd r.A.intervals);
       Alcotest.(check bool) (engine ^ ": unseen within 2ε") true (r.A.unvisited <= 0.2))
     (fixture_ctxs ())
 
@@ -137,6 +85,29 @@ let test_same_request_same_bytes () =
           in
           Alcotest.(check string) (engine ^ ": same bytes") (render ()) (render ()))
         [ A.Estimate 0.15; A.Top 2; A.Above 0.4 ])
+    (fixture_ctxs ())
+
+(* [limit] keeps the first tuples of the full interval list, bounds and
+   order included, and leaves the answer itself whole. *)
+let test_limit_is_a_prefix () =
+  let ms = Test_extensions.mappings () and q = q_aaa () in
+  List.iter
+    (fun (engine, ctx) ->
+      List.iter
+        (fun mode ->
+          let full = A.run mode ctx q ms in
+          List.iter
+            (fun limit ->
+              let r = A.run ~limit mode ctx q ms in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, limit %d: prefix" engine limit)
+                true
+                (r.A.intervals = List.filteri (fun i _ -> i < limit) full.A.intervals);
+              Alcotest.(check string) (engine ^ ": same answer")
+                (answer_bytes full.A.report.Urm.Report.answer)
+                (answer_bytes r.A.report.Urm.Report.answer))
+            [ 0; 1; 2; 1000 ])
+        [ A.Estimate 0.; A.Estimate 0.15; A.Top 2; A.Above 0.4 ])
     (fixture_ctxs ())
 
 let tuple_set answer =
@@ -211,8 +182,8 @@ let test_early_stop_agrees_with_full_run () =
             List.iter
               (fun (t, _) ->
                 Alcotest.(check bool) (engine ^ ": decided tuple in full answer") true
-                  (List.mem_assoc t (intervals full)))
-              (intervals short)
+                  (List.mem_assoc t full.A.intervals))
+              short.A.intervals
           | A.Estimate _ | A.Top _ -> ())
         [ A.Estimate 0.; A.Above 0.3 ])
     (fixture_ctxs ())
@@ -340,15 +311,14 @@ let test_synthetic_through_estimator () =
 
 let suite =
   [
-    Alcotest.test_case "report intervals round-trip" `Quick test_interval_roundtrip;
-    Alcotest.test_case "report intervals absent when None" `Quick
-      test_interval_absent_when_none;
     Alcotest.test_case "estimator covers exact basic" `Quick
       test_estimator_covers_exact;
     Alcotest.test_case "estimator width convergence" `Quick
       test_estimator_width_convergence;
     Alcotest.test_case "same request renders the same bytes" `Quick
       test_same_request_same_bytes;
+    Alcotest.test_case "a limit bounds a prefix of the intervals" `Quick
+      test_limit_is_a_prefix;
     Alcotest.test_case "anytime top-k matches exact top-k" `Quick
       test_topk_matches_exact;
     Alcotest.test_case "anytime threshold matches exact threshold" `Quick

@@ -266,10 +266,11 @@ let test_answer_equal () =
   Urm.Answer.add b [| i 2 |] 0.1;
   Alcotest.(check bool) "not equal" false (Urm.Answer.equal a b)
 
-(* Regression: equality must match buckets one-to-one.  Two near-identical
-   float keys of [a] used to both claim the same bucket of [b], so [a]
-   compared equal to a [b] it plainly differs from — and only in one
-   direction (the check was asymmetric). *)
+(* Equality matches buckets one-to-one by exact key.  Two near-identical
+   float keys of [a] once both claimed the same bucket of [b] (keys used
+   to match approximately), so [a] compared equal to a [b] it plainly
+   differs from, in one direction only.  A key one ulp away is another
+   bucket. *)
 let test_answer_equal_one_to_one () =
   let near = 1.0 +. 1e-12 in
   let mk rows =
@@ -284,7 +285,9 @@ let test_answer_equal_one_to_one () =
   (* Sanity: near-identical keys still match their own copy. *)
   let a' = mk [ (1.0, 0.3); (near, 0.3) ] in
   Alcotest.(check bool) "a vs a'" true (Urm.Answer.equal a a');
-  Alcotest.(check bool) "a' vs a" true (Urm.Answer.equal a' a)
+  Alcotest.(check bool) "a' vs a" true (Urm.Answer.equal a' a);
+  Alcotest.(check bool) "one ulp off the key" false
+    (Urm.Answer.equal (mk [ (1.0, 0.3) ]) (mk [ (Float.succ 1.0, 0.3) ]))
 
 let test_answer_arity_mismatch () =
   let a = Urm.Answer.create [ "x"; "y" ] in

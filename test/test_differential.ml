@@ -6,11 +6,9 @@
    aggregates) over the paper's running-example schemas and the workload
    schemas.  The property: every exact algorithm, on both engines, renders
    the interpreted basic algorithm's answer byte for byte — every unit adds
-   its mappings' exact mass and answers sum exactly — and top-k answers are
-   a prefix of the full ranking.  A SUM aggregate's float keys may differ
-   in the last bit between engines and plans (each sums the rows in its
-   own order), so there the bucket probabilities must be bit-equal under
-   {!Urm.Answer.equal}'s approximate key matching instead. *)
+   its mappings' exact mass, answers sum exactly and a SUM aggregate's key
+   is the exact sum of its operands — and top-k answers are a prefix of
+   the full ranking. *)
 
 let s v = Urm_relalg.Value.Str v
 
@@ -27,13 +25,6 @@ let exact_algorithms =
 
 let bytes a = Urm_util.Json.to_string (Urm.Answer.to_json a)
 
-(* The one comparison of exact answers: rendered bytes, or — under a SUM
-   aggregate, whose float keys depend on row order — {!Urm.Answer.equal}. *)
-let same_answer q a b =
-  match q.Urm.Query.aggregate with
-  | Some (Urm.Query.Sum _) -> Urm.Answer.equal a b
-  | Some Urm.Query.Count | None -> String.equal (bytes a) (bytes b)
-
 (* All algorithms, all engines, against the interpreted basic.  [ctxs] is
    a list of (engine label, context) over the same catalog — the first one
    is the baseline's.  Returns the first disagreement as a counterexample
@@ -48,7 +39,7 @@ let disagreement ctxs q ms =
       List.find_map
         (fun alg ->
           let answer = (Urm.Algorithms.run alg ctx q ms).Urm.Report.answer in
-          if same_answer q baseline answer then None
+          if String.equal (bytes baseline) (bytes answer) then None
           else
             Some
               (Printf.sprintf "%s (%s) disagrees with interpreted basic"

@@ -8,7 +8,8 @@
    same header and row multiset as the tree-walking interpreter, both
    with and without the logical optimiser, and [Plan.nonempty] agrees
    with [Eval.nonempty]; dedicated cardinalities exercise the 1024-row
-   batch boundaries.
+   batch boundaries.  SUM keys are checked bit for bit against an exact
+   integer reference under shuffled rows.
 
    Deterministic unit tests cover short-circuiting emptiness probes, the
    plan cache's hit/miss/evict accounting, cost-based build-side
@@ -101,19 +102,20 @@ let expr_gen =
     let proj_cols =
       if has_s then [ "r#b"; "s#c" ] else [ "r#b"; "r#a" ]
     in
+    (* s#d mixes floats, ints and nulls: SUM keys must still be exact. *)
+    let aggs =
+      [ Algebra.Count; Algebra.Sum "r#a" ] @ if has_s then [ Algebra.Sum "s#d" ] else []
+    in
     let* shape = 0 -- 6 in
     match shape with
     | 0 -> return body
     | 1 -> return (Algebra.Project (proj_cols, body))
     | 2 -> return (Algebra.Distinct (Algebra.Project (proj_cols, body)))
     | 3 ->
-      let* agg =
-        oneofl
-          [ Algebra.Count; Algebra.Sum "r#a"; Algebra.Min "r#b"; Algebra.Max "r#c" ]
-      in
+      let* agg = oneofl aggs in
       return (Algebra.Aggregate (agg, body))
     | 4 ->
-      let* agg = oneofl [ Algebra.Count; Algebra.Avg "r#a" ] in
+      let* agg = oneofl aggs in
       return (Algebra.GroupBy ([ "r#b" ], agg, body))
     | 5 ->
       (* A selection the optimiser cannot push below the grouping: the
@@ -142,14 +144,18 @@ let compare_rows a b =
     in
     go 0
 
+(* Exact value identity: floats compare by bits. *)
+let same_value x y =
+  match (x, y) with
+  | Value.Float a, Value.Float b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  | _ -> Value.equal x y
+
 let same_multiset ra rb =
   let sa = List.sort compare_rows (rows_of ra) in
   let sb = List.sort compare_rows (rows_of rb) in
   List.length sa = List.length sb
   && List.for_all2
-       (fun a b ->
-         Array.length a = Array.length b
-         && Array.for_all2 (fun x y -> Value.approx_equal x y) a b)
+       (fun a b -> Array.length a = Array.length b && Array.for_all2 same_value a b)
        sa sb
 
 let outcome run =
@@ -336,8 +342,9 @@ let test_build_side () =
   Alcotest.(check bool) "rows" true (same_multiset interp compiled)
 
 (* ------------------------------------------------------------------ *)
-(* Aggregate semantics: nulls skipped by Avg, absorbed by Sum; strings
-   raise; ties keep the first row's value.  Both engines, same answers. *)
+(* Aggregate semantics: COUNT counts nulls, SUM absorbs them, a string
+   operand raises, and a float SUM is the correctly rounded exact sum
+   whatever the row order.  Both engines, same answers. *)
 
 let agg_catalog () =
   let cat = Catalog.create () in
@@ -347,6 +354,11 @@ let agg_catalog () =
          [| i 1; s "b" |]; [| Value.Null; s "a" |]; [| i 2; Value.Null |];
          [| i 1; s "a" |];
        ]);
+  (* 0.1 + 0.2 + 0.3 is 0.6000000000000001 summed left to right and 0.6
+     right to left; the exact sum rounds to 0.6. *)
+  Catalog.add cat "F" (Relation.create ~cols:[ "x" ] [ [| f 0.1 |]; [| f 0.2 |]; [| f 0.3 |] ]);
+  Catalog.add cat "G" (Relation.create ~cols:[ "x" ] [ [| f 0.3 |]; [| f 0.2 |]; [| f 0.1 |] ]);
+  Catalog.add cat "M" (Relation.create ~cols:[ "x" ] [ [| i 1 |]; [| Value.Null |]; [| f 0.5 |] ]);
   cat
 
 let both_engines cat e =
@@ -365,26 +377,114 @@ let test_aggregate_semantics () =
   let got e = Relation.fold (fun _ row -> Some row.(0)) None (both_engines cat e) in
   let check name e expect =
     match got e with
-    | Some v ->
-      Alcotest.(check bool) name true (Value.approx_equal v expect)
+    | Some v -> Alcotest.(check bool) name true (same_value v expect)
     | None -> Alcotest.fail (name ^ ": no row")
   in
+  let sum col rel = Algebra.Aggregate (Algebra.Sum col, Algebra.Base rel) in
   check "count counts nulls" (Algebra.Aggregate (Algebra.Count, Algebra.Base "A")) (i 4);
-  check "sum absorbs nulls" (Algebra.Aggregate (Algebra.Sum "v", Algebra.Base "A")) (i 4);
-  check "avg skips nulls" (Algebra.Aggregate (Algebra.Avg "v", Algebra.Base "A"))
-    (f (4. /. 3.));
-  check "min skips nulls" (Algebra.Aggregate (Algebra.Min "v", Algebra.Base "A")) (i 1);
-  check "max" (Algebra.Aggregate (Algebra.Max "v", Algebra.Base "A")) (i 2);
-  check "min over strings skips nulls"
-    (Algebra.Aggregate (Algebra.Min "w", Algebra.Base "A")) (s "a");
+  check "sum absorbs nulls" (sum "v" "A") (i 4);
+  check "float sum is exact" (sum "x" "F") (f 0.6);
+  check "float sum ignores row order" (sum "x" "G") (f 0.6);
+  check "an int operand joins a float sum" (sum "x" "M") (f 1.5);
   (* Sum over a string column raises identically on both engines. *)
-  let e = Algebra.Aggregate (Algebra.Sum "w", Algebra.Base "A") in
+  let e = sum "w" "A" in
   let env = Compile.create_env ~metrics:(Urm_obs.Metrics.create ()) cat in
   let expect = Invalid_argument "Value.add: string operand" in
   Alcotest.check_raises "interpreted sum over strings" expect (fun () ->
       ignore (Eval.eval cat e));
   Alcotest.check_raises "plan sum over strings" expect (fun () ->
       ignore (Plan.execute cat (Compile.compile env e)))
+
+(* SUM keys against an independent reference.  Operands are dyadic, m·2^e
+   with m ∈ [-256, 1023] and e ∈ [-40, -36] ∪ [-5, -1], so their sum
+   scaled by 2⁴⁰ is an exact integer; rounding it once gives the correctly
+   rounded sum.  Spanning ~60 bits, a left-to-right float fold of the same
+   operands depends on their order.  Each case runs plain and grouped
+   (behind a filter narrowing the selection vectors), on both engines,
+   over the rows and a shuffle of them, across several 1024-row
+   batches. *)
+
+let scale = 40
+
+(* An operand: Null, a small Int, or a dyadic m·2^e.  Group 3 draws no
+   dyadic when ints are on, so its SUM stays an Int; with ints off the
+   column is all floats and nulls (the unboxed float vectors). *)
+let operand_gen ~ints g =
+  QCheck.Gen.(
+    let* kind = 0 -- 9 and* m = -256 -- 1023 and* e = -5 -- -1 and* tiny = bool in
+    return
+      (if kind = 0 then `Null
+       else if ints && (kind = 1 || g = 3) then `Int (m / 64)
+       else `Dyadic (m, if tiny then e - 35 else e)))
+
+let sum_rows_gen ~ints n =
+  QCheck.Gen.(
+    list_repeat n
+      (let* g = 0 -- 3 in
+       let* op = operand_gen ~ints g in
+       return (g, op)))
+
+let value_of = function
+  | `Null -> Value.Null
+  | `Int n -> i n
+  | `Dyadic (m, e) -> f (Float.ldexp (float_of_int m) e)
+
+(* The exact sum, computed in integers scaled by 2^scale and rounded once
+   (float_of_int rounds to nearest). *)
+let reference ops =
+  let scaled, ints, floats =
+    List.fold_left
+      (fun (scaled, ints, floats) -> function
+        | `Null -> (scaled, ints, floats)
+        | `Int n -> (scaled + (n lsl scale), Some (Option.value ~default:0 ints + n), floats)
+        | `Dyadic (m, e) -> (scaled + (m lsl (e + scale)), ints, true))
+      (0, None, false) ops
+  in
+  if floats then f (Float.ldexp (float_of_int scaled) (-scale))
+  else match ints with Some n -> i n | None -> Value.Null
+
+let qcheck_sum_exact =
+  QCheck.Test.make ~name:"SUM keys are exact on both engines in any row order"
+    ~count:20
+    (QCheck.make
+       ~print:(fun (rows, _, drop) ->
+         Printf.sprintf "%d rows, group %d filtered out" (List.length rows) drop)
+       QCheck.Gen.(
+         let* n = 1025 -- 3000 and* ints = bool and* drop = 0 -- 4 in
+         let* rows = sum_rows_gen ~ints n in
+         let* shuffled = shuffle_l rows in
+         return (rows, shuffled, drop)))
+    (fun (rows, shuffled, drop) ->
+      let kept = List.filter (fun (g, _) -> g <> drop) rows in
+      let plain = Relation.create ~cols:[ "sum(b#v)" ] [ [| reference (List.map snd kept) |] ] in
+      let grouped =
+        Relation.create ~cols:[ "b#g"; "sum(b#v)" ]
+          (List.filter_map
+             (fun g ->
+               match List.filter (fun (g', _) -> g' = g) kept with
+               | [] -> None
+               | group -> Some [| i g; reference (List.map snd group) |])
+             [ 0; 1; 2; 3 ])
+      in
+      let body = Algebra.Select (Pred.Cmp (Pred.Ne, "b#g", i drop), Algebra.Rename ("b", Algebra.Base "B")) in
+      List.for_all
+        (fun order ->
+          let cat = Catalog.create () in
+          Catalog.add cat "B"
+            (Relation.create ~cols:[ "g"; "v" ]
+               (List.map (fun (g, op) -> [| i g; value_of op |]) order));
+          let env = Compile.create_env ~metrics:(Urm_obs.Metrics.create ()) cat in
+          List.for_all
+            (fun (e, expect) ->
+              (same_multiset expect (Eval.eval cat e)
+              || QCheck.Test.fail_reportf "interpreted %s" (Algebra.to_string e))
+              && (same_multiset expect (Plan.execute cat (Compile.compile env e))
+                 || QCheck.Test.fail_reportf "vectorized %s" (Algebra.to_string e)))
+            [
+              (Algebra.Aggregate (Algebra.Sum "b#v", body), plain);
+              (Algebra.GroupBy ([ "b#g" ], Algebra.Sum "b#v", body), grouped);
+            ])
+        [ rows; shuffled ])
 
 (* ------------------------------------------------------------------ *)
 (* Emptiness probes must leave metrics untouched: [Plan.nonempty] once
@@ -539,6 +639,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_compiled_vs_interpreted;
     QCheck_alcotest.to_alcotest qcheck_compiled_no_index;
     QCheck_alcotest.to_alcotest qcheck_batch_boundaries;
+    QCheck_alcotest.to_alcotest qcheck_sum_exact;
     Alcotest.test_case "emptiness probes leave counters untouched" `Quick
       test_nonempty_counters;
     Alcotest.test_case "emptiness probes stop at the first qualifying row" `Quick

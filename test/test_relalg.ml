@@ -26,11 +26,42 @@ let test_value_order () =
   Alcotest.(check bool) "null = null" true (Value.equal Value.Null Value.Null);
   Alcotest.(check bool) "str order" true (Value.compare (v_str "a") (v_str "b") < 0)
 
+(* SUM's accumulator: Int operands add as Ints, Null is absorbed, a
+   string raises, a non-finite operand adds as a float. *)
 let test_value_add () =
-  Alcotest.(check bool) "int add" true (Value.equal (Value.add (v_int 2) (v_int 3)) (v_int 5));
-  Alcotest.(check bool) "null absorbs" true (Value.equal (Value.add Value.Null (v_int 3)) (v_int 3));
+  let sum vs =
+    let acc = Sum_acc.create () in
+    List.iter (Sum_acc.add acc) vs;
+    Sum_acc.value acc
+  in
+  Alcotest.(check bool) "int add" true (Value.equal (sum [ v_int 2; v_int 3 ]) (v_int 5));
+  Alcotest.(check bool) "null absorbs" true
+    (Value.equal (sum [ Value.Null; v_int 3 ]) (v_int 3));
+  Alcotest.(check bool) "no operand is null" true (Value.is_null (sum [ Value.Null ]));
+  Alcotest.(check bool) "infinity adds as a float" true
+    (Value.equal (sum [ v_int 1; Value.Float infinity; Value.Float 0.5 ]) (Value.Float infinity));
+  Alcotest.(check bool) "an overflowing sum is infinite" true
+    (Value.equal (sum [ Value.Float 1e308; Value.Float 1e308; v_int 1 ]) (Value.Float infinity));
+  Alcotest.(check bool) "a negative overflow is -infinity" true
+    (Value.equal (sum [ Value.Float (-1e308); Value.Float (-1e308) ]) (Value.Float neg_infinity));
+  (* Sums spanning more than two floats' bits: every order gives the
+     correctly rounded exact sum. *)
+  let rec perms = function
+    | [] -> [ [] ]
+    | l -> List.concat_map (fun x -> List.map (List.cons x) (perms (List.filter (( != ) x) l))) l
+  in
+  let every_order name xs expect =
+    List.iter
+      (fun p ->
+        Alcotest.(check (float 0.)) name expect
+          (match sum (List.map (fun f -> Value.Float f) p) with Value.Float f -> f | _ -> nan))
+      (perms xs)
+  in
+  every_order "cancellation keeps the low bits"
+    [ 0x1p100; 1.0; 0x1p-100; -0x1p100; -1.0 ] 0x1p-100;
+  every_order "a tie is settled by the bits below it" [ 1.0; 0x1p-53; 0x1p-160 ] (1.0 +. 0x1p-52);
   Alcotest.check_raises "string add" (Invalid_argument "Value.add: string operand")
-    (fun () -> ignore (Value.add (v_str "x") (v_int 1)))
+    (fun () -> ignore (sum [ v_str "x"; v_int 1 ]))
 
 let test_schema_lookup () =
   let s =
