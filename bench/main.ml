@@ -783,7 +783,9 @@ let run_incr quick =
    also byte-checks the e-basic and q-sharing fan-outs, whose chunks hold
    several units each.  Repeats hit the workers' answer caches, so the
    numbers isolate the wire + fan-out + merge overhead rather than
-   re-measuring evaluation cost. *)
+   re-measuring evaluation cost.  Each row also records the router's
+   fan-out stage timers over the timed loop: slot wait, decode and
+   merge, render. *)
 
 let shard_file = "BENCH_shard.json"
 
@@ -864,6 +866,21 @@ let run_shard quick =
                     exit 1)
                 queries)
             [ "basic"; "e-basic"; "q-sharing" ];
+          (* The router's fan-out stage timers, as (seconds, count). *)
+          let stage_totals () =
+            match Client.call c ~op:"metrics" [] with
+            | Ok m -> (
+              match member "timers" (member "stages" (member "router" m)) with
+              | Json.Obj timers ->
+                List.map
+                  (fun (name, tm) ->
+                    ( name,
+                      (Json.to_float (member "seconds" tm), Json.to_float (member "count" tm)) ))
+                  timers
+              | _ -> [])
+            | Error _ -> []
+          in
+          let stages_before = stage_totals () in
           let lats = ref [] in
           let t0 = Unix.gettimeofday () in
           for i = 0 to requests - 1 do
@@ -878,6 +895,16 @@ let run_shard quick =
             lats := (Unix.gettimeofday () -. s) :: !lats
           done;
           let seconds = Unix.gettimeofday () -. t0 in
+          let stages =
+            List.map
+              (fun (name, (s, n)) ->
+                let s0, n0 =
+                  Option.value ~default:(0., 0.) (List.assoc_opt name stages_before)
+                in
+                ( name,
+                  Json.Obj [ ("seconds", Json.Num (s -. s0)); ("count", Json.Num (n -. n0)) ] ))
+              (stage_totals ())
+          in
           (match Client.call c ~op:"shutdown" [] with
           | Ok _ -> ()
           | Error (code, m) ->
@@ -902,12 +929,14 @@ let run_shard quick =
               ("p95", Json.Num p95);
               ("p99", Json.Num p99);
               ("identical_to_shards1", Json.Bool !identical);
+              ("stages", Json.Obj stages);
             ])
       shard_sweep
   in
   let json =
     Json.Obj
       [
+        ("git_rev", Json.Str (git_rev ()));
         ( "config",
           Json.Obj
             [
@@ -915,6 +944,8 @@ let run_shard quick =
               ("scale", Json.Num 0.01);
               ("h", Json.Num 8.);
               ("queries", Json.Arr (List.map (fun q -> Json.Str q) queries));
+              ("runs", Json.Num 1.);
+              ("requests_per_run", Json.Num (float_of_int requests));
             ] );
         ("rows", Json.Arr rows);
       ]

@@ -198,6 +198,11 @@ let aggregate agg rel =
    the group's rows. *)
 let group_by keys agg rel =
   let key_pos = List.map (Relation.col_pos rel) keys in
+  (* Resolve SUM's column even when no group forms, as [aggregate] and the
+     plan engine do: an unknown column fails on an empty input too. *)
+  (match agg with
+  | Algebra.Sum col -> ignore (Relation.col_pos rel col)
+  | Algebra.Count -> ());
   let groups : (Value.t array, Value.t array list ref) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
   Relation.iter

@@ -187,19 +187,25 @@ let add_be32 buf n =
   Buffer.add_char buf (Char.chr ((n lsr 8) land 0xFF));
   Buffer.add_char buf (Char.chr (n land 0xFF))
 
-let encode t =
-  let payload = payload_of t in
-  if String.length payload > max_payload then
-    invalid_arg "Frame.encode: payload exceeds max_payload";
-  let buf = Buffer.create (String.length payload + 16) in
+(* Magic, length, version, tag and the CRC-32 of those bytes. *)
+let header t len =
+  let buf = Buffer.create 16 in
   Buffer.add_char buf magic;
-  add_varint buf (String.length payload);
+  add_varint buf len;
   Buffer.add_char buf (Char.chr version);
   Buffer.add_char buf (Char.chr (tag_of t));
-  let crc = Urm_util.Crc32.digest (Buffer.contents buf) in
-  add_be32 buf crc;
-  Buffer.add_string buf payload;
+  add_be32 buf (Urm_util.Crc32.digest (Buffer.contents buf));
   Buffer.contents buf
+
+let checked_payload who t =
+  let payload = payload_of t in
+  if String.length payload > max_payload then
+    invalid_arg (who ^ ": payload exceeds max_payload");
+  payload
+
+let encode t =
+  let payload = checked_payload "Frame.encode" t in
+  header t (String.length payload) ^ payload
 
 let decode ?(pos = 0) s =
   let n = String.length s in
@@ -269,4 +275,8 @@ let read_body ic =
   | Err e -> Error e
   | End_of_file | Sys_error _ -> Error Truncated
 
-let write oc t = output_string oc (encode t)
+(* The header, then the payload as it is: no copy of a large reply. *)
+let write oc t =
+  let payload = checked_payload "Frame.write" t in
+  output_string oc (header t (String.length payload));
+  output_string oc payload

@@ -84,4 +84,6 @@ val read_body : in_channel -> (t, error) result
     raises [End_of_file]. *)
 
 val write : out_channel -> t -> unit
-(** Emit one frame (no flush). *)
+(** Emit one frame (no flush): the bytes of {!encode}, written as the
+    header and then the payload, without copying the payload.  Raises
+    [Invalid_argument] when the payload exceeds {!max_payload}. *)

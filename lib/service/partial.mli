@@ -28,7 +28,18 @@ val encode : output:string list -> Urm.Answer.t -> (string * Urm_util.Json.t) li
     the wire makes equal are sent as one, with the sum of their
     subtotals. *)
 
-val merge : Urm_util.Json.t list -> Urm.Answer.t
-(** [merge replies] the answer over the first reply's output, with every
-    reply's subtotals added, in any order.  Raises [Failure] on an empty
-    list or a malformed reply. *)
+type merged = {
+  query : Urm_util.Json.t;  (** the first reply's ["query"], [Null] if none *)
+  answer : Urm.Answer.t;
+}
+
+val merge : string list -> (merged, string * string) result
+(** [merge replies] decodes the worker reply documents ({!Protocol}
+    envelopes around the fields of {!encode}) one at a time, streaming
+    each group's tuples straight into one answer: no JSON tree is built.
+    Fields may come in any order.  Every reply's subtotals are added, in
+    any order, over the first reply's output.  The first
+    ["ok": false] reply is [Error (code, message)] and the merge so far
+    is discarded.  Raises [Failure] on an empty list or a malformed
+    reply, including a tuple of the wrong arity and an output that
+    differs from the first reply's. *)

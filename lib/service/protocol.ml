@@ -48,6 +48,12 @@ type reply =
   | Ok of Json.t * Json.t
   | Err of Json.t * string * string
 
+let error_fields = function
+  | Some err ->
+    let field n = match Json.member n err with Some (Json.Str s) -> s | _ -> "" in
+    (field "code", field "message")
+  | None -> ("error", "unspecified error")
+
 let parse_reply line =
   match Json.parse line with
   | Error msg -> Stdlib.Error msg
@@ -56,15 +62,25 @@ let parse_reply line =
     match Json.member "ok" json with
     | Some (Json.Bool true) ->
       Stdlib.Ok (Ok (id, Option.value ~default:Json.Null (Json.member "result" json)))
-    | Some (Json.Bool false) -> (
-      match Json.member "error" json with
-      | Some err ->
-        let field n =
-          match Json.member n err with Some (Json.Str s) -> s | _ -> ""
-        in
-        Stdlib.Ok (Err (id, field "code", field "message"))
-      | None -> Stdlib.Ok (Err (id, "error", "unspecified error")))
+    | Some (Json.Bool false) ->
+      let code, message = error_fields (Json.member "error" json) in
+      Stdlib.Ok (Err (id, code, message))
     | _ -> Stdlib.Error "reply must carry a boolean \"ok\"")
+
+let decode_reply result text =
+  let c = Json.cursor text in
+  let ok = ref Json.Null and res = ref None and err = ref None in
+  Json.fields c (function
+    | "ok" -> ok := Json.value c
+    | "result" -> res := Some (result c)
+    | "error" -> err := Some (Json.value c)
+    | _ -> ignore (Json.value c));
+  Json.finish c;
+  match (!ok, !res) with
+  | Json.Bool true, Some r -> Stdlib.Ok r
+  | Json.Bool true, None -> failwith "reply without a \"result\""
+  | Json.Bool false, _ -> Stdlib.Error (error_fields !err)
+  | _ -> failwith "reply must carry a boolean \"ok\""
 
 (* ------------------------------------------------------------------ *)
 

@@ -58,6 +58,16 @@ type reply =
 
 val parse_reply : string -> (reply, string) result
 
+(** [decode_reply result text] decodes one reply document without
+    building its tree: [result] reads the ["result"] value from the
+    cursor where the document holds it (fields in any order), and its
+    return is [Ok].  An ["ok": false] reply is [Error (code, message)],
+    as {!parse_reply} reads it, whatever [result] did before the ["ok"]
+    field was seen.  Raises [Failure] on malformed text, a reply without
+    a boolean ["ok"], or an [ok] reply without a ["result"]. *)
+val decode_reply :
+  (Json.cursor -> 'a) -> string -> ('a, string * string) result
+
 (** {1 Values} *)
 
 (** Relational values on the wire: [Null] ↦ JSON null, numbers ↦ numbers,

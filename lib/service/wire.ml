@@ -59,7 +59,7 @@ let send_raw t f =
           (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()))
 
 (* Every reply document is bounded by one frame's payload, in either
-   dialect: a larger one would make [Frame.encode] raise in the writer,
+   dialect: a larger one would make [Frame.write] raise in the writer,
    losing the reply and the executor behind it.  It is answered with a
    typed error for the same request id instead. *)
 let reply_too_large ~id n =

@@ -85,6 +85,9 @@ type t = {
           respawns, so a replay always sees a consistent log.  Lock order:
           [admin_lock] before any [slot.slock]; never the reverse. *)
   restarts_n : int Atomic.t;
+  stages : Metrics.t;
+      (** the fan-out's stage timers: [fan_out.wait] (slot replies),
+          [fan_out.merge] (decode and merge), [fan_out.render] *)
   mutable health : Thread.t option;
 }
 
@@ -108,9 +111,9 @@ let stop t = Front.stop t.front
 let connect_worker (p : Launcher.proc) =
   Client.connect ~framed:true ~port:p.Launcher.port ()
 
-(* One call to a worker; a transport failure closes the slot's client so
-   the next caller (or the health thread) triggers a respawn. *)
-let slot_call slot ~op params =
+(* One exchange with a worker; a transport failure closes the slot's
+   client so the next caller (or the health thread) triggers a respawn. *)
+let slot_exchange slot exchange =
   Mutex.protect slot.slock (fun () ->
       let client =
         match slot.cl with
@@ -128,12 +131,15 @@ let slot_call slot ~op params =
       match client with
       | Error m -> Error ("transport", m)
       | Ok c -> (
-        match Client.call c ~op params with
+        match exchange c with
         | Error ("transport", m) ->
           (try Client.close c with _ -> ());
           slot.cl <- None;
           Error ("transport", m)
         | r -> r))
+
+let slot_call slot ~op params =
+  slot_exchange slot (fun c -> Client.call c ~op params)
 
 let sessions_snapshot t =
   Mutex.lock t.sess_lock;
@@ -215,25 +221,25 @@ let ensure_worker t slot =
 (* The client-facing discipline: one transparent retry against a freshly
    respawned worker, then a typed [shard_unavailable].  [respawn]
    abstracts over whether the caller already holds [admin_lock]. *)
-let call_retrying ~respawn t slot ~op params =
-  match slot_call slot ~op params with
+let call_retrying ~respawn t slot exchange =
+  match slot_exchange slot exchange with
   | Error ("transport", m) -> (
     match respawn t slot with
     | Error m2 ->
       Error ("shard_unavailable", Printf.sprintf "shard %d: %s (%s)" slot.index m m2)
     | Ok () -> (
-      match slot_call slot ~op params with
+      match slot_exchange slot exchange with
       | Error ("transport", m2) ->
         Error ("shard_unavailable", Printf.sprintf "shard %d: %s" slot.index m2)
       | r -> r))
   | r -> r
 
 let call_with_retry t slot ~op params =
-  call_retrying ~respawn:ensure_worker t slot ~op params
+  call_retrying ~respawn:ensure_worker t slot (fun c -> Client.call c ~op params)
 
 (* Under [admin_lock] — respawn directly, no re-lock. *)
 let call_admin t slot ~op params =
-  call_retrying ~respawn:respawn_slot t slot ~op params
+  call_retrying ~respawn:respawn_slot t slot (fun c -> Client.call c ~op params)
 
 (* ------------------------------------------------------------------ *)
 (* Routing *)
@@ -399,6 +405,7 @@ let fan_out t (s : sess) ~alg (req : Protocol.request) =
   let id = req.Protocol.id in
   let shards = Array.length t.slots in
   let base_params = params_of req in
+  let stage name = Metrics.time (Metrics.timer t.stages name) in
   let attempt h =
     (* The sentinel must be an [Error]: a fan-out thread that dies from
        an uncaught exception leaves its slot untouched, and an [Ok]
@@ -406,62 +413,57 @@ let fan_out t (s : sess) ~alg (req : Protocol.request) =
     let results =
       Array.make shards (Error ("internal", "shard fan-out thread died"))
     in
-    let threads =
-      Array.init shards (fun i ->
-          Thread.create
-            (fun () ->
-              results.(i) <-
-                (try
-                   call_with_retry t t.slots.(i) ~op:"query"
-                     (base_params
-                     @ [
-                         ("slot", Json.Num (float_of_int i));
-                         ("slots", Json.Num (float_of_int shards));
-                         ("expect_h", Json.Num (float_of_int h));
-                       ])
-                 with exn -> Error ("internal", Printexc.to_string exn)))
-            ())
-    in
-    Array.iter Thread.join threads;
-    results
+    stage "fan_out.wait" (fun () ->
+        let threads =
+          Array.init shards (fun i ->
+              Thread.create
+                (fun () ->
+                  results.(i) <-
+                    (try
+                       call_retrying ~respawn:ensure_worker t t.slots.(i)
+                         (fun c ->
+                           Client.call_text c ~op:"query"
+                             (base_params
+                             @ [
+                                 ("slot", Json.Num (float_of_int i));
+                                 ("slots", Json.Num (float_of_int shards));
+                                 ("expect_h", Json.Num (float_of_int h));
+                               ]))
+                     with exn -> Error ("internal", Printexc.to_string exn)))
+                ())
+        in
+        Array.iter Thread.join threads);
+    (* After the join, one reply at a time into one answer: the threads
+       only fetch text, so no answer is shared between them. *)
+    stage "fan_out.merge" (fun () ->
+        match Array.find_map (function Error e -> Some e | Ok _ -> None) results with
+        | Some e -> Error e
+        | None -> Partial.merge (Array.to_list (Array.map Result.get_ok results)))
   in
-  let results = attempt s.sh in
   (* A stale mapping count (a mutate raced this query) surfaces as the
      worker's typed [stale_range] error; refresh and retry once. *)
-  let results =
-    let stale =
-      Array.exists
-        (function Error ("stale_range", _) -> true | _ -> false)
-        results
-    in
-    if stale then begin
+  let merged =
+    match attempt s.sh with
+    | Error ("stale_range", _) ->
       Mutex.protect t.admin_lock (fun () ->
           refresh_h t t.slots.(Hash.owner ~shards s.sfp) s);
       attempt s.sh
-    end
-    else results
+    | r -> r
   in
-  let results = Array.to_list results in
-  match List.find_map (function Error e -> Some e | Ok _ -> None) results with
-  | Some (code, m) -> Protocol.error ~id ~code m
-  | None ->
-    (* One reply per slot; [Partial.merge] sums exact subtotals, so
-       their order does not matter. *)
-    let replies = List.filter_map Result.to_option results in
-    let answer = Partial.merge replies in
-    let limit = answers_limit req in
-    Protocol.ok ~id
-      (Json.Obj
-         [
-           ( "query",
-             Option.value ~default:Json.Null
-               (Json.member "query" (List.hd replies)) );
-           ("algorithm", Json.Str alg);
-           ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
-           ("null_prob", Json.Num (Urm.Answer.null_prob answer));
-           ("answers", Server.answers_json answer limit);
-           ("sharded", Json.Num (float_of_int shards));
-         ])
+  match merged with
+  | Error (code, m) -> Protocol.error ~id ~code m
+  | Ok { Partial.query; answer } ->
+    stage "fan_out.render" (fun () ->
+        Protocol.ok ~id
+          (Json.Obj
+             [
+               ("query", query);
+               ("algorithm", Json.Str alg);
+               ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
+               ("null_prob", Json.Num (Urm.Answer.null_prob answer));
+               ("answers", Server.answers_json answer (answers_limit req));
+               ("sharded", Json.Num (float_of_int shards));
+             ]))
 
 let exec_query t (req : Protocol.request) =
   let alg =
@@ -504,6 +506,7 @@ let exec_metrics t =
             ("queue", Front.queue_json t.front);
             ("sessions", num n_sessions);
             ("connections", num (Front.connections t.front));
+            ("stages", Metrics.to_json t.stages);
           ] );
       ( "shards",
         Json.Arr
@@ -639,6 +642,7 @@ let start (cfg : config) =
           sess_lock = Mutex.create ();
           admin_lock = Mutex.create ();
           restarts_n = Atomic.make 0;
+          stages = Metrics.create ();
           health = None;
         }
       in

@@ -9,20 +9,27 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Emitter *)
 
+(* Unescaped runs are copied whole; only the characters that need an
+   escape are written one by one. *)
 let escape_into buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
 let number_to_string f =
@@ -60,169 +67,201 @@ let to_string json =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Parser *)
+(* Pull cursor: the one parser *)
 
-exception Bad of string
+type cursor = { text : string; mutable pos : int }
 
-let parse_exn text =
-  let n = String.length text in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (text.[!pos] = ' ' || text.[!pos] = '\t' || text.[!pos] = '\n'
-        || text.[!pos] = '\r')
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && text.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub text !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else begin
-        let c = text.[!pos] in
-        incr pos;
-        if c = '"' then ()
-        else if c = '\\' then begin
-          if !pos >= n then fail "dangling escape";
-          let e = text.[!pos] in
-          incr pos;
-          (match e with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-            if !pos + 4 > n then fail "bad unicode escape";
-            let hex = String.sub text !pos 4 in
-            pos := !pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex) with _ -> fail "bad unicode escape"
-            in
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else
-              (* Encode the BMP code point as UTF-8. *)
-              if code < 0x800 then begin
-                Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-              else begin
-                Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-                Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-              end
-          | _ -> fail "unknown escape");
-          go ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          go ()
-        end
-      end
+let cursor text = { text; pos = 0 }
+
+let fail c msg = failwith (Printf.sprintf "Json: %s at offset %d" msg c.pos)
+
+(* The next significant character, or ['\000'] at the end of the input
+   (a NUL outside a string is malformed either way). *)
+let peek c =
+  let t = c.text and n = String.length c.text in
+  while
+    c.pos < n
+    &&
+    match String.unsafe_get t c.pos with
+    | ' ' | '\t' | '\n' | '\r' -> true
+    | _ -> false
+  do
+    c.pos <- c.pos + 1
+  done;
+  if c.pos < n then String.unsafe_get t c.pos else '\000'
+
+let at_end c = c.pos >= String.length c.text
+
+let expect c ch =
+  let got = peek c in
+  if at_end c then fail c "unexpected end of input"
+  else if got = ch then c.pos <- c.pos + 1
+  else fail c (Printf.sprintf "expected %C" ch)
+
+let finish c =
+  ignore (peek c);
+  if not (at_end c) then fail c "trailing input"
+
+let hex c i =
+  match c.text.[i] with
+  | '0' .. '9' as d -> Char.code d - 48
+  | 'a' .. 'f' as d -> Char.code d - 87
+  | 'A' .. 'F' as d -> Char.code d - 55
+  | _ -> fail c "bad unicode escape"
+
+(* [\uXXXX] as the UTF-8 bytes of that BMP code point; each half of a
+   surrogate pair is encoded on its own. *)
+let add_code_point buf code =
+  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+  else if code < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+
+(* The index of the first ['"'] or ['\\'] at or after [i], or the length
+   of the text. *)
+let scan_run t i =
+  let n = String.length t in
+  let i = ref i in
+  while
+    !i < n
+    &&
+    let ch = String.unsafe_get t !i in
+    ch <> '"' && ch <> '\\'
+  do
+    incr i
+  done;
+  !i
+
+(* A string without escapes is one scan and one [String.sub]; escapes
+   switch to a buffer that takes the unescaped runs whole. *)
+let string c =
+  expect c '"';
+  let t = c.text and n = String.length c.text in
+  let start = c.pos in
+  let stop = scan_run t start in
+  if stop >= n then begin
+    c.pos <- n;
+    fail c "unterminated string"
+  end
+  else if t.[stop] = '"' then begin
+    c.pos <- stop + 1;
+    String.sub t start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf t start (stop - start);
+    c.pos <- stop;
+    let rec escapes () =
+      (* [c.pos] is at a backslash. *)
+      if c.pos + 1 >= n then fail c "dangling escape";
+      (match t.[c.pos + 1] with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' ->
+        if c.pos + 6 > n then fail c "bad unicode escape";
+        let i = c.pos + 2 in
+        add_code_point buf
+          ((hex c i lsl 12) lor (hex c (i + 1) lsl 8) lor (hex c (i + 2) lsl 4)
+          lor hex c (i + 3));
+        c.pos <- c.pos + 4
+      | _ -> fail c "unknown escape");
+      let from = c.pos + 2 in
+      let stop = scan_run t from in
+      Buffer.add_substring buf t from (stop - from);
+      c.pos <- stop;
+      if stop >= n then fail c "unterminated string"
+      else if t.[stop] = '"' then c.pos <- stop + 1
+      else escapes ()
     in
-    go ();
+    escapes ();
     Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+  end
+
+let number c =
+  ignore (peek c);
+  let t = c.text and n = String.length c.text in
+  let start = c.pos in
+  while
+    c.pos < n
+    &&
+    match String.unsafe_get t c.pos with
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
+  do
+    c.pos <- c.pos + 1
+  done;
+  let s = String.sub t start (c.pos - start) in
+  match float_of_string_opt s with
+  | Some f -> f
+  | None ->
+    c.pos <- start;
+    fail c (if s = "" then "expected a value" else Printf.sprintf "bad number %S" s)
+
+(* The comma-separated members of a container, [f] reading each. *)
+let members c ~opening ~closing f =
+  expect c opening;
+  if peek c = closing then c.pos <- c.pos + 1
+  else
+    let rec loop () =
+      f ();
+      if peek c = ',' then begin
+        c.pos <- c.pos + 1;
+        loop ()
+      end
+      else expect c closing
     in
-    while !pos < n && is_num_char text.[!pos] do
-      incr pos
-    done;
-    let s = String.sub text start (!pos - start) in
-    match float_of_string_opt s with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" s)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then begin
-        expect '}';
-        Obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          if peek () = Some ',' then begin
-            expect ',';
-            fields ((key, v) :: acc)
-          end
-          else begin
-            expect '}';
-            List.rev ((key, v) :: acc)
-          end
-        in
-        Obj (fields [])
-      end
-    | Some '[' ->
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then begin
-        expect ']';
-        Arr []
-      end
-      else begin
-        let rec items acc =
-          let v = parse_value () in
-          skip_ws ();
-          if peek () = Some ',' then begin
-            expect ',';
-            items (v :: acc)
-          end
-          else begin
-            expect ']';
-            List.rev (v :: acc)
-          end
-        in
-        Arr (items [])
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-  in
-  match parse_value () with
-  | v ->
-    skip_ws ();
-    if !pos <> n then raise (Bad (Printf.sprintf "trailing input at offset %d" !pos));
+    loop ()
+
+let fields c f =
+  members c ~opening:'{' ~closing:'}' (fun () ->
+      let key = string c in
+      expect c ':';
+      f key)
+
+let items c f = members c ~opening:'[' ~closing:']' f
+
+let literal c word v =
+  let l = String.length word in
+  if c.pos + l <= String.length c.text && String.sub c.text c.pos l = word then begin
+    c.pos <- c.pos + l;
     v
-  | exception Bad msg -> failwith ("Json: " ^ msg)
+  end
+  else fail c ("expected " ^ word)
+
+let rec value c =
+  match peek c with
+  | '{' ->
+    let acc = ref [] in
+    fields c (fun key -> acc := (key, value c) :: !acc);
+    Obj (List.rev !acc)
+  | '[' ->
+    let acc = ref [] in
+    items c (fun () -> acc := value c :: !acc);
+    Arr (List.rev !acc)
+  | '"' -> Str (string c)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | _ when at_end c -> fail c "unexpected end of input"
+  | _ -> Num (number c)
 
 let parse_exn text =
-  try parse_exn text with Bad msg -> failwith ("Json: " ^ msg)
+  let c = cursor text in
+  let v = value c in
+  finish c;
+  v
 
 let parse text = try Ok (parse_exn text) with Failure msg -> Error msg
 

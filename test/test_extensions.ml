@@ -495,39 +495,178 @@ let test_lineage () =
   Alcotest.(check (list int)) "no support for junk" []
     (Urm.Lineage.support_of lin [| s "zzz" |])
 
-let qcheck_json_roundtrip =
-  let module J = Urm_util.Json in
+module Json = Urm_util.Json
+
+(* Trees compared with numbers by their bits, so -0. and 0. differ. *)
+let rec json_same a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys ->
+    List.length xs = List.length ys && List.for_all2 json_same xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (l, y) -> String.equal k l && json_same x y) xs ys
+  | _ -> a = b
+
+(* Strings of quotes, backslashes, every control character, DEL, UTF-8
+   multibyte sequences and stray high bytes; numbers that are integers up
+   to 2⁵³, -0., extreme exponents and arbitrary finite bit patterns. *)
+let json_gen =
   let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        oneofl [ "\""; "\\"; "/"; "\127"; "é"; "€"; "\xff"; "\\u0041"; "a"; "key" ];
+        map (fun n -> String.make 1 (Char.chr n)) (0 -- 31);
+        string_size ~gen:printable (0 -- 4);
+      ]
+  in
+  let str = map (String.concat "") (list_size (0 -- 5) piece) in
+  let finite =
+    map
+      (fun bits ->
+        let f = Int64.float_of_bits bits in
+        if Float.is_finite f then f else 1.5)
+      ui64
+  in
+  let num =
+    oneof
+      [
+        map float_of_int (-1000 -- 1000);
+        map (fun n -> float_of_int (n - (1 lsl 53))) (0 -- (1 lsl 54));
+        oneofl [ -0.; 0.; 9007199254740992.; -9007199254740992.; 1e15; 1e-300; 1.5e300; 5e-324; 0.1 ];
+        finite;
+      ]
+  in
   let rec gen depth =
-    if depth = 0 then
+    let leaf =
       oneof
         [
-          return J.Null;
-          map (fun b -> J.Bool b) bool;
-          map (fun i -> J.Num (float_of_int i)) (-1000 -- 1000);
-          map (fun s -> J.Str s) (string_size ~gen:printable (0 -- 12));
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun f -> Json.Num f) num;
+          map (fun s -> Json.Str s) str;
         ]
+    in
+    if depth = 0 then leaf
     else
       oneof
         [
-          gen 0;
-          map (fun l -> J.Arr l) (list_size (0 -- 4) (gen (depth - 1)));
+          leaf;
+          map (fun l -> Json.Arr l) (list_size (0 -- 4) (gen (depth - 1)));
           map
             (fun kvs ->
-              (* distinct keys so structural equality round-trips *)
+              (* Distinct keys, so the tree round-trips structurally. *)
               let _, fields =
                 List.fold_left
                   (fun (seen, acc) (k, v) ->
                     if List.mem k seen then (seen, acc) else (k :: seen, (k, v) :: acc))
                   ([], []) kvs
               in
-              J.Obj (List.rev fields))
-            (list_size (0 -- 4)
-               (pair (string_size ~gen:(char_range 'a' 'z') (1 -- 6)) (gen (depth - 1))));
+              Json.Obj (List.rev fields))
+            (list_size (0 -- 4) (pair str (gen (depth - 1))));
         ]
   in
-  QCheck.Test.make ~name:"json roundtrip" ~count:200 (QCheck.make (gen 3))
-    (fun j -> J.parse_exn (J.to_string j) = j)
+  gen 3
+
+let json_arb = QCheck.make ~print:Json.to_string json_gen
+
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~name:"json roundtrip" ~count:500 json_arb
+    (fun j ->
+      match Json.parse (Json.to_string j) with
+      | Ok back -> json_same back j
+      | Error _ -> false)
+
+(* The same tree rendered with random whitespace between every pair of
+   tokens parses to the same tree. *)
+let qcheck_json_whitespace =
+  QCheck.Test.make ~name:"json whitespace between tokens" ~count:300
+    (QCheck.pair json_arb QCheck.int) (fun (j, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let ws () =
+        String.init (Random.State.int rng 3) (fun _ ->
+            " \t\n\r".[Random.State.int rng 4])
+      in
+      let buf = Buffer.create 64 in
+      let add s = Buffer.add_string buf (ws ()); Buffer.add_string buf s in
+      let rec render = function
+        | Json.Arr items ->
+          add "[";
+          List.iteri (fun i x -> if i > 0 then add ","; render x) items;
+          add "]"
+        | Json.Obj fields ->
+          add "{";
+          List.iteri
+            (fun i (k, x) ->
+              if i > 0 then add ",";
+              add (Json.to_string (Json.Str k));
+              add ":";
+              render x)
+            fields;
+          add "}"
+        | leaf -> add (Json.to_string leaf)
+      in
+      render j;
+      add "";
+      match Json.parse (Buffer.contents buf) with
+      | Ok back -> json_same back j
+      | Error _ -> false)
+
+(* A proper prefix of a rendered container never parses and never raises
+   anything but the parser's own error. *)
+let qcheck_json_prefixes =
+  QCheck.Test.make ~name:"json proper prefixes are errors" ~count:200 json_arb
+    (fun j ->
+      let text =
+        Json.to_string (match j with Json.Arr _ | Json.Obj _ -> j | leaf -> Json.Arr [ leaf ])
+      in
+      List.for_all
+        (fun n ->
+          match Json.parse (String.sub text 0 n) with
+          | Error _ -> true
+          | Ok _ -> false
+          | exception _ -> false)
+        (List.init (String.length text) Fun.id))
+
+let test_json_escapes () =
+  let parsed text =
+    match Json.parse text with
+    | Ok (Json.Str s) -> s
+    | Ok j -> Alcotest.failf "%s parsed to %s" text (Json.to_string j)
+    | Error m -> Alcotest.failf "%s: %s" text m
+  in
+  Alcotest.(check string) "ASCII, both hex cases" "A\x1f\x7f" (parsed {|"A\u001F\u007f"|});
+  Alcotest.(check string) "two- and three-byte UTF-8" "\xc3\xa9\xe2\x82\xac"
+    (parsed {|"\u00e9\u20AC"|});
+  (* A surrogate pair is not combined: each half is three bytes. *)
+  Alcotest.(check string) "surrogate halves" "\xed\xa0\xbd\xed\xb8\x80"
+    (parsed {|"\uD83D\ude00"|});
+  Alcotest.(check string) "short escapes" "\"\\/\b\012\n\r\t"
+    (parsed {|"\"\\\/\b\f\n\r\t"|});
+  Alcotest.(check string) "runs around escapes" "ab\ncd\"ef" (parsed {|"ab\ncd\"ef"|});
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %s" text)
+    [ {|"\u00g0"|}; {|"\u12"|}; {|"\x"|}; {|"ab\|}; {|"\u_123"|}; {|[1 2]|}; {|{"a":1,}|} ];
+  (* The cursor reads a document field by field, in text order. *)
+  let c = Json.cursor {| {"n": -0.5e1, "s": "x\ty", "xs": [1, [2]], "z": null} |} in
+  let seen = ref [] in
+  Json.fields c (fun k ->
+      seen :=
+        (match k with
+        | "n" -> Printf.sprintf "%g" (Json.number c)
+        | "s" -> Json.string c
+        | "xs" ->
+          let n = ref 0 in
+          Json.items c (fun () -> incr n; ignore (Json.value c));
+          string_of_int !n
+        | _ -> Json.to_string (Json.value c))
+        :: !seen);
+  Json.finish c;
+  Alcotest.(check (list string)) "cursor fields" [ "-5"; "x\ty"; "2"; "null" ] (List.rev !seen)
 
 let qcheck_csv_roundtrip =
   let open QCheck.Gen in
@@ -579,5 +718,8 @@ let suite =
     Alcotest.test_case "monte-carlo sampler" `Quick test_montecarlo_sampler_distribution;
     Alcotest.test_case "lineage" `Quick test_lineage;
     QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_json_whitespace;
+    QCheck_alcotest.to_alcotest qcheck_json_prefixes;
+    Alcotest.test_case "json escapes and the cursor" `Quick test_json_escapes;
     QCheck_alcotest.to_alcotest qcheck_csv_roundtrip;
   ]

@@ -359,6 +359,7 @@ let agg_catalog () =
   Catalog.add cat "F" (Relation.create ~cols:[ "x" ] [ [| f 0.1 |]; [| f 0.2 |]; [| f 0.3 |] ]);
   Catalog.add cat "G" (Relation.create ~cols:[ "x" ] [ [| f 0.3 |]; [| f 0.2 |]; [| f 0.1 |] ]);
   Catalog.add cat "M" (Relation.create ~cols:[ "x" ] [ [| i 1 |]; [| Value.Null |]; [| f 0.5 |] ]);
+  Catalog.add cat "E" (Relation.create ~cols:[ "x" ] []);
   cat
 
 let both_engines cat e =
@@ -393,6 +394,13 @@ let test_aggregate_semantics () =
   Alcotest.check_raises "interpreted sum over strings" expect (fun () ->
       ignore (Eval.eval cat e));
   Alcotest.check_raises "plan sum over strings" expect (fun () ->
+      ignore (Plan.execute cat (Compile.compile env e)));
+  (* A grouped SUM over an unknown column fails on both engines, even
+     over an empty input where no group forms. *)
+  let e = Algebra.GroupBy ([ "x" ], Algebra.Sum "y", Algebra.Base "E") in
+  Alcotest.check_raises "interpreted grouped sum, unknown column" Not_found (fun () ->
+      ignore (Eval.eval cat e));
+  Alcotest.check_raises "plan grouped sum, unknown column" Not_found (fun () ->
       ignore (Plan.execute cat (Compile.compile env e)))
 
 (* SUM keys against an independent reference.  Operands are dyadic, m·2^e

@@ -90,6 +90,20 @@ let call_or_fail label c ~op params =
   | Ok j -> j
   | Error (code, m) -> Alcotest.failf "%s: %s: %s" label code m
 
+(* A worker reply's text, as the router receives it. *)
+let reply_text label c ~op params =
+  match Client.call_text c ~op params with
+  | Ok text -> text
+  | Error (code, m) -> Alcotest.failf "%s: %s: %s" label code m
+
+let merged_answer replies =
+  match Partial.merge replies with
+  | Ok m -> m.Partial.answer
+  | Error (code, m) -> Alcotest.failf "merge: %s: %s" code m
+
+(* A worker's reply document around [fields]. *)
+let ok_reply fields = Urm_service.Protocol.ok ~id:Json.Null (Json.Obj fields)
+
 let query_params qname alg =
   [
     ("session", Json.Str "shard");
@@ -199,11 +213,7 @@ let qcheck_grouped_merge =
           List.iteri
             (fun i a -> if lo <= i && i < hi then Urm.Answer.merge_into chunk a)
             units;
-          let reply = Json.Obj (Partial.encode ~output:[ "v" ] chunk) in
-          (* Through the wire text, as the router receives it. *)
-          (match Json.parse (Json.to_string reply) with
-          | Ok reply -> reply :: replies rest
-          | Error m -> failwith m)
+          ok_reply (Partial.encode ~output:[ "v" ] chunk) :: replies rest
         | _ -> []
       in
       let rng = Random.State.make [| seed |] in
@@ -212,40 +222,92 @@ let qcheck_grouped_merge =
         |> List.sort (fun (a, _) (b, _) -> compare a b)
         |> List.map snd
       in
-      let merged = Partial.merge shuffled in
+      let merged = merged_answer shuffled in
       String.equal
         (Json.to_string (Urm.Answer.to_json (per_unit_merge [ "v" ] units)))
         (Json.to_string (Urm.Answer.to_json merged)))
 
 (* A malformed worker reply is an error, never a partly merged answer:
    each broken variant of a well-formed reply must raise out of
-   [Partial.merge], and so must an empty reply list. *)
+   [Partial.merge], and so must an empty reply list.  An [ok: false]
+   reply is the worker's typed error, and nothing is merged. *)
 let test_merge_rejects_malformed () =
   let a = Urm.Answer.create [ "v"; "w" ] in
   Urm.Answer.add a [| Urm_relalg.Value.Int 1; Urm_relalg.Value.Str "x" |] 0.5;
   Urm.Answer.add_null a 0.25;
   let good = Partial.encode ~output:[ "v"; "w" ] a in
   let with_field name v =
-    Json.Obj (List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) good)
+    List.map (fun (k, x) -> if k = name then (k, v) else (k, x)) good
   in
   let group p tuples = Json.Arr [ Json.Obj [ ("p", p); ("tuples", Json.Arr tuples) ] ] in
   let num x = Json.Num x in
   let rejects name replies =
     match Partial.merge replies with
-    | exception _ -> ()
-    | (_ : Urm.Answer.t) -> Alcotest.failf "%s: merged into an answer" name
+    | exception Failure _ -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+    | Ok _ | Error _ -> Alcotest.failf "%s: not rejected" name
   in
-  ignore (Partial.merge [ Json.Obj good ]);
+  let expected = Json.to_string (Urm.Answer.to_json a) in
+  let merges_to_a name replies =
+    Alcotest.(check string) name expected
+      (Json.to_string (Urm.Answer.to_json (merged_answer replies)))
+  in
+  merges_to_a "well-formed reply" [ ok_reply good ];
   rejects "reply without groups"
-    [ Json.Obj (List.filter (fun (k, _) -> k <> "groups") good) ];
+    [ ok_reply (List.filter (fun (k, _) -> k <> "groups") good) ];
   rejects "non-numeric component"
-    [ with_field "groups" (group (Json.Arr [ Json.Str "0.5" ]) [ Json.Arr [ num 1.; Json.Str "x" ] ]) ];
-  rejects "non-numeric θ component" [ with_field "null" (Json.Arr [ Json.Null ]) ];
+    [ ok_reply (with_field "groups" (group (Json.Arr [ Json.Str "0.5" ]) [ Json.Arr [ num 1.; Json.Str "x" ] ])) ];
+  rejects "non-numeric θ component" [ ok_reply (with_field "null" (Json.Arr [ Json.Null ])) ];
   rejects "non-array tuple"
-    [ with_field "groups" (group (Json.Arr [ num 0.5 ]) [ Json.Str "x" ]) ];
+    [ ok_reply (with_field "groups" (group (Json.Arr [ num 0.5 ]) [ Json.Str "x" ])) ];
   rejects "tuple of the wrong arity"
-    [ with_field "groups" (group (Json.Arr [ num 0.5 ]) [ Json.Arr [ num 1. ] ]) ];
-  rejects "empty reply list" []
+    [ ok_reply (with_field "groups" (group (Json.Arr [ num 0.5 ]) [ Json.Arr [ num 1. ] ])) ];
+  rejects "tuple of the wrong arity in a later reply"
+    [
+      ok_reply good;
+      ok_reply
+        (with_field "groups"
+           (group (Json.Arr [ num 0.5 ]) [ Json.Arr [ num 1.; Json.Str "x"; Json.Null ] ]));
+    ];
+  rejects "output that differs between replies"
+    [ ok_reply good; ok_reply (with_field "output" (Json.Arr [ Json.Str "v" ])) ];
+  let text = ok_reply good in
+  let cut =
+    (* Just inside the first tuple, [[1 *)
+    let rec find i = if String.sub text i 2 = "[[" then i + 3 else find (i + 1) in
+    find 0
+  in
+  rejects "reply cut off mid-tuple" [ String.sub text 0 cut ];
+  rejects "reply cut off mid-tuple after a good one" [ text; String.sub text 0 cut ];
+  rejects "reply without a boolean ok" [ "{\"id\":null,\"result\":{}}" ];
+  rejects "empty reply list" [];
+  (* A group whose tuples precede its subtotal is held until "p"
+     arrives, and a reply whose groups precede its output waits for it:
+     the same bytes either way. *)
+  let reorder_group = function
+    | Json.Obj fields -> Json.Obj (List.rev fields)
+    | j -> j
+  in
+  let reordered =
+    List.rev_map
+      (function
+        | "groups", Json.Arr gs -> ("groups", Json.Arr (List.map reorder_group gs))
+        | kv -> kv)
+      good
+  in
+  merges_to_a "tuples before p, groups before output" [ ok_reply reordered ];
+  merges_to_a "a reordered reply after a plain one"
+    [
+      ok_reply (with_field "groups" (Json.Arr []));
+      ok_reply (List.filter (fun (k, _) -> k <> "null") reordered @ [ ("null", Json.Arr []) ]);
+    ];
+  (* An [ok: false] worker reply is its typed error, whatever came
+     before it. *)
+  let stale = Urm_service.Protocol.error ~id:Json.Null ~code:"stale_range" "raced" in
+  (match Partial.merge [ ok_reply good; stale ] with
+  | Error (code, m) ->
+    Alcotest.(check (pair string string)) "typed error" ("stale_range", "raced") (code, m)
+  | Ok _ -> Alcotest.fail "ok: false reply merged")
 
 (* ------------------------------------------------------------------ *)
 (* Random queries: router ≡ single process, any shard count *)
@@ -307,14 +369,14 @@ let edge_cases =
 let split_merge_key f params =
   let slots = h + 1 in
   let slot i =
-    call_or_fail "oracle slot" f.c_oracle ~op:"query"
+    reply_text "oracle slot" f.c_oracle ~op:"query"
       (params
       @ [
           ("slot", Json.Num (float_of_int i));
           ("slots", Json.Num (float_of_int slots));
         ])
   in
-  let merged = Partial.merge (List.init slots slot) in
+  let merged = merged_answer (List.init slots slot) in
   answer_key
     (Json.Obj
        [
@@ -357,13 +419,13 @@ let qcheck_differential =
 let test_partial_is_o_answers () =
   let f = Lazy.force fixture in
   let reply =
-    call_or_fail "Q4 slot" f.c_oracle ~op:"query"
+    reply_text "Q4 slot" f.c_oracle ~op:"query"
       (query_params "Q4" "basic"
       @ [ ("slot", Json.Num 0.); ("slots", Json.Num 1.) ])
   in
-  let merged = Partial.merge [ reply ] in
+  let merged = merged_answer [ reply ] in
   let final = String.length (Json.to_string (Urm.Answer.to_json merged)) in
-  let sent = String.length (Json.to_string reply) in
+  let sent = String.length reply in
   Alcotest.(check bool) "Q4 has answers at test scale" true
     (Urm.Answer.size merged > 100);
   if sent > 2 * final then
@@ -601,7 +663,19 @@ let test_metrics_rollup () =
       Alcotest.(check bool) "percentiles dropped from aggregate" true
         (member "p50" (member "latency" agg) = Json.Null);
       Alcotest.(check int) "no restarts during the happy path" 0
-        (Router.restarts r))
+        (Router.restarts r);
+      (* Earlier cases fanned out through every router: each fan-out
+         timed its slot wait, its decode-and-merge and its render. *)
+      let timers = member "timers" (member "stages" router) in
+      let count name = member "count" (member name timers) in
+      Alcotest.(check bool) "fan-out stages timed" true
+        (match count "fan_out.wait" with Json.Num n -> n > 0. | _ -> false);
+      Alcotest.(check bool) "one merge per wait, at most one render" true
+        (count "fan_out.wait" = count "fan_out.merge"
+        &&
+        match (count "fan_out.merge", count "fan_out.render") with
+        | Json.Num m, Json.Num r -> 0. < r && r <= m
+        | _ -> false))
     f.routers
 
 (* ------------------------------------------------------------------ *)
