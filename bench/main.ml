@@ -775,17 +775,18 @@ let run_incr quick =
 (* Part 1f: the shard-router sweep (id "shard").
 
    End-to-end service latency and throughput over the binary-framed wire
-   at shards ∈ {1, 2, 3}: one router + N worker processes per point, a
-   mixed loop of [basic] fan-out queries, with every reply byte-compared
-   against the shards = 1 reply of the same query (exact sums make the
-   merge independent of how units are chunked), recorded as
-   "identical_to_shards1" in BENCH_shard.json.  The untimed warm pass
-   also byte-checks the e-basic and q-sharing fan-outs, whose chunks hold
-   several units each.  Repeats hit the workers' answer caches, so the
-   numbers isolate the wire + fan-out + merge overhead rather than
-   re-measuring evaluation cost.  Each row also records the router's
-   fan-out stage timers over the timed loop: slot wait, decode and
-   merge, render. *)
+   at shards ∈ {1, 2, 3}: one router + N worker processes per point, and
+   every reply byte-compared against the shards = 1 reply of the same
+   request, recorded as "identical_to_shards1" in BENCH_shard.json.  The
+   router forwards each request whole to one worker, placed by its
+   (session, op, query, algorithm), so two columns are timed, 3 runs each:
+   - serial: one client loops over Q1/Q2/Q4 basic after a warm pass, so
+     every timed request is a worker answer-cache hit and the column
+     measures the wire and the router;
+   - concurrent: 4 clients ask Q1/Q2/Q4 under five exact algorithms, each
+     client and run under its own [answers] limit, so every request misses
+     the answer cache and is evaluated.  This measures whether query
+     placement spreads evaluation over the workers. *)
 
 let shard_file = "BENCH_shard.json"
 
@@ -794,8 +795,11 @@ let run_shard quick =
   let module Client = Urm_service.Client in
   let module Router = Urm_shard.Router in
   let shard_sweep = [ 1; 2; 3 ] in
+  let runs = 3 in
   let requests = if quick then 60 else 300 in
+  let clients = 4 in
   let queries = [ "Q1"; "Q2"; "Q4" ] in
+  let algorithms = [ "basic"; "e-basic"; "e-mqo"; "q-sharing"; "o-sharing" ] in
   let session = ("session", Json.Str "bench-shard") in
   let member name json =
     Option.value ~default:Json.Null (Json.member name json)
@@ -806,11 +810,46 @@ let run_shard quick =
          [ ("answers", member "answers" json); ("null", member "null_prob" json) ])
   in
   Format.printf
-    "=== shard-router sweep (basic fan-out, shards ∈ {%s}, %d requests) ===@.@."
+    "=== shard-router sweep (shards ∈ {%s}, %d runs: %d serial requests, \
+     %d clients × %d cold requests) ===@.@."
     (String.concat ", " (List.map string_of_int shard_sweep))
-    requests;
+    runs requests clients
+    (List.length queries * List.length algorithms);
   let mismatch = ref false in
-  let baseline : (string, string) Hashtbl.t = Hashtbl.create 8 in
+  let baseline : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  (* A timed column: per-run seconds and latency percentiles, with the
+     min and median of each over the runs. *)
+  let timed_column ?(extra = []) name ~requests runs_lats_secs =
+    let stat f =
+      let xs = List.map f runs_lats_secs in
+      Json.Obj [ ("min", Json.Num (min_of xs)); ("median", Json.Num (median xs)) ]
+    in
+    let pct q (lats, _) = Urm_util.Stats.percentile_or_zero q lats in
+    let secs = List.map snd runs_lats_secs in
+    ( name,
+      Json.Obj
+        (extra
+        @ [
+          ("requests", Json.Num (float_of_int requests));
+          ("seconds", stat snd);
+          ("p50", stat (pct 0.5));
+          ("p95", stat (pct 0.95));
+          ("p99", stat (pct 0.99));
+          ("req_per_s_median", Json.Num (float_of_int requests /. median secs));
+          ("req_per_s_best", Json.Num (float_of_int requests /. min_of secs));
+          ( "runs",
+            Json.Arr
+              (List.map
+                 (fun ((_, s) as r) ->
+                   Json.Obj
+                     [
+                       ("seconds", Json.Num s);
+                       ("p50", Json.Num (pct 0.5 r));
+                       ("p95", Json.Num (pct 0.95 r));
+                     ])
+                 runs_lats_secs) );
+        ]) )
+  in
   let rows =
     List.map
       (fun shards ->
@@ -820,7 +859,8 @@ let run_shard quick =
             shards m;
           exit 1
         | Ok router ->
-          let c = Client.connect ~framed:true ~port:(Router.port router) () in
+          let port = Router.port router in
+          let c = Client.connect ~framed:true ~port () in
           (match
              Client.call c ~op:"open-session"
                [
@@ -835,75 +875,93 @@ let run_shard quick =
           | Error (code, m) ->
             Format.eprintf "shard sweep: open-session: %s: %s@." code m;
             exit 1);
-          let query ?(alg = "basic") q =
+          let query c ~alg ~limit q =
             Client.call c ~op:"query"
-              [ session; ("query", Json.Str q); ("algorithm", Json.Str alg) ]
+              [
+                session;
+                ("query", Json.Str q);
+                ("algorithm", Json.Str alg);
+                ("answers", Json.Num (float_of_int limit));
+              ]
           in
           let identical = ref true in
-          let check ?(alg = "basic") q reply =
-            let key = answer_key reply in
-            match Hashtbl.find_opt baseline (alg ^ " " ^ q) with
-            | None -> Hashtbl.replace baseline (alg ^ " " ^ q) key
-            | Some expected ->
-              if not (String.equal key expected) then begin
-                identical := false;
-                mismatch := true;
-                Format.eprintf
-                  "shard sweep: %s %s at shards = %d diverged from shards = 1@."
-                  alg q shards
-              end
+          let check (alg, q, limit) result =
+            let fail what =
+              identical := false;
+              mismatch := true;
+              Format.eprintf "shard sweep: %s %s (answers %d) at shards = %d: %s@."
+                alg q limit shards what
+            in
+            match result with
+            | Error (code, m) -> fail (code ^ ": " ^ m)
+            | Ok reply -> (
+              let key = answer_key reply in
+              let id = Printf.sprintf "%s %s %d" alg q limit in
+              match Hashtbl.find_opt baseline id with
+              | None -> Hashtbl.replace baseline id key
+              | Some expected ->
+                if not (String.equal key expected) then
+                  fail "diverged from shards = 1")
           in
-          (* Warm pass: populate/ check the baselines outside the timing. *)
+          (* Warm pass: populate/check the baselines outside the timing. *)
           List.iter
             (fun alg ->
               List.iter
-                (fun q ->
-                  match query ~alg q with
-                  | Ok reply -> check ~alg q reply
-                  | Error (code, m) ->
-                    Format.eprintf "shard sweep: warm %s %s: %s: %s@." alg q
-                      code m;
-                    exit 1)
+                (fun q -> check (alg, q, 20) (query c ~alg ~limit:20 q))
                 queries)
-            [ "basic"; "e-basic"; "q-sharing" ];
-          (* The router's fan-out stage timers, as (seconds, count). *)
-          let stage_totals () =
-            match Client.call c ~op:"metrics" [] with
-            | Ok m -> (
-              match member "timers" (member "stages" (member "router" m)) with
-              | Json.Obj timers ->
-                List.map
-                  (fun (name, tm) ->
-                    ( name,
-                      (Json.to_float (member "seconds" tm), Json.to_float (member "count" tm)) ))
-                  timers
-              | _ -> [])
-            | Error _ -> []
+            algorithms;
+          let serial =
+            List.init runs (fun _ ->
+                Gc.compact ();
+                let lats = ref [] in
+                let t0 = Unix.gettimeofday () in
+                for i = 0 to requests - 1 do
+                  let q = List.nth queries (i mod List.length queries) in
+                  let s = Unix.gettimeofday () in
+                  let r = query c ~alg:"basic" ~limit:20 q in
+                  lats := (Unix.gettimeofday () -. s) :: !lats;
+                  check ("basic", q, 20) r
+                done;
+                (!lats, Unix.gettimeofday () -. t0))
           in
-          let stages_before = stage_totals () in
-          let lats = ref [] in
-          let t0 = Unix.gettimeofday () in
-          for i = 0 to requests - 1 do
-            let q = List.nth queries (i mod List.length queries) in
-            let s = Unix.gettimeofday () in
-            (match query q with
-            | Ok reply -> check q reply
-            | Error (code, m) ->
-              mismatch := true;
-              Format.eprintf "shard sweep: %s at shards = %d: %s: %s@." q shards
-                code m);
-            lats := (Unix.gettimeofday () -. s) :: !lats
-          done;
-          let seconds = Unix.gettimeofday () -. t0 in
-          let stages =
-            List.map
-              (fun (name, (s, n)) ->
-                let s0, n0 =
-                  Option.value ~default:(0., 0.) (List.assoc_opt name stages_before)
+          let cases =
+            List.concat_map
+              (fun q -> List.map (fun alg -> (alg, q)) algorithms)
+              queries
+          in
+          let concurrent =
+            List.init runs (fun run ->
+                Gc.compact ();
+                let conns =
+                  Array.init clients (fun _ -> Client.connect ~framed:true ~port ())
                 in
-                ( name,
-                  Json.Obj [ ("seconds", Json.Num (s -. s0)); ("count", Json.Num (n -. n0)) ] ))
-              (stage_totals ())
+                (* One limit per client and run, none used before: every
+                   request is an answer-cache miss on its worker. *)
+                let results = Array.make clients [] in
+                let t0 = Unix.gettimeofday () in
+                let threads =
+                  Array.mapi
+                    (fun i cl ->
+                      Thread.create
+                        (fun () ->
+                          let limit = 21 + (clients * run) + i in
+                          (* Each client starts at a different case. *)
+                          let n = List.length cases in
+                          results.(i) <-
+                            List.init n (fun j ->
+                                let alg, q = List.nth cases ((j + (i * n / clients)) mod n) in
+                                let s = Unix.gettimeofday () in
+                                let r = query cl ~alg ~limit q in
+                                ((alg, q, limit), r, Unix.gettimeofday () -. s)))
+                        ())
+                    conns
+                in
+                Array.iter Thread.join threads;
+                let seconds = Unix.gettimeofday () -. t0 in
+                Array.iter Client.close conns;
+                let all = List.concat (Array.to_list results) in
+                List.iter (fun (case, r, _) -> check case r) all;
+                (List.map (fun (_, _, l) -> l) all, seconds))
           in
           (match Client.call c ~op:"shutdown" [] with
           | Ok _ -> ()
@@ -911,25 +969,27 @@ let run_shard quick =
             Format.eprintf "shard sweep: shutdown: %s: %s@." code m);
           Client.close c;
           Router.wait router;
-          let p pq = Urm_util.Stats.percentile_or_zero pq !lats in
-          let p50 = p 0.5 and p95 = p 0.95 and p99 = p 0.99 in
-          let req_per_s = float_of_int requests /. seconds in
+          let serial_col = timed_column "serial" ~requests serial in
+          let conc_requests = clients * List.length cases in
+          let conc_col =
+            timed_column "concurrent" ~requests:conc_requests concurrent
+              ~extra:[ ("clients", Json.Num (float_of_int clients)) ]
+          in
+          let summary (_, col) =
+            let get k = Json.to_float (member "median" (member k col)) in
+            Printf.sprintf "p50 %.4fs  p95 %.4fs  %6.0f req/s" (get "p50")
+              (get "p95") (Json.to_float (member "req_per_s_median" col))
+          in
           Format.printf
-            "  shards = %d  %3d requests in %6.2fs  %7.0f req/s  p50 %.4fs  \
-             p95 %.4fs  p99 %.4fs  %s@."
-            shards requests seconds req_per_s p50 p95 p99
+            "  shards = %d  serial: %s  concurrent: %s  %s@." shards
+            (summary serial_col) (summary conc_col)
             (if !identical then "bit-identical" else "DIVERGED");
           Json.Obj
             [
               ("shards", Json.Num (float_of_int shards));
-              ("requests", Json.Num (float_of_int requests));
-              ("seconds", Json.Num seconds);
-              ("req_per_s", Json.Num req_per_s);
-              ("p50", Json.Num p50);
-              ("p95", Json.Num p95);
-              ("p99", Json.Num p99);
+              serial_col;
+              conc_col;
               ("identical_to_shards1", Json.Bool !identical);
-              ("stages", Json.Obj stages);
             ])
       shard_sweep
   in
@@ -944,8 +1004,11 @@ let run_shard quick =
               ("scale", Json.Num 0.01);
               ("h", Json.Num 8.);
               ("queries", Json.Arr (List.map (fun q -> Json.Str q) queries));
-              ("runs", Json.Num 1.);
-              ("requests_per_run", Json.Num (float_of_int requests));
+              ( "algorithms",
+                Json.Arr (List.map (fun a -> Json.Str a) algorithms) );
+              ("runs", Json.Num (float_of_int runs));
+              ("serial_requests_per_run", Json.Num (float_of_int requests));
+              ("concurrent_clients", Json.Num (float_of_int clients));
             ] );
         ("rows", Json.Arr rows);
       ]

@@ -599,8 +599,9 @@ let serve_cmd =
           ~doc:
             "Run as a shard router over this many spawned worker processes \
              (0 = single-process service).  Session state is replicated to \
-             every worker; basic, e-basic, e-mqo and q-sharing queries fan \
-             out over unit slots and merge bit-identically.")
+             every worker, and every request goes whole to one worker (a \
+             read to the one its session, query and algorithm hash to), so \
+             replies are those of a single process.")
   in
   let workers_t =
     Arg.(

@@ -91,11 +91,11 @@ let parse_result reply =
   | Ok (Protocol.Ok (_, result)) -> Ok result
   | Ok (Protocol.Err (_, code, message)) -> Error (code, message)
 
-let call_text c ~op params =
+let call c ~op params =
   let line = Json.to_string (Protocol.request ~id:(fresh_id c) ~op params) in
-  Result.map_error (fun msg -> ("transport", msg)) (roundtrip c line)
-
-let call c ~op params = Result.bind (call_text c ~op params) parse_result
+  match roundtrip c line with
+  | Error msg -> Error ("transport", msg)
+  | Ok reply -> parse_result reply
 
 let call_batch c reqs =
   let docs =

@@ -30,15 +30,6 @@ val call :
   (string * Urm_util.Json.t) list ->
   (Urm_util.Json.t, string * string) result
 
-(** [call_text c ~op params] like {!call}, but returns the reply
-    document's text as received, for a caller that decodes it itself
-    ({!Protocol.decode_reply}).  [Error ("transport", message)] only. *)
-val call_text :
-  t ->
-  op:string ->
-  (string * Urm_util.Json.t) list ->
-  (string, string * string) result
-
 (** [call_batch c [(op, params); …]] one [Batch] frame, one [Batch_reply]
     back: per-request results in request order.  The outer [Error] is a
     transport/protocol failure.  Framed connections only

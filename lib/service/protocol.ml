@@ -48,12 +48,6 @@ type reply =
   | Ok of Json.t * Json.t
   | Err of Json.t * string * string
 
-let error_fields = function
-  | Some err ->
-    let field n = match Json.member n err with Some (Json.Str s) -> s | _ -> "" in
-    (field "code", field "message")
-  | None -> ("error", "unspecified error")
-
 let parse_reply line =
   match Json.parse line with
   | Error msg -> Stdlib.Error msg
@@ -62,25 +56,15 @@ let parse_reply line =
     match Json.member "ok" json with
     | Some (Json.Bool true) ->
       Stdlib.Ok (Ok (id, Option.value ~default:Json.Null (Json.member "result" json)))
-    | Some (Json.Bool false) ->
-      let code, message = error_fields (Json.member "error" json) in
-      Stdlib.Ok (Err (id, code, message))
+    | Some (Json.Bool false) -> (
+      match Json.member "error" json with
+      | Some err ->
+        let field n =
+          match Json.member n err with Some (Json.Str s) -> s | _ -> ""
+        in
+        Stdlib.Ok (Err (id, field "code", field "message"))
+      | None -> Stdlib.Ok (Err (id, "error", "unspecified error")))
     | _ -> Stdlib.Error "reply must carry a boolean \"ok\"")
-
-let decode_reply result text =
-  let c = Json.cursor text in
-  let ok = ref Json.Null and res = ref None and err = ref None in
-  Json.fields c (function
-    | "ok" -> ok := Json.value c
-    | "result" -> res := Some (result c)
-    | "error" -> err := Some (Json.value c)
-    | _ -> ignore (Json.value c));
-  Json.finish c;
-  match (!ok, !res) with
-  | Json.Bool true, Some r -> Stdlib.Ok r
-  | Json.Bool true, None -> failwith "reply without a \"result\""
-  | Json.Bool false, _ -> Stdlib.Error (error_fields !err)
-  | _ -> failwith "reply must carry a boolean \"ok\""
 
 (* ------------------------------------------------------------------ *)
 
@@ -93,10 +77,3 @@ let value_of_json = function
   | Json.Num f -> Urm_relalg.Value.Float f
   | Json.Str s -> Urm_relalg.Value.Str s
   | _ -> failwith "Protocol.value_of_json: not a scalar"
-
-let wire_value v =
-  match v with
-  | Urm_relalg.Value.Null | Urm_relalg.Value.Str _ -> v
-  | Urm_relalg.Value.Int i when Float.abs (float_of_int i) < 1e15 -> v
-  | Urm_relalg.Value.Float f when not (Float.is_integer f) -> v
-  | _ -> value_of_json (value_to_json v)

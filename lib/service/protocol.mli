@@ -45,11 +45,9 @@ val ok : id:Json.t -> Json.t -> string
 
 (** [error ~id ~code message] — codes in use: [bad_request], [busy],
     [not_found], [conflict], [unavailable], [error], [reply_too_large]
-    when a reply would exceed one frame's payload, [stale_range] (a
-    fan-out slot whose [expect_h] differs from the live mapping count — a
-    mutate raced the fan-out), and (from the shard router)
-    [shard_unavailable] when a worker process died and its replacement
-    was not ready in time. *)
+    when a reply would exceed one frame's payload, and (from the shard
+    router) [shard_unavailable] when a worker process died and its
+    replacement was not ready in time. *)
 val error : id:Json.t -> code:string -> string -> string
 
 type reply =
@@ -57,16 +55,6 @@ type reply =
   | Err of Json.t * string * string  (** id, code, message *)
 
 val parse_reply : string -> (reply, string) result
-
-(** [decode_reply result text] decodes one reply document without
-    building its tree: [result] reads the ["result"] value from the
-    cursor where the document holds it (fields in any order), and its
-    return is [Ok].  An ["ok": false] reply is [Error (code, message)],
-    as {!parse_reply} reads it, whatever [result] did before the ["ok"]
-    field was seen.  Raises [Failure] on malformed text, a reply without
-    a boolean ["ok"], or an [ok] reply without a ["result"]. *)
-val decode_reply :
-  (Json.cursor -> 'a) -> string -> ('a, string * string) result
 
 (** {1 Values} *)
 
@@ -77,9 +65,3 @@ val decode_reply :
 val value_to_json : Urm_relalg.Value.t -> Json.t
 
 val value_of_json : Json.t -> Urm_relalg.Value.t
-
-(** [wire_value v] is [value_of_json (value_to_json v)]: the value a peer
-    rebuilds from [v].  It differs from [v] for an integral [Float] below
-    10¹⁵ (read back as [Int]) and an [Int] at or above it (read back as
-    [Float]); any other value is returned as is. *)
-val wire_value : Urm_relalg.Value.t -> Urm_relalg.Value.t

@@ -40,13 +40,6 @@ let stop t = Front.stop t.front
 type failure =
   [ `Bad of string | `Not_found of string | `Conflict of string | `Error of string ]
 
-(* Raised inside a snapshot compute when a fan-out slot's [expect_h]
-   differs from the snapshot's mapping count — the caller's cached mapping
-   count is out of step with a concurrent mutate.  {!reply_of} surfaces it
-   as the typed "stale_range" error code so the shard router can refresh
-   and retry without parsing message text. *)
-exception Stale_range of string
-
 let algorithm_of_string = function
   | "basic" -> Ok Urm.Algorithms.Basic
   | "e-basic" -> Ok Urm.Algorithms.Ebasic
@@ -124,74 +117,6 @@ let cached_eval t session q ~algorithm ~variant compute =
         Session.epoch session = snap.Urm_incr.Vcatalog.epoch);
     with_cached payload false
 
-(* The reply fields the fan-out requests share — the output header and
-   the partial answer ({!Partial}) of one chunk of the algorithm's unit
-   list, evaluated in one factorized pass, so the chunk's units share the
-   replay memo and stream matching.  Each tuple is sent once with its
-   exact subtotal; sums are exact, so the router's merge is bit-identical
-   at any shard count. *)
-let unit_partials ctx q units =
-  let ctrs = Urm_relalg.Eval.fresh_counters () in
-  Partial.encode
-    ~output:(Urm.Reformulate.output_header q)
-    (Urm.Factorized.eval ~ctrs ctx q units).Urm.Factorized.answer
-
-(* Partial evaluation for the shard router's fan-out.  Every worker holds
-   every session, so each worker derives the same unit list
-   deterministically — one singleton per mapping for [basic], one per
-   partition for q-sharing, the weighted distinct e-units for e-basic
-   and e-MQO — and evaluates its contiguous chunk
-   [slot·n/slots, (slot+1)·n/slots).  [expect_h] is the router's cached
-   mapping count: a mismatch means a mutate raced the fan-out and surfaces
-   as the typed [stale_range] error, so the router refreshes and retries. *)
-let unit_fan_algorithms = [ "basic"; "e-basic"; "e-mqo"; "q-sharing" ]
-
-let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
-    (Json.t, failure) result =
-  if not (List.mem alg_name unit_fan_algorithms) then
-    Error
-      (`Bad
-        ("slot evaluation supports only algorithms "
-        ^ String.concat ", " unit_fan_algorithms))
-  else if slots <= 0 || slot < 0 || slot >= slots then
-    Error (`Bad "\"slot\"/\"slots\" must satisfy 0 <= slot < slots")
-  else
-    let variant = Printf.sprintf "units:%d:%d:%d" slot slots expect_h in
-    Ok
-      (cached_eval t session q ~algorithm:alg_name ~variant (fun snap ->
-           let ctx = snap.Urm_incr.Vcatalog.ctx
-           and mappings = snap.Urm_incr.Vcatalog.mappings in
-           let h = List.length mappings in
-           if expect_h >= 0 && expect_h <> h then
-             raise
-               (Stale_range
-                  (Printf.sprintf "expected %d mappings, session has %d"
-                     expect_h h));
-           let units =
-             match alg_name with
-             | "basic" -> Urm.Factorized.singleton_units ctx q mappings
-             | "q-sharing" ->
-               Urm.Factorized.partition_units ctx q
-                 (Urm.Qsharing.partitions ctx q mappings)
-             | _ -> Urm.Factorized.weighted_units ctx q mappings
-           in
-           let n = List.length units in
-           let lo = slot * n / slots and hi = (slot + 1) * n / slots in
-           Json.Obj
-             ([
-                ("query", Json.Str (Urm.Query.to_string q));
-                ("algorithm", Json.Str alg_name);
-                ("units", Json.Num (float_of_int n));
-                ( "slot",
-                  Json.Obj
-                    [
-                      ("index", Json.Num (float_of_int slot));
-                      ("of", Json.Num (float_of_int slots));
-                    ] );
-              ]
-             @ unit_partials ctx q
-                 (List.filteri (fun i _ -> lo <= i && i < hi) units))))
-
 let exec_query t req : (Json.t, failure) result =
   match session_of t req with
   | Error _ as e -> e
@@ -203,15 +128,6 @@ let exec_query t req : (Json.t, failure) result =
         Option.value ~default:"o-sharing" (Protocol.str_param req "algorithm")
       in
       let limit = answers_limit req in
-      match (Protocol.int_param req "slot", Protocol.int_param req "slots") with
-      | Some slot, Some slots ->
-        let expect_h =
-          Option.value ~default:(-1) (Protocol.int_param req "expect_h")
-        in
-        exec_query_units t session q ~alg_name ~slot ~slots ~expect_h
-      | Some _, None | None, Some _ ->
-        Error (`Bad "give both \"slot\" and \"slots\", or neither")
-      | None, None ->
       if String.equal alg_name "incr" then
         (* The maintained answer: built on first use, patched forward by
            delta evaluation on every later one.  Always fresh at the
@@ -239,25 +155,25 @@ let exec_query t req : (Json.t, failure) result =
                  ]))
       else
         match algorithm_of_string alg_name with
-      | Error _ as e -> e
-      | Ok alg ->
-        let variant = "exact:" ^ string_of_int limit in
-        Ok
-          (cached_eval t session q ~algorithm:alg_name ~variant (fun snap ->
-               let ctx = snap.Urm_incr.Vcatalog.ctx
-               and mappings = snap.Urm_incr.Vcatalog.mappings in
-               let report = Urm.Algorithms.run alg ctx q mappings in
-               let answer = report.Urm.Report.answer in
-               Json.Obj
-                 [
-                   ("query", Json.Str (Urm.Query.to_string q));
-                   ("algorithm", Json.Str alg_name);
-                   ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
-                   ("null_prob", Json.Num (Urm.Answer.null_prob answer));
-                   ("answers", answers_json answer limit);
-                   ( "seconds",
-                     Json.Num (Urm.Report.total report.Urm.Report.timings) );
-                 ]))))
+        | Error _ as e -> e
+        | Ok alg ->
+          let variant = "exact:" ^ string_of_int limit in
+          Ok
+            (cached_eval t session q ~algorithm:alg_name ~variant (fun snap ->
+                 let ctx = snap.Urm_incr.Vcatalog.ctx
+                 and mappings = snap.Urm_incr.Vcatalog.mappings in
+                 let report = Urm.Algorithms.run alg ctx q mappings in
+                 let answer = report.Urm.Report.answer in
+                 Json.Obj
+                   [
+                     ("query", Json.Str (Urm.Query.to_string q));
+                     ("algorithm", Json.Str alg_name);
+                     ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
+                     ("null_prob", Json.Num (Urm.Answer.null_prob answer));
+                     ("answers", answers_json answer limit);
+                     ( "seconds",
+                       Json.Num (Urm.Report.total report.Urm.Report.timings) );
+                   ]))))
 
 let exec_topk t req : (Json.t, failure) result =
   match session_of t req with
@@ -543,7 +459,6 @@ let reply_of t (req : Protocol.request) =
   | Error (`Not_found m) -> Protocol.error ~id ~code:"not_found" m
   | Error (`Conflict m) -> Protocol.error ~id ~code:"conflict" m
   | Error (`Error m) -> Protocol.error ~id ~code:"error" m
-  | exception Stale_range m -> Protocol.error ~id ~code:"stale_range" m
 
 let start ?(metrics = Metrics.scope Metrics.global "service") (cfg : config) =
   if cfg.workers <= 0 then invalid_arg "Server.start: workers must be positive";

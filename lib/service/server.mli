@@ -8,12 +8,10 @@
     [workers] OCaml domains that evaluate requests over the (immutable,
     shared) session state.  The shard router runs its connections through
     the same {!Front}, so the two processes share one implementation of
-    the wire behaviour.
-
-    A [query] request carrying [slot]/[slots] evaluates only that
-    contiguous chunk of its algorithm's unit list and returns its grouped
-    partial answer ({!Partial}; algorithms {!unit_fan_algorithms} only) —
-    the shard router's one fan-out unit; see lib/shard.
+    the wire behaviour.  A shard router (lib/shard) forwards each request
+    whole to one server of its fleet, so a routed reply is exactly that
+    server's reply.  Request parameters an operation does not read are
+    ignored.
 
     Every reply is capped at {!Frame.max_payload} bytes: a larger one is
     answered with a typed [reply_too_large] error ({!Wire.send_reply}).
@@ -67,16 +65,9 @@ val port : t -> int
 val sessions : t -> Session.catalog
 
 (** [answers_json answer limit] the top-[limit] answers exactly as
-    [query] replies serialise them — shared with the shard router, whose
-    merged answers must render byte-identically to a single process. *)
+    [query] replies serialise them, for callers that check a reply
+    against a locally computed answer. *)
 val answers_json : Urm.Answer.t -> int -> Urm_util.Json.t
-
-(** The algorithms whose [query] requests accept [slot]/[slots]/[expect_h]
-    and evaluate one contiguous chunk of their unit list — one singleton
-    unit per mapping for [basic], the e-units for the sharing algorithms.
-    The shard router fans exactly these out; [expect_h] differing from
-    the live mapping count is a typed [stale_range] error. *)
-val unit_fan_algorithms : string list
 
 (** Begin graceful drain; returns immediately. Idempotent. *)
 val stop : t -> unit

@@ -4,7 +4,6 @@ module Protocol = Urm_service.Protocol
 module Client = Urm_service.Client
 module Server = Urm_service.Server
 module Front = Urm_service.Front
-module Partial = Urm_service.Partial
 
 type config = {
   host : string;
@@ -34,13 +33,10 @@ let default_config =
    committed mutation batch.  The log stores the home shard's *resolved*
    batches (ids assigned, rows coerced) so a replay does not depend on
    re-running mutation resolution, and it is kept newest-first so a
-   commit is an O(1) cons; {!replay} reverses it.  [sh] is the current
-   mapping count (the fan-out's [expect_h]), refreshed after mapping-set
-   mutations. *)
+   commit is an O(1) cons; {!replay} reverses it. *)
 type sess = {
   sname : string;
-  mutable sfp : string;  (** fingerprint — the placement key *)
-  mutable sh : int;
+  sfp : string;  (** fingerprint — the placement key *)
   sopen : (string * Json.t) list;
   mutable slog : Json.t list;  (** resolved mutation batches, newest first *)
 }
@@ -85,9 +81,6 @@ type t = {
           respawns, so a replay always sees a consistent log.  Lock order:
           [admin_lock] before any [slot.slock]; never the reverse. *)
   restarts_n : int Atomic.t;
-  stages : Metrics.t;
-      (** the fan-out's stage timers: [fan_out.wait] (slot replies),
-          [fan_out.merge] (decode and merge), [fan_out.render] *)
   mutable health : Thread.t option;
 }
 
@@ -253,18 +246,32 @@ let find_sess t name =
   Mutex.unlock t.sess_lock;
   s
 
-(* The home shard: rendezvous hash of the session fingerprint (falling
-   back to the requested name for sessions the router has not seen, and
-   to shard 0 for sessionless requests).  Correctness never depends on
-   the choice — every worker holds every session — only load placement
-   does, so any deterministic key works. *)
+(* Placement: a rendezvous hash over one key.  A session's home shard is
+   the owner of its fingerprint (the requested name for a session the
+   router has not seen; shard 0 for sessionless requests); session-state
+   operations go there first.  A read ([query], [topk], [threshold],
+   [approx]) goes to the owner of (fingerprint, op, query or SQL text,
+   algorithm): the same request always reaches the same worker, so that
+   worker's answer cache serves its repeats, and distinct requests spread
+   over the fleet.  Correctness never depends on the choice — every
+   worker holds every session — only load and cache placement do. *)
 let route_slot t req =
   let shards = Array.length t.slots in
-  match Protocol.str_param req "session" with
-  | exception Failure _ -> t.slots.(0)
+  let str k = try Protocol.str_param req k with Failure _ -> None in
+  match str "session" with
   | None -> t.slots.(0)
   | Some name ->
-    let key = match find_sess t name with Some s -> s.sfp | None -> name in
+    let home = match find_sess t name with Some s -> s.sfp | None -> name in
+    let key =
+      match req.Protocol.op with
+      | "query" | "topk" | "threshold" | "approx" ->
+        String.concat "\000"
+          (home :: req.Protocol.op
+          :: List.map
+               (fun k -> Option.value ~default:"" (str k))
+               [ "query"; "sql"; "algorithm" ])
+      | _ -> home
+    in
     t.slots.(Hash.owner ~shards key)
 
 let forward t slot (req : Protocol.request) =
@@ -299,15 +306,12 @@ let exec_open t (req : Protocol.request) =
       | Error (code, m) -> Protocol.error ~id ~code m
       | Ok result ->
         let str k = match Json.member k result with Some (Json.Str s) -> Some s | _ -> None in
-        let int k =
-          match Json.member k result with Some (Json.Num f) -> Some (int_of_float f) | _ -> None
-        in
-        (match (str "session", str "fingerprint", int "mappings") with
-        | Some name, Some fp, Some h ->
+        (match (str "session", str "fingerprint") with
+        | Some name, Some fp ->
           Mutex.lock t.sess_lock;
           (if not (Hashtbl.mem t.sessions name) then
              Hashtbl.replace t.sessions name
-               { sname = name; sfp = fp; sh = h; sopen = params; slog = [] });
+               { sname = name; sfp = fp; sopen = params; slog = [] });
           Mutex.unlock t.sess_lock
         | _ -> ());
         broadcast_rest t ~home ~op:"open-session" params;
@@ -329,23 +333,6 @@ let exec_close t (req : Protocol.request) =
         | None | (exception Failure _) -> ());
         broadcast_rest t ~home ~op:"close-session" params;
         Protocol.ok ~id result)
-
-(* Refresh the cached mapping count after a mapping-set mutation: ask the
-   home worker's session listing. *)
-let refresh_h t home (s : sess) =
-  match call_admin t home ~op:"sessions" [] with
-  | Error _ -> ()
-  | Ok result -> (
-    match Json.member "sessions" result with
-    | Some (Json.Arr items) ->
-      List.iter
-        (fun item ->
-          match (Json.member "session" item, Json.member "mappings" item) with
-          | Some (Json.Str n), Some (Json.Num h) when String.equal n s.sname ->
-            s.sh <- int_of_float h
-          | _ -> ())
-        items
-    | _ -> ())
 
 let exec_mutate t (req : Protocol.request) =
   let id = req.Protocol.id in
@@ -383,105 +370,7 @@ let exec_mutate t (req : Protocol.request) =
               params
         in
         broadcast_rest t ~home ~op:"mutate" bparams;
-        (match (sess, Json.member "mappings_changed" result) with
-        | Some s, Some (Json.Bool true) -> refresh_h t home s
-        | _ -> ());
         Protocol.ok ~id result)
-
-(* ------------------------------------------------------------------ *)
-(* The fan-out *)
-
-let answers_limit req =
-  Option.value ~default:20 (Protocol.int_param req "answers")
-
-(* Every algorithm in {!Server.unit_fan_algorithms} fans out the same way:
-   slot i of [shards] evaluates its contiguous chunk of the algorithm's
-   unit list (the worker derives the list itself — every worker holds
-   every session).  [expect_h] lets the worker detect a racing mapping-set
-   mutation (typed stale_range, retried once after a refresh).  The slots
-   add the same masses to each bucket as one process does, and sums are
-   exact, so the recombined answer is byte-identical to one process. *)
-let fan_out t (s : sess) ~alg (req : Protocol.request) =
-  let id = req.Protocol.id in
-  let shards = Array.length t.slots in
-  let base_params = params_of req in
-  let stage name = Metrics.time (Metrics.timer t.stages name) in
-  let attempt h =
-    (* The sentinel must be an [Error]: a fan-out thread that dies from
-       an uncaught exception leaves its slot untouched, and an [Ok]
-       sentinel would be silently dropped from the merge. *)
-    let results =
-      Array.make shards (Error ("internal", "shard fan-out thread died"))
-    in
-    stage "fan_out.wait" (fun () ->
-        let threads =
-          Array.init shards (fun i ->
-              Thread.create
-                (fun () ->
-                  results.(i) <-
-                    (try
-                       call_retrying ~respawn:ensure_worker t t.slots.(i)
-                         (fun c ->
-                           Client.call_text c ~op:"query"
-                             (base_params
-                             @ [
-                                 ("slot", Json.Num (float_of_int i));
-                                 ("slots", Json.Num (float_of_int shards));
-                                 ("expect_h", Json.Num (float_of_int h));
-                               ]))
-                     with exn -> Error ("internal", Printexc.to_string exn)))
-                ())
-        in
-        Array.iter Thread.join threads);
-    (* After the join, one reply at a time into one answer: the threads
-       only fetch text, so no answer is shared between them. *)
-    stage "fan_out.merge" (fun () ->
-        match Array.find_map (function Error e -> Some e | Ok _ -> None) results with
-        | Some e -> Error e
-        | None -> Partial.merge (Array.to_list (Array.map Result.get_ok results)))
-  in
-  (* A stale mapping count (a mutate raced this query) surfaces as the
-     worker's typed [stale_range] error; refresh and retry once. *)
-  let merged =
-    match attempt s.sh with
-    | Error ("stale_range", _) ->
-      Mutex.protect t.admin_lock (fun () ->
-          refresh_h t t.slots.(Hash.owner ~shards s.sfp) s);
-      attempt s.sh
-    | r -> r
-  in
-  match merged with
-  | Error (code, m) -> Protocol.error ~id ~code m
-  | Ok { Partial.query; answer } ->
-    stage "fan_out.render" (fun () ->
-        Protocol.ok ~id
-          (Json.Obj
-             [
-               ("query", query);
-               ("algorithm", Json.Str alg);
-               ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
-               ("null_prob", Json.Num (Urm.Answer.null_prob answer));
-               ("answers", Server.answers_json answer (answers_limit req));
-               ("sharded", Json.Num (float_of_int shards));
-             ]))
-
-let exec_query t (req : Protocol.request) =
-  let alg =
-    match Protocol.str_param req "algorithm" with
-    | Some a -> a
-    | None -> "o-sharing"
-    | exception Failure _ -> ""
-  in
-  let sess =
-    match Protocol.str_param req "session" with
-    | Some name -> find_sess t name
-    | None | (exception Failure _) -> None
-  in
-  let unsliced = Protocol.param req "slot" = None && Protocol.param req "slots" = None in
-  match sess with
-  | Some s when List.mem alg Server.unit_fan_algorithms && s.sh > 0 && unsliced ->
-    fan_out t s ~alg req
-  | _ -> forward t (route_slot t req) req
 
 (* ------------------------------------------------------------------ *)
 (* Router-local operations *)
@@ -506,7 +395,6 @@ let exec_metrics t =
             ("queue", Front.queue_json t.front);
             ("sessions", num n_sessions);
             ("connections", num (Front.connections t.front));
-            ("stages", Metrics.to_json t.stages);
           ] );
       ( "shards",
         Json.Arr
@@ -542,10 +430,10 @@ let execute t (req : Protocol.request) : string =
   | "open-session" -> exec_open t req
   | "close-session" -> exec_close t req
   | "mutate" -> exec_mutate t req
-  | "query" -> exec_query t req
   | _other ->
-    (* sessions, topk, threshold, approx, unknown ops: whole-request
-       forwarding keeps replies byte-identical to a single process. *)
+    (* query, topk, threshold, approx, sessions, unknown ops: the whole
+       request goes to one worker, and its reply is the client's reply,
+       byte for byte what a single process would send. *)
     forward t (route_slot t req) req
 
 (* Reap crashed workers promptly and (optionally) respawn them before
@@ -642,7 +530,6 @@ let start (cfg : config) =
           sess_lock = Mutex.create ();
           admin_lock = Mutex.create ();
           restarts_n = Atomic.make 0;
-          stages = Metrics.create ();
           health = None;
         }
       in

@@ -1,28 +1,18 @@
-(** The shard router: one front-door service process fanning requests
-    over N spawned worker processes.
+(** The shard router: one front-door service process forwarding requests
+    to N spawned worker processes.
 
-    Placement — {!Hash}: a session's home shard is the rendezvous hash
-    of its fingerprint; session-state operations ([open-session],
-    [close-session], [mutate]) are applied on the home shard first (its
-    reply is the client's reply), then broadcast to the rest, so every
-    worker holds every session and the fan-outs below can touch all of
-    them.  All other session operations ([topk], [threshold], [approx],
-    and [query] under [incr] and the o-sharing variants) route whole to
-    the home shard — the same deterministic code over the same
-    deterministic state, hence byte-identical to a single-process
-    server.
-
-    [query] under an algorithm of {!Urm_service.Server.unit_fan_algorithms}
-    (basic, e-basic, e-MQO, q-sharing) fans out: shard i of N evaluates
-    slot i of N, a contiguous chunk of the algorithm's unit list
-    ([slot]/[slots]/[expect_h], see {!Urm_service.Server}; basic has one
-    unit per mapping), and returns a grouped partial answer
-    ({!Urm_service.Partial}: each tuple once, with its ascending per-unit
-    additions).  The router merges the replies in ascending slot order —
-    the same sequence of float additions per answer bucket as sequential
-    evaluation, which matters because float addition is not associative —
-    so the recombined answer is bit-identical to sequential evaluation at
-    any shard count (JSON floats render as %.17g and round-trip exactly).
+    Every request goes whole to one worker, and that worker's reply is
+    the client's reply.  Placement — {!Hash}: a session's home shard is
+    the rendezvous hash of its fingerprint; session-state operations
+    ([open-session], [close-session], [mutate]) are applied on the home
+    shard first (its reply is the client's reply), then broadcast to the
+    rest, so every worker holds every session.  A read ([query], [topk],
+    [threshold], [approx]) goes to the rendezvous owner of (fingerprint,
+    op, query or SQL text, algorithm): repeats of one request meet the
+    answer cache of the worker that computed it, and distinct requests
+    spread over the fleet.  Each worker runs the same deterministic code
+    over the same deterministic state, so every routed reply is
+    byte-identical to a single-process server's.
 
     Lifecycle: workers are spawned at {!start} ({!Launcher}); a health
     thread reaps crashed workers and respawns them, replaying every

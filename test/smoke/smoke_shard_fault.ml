@@ -1,10 +1,10 @@
-(* Fault-injection smoke for the shard router (dune @smoke): SIGKILL a
-   worker mid-query and assert that every in-flight reply is either a
+(* Fault-injection smoke for the shard router (dune @smoke): SIGKILL the
+   worker a query is placed on, mid-query, and assert that every in-flight reply is either a
    correct answer (the router retried against the respawned worker) or
    the typed [shard_unavailable] error — never a crash, never a wrong
-   answer.  Then commit a mutation, kill another worker, and check that
-   the replacement's replayed state (session open + mutation log) still
-   answers byte-identically.
+   answer.  Then commit a mutation, kill that query's worker again, and
+   check that the replacement's replayed state (session open + mutation
+   log) still answers byte-identically.
 
    Exit code 0 on success, 1 with a diagnostic on any failure. *)
 
@@ -38,6 +38,35 @@ let session = ("session", Json.Str "fault")
 let q1_basic =
   [ session; ("query", Json.Str "Q1"); ("algorithm", Json.Str "basic") ]
 
+(* The pid of the worker [q1_basic] is placed on: ask it once more under
+   an [answers] limit no earlier call used (placement ignores the limit,
+   the answer cache does not), and see which shard's cache missed. *)
+let placed_pid c router ~answers =
+  let misses () =
+    match Client.call c ~op:"metrics" [] with
+    | Ok m -> (
+      match member "shards" m with
+      | Json.Arr per_shard ->
+        List.map
+          (fun e -> member "miss" (member "cache" (member "metrics" e)))
+          per_shard
+      | _ -> [])
+    | Error _ -> []
+  in
+  let before = misses () in
+  ignore
+    (Client.call c ~op:"query"
+       (q1_basic @ [ ("answers", Json.Num (float_of_int answers)) ]));
+  let after = misses () in
+  let pids = Router.worker_pids router in
+  match
+    List.filteri
+      (fun i _ -> List.nth_opt before i <> List.nth_opt after i)
+      pids
+  with
+  | [ pid ] -> Some pid
+  | _ -> None
+
 let () =
   match Router.start { Router.default_config with shards = 2 } with
   | Error m ->
@@ -68,19 +97,21 @@ let () =
         exit 1
     in
 
-    (* Phase 1: SIGKILL a worker while queries are in flight. *)
+    (* Phase 1: SIGKILL the query's worker while queries are in flight. *)
     let initial_pids = Router.worker_pids router in
     check "two workers spawned" (List.length initial_pids = 2);
+    let target = placed_pid c router ~answers:7 in
+    check "the query's worker found" (target <> None);
     let killed = ref false in
     let killer =
       Thread.create
         (fun () ->
           Thread.delay 0.05;
-          match Router.worker_pids router with
-          | pid :: _ ->
+          match target with
+          | Some pid ->
             (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
             killed := true
-          | [] -> check "a worker pid to kill" false)
+          | None -> ())
         ()
     in
     let deadline = Unix.gettimeofday () +. 30. in
@@ -136,9 +167,9 @@ let () =
         check (Printf.sprintf "post-mutation query: %s: %s" code m) false;
         ""
     in
-    (match Router.worker_pids router with
-    | pid :: _ -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-    | [] -> check "a worker pid for the second kill" false);
+    (match placed_pid c router ~answers:8 with
+    | Some pid -> ( try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+    | None -> check "the query's worker for the second kill" false);
     let replay_deadline = Unix.gettimeofday () +. 30. in
     let replayed = ref false in
     while (not !replayed) && Unix.gettimeofday () < replay_deadline do

@@ -1,18 +1,19 @@
 (* Multi-process stress for the shard router (dune @smoke): eight
    concurrent framed clients hammer a 3-shard router with a mix of
-   fanned-out basic queries, forwarded algorithms, approx estimates,
-   batch frames and (from one designated client) identity-preserving
-   mutation commits — every reply byte-checked against a sequential
-   oracle computed locally from the same pipeline parameters.  Then
-   sequential mutate-and-verify rounds run the real state changes
-   through the router against a local versioned-catalog oracle.
+   queries under several algorithms, approx estimates, batch frames and
+   (from one designated client) identity-preserving mutation commits —
+   every reply byte-checked against a sequential oracle computed locally
+   from the same pipeline parameters.  Then sequential mutate-and-verify
+   rounds run the real state changes through the router against a local
+   versioned-catalog oracle.
 
-   Afterwards the per-shard cache counters must balance exactly: a
-   fanned-out query (basic, e-basic, e-mqo and q-sharing, over unit
-   slots) costs one partial-answer lookup per shard, a
-   forwarded operation costs one on its home shard, incr and mutate
-   cost none, and nothing is evicted.  The run reports the router's
-   p50/p95/p99 and the per-shard cache hit/evict tallies.
+   Afterwards the per-shard cache counters must balance exactly: every
+   query and approx request is forwarded whole to the one worker its
+   (session, op, query, algorithm) key places it on and costs one
+   answer-cache lookup there, incr and mutate cost none, and nothing is
+   evicted.  More than one shard must have served lookups.  The run
+   reports the router's p50/p95/p99 and the per-shard cache hit/evict
+   tallies.
 
    Exit code 0 on success, 1 with a diagnostic on any failure. *)
 
@@ -68,9 +69,8 @@ let key_of_answer answer limit =
          ("null", Json.Num (Urm.Answer.null_prob answer));
        ])
 
-(* The query mix: basic, e-basic and q-sharing entries fan out over
-   every shard (one unit slot each), and o-sharing forwards whole to the
-   session's home shard. *)
+(* The query mix: four (query, algorithm) keys that every client asks,
+   each placed on one worker, so later askers hit that worker's cache. *)
 let shared_script =
   [
     ("Q1", "o-sharing", 20);
@@ -88,14 +88,6 @@ let algorithm_of = function
   | "q-sharing" -> Urm.Algorithms.Qsharing
   | "o-sharing" -> Urm.Algorithms.Osharing Urm.Eunit.Sef
   | other -> failwith ("stress-shard: no oracle algorithm for " ^ other)
-
-(* Cache-lookup cost of one query request, for the fleet-wide accounting:
-   fanned algorithms (basic, e-basic, e-mqo and q-sharing over unit
-   slots — Server.unit_fan_algorithms) pay one partial lookup per shard;
-   forwarded ones pay one on their home shard. *)
-let lookups_of_alg = function
-  | "basic" | "e-basic" | "e-mqo" | "q-sharing" -> shards
-  | _ -> 1
 
 let () =
   (* Sequential oracle over the same pipeline parameters. *)
@@ -226,7 +218,7 @@ let () =
         (String.equal (approx_full reply) approx_oracle)
     | Error (code, msg) ->
       check (Printf.sprintf "client %d approx: %s: %s" i code msg) false);
-    (* A pipelined batch: ping + a fanned-out basic query in one frame. *)
+    (* A pipelined batch: ping + a basic query in one frame. *)
     (match
        Client.call_batch c
          [
@@ -326,7 +318,7 @@ let () =
       check (Printf.sprintf "round %d query: %s: %s" round code msg) false
     | Ok reply ->
       check
-        (Printf.sprintf "round %d fanned answer matches the mutated oracle" round)
+        (Printf.sprintf "round %d basic answer matches the mutated oracle" round)
         (String.equal (answer_key_of_json reply) expected);
       (match
          Client.call c0 ~op:"query"
@@ -342,19 +334,18 @@ let () =
           | _ -> false))
   done;
 
-  (* Fleet-wide accounting and the latency report. *)
+  (* Fleet-wide accounting and the latency report.  Every query and
+     approx request costs one answer-cache lookup, on the one worker it
+     is placed on; incr and mutate never touch the cache. *)
   let expected_lookups =
     let per_client i =
-      List.fold_left
-        (fun acc (_, alg, _) -> acc + lookups_of_alg alg)
-        0 (script i)
+      List.length (script i)
       + 1 (* approx *)
-      + lookups_of_alg "basic" (* the batched query *)
+      + 1 (* the batched query *)
     in
     List.fold_left ( + ) 0 (List.init n_clients per_client)
     + 1 (* the sequential approx oracle *)
-    + (n_rounds * lookups_of_alg "basic")
-    (* incr and mutate never touch the answer cache *)
+    + n_rounds (* one basic query per round *)
   in
   (match Client.call c0 ~op:"metrics" [] with
   | Error (code, msg) -> check (Printf.sprintf "metrics: %s: %s" code msg) false
@@ -367,6 +358,7 @@ let () =
       (num "p99" lat);
     check "no worker restarts under load" (num "restarts" router_m = 0.);
     let hits = ref 0. and misses = ref 0. and evicts = ref 0. in
+    let serving = ref 0 in
     (match member "shards" m with
     | Json.Arr per_shard ->
       check "one metrics entry per shard" (List.length per_shard = shards);
@@ -377,12 +369,16 @@ let () =
             "stress-shard:   shard %g cache: hit %g miss %g evict %g\n"
             (num "shard" entry) (num "hit" cache) (num "miss" cache)
             (num "evict" cache);
+          if num "hit" cache +. num "miss" cache > 0. then incr serving;
           hits := !hits +. num "hit" cache;
           misses := !misses +. num "miss" cache;
           evicts := !evicts +. num "evict" cache)
         per_shard
     | _ -> check "per-shard metrics present" false);
     check "evict = 0 under a large cache" (!evicts = 0.);
+    check
+      (Printf.sprintf "lookups on more than one shard (%d)" !serving)
+      (!serving > 1);
     check
       (Printf.sprintf "hit + miss (%g + %g) = expected lookups (%d)" !hits
          !misses expected_lookups)
