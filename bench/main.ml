@@ -783,9 +783,9 @@ let run_incr quick =
    - serial: one client loops over Q1/Q2/Q4 basic after a warm pass, so
      every timed request is a worker answer-cache hit and the column
      measures the wire and the router;
-   - concurrent: 4 clients ask Q1/Q2/Q4 under five exact algorithms, each
-     client and run under its own [answers] limit, so every request misses
-     the answer cache and is evaluated.  This measures whether query
+   - concurrent: 4 clients ask Q1/Q2/Q4 under five exact algorithms for
+     [rounds] rounds, each client, run and round under its own [answers]
+     limit, so every request misses the answer cache and is evaluated.  This measures whether query
      placement spreads evaluation over the workers. *)
 
 let shard_file = "BENCH_shard.json"
@@ -798,6 +798,7 @@ let run_shard quick =
   let runs = 3 in
   let requests = if quick then 60 else 300 in
   let clients = 4 in
+  let rounds = if quick then 1 else 5 in
   let queries = [ "Q1"; "Q2"; "Q4" ] in
   let algorithms = [ "basic"; "e-basic"; "e-mqo"; "q-sharing"; "o-sharing" ] in
   let session = ("session", Json.Str "bench-shard") in
@@ -814,7 +815,7 @@ let run_shard quick =
      %d clients × %d cold requests) ===@.@."
     (String.concat ", " (List.map string_of_int shard_sweep))
     runs requests clients
-    (List.length queries * List.length algorithms);
+    (rounds * List.length queries * List.length algorithms);
   let mismatch = ref false in
   let baseline : (string, string) Hashtbl.t = Hashtbl.create 64 in
   (* A timed column: per-run seconds and latency percentiles, with the
@@ -935,8 +936,8 @@ let run_shard quick =
                 let conns =
                   Array.init clients (fun _ -> Client.connect ~framed:true ~port ())
                 in
-                (* One limit per client and run, none used before: every
-                   request is an answer-cache miss on its worker. *)
+                (* One limit per client, run and round, none used before:
+                   every request is an answer-cache miss on its worker. *)
                 let results = Array.make clients [] in
                 let t0 = Unix.gettimeofday () in
                 let threads =
@@ -944,11 +945,12 @@ let run_shard quick =
                     (fun i cl ->
                       Thread.create
                         (fun () ->
-                          let limit = 21 + (clients * run) + i in
                           (* Each client starts at a different case. *)
                           let n = List.length cases in
                           results.(i) <-
-                            List.init n (fun j ->
+                            List.init (rounds * n) (fun j ->
+                                let round = j / n in
+                                let limit = 21 + (clients * ((rounds * run) + round)) + i in
                                 let alg, q = List.nth cases ((j + (i * n / clients)) mod n) in
                                 let s = Unix.gettimeofday () in
                                 let r = query cl ~alg ~limit q in
@@ -970,7 +972,7 @@ let run_shard quick =
           Client.close c;
           Router.wait router;
           let serial_col = timed_column "serial" ~requests serial in
-          let conc_requests = clients * List.length cases in
+          let conc_requests = clients * rounds * List.length cases in
           let conc_col =
             timed_column "concurrent" ~requests:conc_requests concurrent
               ~extra:[ ("clients", Json.Num (float_of_int clients)) ]
@@ -1009,6 +1011,7 @@ let run_shard quick =
               ("runs", Json.Num (float_of_int runs));
               ("serial_requests_per_run", Json.Num (float_of_int requests));
               ("concurrent_clients", Json.Num (float_of_int clients));
+              ("concurrent_rounds", Json.Num (float_of_int rounds));
             ] );
         ("rows", Json.Arr rows);
       ]
