@@ -13,5 +13,5 @@ val run :
 (** [partitions ctx q ms] q-sharing's partitions of [ms] ({!Ptree.partition}:
     mappings that reformulate [q] alike), in first-insertion order — exposed
     for o-sharing, top-k and threshold, which start from the same
-    partitioning, the service's fan-out, and tests. *)
+    partitioning, and tests. *)
 val partitions : Ctx.t -> Query.t -> Mapping.t list -> Mapping.t list list
