@@ -155,25 +155,25 @@ let exec_query t req : (Json.t, failure) result =
                  ]))
       else
         match algorithm_of_string alg_name with
-        | Error _ as e -> e
-        | Ok alg ->
-          let variant = "exact:" ^ string_of_int limit in
-          Ok
-            (cached_eval t session q ~algorithm:alg_name ~variant (fun snap ->
-                 let ctx = snap.Urm_incr.Vcatalog.ctx
-                 and mappings = snap.Urm_incr.Vcatalog.mappings in
-                 let report = Urm.Algorithms.run alg ctx q mappings in
-                 let answer = report.Urm.Report.answer in
-                 Json.Obj
-                   [
-                     ("query", Json.Str (Urm.Query.to_string q));
-                     ("algorithm", Json.Str alg_name);
-                     ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
-                     ("null_prob", Json.Num (Urm.Answer.null_prob answer));
-                     ("answers", answers_json answer limit);
-                     ( "seconds",
-                       Json.Num (Urm.Report.total report.Urm.Report.timings) );
-                   ]))))
+      | Error _ as e -> e
+      | Ok alg ->
+        let variant = "exact:" ^ string_of_int limit in
+        Ok
+          (cached_eval t session q ~algorithm:alg_name ~variant (fun snap ->
+               let ctx = snap.Urm_incr.Vcatalog.ctx
+               and mappings = snap.Urm_incr.Vcatalog.mappings in
+               let report = Urm.Algorithms.run alg ctx q mappings in
+               let answer = report.Urm.Report.answer in
+               Json.Obj
+                 [
+                   ("query", Json.Str (Urm.Query.to_string q));
+                   ("algorithm", Json.Str alg_name);
+                   ("size", Json.Num (float_of_int (Urm.Answer.size answer)));
+                   ("null_prob", Json.Num (Urm.Answer.null_prob answer));
+                   ("answers", answers_json answer limit);
+                   ( "seconds",
+                     Json.Num (Urm.Report.total report.Urm.Report.timings) );
+                 ]))))
 
 let exec_topk t req : (Json.t, failure) result =
   match session_of t req with
