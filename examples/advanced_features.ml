@@ -1,10 +1,9 @@
-(* Beyond the paper: SQL input, compound (set-operator) queries, threshold
-   queries, and persistence of the matching.
+(* Beyond the paper: SQL input, grouped aggregates, threshold queries, and
+   persistence of the matching.
 
-   The paper's future work (§IX) asks for set operators on top of o-sharing;
-   this example runs a UNION / EXCEPT over two purchase-order queries, a
-   probability-threshold query, and shows the matching being saved to JSON
-   and the source instance to CSV.
+   This example parses purchase-order queries from SQL, runs a grouped
+   COUNT and a probability-threshold query, and shows the matching being
+   saved to JSON and the source instance to CSV.
 
    Run with: dune exec examples/advanced_features.exe *)
 
@@ -17,31 +16,9 @@ let () =
   (* 1. Queries straight from SQL. *)
   let parse s = Urm.Sql.parse_exn ~name:s ~target s in
   let q_mary = parse "SELECT telephone FROM PO WHERE invoiceTo = 'Mary'" in
-  let q_central = parse "SELECT telephone FROM PO WHERE deliverToStreet = 'Central'" in
-  Format.printf "q1: %s@.q2: %s@.@." (Urm.Sql.to_sql q_mary) (Urm.Sql.to_sql q_central);
+  Format.printf "q1: %s@.@." (Urm.Sql.to_sql q_mary);
 
-  (* 2. Compound queries: phones that invoice Mary OR deliver to Central,
-     and phones that invoice Mary but do NOT deliver to Central. *)
-  let union = Urm.Compound.Union (Query q_mary, Query q_central) in
-  let except = Urm.Compound.Except (Query q_mary, Query q_central) in
-  let show name c =
-    let r = Urm.Compound.run ctx c mappings in
-    Format.printf "%s: %d answers (θ=%.3f), %d source operators, %d groups@."
-      name
-      (Urm.Answer.size r.Urm.Report.answer)
-      (Urm.Answer.null_prob r.Urm.Report.answer)
-      r.Urm.Report.source_operators r.Urm.Report.groups;
-    List.iter
-      (fun (t, p) ->
-        Format.printf "   (%s) : %.3f@."
-          (String.concat ", " (Array.to_list (Array.map Urm_relalg.Value.to_string t)))
-          p)
-      (Urm.Answer.top_k r.Urm.Report.answer 3)
-  in
-  show "mary ∪ central" union;
-  show "mary ∖ central" except;
-
-  (* 2b. A grouped aggregate straight from SQL: orders per priority. *)
+  (* 2. A grouped aggregate straight from SQL: orders per priority. *)
   let q_grouped =
     parse "SELECT COUNT(*) FROM PO WHERE deliverToStreet = 'Central' GROUP BY priority"
   in
@@ -53,15 +30,6 @@ let () =
         (String.concat ", " (Array.to_list (Array.map Urm_relalg.Value.to_string t)))
         p)
     (Urm.Answer.top_k r.Urm.Report.answer 4);
-
-  (* 2c. Lineage: which mappings support a suspicious answer? *)
-  let lin = Urm.Lineage.run ctx q_mary mappings in
-  (match lin.Urm.Lineage.entries with
-  | e :: _ ->
-    Format.printf "@.top answer (%s) is supported by %d of %d mappings@."
-      (String.concat ", " (Array.to_list (Array.map Urm_relalg.Value.to_string e.Urm.Lineage.tuple)))
-      (List.length e.Urm.Lineage.support) (List.length mappings)
-  | [] -> ());
 
   (* 3. Threshold query: all answers with probability at least 0.5. *)
   let r = Urm.Threshold.run ~tau:0.5 ctx q_mary mappings in

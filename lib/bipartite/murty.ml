@@ -1,10 +1,5 @@
 type assignment = { pairs : (int * int) list; score : float }
 
-let pp_assignment ppf a =
-  Format.fprintf ppf "score=%.4f {%s}" a.score
-    (String.concat "; "
-       (List.map (fun (i, j) -> Printf.sprintf "%d→%d" i j) a.pairs))
-
 (* A subproblem of Murty's partition and its optimal solution.  Children
    branch over rows in ascending order, so every subproblem has the same
    shape: rows before [row] keep their columns in [state], row [row] may

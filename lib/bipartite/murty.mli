@@ -24,8 +24,6 @@ type assignment = {
   score : float;  (** total weight of [pairs] *)
 }
 
-val pp_assignment : Format.formatter -> assignment -> unit
-
 (** [k_best ~weights ~k] the up-to-[k] best assignments, best first, with
     strictly distinct pair sets.  [weights.(i).(j) <= 0.] means "no edge".
     Rows and columns may be of any relative size.  [score] sums the

@@ -159,8 +159,3 @@ let synthetic ?(seed = 42) ~h cands =
 let generate ?threshold ~h ~source ~target () =
   let cands = Urm_matcher.Match.candidates ?threshold ~source ~target () in
   from_candidates ~h cands
-
-let top_mapping_size ?threshold ~source ~target () =
-  match generate ?threshold ~h:1 ~source ~target () with
-  | [] -> 0
-  | m :: _ -> Mapping.size m

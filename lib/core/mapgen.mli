@@ -40,12 +40,3 @@ val generate :
   target:Urm_relalg.Schema.t ->
   unit ->
   Mapping.t list
-
-(** Number of correspondences of the best (rank-1) mapping — the statistic
-    the paper quotes for COMA++ (34 / 18 / 31 correspondences). *)
-val top_mapping_size :
-  ?threshold:float ->
-  source:Urm_relalg.Schema.t ->
-  target:Urm_relalg.Schema.t ->
-  unit ->
-  int

@@ -92,19 +92,6 @@ let needed_attrs target q alias =
     let rel = Schema.find_rel target (relation_of q alias) in
     List.map (fun a -> at alias a.Schema.aname) rel.Schema.attrs
 
-let partition_attrs target q =
-  (* For plain queries an unreferenced alias contributes nothing to the
-     source query (its piece is factored away, see Reformulate), so its
-     correspondences must not split partitions; for aggregates its cover
-     determines the cardinality factor, so they must. *)
-  List.concat_map
-    (fun (alias, _) ->
-      match (referenced_of_alias q alias, q.aggregate) with
-      | (_ :: _ as refs), _ -> refs
-      | [], Some _ -> needed_attrs target q alias
-      | [], None -> [])
-    q.aliases
-
 type op =
   | Op_select of int
   | Op_join of int

@@ -70,11 +70,6 @@ val output_attrs : t -> tattr list
     relation's attributes when the alias is referenced by no operator. *)
 val needed_attrs : Urm_relalg.Schema.t -> t -> string -> tattr list
 
-(** Partition attributes (qualified by alias, flattened across aliases):
-    what the q-sharing partition tree keys on.  Mappings agreeing on all of
-    these produce the same source query. *)
-val partition_attrs : Urm_relalg.Schema.t -> t -> tattr list
-
 (** Schedulable operators for o-sharing. *)
 type op =
   | Op_select of int  (** index into [selections] *)

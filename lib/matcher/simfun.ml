@@ -43,14 +43,3 @@ let jaccard a b =
     if union = 0 then 1. else float_of_int inter /. float_of_int union
 
 let ngram_sim ~n a b = jaccard (ngrams n a) (ngrams n b)
-
-let prefix_sim a b =
-  let la = String.length a and lb = String.length b in
-  let ml = max la lb in
-  if ml = 0 then 1.
-  else begin
-    let rec common i =
-      if i < la && i < lb && a.[i] = b.[i] then common (i + 1) else i
-    in
-    float_of_int (common 0) /. float_of_int ml
-  end

@@ -13,6 +13,3 @@ val ngram_sim : n:int -> string -> string -> float
 
 (** [jaccard a b] Jaccard similarity of two string lists viewed as sets. *)
 val jaccard : string list -> string list -> float
-
-(** [prefix_sim a b] length of the common prefix over the longer length. *)
-val prefix_sim : string -> string -> float

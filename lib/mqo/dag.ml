@@ -14,14 +14,13 @@ type share = { expr : Algebra.t; occurrences : int }
 
 type t = {
   shares : share list;  (* dependency order: smaller expressions first *)
-  shared_fps : (string, unit) Hashtbl.t;
   candidates : int;
 }
 
 let shares t = List.map (fun s -> s.expr) t.shares
 let chosen t = List.length t.shares
 let candidates t = t.candidates
-let empty = { shares = []; shared_fps = Hashtbl.create 1; candidates = 0 }
+let empty = { shares = []; candidates = 0 }
 
 (* Materialisation only pays for operators that reduce or combine:
    leaves and renames are free to re-scan, raw products cost more to
@@ -68,11 +67,6 @@ let build ?stats cat exprs =
              if benefit > 0. then Some { expr; occurrences = count } else None
            end)
   in
-  let shared_fps = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      Hashtbl.replace shared_fps (Algebra.canonical_fingerprint s.expr) ())
-    chosen;
   (* Dependency order: smaller first, so a share nested inside another is
      materialised before its host substitutes it. *)
   let shares =
@@ -80,7 +74,7 @@ let build ?stats cat exprs =
       (fun a b -> Int.compare (Algebra.size a.expr) (Algebra.size b.expr))
       chosen
   in
-  { shares; shared_fps; candidates = !candidates }
+  { shares; candidates = !candidates }
 
 (* [substitute lookup e] swaps every maximal subtree whose canonical
    fingerprint has a materialised result into a [Mat] leaf.  Evaluating
@@ -104,5 +98,3 @@ let substitute lookup e =
       | Algebra.GroupBy (keys, a, c) -> Algebra.GroupBy (keys, a, swap c))
   in
   swap e
-
-let is_shared t e = Hashtbl.mem t.shared_fps (Algebra.canonical_fingerprint e)

@@ -44,5 +44,3 @@ val substitute :
   (string -> Urm_relalg.Relation.t option) ->
   Urm_relalg.Algebra.t ->
   Urm_relalg.Algebra.t
-
-val is_shared : t -> Urm_relalg.Algebra.t -> bool

@@ -11,7 +11,6 @@ type plan = {
 
 let metrics p = p.plan_metrics
 let shared p = p.shared_exprs
-let estimated_total_cost p = p.total_cost
 
 (* ------------------------------------------------------------------ *)
 (* Cardinality and cost estimation.  Without statistics the planner uses

@@ -58,10 +58,6 @@ val execute_iter :
   f:(int -> Urm_relalg.Algebra.t -> Urm_relalg.Relation.t -> unit) ->
   unit
 
-(** [estimated_total_cost p] the cost model's value for the final plan
-    (exposed for tests and ablation). *)
-val estimated_total_cost : plan -> float
-
 (** [est_card ?stats cat e] the cost model's cardinality estimate for [e] —
     exposed for {!Dag}'s cheap benefit heuristic. *)
 val est_card :

@@ -1,5 +1,5 @@
-type counter = { c_name : string; mutable count : int }
-type timer = { t_name : string; mutable seconds : float; mutable calls : int }
+type counter = { mutable count : int }
+type timer = { mutable seconds : float; mutable calls : int }
 type span = { sp_timer : timer; sp_t0 : float }
 
 type registry = {
@@ -49,13 +49,12 @@ let counter t name =
       match Hashtbl.find_opt t.reg.counters key with
       | Some c -> c
       | None ->
-        let c = { c_name = key; count = 0 } in
+        let c = { count = 0 } in
         Hashtbl.add t.reg.counters key c;
         c)
 
 let incr ?(by = 1) c = locked (fun () -> c.count <- c.count + by)
 let value c = locked (fun () -> c.count)
-let counter_name c = c.c_name
 
 let find_counter t name =
   locked (fun () ->
@@ -70,7 +69,7 @@ let timer t name =
       match Hashtbl.find_opt t.reg.timers key with
       | Some tm -> tm
       | None ->
-        let tm = { t_name = key; seconds = 0.; calls = 0 } in
+        let tm = { seconds = 0.; calls = 0 } in
         Hashtbl.add t.reg.timers key tm;
         tm)
 
@@ -81,7 +80,6 @@ let record tm secs =
 
 let elapsed tm = locked (fun () -> tm.seconds)
 let calls tm = locked (fun () -> tm.calls)
-let timer_name tm = tm.t_name
 
 let span_begin tm = { sp_timer = tm; sp_t0 = Urm_util.Timer.now () }
 let span_end sp = record sp.sp_timer (Urm_util.Timer.now () -. sp.sp_t0)

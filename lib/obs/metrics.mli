@@ -50,27 +50,19 @@ val counter : t -> string -> counter
 
 val incr : ?by:int -> counter -> unit
 val value : counter -> int
-val counter_name : counter -> string
 
 val find_counter : t -> string -> int option
 (** Current value of a counter by name, [None] if it was never created. *)
 
-(** {1 Timers and spans} *)
+(** {1 Timers} *)
 
 type timer
 (** Accumulated seconds plus the number of recordings. *)
-
-type span
-(** One started timing interval. *)
 
 val timer : t -> string -> timer
 val record : timer -> float -> unit
 val elapsed : timer -> float
 val calls : timer -> int
-val timer_name : timer -> string
-
-val span_begin : timer -> span
-val span_end : span -> unit
 
 val time : timer -> (unit -> 'a) -> 'a
 (** [time tm f] runs [f] inside a span of [tm] (recorded even if [f]

@@ -31,10 +31,6 @@ let type_of s qattr =
   let r = find_rel s rname in
   (List.find (fun a -> String.equal a.aname aname) r.attrs).ty
 
-let rel_of_attr s qattr =
-  let rname, _ = split_qualified qattr in
-  find_rel s rname
-
 let pp ppf s =
   Format.fprintf ppf "@[<v>schema %s:" s.sname;
   List.iter

@@ -40,8 +40,4 @@ val attr_count : t -> int
     Raises [Not_found] when absent. *)
 val type_of : t -> string -> ty
 
-(** [rel_of_attr s qattr] is the relation declaring [qattr].
-    Raises [Not_found] when absent. *)
-val rel_of_attr : t -> string -> rel
-
 val pp : Format.formatter -> t -> unit

@@ -21,6 +21,3 @@ let digest_sub get length ?(pos = 0) ?len s =
   !crc lxor mask32 land mask32
 
 let digest ?pos ?len s = digest_sub String.unsafe_get String.length ?pos ?len s
-
-let digest_bytes ?pos ?len b =
-  digest_sub Bytes.unsafe_get Bytes.length ?pos ?len b

@@ -7,5 +7,3 @@ val digest : ?pos:int -> ?len:int -> string -> int
 (** [digest ?pos ?len s] the CRC-32 of the given substring (the whole
     string by default) as a non-negative int in [\[0, 2³²)].  Raises
     [Invalid_argument] when the range falls outside [s]. *)
-
-val digest_bytes : ?pos:int -> ?len:int -> Bytes.t -> int

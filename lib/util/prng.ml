@@ -48,11 +48,6 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let gaussian t ~mu ~sigma =
-  let u1 = max 1e-12 (float t) in
-  let u2 = float t in
-  mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-
 module Zipf = struct
   type prng = t
   type t = { cdf : float array }

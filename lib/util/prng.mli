@@ -44,9 +44,6 @@ val pick_list : t -> 'a list -> 'a
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
 
-(** [gaussian t ~mu ~sigma] draws from N(mu, sigma²) (Box-Muller). *)
-val gaussian : t -> mu:float -> sigma:float -> float
-
 (** [zipf t ~n ~theta] draws a rank in [\[1, n\]] from a Zipf distribution
     with skew [theta] ([theta = 0.] is uniform).  O(n) per draw; prefer
     {!Zipf} for repeated sampling. *)

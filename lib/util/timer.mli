@@ -6,9 +6,6 @@ val now : unit -> float
 (** [time f] runs [f ()] and returns its result with the elapsed seconds. *)
 val time : (unit -> 'a) -> 'a * float
 
-(** [time_only f] is the elapsed seconds of [f ()], discarding the result. *)
-val time_only : (unit -> 'a) -> float
-
 (** [repeat ~warmup ~runs f] runs [f] [warmup] times unmeasured, then [runs]
     times measured, returning the mean elapsed seconds per run. *)
 val repeat : warmup:int -> runs:int -> (unit -> 'a) -> float

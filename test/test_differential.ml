@@ -174,6 +174,12 @@ let query_gen =
     in
     oneof [ plain; join; count; sum ])
 
+let running_example_ctxs () =
+  let cat = Test_core.catalog () in
+  both_engines (fun engine ->
+      Urm.Ctx.make ~engine ~catalog:cat ~source:Test_core.source
+        ~target:Test_core.target ())
+
 let qcheck_running_example =
   QCheck.Test.make
     ~name:"random queries × random mapping sets agree across algorithms and engines"
@@ -181,13 +187,37 @@ let qcheck_running_example =
     (QCheck.make QCheck.Gen.(pair query_gen mappings_gen))
     (fun (q, ms) ->
       QCheck.assume (ms <> []);
-      let cat = Test_core.catalog () in
-      let ctxs =
-        both_engines (fun engine ->
-            Urm.Ctx.make ~engine ~catalog:cat ~source:Test_core.source
-              ~target:Test_core.target ())
-      in
-      check_agreement ctxs q ms)
+      check_agreement (running_example_ctxs ()) q ms)
+
+(* ------------------------------------------------------------------ *)
+(* The possible-worlds oracle ([Translate], test/oracle): each mapping's
+   world is the target instance it implies, the target query runs on that
+   world, and each answer tuple gets the total probability of the worlds
+   that return it (θ the mass of the empty ones).  It shares no code with
+   [Reformulate] but [column_for]'s naming, so every byte check above —
+   which all go through the same source queries — gets one that does not.
+
+   Plain queries only.  COUNT and SUM are left out: the repo's aggregate
+   rule counts over the cover of the attributes a query references, which
+   is not the aggregate over any world's target instance, and its
+   definition over the world is still open (ROADMAP item 3). *)
+
+let qcheck_possible_worlds =
+  QCheck.Test.make
+    ~name:"plain queries render the possible-worlds answer on both engines"
+    ~count:500
+    (QCheck.make QCheck.Gen.(pair query_gen mappings_gen))
+    (fun (q, ms) ->
+      QCheck.assume (ms <> [] && q.Urm.Query.aggregate = None);
+      let ctxs = running_example_ctxs () in
+      let oracle = bytes (Translate.answer (List.assoc "interpreted" ctxs) q ms) in
+      List.for_all
+        (fun (engine, ctx) ->
+          let basic = bytes (Urm.Basic.run ctx q ms).Urm.Report.answer in
+          String.equal oracle basic
+          || QCheck.Test.fail_reportf "basic (%s) on %s: %s, possible worlds: %s"
+               engine (Urm.Query.to_string q) basic oracle)
+        ctxs)
 
 (* ------------------------------------------------------------------ *)
 (* Random queries over the workload schemas (Excel), with matcher-derived
@@ -256,12 +286,6 @@ let qcheck_topk_prefix =
    [Prob.eps]. *)
 
 let eps = Urm.Prob.eps
-
-let running_example_ctxs () =
-  let cat = Test_core.catalog () in
-  both_engines (fun engine ->
-      Urm.Ctx.make ~engine ~catalog:cat ~source:Test_core.source
-        ~target:Test_core.target ())
 
 let bounded_by exact got =
   List.for_all (fun (t, p) -> p <= Urm.Answer.prob_of exact t +. eps) got
@@ -615,6 +639,7 @@ let test_factorized_engine_recorded () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_running_example;
+    QCheck_alcotest.to_alcotest qcheck_possible_worlds;
     QCheck_alcotest.to_alcotest qcheck_workload;
     QCheck_alcotest.to_alcotest qcheck_topk_prefix;
     QCheck_alcotest.to_alcotest qcheck_topk_exact;

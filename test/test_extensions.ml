@@ -1,4 +1,5 @@
-(* Compound (set-operator) queries, threshold queries, CSV and JSON. *)
+(* Threshold queries, CSV, JSON, mapping persistence and the
+   possible-worlds oracle on the paper's running example. *)
 open Urm_relalg
 
 let s v = Value.Str v
@@ -67,105 +68,6 @@ let phone_where_addr addr =
     ~selections:[ (Urm.Query.at "Person" "addr", s addr) ]
     ~projection:[ Urm.Query.at "Person" "phone" ]
     ()
-
-(* Reference implementation of compound semantics: evaluate each member per
-   mapping via basic and combine per-mapping tuple sets. *)
-let compound_reference ctx c ms =
-  let members = Urm.Compound.leaves c in
-  let acc = Urm.Answer.create (List.hd members |> fun q -> Urm.Reformulate.output_header q) in
-  List.iter
-    (fun m ->
-      let set_of q =
-        let a = (Urm.Basic.run ctx q [ Urm.Mapping.with_prob m 1.0 ]).Urm.Report.answer in
-        List.filter_map
-          (fun (t, p) -> if p > 0.5 then Some t else None)
-          (Urm.Answer.to_list a)
-      in
-      let module SS = Set.Make (struct
-        type t = Value.t array
-
-        let compare a b = compare (Array.to_list a) (Array.to_list b)
-      end) in
-      let rec go = function
-        | Urm.Compound.Query q -> SS.of_list (set_of q)
-        | Urm.Compound.Union (a, b) -> SS.union (go a) (go b)
-        | Urm.Compound.Intersect (a, b) -> SS.inter (go a) (go b)
-        | Urm.Compound.Except (a, b) -> SS.diff (go a) (go b)
-      in
-      let set = go c in
-      if SS.is_empty set then Urm.Answer.add_null acc m.Urm.Mapping.prob
-      else SS.iter (fun t -> Urm.Answer.add acc t m.Urm.Mapping.prob) set)
-    ms;
-  acc
-
-let check_compound c =
-  let ctx = ctx () in
-  let ms = mappings () in
-  let fast = (Urm.Compound.run ctx c ms).Urm.Report.answer in
-  let slow = compound_reference ctx c ms in
-  if not (Urm.Answer.equal fast slow) then
-    Alcotest.failf "compound mismatch:@.fast %a@.ref %a" Urm.Answer.pp fast
-      Urm.Answer.pp slow
-
-let test_compound_union () =
-  check_compound
-    (Urm.Compound.Union
-       (Urm.Compound.Query (phone_where_addr "aaa"), Urm.Compound.Query (phone_where_addr "hk")))
-
-let test_compound_intersect () =
-  check_compound
-    (Urm.Compound.Intersect
-       (Urm.Compound.Query (phone_where_addr "aaa"), Urm.Compound.Query (phone_where_addr "hk")))
-
-let test_compound_except () =
-  check_compound
-    (Urm.Compound.Except
-       (Urm.Compound.Query (phone_where_addr "aaa"), Urm.Compound.Query (phone_where_addr "hk")));
-  check_compound
-    (Urm.Compound.Except
-       (Urm.Compound.Query (phone_where_addr "hk"), Urm.Compound.Query (phone_where_addr "aaa")))
-
-let test_compound_nested () =
-  check_compound
-    (Urm.Compound.Union
-       ( Urm.Compound.Except
-           (Urm.Compound.Query (phone_where_addr "hk"), Urm.Compound.Query (phone_where_addr "aaa")),
-         Urm.Compound.Intersect
-           (Urm.Compound.Query (phone_where_addr "aaa"), Urm.Compound.Query (phone_where_addr "bbb"))
-       ))
-
-let test_compound_with_aggregates () =
-  (* set operations over COUNT answers: values are arity-1 tuples *)
-  let count_where addr =
-    Urm.Query.make ~name:("c" ^ addr) ~target
-      ~aliases:[ ("Person", "Person") ]
-      ~selections:[ (Urm.Query.at "Person" "addr", s addr) ]
-      ~aggregate:Urm.Query.Count ()
-  in
-  check_compound
-    (Urm.Compound.Union (Query (count_where "aaa"), Query (count_where "hk")));
-  check_compound
-    (Urm.Compound.Intersect (Query (count_where "aaa"), Query (count_where "hk")))
-
-let test_compound_single_is_plain () =
-  let ctx = ctx () in
-  let ms = mappings () in
-  let q = phone_where_addr "aaa" in
-  let via_compound = (Urm.Compound.run ctx (Urm.Compound.Query q) ms).Urm.Report.answer in
-  let direct = (Urm.Basic.run ctx q ms).Urm.Report.answer in
-  Alcotest.(check bool) "same" true (Urm.Answer.equal via_compound direct)
-
-let test_compound_arity_mismatch () =
-  let q1 = phone_where_addr "aaa" in
-  let q2 =
-    Urm.Query.make ~name:"two" ~target
-      ~aliases:[ ("Person", "Person") ]
-      ~projection:[ Urm.Query.at "Person" "phone"; Urm.Query.at "Person" "pname" ]
-      ()
-  in
-  Alcotest.check_raises "arity"
-    (Invalid_argument "Compound.validate: two has arity 2, expected 1") (fun () ->
-      ignore (Urm.Compound.run (ctx ()) (Urm.Compound.Union (Query q1, Query q2)) (mappings ())))
 
 (* ------------------------------------------------------------------ *)
 (* Threshold queries *)
@@ -347,7 +249,7 @@ let test_translate_relation () =
   let ctx = ctx () in
   let m = List.hd (mappings ()) in
   (* m0 maps pname←cname, phone←ophone, addr←oaddr *)
-  let person = Urm.Translate.relation ctx m "Person" in
+  let person = Translate.relation ctx m "Person" in
   Alcotest.(check (list string)) "target header"
     [ "pname"; "phone"; "addr"; "nation"; "gender" ]
     (Relation.cols person);
@@ -361,25 +263,26 @@ let test_translate_relation () =
     (fun row -> Alcotest.(check bool) "nation null" true (Value.is_null row.(3)))
     person
 
-let test_translate_catalog_and_expectation () =
+let test_translate_catalog () =
   let ctx = ctx () in
-  let ms = mappings () in
-  let cat = Urm.Translate.catalog ctx (List.hd ms) in
-  Alcotest.(check bool) "Person present" true (Catalog.mem cat "Person");
-  let expected = Urm.Translate.expected_cardinalities ctx ms in
-  let person_exp = List.assoc "Person" expected in
-  (* every mapping yields 3 distinct person rows *)
-  Alcotest.(check (float 1e-9)) "expected card" 3.0 person_exp
+  List.iter
+    (fun m ->
+      let cat = Translate.catalog ctx m in
+      (* every mapping yields 3 distinct person rows *)
+      Alcotest.(check int) "Person rows" 3 (Relation.cardinality (Catalog.find cat "Person"));
+      Alcotest.(check bool) "catalog holds the relation" true
+        (Relation.equal_contents (Catalog.find cat "Person") (Translate.relation ctx m "Person")))
+    (mappings ())
 
 let test_translate_unmapped_relation_empty () =
   let ctx = ctx () in
   let m = Urm.Mapping.make ~id:9 ~prob:1. ~score:1. [ ("Person.phone", "Customer.ophone") ] in
   (* no Order.* correspondences → would-be empty relation *)
-  let person = Urm.Translate.relation ctx m "Person" in
+  let person = Translate.relation ctx m "Person" in
   Alcotest.(check bool) "person non-empty" true (Relation.cardinality person > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Monte-Carlo validation + lineage *)
+(* Monte-Carlo validation and per-world supports *)
 
 (* A test-local weighted sampler, independent of the library's exact
    sums: inverse CDF over the cumulative mapping probabilities. *)
@@ -461,39 +364,36 @@ let test_montecarlo_sampler_distribution () =
           m.Urm.Mapping.prob)
     ms
 
-let test_lineage () =
+(* The paper's example, world by world: which mappings' possible worlds
+   return each phone of [phone_where_addr "aaa"], and the exact sum of
+   their probabilities renders basic's answer. *)
+let test_world_supports () =
   let ctx = ctx () in
   let ms = mappings () in
   let q = phone_where_addr "aaa" in
-  let lin = Urm.Lineage.run ctx q ms in
-  (* probabilities are basic's, bit for bit *)
-  let exact = (Urm.Basic.run ctx q ms).Urm.Report.answer in
-  let bits name expected got =
-    Alcotest.(check int64) name (Int64.bits_of_float expected) (Int64.bits_of_float got)
+  let supporters tuple =
+    List.filter
+      (fun m -> List.exists (Urm.Answer.tuple_equal tuple) (Translate.world_tuples ctx q m))
+      ms
   in
-  bits "null prob" (Urm.Answer.null_prob exact) lin.Urm.Lineage.null_prob;
+  let ids = List.map (fun m -> m.Urm.Mapping.id) in
+  Alcotest.(check (list int)) "support of 123" [ 0; 1 ] (ids (supporters [| s "123" |]));
+  Alcotest.(check (list int)) "support of 456" [ 0; 1; 2; 4 ] (ids (supporters [| s "456" |]));
+  Alcotest.(check (list int)) "support of 789" [ 3 ] (ids (supporters [| s "789" |]));
+  Alcotest.(check (list int)) "no support for junk" [] (ids (supporters [| s "zzz" |]));
+  Alcotest.(check (list int)) "no empty world" []
+    (ids (List.filter (fun m -> Translate.world_tuples ctx q m = []) ms));
+  let exact = (Urm.Basic.run ctx q ms).Urm.Report.answer in
+  let by_support = Urm.Answer.create (Urm.Answer.output exact) in
   List.iter
-    (fun e ->
-      bits "prob" (Urm.Answer.prob_of exact e.Urm.Lineage.tuple) e.Urm.Lineage.prob;
-      (* support mass = probability *)
-      let mass =
-        Urm.Answer.mass
-          (Array.of_list
-             (List.map
-                (fun id -> (List.find (fun m -> m.Urm.Mapping.id = id) ms).Urm.Mapping.prob)
-                e.Urm.Lineage.support))
-      in
-      bits "support mass" e.Urm.Lineage.prob (Urm.Answer.round mass))
-    lin.Urm.Lineage.entries;
-  (* the paper's example: 123 is supported exactly by m0 and m1 *)
-  Alcotest.(check (list int)) "support of 123" [ 0; 1 ]
-    (Urm.Lineage.support_of lin [| s "123" |]);
-  Alcotest.(check (list int)) "support of 456" [ 0; 1; 2; 4 ]
-    (Urm.Lineage.support_of lin [| s "456" |]);
-  Alcotest.(check (list int)) "support of 789" [ 3 ]
-    (Urm.Lineage.support_of lin [| s "789" |]);
-  Alcotest.(check (list int)) "no support for junk" []
-    (Urm.Lineage.support_of lin [| s "zzz" |])
+    (fun phone ->
+      let t = [| s phone |] in
+      Urm.Answer.add_exact by_support t
+        (Urm.Answer.mass
+           (Array.of_list (List.map (fun m -> m.Urm.Mapping.prob) (supporters t)))))
+    [ "123"; "456"; "789" ];
+  let bytes a = Urm_util.Json.to_string (Urm.Answer.to_json a) in
+  Alcotest.(check string) "support masses render basic" (bytes exact) (bytes by_support)
 
 module Json = Urm_util.Json
 
@@ -690,13 +590,6 @@ let qcheck_csv_roundtrip =
 
 let suite =
   [
-    Alcotest.test_case "compound union" `Quick test_compound_union;
-    Alcotest.test_case "compound intersect" `Quick test_compound_intersect;
-    Alcotest.test_case "compound except" `Quick test_compound_except;
-    Alcotest.test_case "compound nested" `Quick test_compound_nested;
-    Alcotest.test_case "compound with aggregates" `Quick test_compound_with_aggregates;
-    Alcotest.test_case "compound single = plain" `Quick test_compound_single_is_plain;
-    Alcotest.test_case "compound arity mismatch" `Quick test_compound_arity_mismatch;
     Alcotest.test_case "threshold matches exact" `Quick test_threshold_matches_exact;
     Alcotest.test_case "threshold invalid tau" `Quick test_threshold_invalid_tau;
     Alcotest.test_case "threshold exact when finished" `Quick test_threshold_exact_probs_when_finished;
@@ -712,11 +605,11 @@ let suite =
     Alcotest.test_case "mapping io file" `Quick test_mapping_io_file;
     Alcotest.test_case "mapping io rejects garbage" `Quick test_mapping_io_rejects_garbage;
     Alcotest.test_case "translate relation" `Quick test_translate_relation;
-    Alcotest.test_case "translate catalog + expectation" `Quick test_translate_catalog_and_expectation;
+    Alcotest.test_case "translate catalog" `Quick test_translate_catalog;
     Alcotest.test_case "translate partial mapping" `Quick test_translate_unmapped_relation_empty;
     Alcotest.test_case "monte-carlo close to exact" `Quick test_montecarlo_close_to_exact;
     Alcotest.test_case "monte-carlo sampler" `Quick test_montecarlo_sampler_distribution;
-    Alcotest.test_case "lineage" `Quick test_lineage;
+    Alcotest.test_case "paper example supports per world" `Quick test_world_supports;
     QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_json_whitespace;
     QCheck_alcotest.to_alcotest qcheck_json_prefixes;

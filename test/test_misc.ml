@@ -108,14 +108,6 @@ let test_mapping_pp_and_query_pp () =
   let qtext = Urm.Query.to_string q4 in
   Alcotest.(check bool) "query pp nonempty" true (String.length qtext > 20)
 
-let test_compound_pp_and_leaves () =
-  let _, q1 = Urm_workload.Queries.by_name "Q1" in
-  let _, q5 = Urm_workload.Queries.by_name "Q5" in
-  let c = Urm.Compound.Union (Query q1, Urm.Compound.Except (Query q1, Query q5)) in
-  Alcotest.(check int) "three leaves" 3 (List.length (Urm.Compound.leaves c));
-  let text = Format.asprintf "%a" Urm.Compound.pp c in
-  Alcotest.(check bool) "pp nonempty" true (String.length text > 5)
-
 let test_stopwatch () =
   let sw = Urm_util.Timer.Stopwatch.create () in
   Alcotest.(check (float 1e-9)) "fresh" 0. (Urm_util.Timer.Stopwatch.elapsed sw);
@@ -212,5 +204,4 @@ let suite =
     Alcotest.test_case "matcher slack" `Quick test_matcher_slack;
     Alcotest.test_case "pipeline run wrapper" `Quick test_pipeline_run_wrapper;
     Alcotest.test_case "pp smoke" `Quick test_mapping_pp_and_query_pp;
-    Alcotest.test_case "compound pp/leaves" `Quick test_compound_pp_and_leaves;
   ]
