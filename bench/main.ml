@@ -276,7 +276,8 @@ let run_eval quick =
    exact, so even the float bits must agree, basic included.  Any
    divergence exits non-zero, so the factorized path cannot silently
    drift.  Each row records the report's effective engine
-   ("vectorized+factorized" on every plan-engine row, basic included).
+   ("vectorized+factorized" on every plan-engine row, basic included)
+   and its rewrite-phase seconds; the file records the git revision.
 
    The perf gate (full sweep only, where h=300 exists): factorized e-MQO
    must beat factorized basic (the vectorized basic row) wall-clock and
@@ -323,10 +324,10 @@ let run_share quick =
     if not matches then mismatch := true;
     let alg_name = Urm.Algorithms.name alg in
     let engine_name = Urm_relalg.Compile.engine_name engine in
-    Format.printf "  %-14s h=%-4d %-11s (%s)  %8.3fs%s@." alg_name h
-      engine_name
+    Format.printf "  %-14s h=%-4d %-11s (%s)  %8.3fs  rewrite %8.5fs%s@."
+      alg_name h engine_name
       (match report.Urm.Report.engine with "" -> "?" | e -> e)
-      secs
+      secs report.Urm.Report.timings.Urm.Report.rewrite
       (if matches then "" else "  ANSWER MISMATCH");
     Urm_util.Json.Obj
       [
@@ -337,6 +338,10 @@ let run_share quick =
         ("engine", Urm_util.Json.Str engine_name);
         ("effective_engine", Urm_util.Json.Str report.Urm.Report.engine);
         ("seconds", Urm_util.Json.Num secs);
+        (* The report's rewrite phase: building the units (e-basic and
+           e-MQO reformulate once per q-sharing partition). *)
+        ( "rewrite_seconds",
+          Urm_util.Json.Num report.Urm.Report.timings.Urm.Report.rewrite );
         ("comparison", Urm_util.Json.Str "bytes");
         ("matches_oracle", Urm_util.Json.Bool matches);
       ]
@@ -427,6 +432,7 @@ let run_share quick =
   let json =
     Urm_util.Json.Obj
       ([
+         ("git_rev", Urm_util.Json.Str (git_rev ()));
          ( "config",
            Urm_util.Json.Obj
              [

@@ -30,26 +30,31 @@ type result = {
 }
 
 (* The distinct source queries of [q] under [ms], grouped by
-   reformulation key in first-seen order, each with its per-mapping
-   probability vector: the vector (in ascending mapping order) is the
-   unit's row in the mapping→e-unit incidence matrix. *)
+   reformulation key in first-seen order, each with its probability
+   vector — the unit's row in the mapping→e-unit incidence matrix.  One
+   reformulation per q-sharing partition ({!Ptree.representatives}), not
+   per mapping: partitions that share a key merge, and the vector lists
+   their members partition by partition.  The order of the vector cannot
+   change a bit, since each unit adds its exact sum ({!Answer.mass}). *)
 let weighted_units (ctx : Ctx.t) q ms =
   let groups = Hashtbl.create 32 in
   let order = ref [] in
   List.iter
-    (fun m ->
-      let sq = Reformulate.source_query ctx.target q m in
+    (fun (sq, members) ->
       let k = Reformulate.key sq in
       match Hashtbl.find_opt groups k with
-      | Some cell -> cell := (fst !cell, m.Mapping.prob :: snd !cell)
+      | Some cell -> cell := (fst !cell, members :: snd !cell)
       | None ->
-        Hashtbl.add groups k (ref (sq, [ m.Mapping.prob ]));
+        Hashtbl.add groups k (ref (sq, [ members ]));
         order := k :: !order)
-    ms;
+    (Ptree.representatives ctx.target q ms);
   List.rev_map
     (fun k ->
-      let sq, ws = !(Hashtbl.find groups k) in
-      (sq, Array.of_list (List.rev ws)))
+      let sq, parts = !(Hashtbl.find groups k) in
+      let probs =
+        List.concat_map (List.map (fun m -> m.Mapping.prob)) (List.rev parts)
+      in
+      (sq, Array.of_list probs))
     !order
 
 (* One unit per partition of mappings known to reformulate alike (the

@@ -3,20 +3,23 @@
    order so partitioning is deterministic. *)
 type node = {
   edges : (string, node) Hashtbl.t;
-  mutable edge_order : string list;  (* reverse insertion order *)
   mutable bucket : Mapping.t list;  (* reverse insertion order, leaves only *)
 }
 
-let fresh_node () = { edges = Hashtbl.create 4; edge_order = []; bucket = [] }
+let fresh_node () = { edges = Hashtbl.create 4; bucket = [] }
 
 let label_of m target_attr =
   match Mapping.source_of m target_attr with Some s -> s | None -> "⊥"
 
 (* The paper's recursive [put]: descend one level per partition attribute,
    creating edges as needed, and deposit the mapping in the leaf bucket.
-   Levels are label functions (see [levels]). *)
-let rec put node m = function
-  | [] -> node.bucket <- m :: node.bucket
+   Levels are label functions (see [levels]).  A leaf that receives its
+   first mapping is a new partition: [on_new] sees it once, so partitions
+   can be listed in the order their first members arrived. *)
+let rec put ~on_new node m = function
+  | [] ->
+    if node.bucket = [] then on_new node;
+    node.bucket <- m :: node.bucket
   | level :: rest ->
     let label = level m in
     let child =
@@ -25,18 +28,9 @@ let rec put node m = function
       | None ->
         let c = fresh_node () in
         Hashtbl.add node.edges label c;
-        node.edge_order <- label :: node.edge_order;
         c
     in
-    put child m rest
-
-let rec buckets node acc =
-  if node.bucket <> [] then List.rev node.bucket :: acc
-  else
-    List.fold_left
-      (fun acc label -> buckets (Hashtbl.find node.edges label) acc)
-      acc
-      (List.rev node.edge_order)
+    put ~on_new child m rest
 
 (* One tree level per referenced target attribute (labelled by its source
    attribute under the mapping), plus — for aggregate queries — one level
@@ -60,11 +54,12 @@ let levels target q =
         (fun (alias, _) ->
           if Query.referenced_of_alias q alias <> [] then None
           else
+            let qattrs =
+              List.map (Query.qualified q) (Query.needed_attrs target q alias)
+            in
             Some
               (fun m ->
-                Query.needed_attrs target q alias
-                |> List.filter_map (fun ta ->
-                       Mapping.source_of m (Query.qualified q ta))
+                List.filter_map (Mapping.source_of m) qattrs
                 |> List.map (fun s ->
                        fst (Urm_relalg.Schema.split_qualified s))
                 |> List.sort_uniq String.compare
@@ -73,11 +68,23 @@ let levels target q =
   in
   attr_levels @ cover_levels
 
+(* Partitions in first-insertion order — the order of their first members
+   in [ms] — not the trie's depth-first order: the two differ whenever a
+   later level splits a subtree after another subtree was opened, and
+   callers that merge partitions by reformulation key rely on this order
+   being the per-mapping first-seen order. *)
 let partition target q ms =
   let lvls = levels target q in
   let root = fresh_node () in
-  List.iter (fun m -> put root m lvls) ms;
-  List.rev (buckets root [])
+  let leaves = ref [] in
+  List.iter (fun m -> put ~on_new:(fun n -> leaves := n :: !leaves) root m lvls) ms;
+  List.rev_map (fun n -> List.rev n.bucket) !leaves
+
+let representatives target q ms =
+  List.map
+    (fun members ->
+      (Reformulate.source_query target q (List.hd members), members))
+    (partition target q ms)
 
 let partition_naive target q ms =
   let lvls = levels target q in

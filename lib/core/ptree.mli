@@ -6,8 +6,9 @@
     mappings of one partition.  Mappings in the same bucket produce the same
     source query. *)
 
-(** [partition target q ms] groups [ms] into partitions, in deterministic
-    (first-insertion) order.  Every input mapping appears in exactly one
+(** [partition target q ms] groups [ms] into partitions, in first-insertion
+    order (ordered by each partition's first member in [ms]; members keep
+    their order in [ms]).  Every input mapping appears in exactly one
     partition. *)
 val partition :
   Urm_relalg.Schema.t -> Query.t -> Mapping.t list -> Mapping.t list list
@@ -16,6 +17,23 @@ val partition :
     partition-tree ablation bench. *)
 val partition_naive :
   Urm_relalg.Schema.t -> Query.t -> Mapping.t list -> Mapping.t list list
+
+(** [representatives target q ms] one unprobed reformulation
+    ({!Reformulate.source_query} without [holds]) per partition of
+    {!partition}, through its first member, paired with the partition's
+    members, in partition order.  Exact for every member: the levels label
+    each mapping by the source of every referenced target attribute and,
+    for aggregates, each unreferenced alias's cover — every input of the
+    reformulation — so all members share its {!Reformulate.key}, base
+    relations and [factor_rels], and the keys' first-seen order over the
+    partitions is their first-seen order over [ms].  Callers that need
+    every mapping's reformulation pay one per partition instead of one per
+    mapping. *)
+val representatives :
+  Urm_relalg.Schema.t ->
+  Query.t ->
+  Mapping.t list ->
+  (Reformulate.t * Mapping.t list) list
 
 (** [represent partitions] one representative mapping per partition, its
     probability the sum over the partition (the paper's [represent]

@@ -10,7 +10,6 @@
 (** An attribute of a specific alias, e.g. [{alias = "PO1"; attr = "orderNum"}]. *)
 type tattr = { alias : string; attr : string }
 
-val pp_tattr : Format.formatter -> tattr -> unit
 val tattr_to_string : tattr -> string
 
 (** [at alias attr] constructs a {!tattr}. *)
@@ -44,9 +43,6 @@ val make :
   ?group_by:tattr list ->
   unit ->
   t
-
-(** Relation of an alias.  Raises [Not_found] for unknown aliases. *)
-val relation_of : t -> string -> string
 
 (** [qualified q ta] the target-schema attribute name [ta] resolves to,
     e.g. [at "PO1" "orderNum"] → ["PO.orderNum"]; this is the key used

@@ -13,14 +13,6 @@
     first-appearance (pre-order) order. *)
 val base_names : Urm_relalg.Algebra.t -> string list
 
-(** [subst_bases f e] rewrites every [Base n] leaf by [f n occ], where
-    [occ] counts prior occurrences of [n] in pre-order; [None] keeps the
-    leaf.  Structure (renames, predicates, aggregates) is preserved. *)
-val subst_bases :
-  (string -> int -> Urm_relalg.Algebra.t option) ->
-  Urm_relalg.Algebra.t ->
-  Urm_relalg.Algebra.t
-
 (** [candidates ctx sq ~factor ~old_of ~delta_of e] target tuples that may
     be new after an insert-only batch: evaluates one telescoped step
     expression per touched occurrence of [e] through [ctx] (which must be

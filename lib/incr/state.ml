@@ -67,25 +67,36 @@ let compact t =
   Urm.Answer.compact t.answer;
   Hashtbl.iter (fun _ s -> if weight s = [] then patch_shape t.answer s []) t.shapes
 
-let add_member t (ctx : Urm.Ctx.t) m =
-  let k, sq = shape_key ctx t.query m in
-  let member = (m.Urm.Mapping.id, m.Urm.Mapping.prob) in
-  match Hashtbl.find_opt t.shapes k with
-  | Some s ->
-    s.members <- member :: s.members;
-    s
-  | None ->
-    let factor, tuples = eval_shape ctx sq in
-    let expr_rels =
-      match sq.Urm.Reformulate.body with
-      | Urm.Reformulate.Expr e -> Delta.base_names e
-      | _ -> []
-    in
-    let s = { key = k; sq; expr_rels; factor; members = [ member ]; tuples } in
-    Hashtbl.replace t.shapes k s;
-    t.order <- k :: t.order;
-    s
+(* [members] all reformulate to [sq]: they join its shape, which is
+   evaluated on first appearance. *)
+let add_members t (ctx : Urm.Ctx.t) sq members =
+  let k = Urm.Reformulate.key sq in
+  let s =
+    match Hashtbl.find_opt t.shapes k with
+    | Some s -> s
+    | None ->
+      let factor, tuples = eval_shape ctx sq in
+      let expr_rels =
+        match sq.Urm.Reformulate.body with
+        | Urm.Reformulate.Expr e -> Delta.base_names e
+        | _ -> []
+      in
+      let s = { key = k; sq; expr_rels; factor; members = []; tuples } in
+      Hashtbl.replace t.shapes k s;
+      t.order <- k :: t.order;
+      s
+  in
+  List.iter
+    (fun m -> s.members <- (m.Urm.Mapping.id, m.Urm.Mapping.prob) :: s.members)
+    members;
+  s
 
+let add_member t (ctx : Urm.Ctx.t) m =
+  let sq = Urm.Reformulate.source_query ctx.Urm.Ctx.target t.query m in
+  add_members t ctx sq [ m ]
+
+(* One reformulation per q-sharing partition: every member of a partition
+   has the representative's shape ({!Urm.Ptree.representatives}). *)
 let build (snap : Vcatalog.snapshot) q =
   let t =
     {
@@ -96,7 +107,9 @@ let build (snap : Vcatalog.snapshot) q =
       epoch = snap.epoch;
     }
   in
-  List.iter (fun m -> ignore (add_member t snap.ctx m)) snap.mappings;
+  List.iter
+    (fun (sq, members) -> ignore (add_members t snap.ctx sq members))
+    (Urm.Ptree.representatives snap.ctx.Urm.Ctx.target q snap.mappings);
   t.order <- List.rev t.order;
   List.iter (fun k -> let s = Hashtbl.find t.shapes k in patch_shape t.answer s (weight s)) t.order;
   compact t;
@@ -258,8 +271,13 @@ let catch_up ?metrics vcat t =
 (* ------------------------------------------------------------------ *)
 
 (* The stored relations a query can read through any mapping of the
-   snapshot — reformulation only, no evaluation.  This is what the service
-   keys selective answer-cache invalidation on. *)
+   snapshot — reformulation only, no evaluation, in first-seen order.
+   This is what the service keys selective answer-cache invalidation on.
+   One reformulation per q-sharing partition gives every member's
+   relations ({!Urm.Ptree.representatives}).  It must stay unprobed: the
+   selection probe turns a selection whose constant the source lacks into
+   [Unsatisfiable], which would drop the relation — and an insert of that
+   constant could then leave a stale cached θ. *)
 let query_deps (snap : Vcatalog.snapshot) q =
   let seen = Hashtbl.create 8 in
   let out = ref [] in
@@ -270,11 +288,11 @@ let query_deps (snap : Vcatalog.snapshot) q =
     end
   in
   List.iter
-    (fun m ->
-      let sq = Urm.Reformulate.source_query snap.Vcatalog.ctx.Urm.Ctx.target q m in
-      (match sq.Urm.Reformulate.body with
+    (fun ((sq : Urm.Reformulate.t), _) ->
+      (match sq.body with
       | Urm.Reformulate.Expr e -> List.iter note (Delta.base_names e)
       | Urm.Reformulate.Unsatisfiable | Urm.Reformulate.Trivial -> ());
-      List.iter note sq.Urm.Reformulate.factor_rels)
-    snap.Vcatalog.mappings;
+      List.iter note sq.factor_rels)
+    (Urm.Ptree.representatives snap.Vcatalog.ctx.Urm.Ctx.target q
+       snap.Vcatalog.mappings);
   List.rev !out

@@ -28,8 +28,9 @@
 
 type t
 
-(** [build snap q] evaluates [q] over the snapshot — one evaluation per
-    distinct shape, e-basic style — and records the decomposition. *)
+(** [build snap q] evaluates [q] over the snapshot — one reformulation per
+    q-sharing partition, one evaluation per distinct shape, e-basic
+    style — and records the decomposition. *)
 val build : Vcatalog.snapshot -> Urm.Query.t -> t
 
 (** [apply ?metrics t entry] patches the state across one committed batch.
@@ -60,6 +61,13 @@ val query : t -> Urm.Query.t
 val shape_count : t -> int
 
 (** [query_deps snap q] the stored relations [q] can read through any
-    mapping of the snapshot (reformulation only, no evaluation) — the
-    dependency set the service keys selective cache invalidation on. *)
+    mapping of the snapshot (reformulation only, no evaluation), in
+    first-seen order — the dependency set the service keys selective
+    cache invalidation on.  It reformulates once per q-sharing partition
+    ({!Urm.Ptree.representatives}), which yields every member's body
+    relations and [factor_rels], in the per-mapping loop's order.  The
+    reformulation is unprobed on purpose: the selection probe
+    ({!Urm.Reformulate.selection_probe}) would make a selection whose
+    constant the source lacks [Unsatisfiable] and drop its relation, so
+    an insert of that constant would leave a stale cached θ. *)
 val query_deps : Vcatalog.snapshot -> Urm.Query.t -> string list

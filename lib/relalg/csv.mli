@@ -8,17 +8,11 @@
 (** [write_string rel] the CSV text of a relation (header + rows). *)
 val write_string : Relation.t -> string
 
-(** [write_file path rel]. *)
-val write_file : string -> Relation.t -> unit
-
 (** [read_string ?schema text] parses CSV text into a relation.  With
     [schema], the header must contain exactly the relation's attributes (in
     any order) and values are coerced to the declared types.
     Raises [Failure] on malformed input or coercion errors. *)
 val read_string : ?schema:Schema.rel -> string -> Relation.t
-
-(** [read_file ?schema path]. *)
-val read_file : ?schema:Schema.rel -> string -> Relation.t
 
 (** [export_catalog dir cat] writes every relation of [cat] to
     [dir/<name>.csv] (creates [dir] if needed). *)

@@ -30,9 +30,6 @@ val split_qualified : string -> string * string
 (** All qualified attribute names of the schema, in declaration order. *)
 val qualified_attrs : t -> string list
 
-(** Qualified attribute names of one relation. *)
-val rel_attrs : rel -> string list
-
 (** [attr_count s] is the total number of attributes across all relations. *)
 val attr_count : t -> int
 

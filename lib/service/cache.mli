@@ -7,7 +7,7 @@
 
     With mutable sessions ({!Session.mutate}) a fingerprint no longer pins
     one immutable instance, so entries carry the stored relations their
-    answer read ({!Session.query_deps}) and mutations {!invalidate} the
+    answer read ({!Urm_incr.State.query_deps}) and mutations {!invalidate} the
     session's entries — selectively by touched relation for data-only
     batches, wholesale when the mapping set changed (every answer depends
     on it).  Inserts are guarded ({!Urm_util.Lru.add_guarded}): the server

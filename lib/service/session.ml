@@ -136,8 +136,6 @@ let list c =
 
 let mutate s batch = Vcatalog.commit s.vcat batch
 
-let query_deps s q = State.query_deps (snapshot s) q
-
 let with_incr_state ?metrics s q f =
   Mutex.lock s.incr_lock;
   Fun.protect

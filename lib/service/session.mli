@@ -88,11 +88,6 @@ val epoch : t -> int
 val mutate :
   t -> Urm_incr.Mutation.batch -> (Urm_incr.Vcatalog.outcome, string) result
 
-(** [query_deps s q] the stored relations [q] can read through the
-    session's current mapping set — the cache-invalidation dependency
-    set. *)
-val query_deps : t -> Urm.Query.t -> string list
-
 (** [with_incr_state ?metrics s q f] runs [f] over the session's
     maintained state for [q] — built on first use, caught up to the
     catalog head by delta evaluation on every later use — serialised by

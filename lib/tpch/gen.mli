@@ -11,11 +11,6 @@
 (** The 8-relation, 46-attribute source schema, named ["TPCH"]. *)
 val schema : Urm_relalg.Schema.t
 
-(** Base table cardinalities at [scale = 1.0]:
-    region 5, nation 25, supplier 100, customer 1500, part 2000,
-    partsupp 8000, orders 15000, lineitem 60000 (≈ 86k tuples). *)
-val base_cardinality : string -> int
-
 (** [generate ~seed ~scale ()] builds a fully populated catalog.  Equal
     seeds and scales produce identical instances. *)
 val generate : ?seed:int -> scale:float -> unit -> Urm_relalg.Catalog.t

@@ -10,11 +10,6 @@ val q2 : Urm.Query.t
 val q3 : Urm.Query.t
 val q4 : Urm.Query.t
 val q5 : Urm.Query.t
-val q6 : Urm.Query.t
-val q7 : Urm.Query.t
-val q8 : Urm.Query.t
-val q9 : Urm.Query.t
-val q10 : Urm.Query.t
 
 (** All ten with their target schema, in order: [("Q1", excel, q1); …]. *)
 val all : (string * Urm_relalg.Schema.t * Urm.Query.t) list

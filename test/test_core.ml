@@ -320,9 +320,21 @@ let test_ptree_matches_naive () =
   let by_tree = Urm.Ptree.partition target q ms in
   let by_naive = Urm.Ptree.partition_naive target q ms in
   let ids groups = List.map (List.map (fun m -> m.Urm.Mapping.id)) groups in
-  Alcotest.(check (list (list int))) "same partitions"
-    (List.sort compare (ids by_naive))
-    (List.sort compare (ids by_tree))
+  (* Both list partitions in first-insertion order. *)
+  Alcotest.(check (list (list int))) "same partitions, same order"
+    (ids by_naive) (ids by_tree);
+  (* The trie's depth-first order would put 2 (oaddr, hphone) before 1
+     (haddr, ophone): the second level splits the oaddr subtree after the
+     haddr one was opened. *)
+  let split =
+    [
+      mk 0 0.4 [ ("Person.addr", "Customer.oaddr"); ("Person.phone", "Customer.ophone") ];
+      mk 1 0.3 [ ("Person.addr", "Customer.haddr"); ("Person.phone", "Customer.ophone") ];
+      mk 2 0.3 [ ("Person.addr", "Customer.oaddr"); ("Person.phone", "Customer.hphone") ];
+    ]
+  in
+  Alcotest.(check (list (list int))) "first-insertion order" [ [ 0 ]; [ 1 ]; [ 2 ] ]
+    (ids (Urm.Ptree.partition target q split))
 
 let test_ptree_covers_all () =
   let q = q_paper () in

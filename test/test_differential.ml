@@ -75,6 +75,7 @@ let correspondence_pool =
     ("Order.price", [ "C_Order.amount" ]);
     ("Order.item", [ "Nation.name" ]);
     ("Order.total", [ "C_Order.amount" ]);
+    ("Order.status", [ "Customer.ophone"; "Customer.hphone" ]);
   ]
 
 let pairs_gen =
@@ -142,13 +143,16 @@ let query_gen =
               else None)
            ())
     in
+    (* Person.phone and Order.status can map to distinct phone columns
+       that share values (Customer.ophone/hphone share 123), so the join
+       is satisfiable and its predicate decides the answer. *)
     let join =
       let* sels = list_size (0 -- 2) selection_gen in
       return
         (Urm.Query.make ~name:"rand-join" ~target:Test_core.target
            ~aliases:[ ("Person", "Person"); ("Order", "Order") ]
            ~selections:(List.sort_uniq compare sels)
-           ~joins:[ (Urm.Query.at "Person" "pname", Urm.Query.at "Order" "sname") ]
+           ~joins:[ (Urm.Query.at "Person" "phone", Urm.Query.at "Order" "status") ]
            ())
     in
     let count =
@@ -636,6 +640,96 @@ let test_factorized_engine_recorded () =
       Urm.Algorithms.Qsharing; Urm.Algorithms.Osharing Urm.Eunit.Sef;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* One reformulation per q-sharing partition stands for every member:
+   [State.query_deps] and [Factorized.weighted_units] against the
+   per-mapping loops they replaced, kept here as references. *)
+
+(* Every mapping's stored relations, first-seen order over the mappings. *)
+let query_deps_ref (snap : Urm_incr.Vcatalog.snapshot) q =
+  let seen = Hashtbl.create 8 in
+  let out = ref [] in
+  let note r =
+    if not (Hashtbl.mem seen r) then begin
+      Hashtbl.add seen r ();
+      out := r :: !out
+    end
+  in
+  List.iter
+    (fun m ->
+      let sq =
+        Urm.Reformulate.source_query snap.Urm_incr.Vcatalog.ctx.Urm.Ctx.target q m
+      in
+      (match sq.Urm.Reformulate.body with
+      | Urm.Reformulate.Expr e -> List.iter note (Urm_incr.Delta.base_names e)
+      | Urm.Reformulate.Unsatisfiable | Urm.Reformulate.Trivial -> ());
+      List.iter note sq.Urm.Reformulate.factor_rels)
+    snap.Urm_incr.Vcatalog.mappings;
+  List.rev !out
+
+(* Every mapping's reformulation key, grouped in first-seen order, with the
+   members' probabilities in mapping order. *)
+let weighted_units_ref (ctx : Urm.Ctx.t) q ms =
+  let groups = Hashtbl.create 32 in
+  let order = ref [] in
+  List.iter
+    (fun m ->
+      let k = Urm.Reformulate.key (Urm.Reformulate.source_query ctx.target q m) in
+      match Hashtbl.find_opt groups k with
+      | Some ps -> ps := m.Urm.Mapping.prob :: !ps
+      | None ->
+        Hashtbl.add groups k (ref [ m.Urm.Mapping.prob ]);
+        order := k :: !order)
+    ms;
+  List.rev_map (fun k -> (k, Array.of_list (List.rev !(Hashtbl.find groups k)))) !order
+
+(* [None] when both agree: the deps list (same order), and the units'
+   keys (same order) with the same exact mass per key. *)
+let per_partition_disagreement (ctx : Urm.Ctx.t) q ms =
+  let snap = Urm_incr.Vcatalog.head (Urm_incr.Vcatalog.create ~ctx ~mappings:ms ()) in
+  let deps = Urm_incr.State.query_deps snap q and want = query_deps_ref snap q in
+  let units =
+    List.map
+      (fun (sq, w) -> (Urm.Reformulate.key sq, Urm.Answer.mass w))
+      (Urm.Factorized.weighted_units ctx q ms)
+  in
+  let ref_units =
+    List.map (fun (k, w) -> (k, Urm.Answer.mass w)) (weighted_units_ref ctx q ms)
+  in
+  if deps <> want then
+    Some
+      (Printf.sprintf "query_deps on %s: [%s], per mapping [%s]"
+         (Urm.Query.to_string q) (String.concat "; " deps) (String.concat "; " want))
+  else if units <> ref_units then
+    Some
+      (Printf.sprintf "weighted_units on %s: %d keys, per mapping %d"
+         (Urm.Query.to_string q) (List.length units) (List.length ref_units))
+  else None
+
+let qcheck_per_partition =
+  QCheck.Test.make
+    ~name:"one reformulation per partition gives the per-mapping deps and units"
+    ~count:500
+    (QCheck.make QCheck.Gen.(pair query_gen bounded_mappings_gen))
+    (fun (q, ms) ->
+      match per_partition_disagreement (Test_core.ctx ()) q ms with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+let test_per_partition_workload () =
+  let p = Lazy.force workload in
+  let excel = Urm_workload.Targets.excel in
+  let ctx = Urm_workload.Pipeline.ctx p excel in
+  let ms = Urm_workload.Pipeline.mappings p excel ~h:100 in
+  List.iter
+    (fun q ->
+      match per_partition_disagreement ctx q ms with
+      | None -> ()
+      | Some msg -> Alcotest.fail msg)
+    (Urm_workload.Queries.[ q1; q2; q3; q4; q5 ]
+    @ List.map Urm_workload.Sweeps.selections [ 1; 2; 3; 4 ]
+    @ List.map Urm_workload.Sweeps.self_joins [ 1; 2 ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_running_example;
@@ -654,4 +748,8 @@ let suite =
       test_factorized_duplicate_mappings;
     Alcotest.test_case "reports record the effective engine" `Quick
       test_factorized_engine_recorded;
+    QCheck_alcotest.to_alcotest qcheck_per_partition;
+    Alcotest.test_case
+      "workload queries at h = 100: per-partition deps and units" `Quick
+      test_per_partition_workload;
   ]

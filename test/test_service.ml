@@ -1,7 +1,8 @@
 (* The query-service layer: LRU, wire protocol, canonical query keys,
-   mapping-set wire validation, and domain-safety of the metrics registry.
-   The live server is exercised end to end by test/smoke (dune @smoke,
-   part of @runtest). *)
+   mapping-set wire validation, domain-safety of the metrics registry, and
+   the answer cache's dependency sets on a live server.  The live server
+   is exercised end to end by test/smoke (dune @smoke, part of
+   @runtest). *)
 
 module Json = Urm_util.Json
 module Lru = Urm_util.Lru
@@ -245,6 +246,101 @@ let test_metrics_json_sorted () =
     (Json.to_string (Urm_obs.Metrics.to_json m))
 
 (* ------------------------------------------------------------------ *)
+(* Answer-cache dependencies *)
+
+(* A selection whose constant the source lacks answers θ, yet the cached
+   answer still depends on the relation the selection reads: inserting a
+   row that holds the constant must evict it.  Deps taken from the
+   selection-probed reformulation would lose that relation (the probe
+   makes the unit unsatisfiable) and serve the stale θ. *)
+let test_absent_constant_invalidates () =
+  let seed = 7 and scale = 0.005 and h = 8 in
+  let constant = "zz-absent" in
+  let p = Urm_workload.Pipeline.create ~seed ~scale () in
+  let excel = Urm_workload.Targets.excel in
+  let ctx = Urm_workload.Pipeline.ctx p excel in
+  let ms = Urm_workload.Pipeline.mappings p excel ~h in
+  let source_attr =
+    match List.find_map (fun m -> Urm.Mapping.source_of m "PO.telephone") ms with
+    | Some a -> a
+    | None -> Alcotest.fail "no mapping maps PO.telephone"
+  in
+  let rel, col = Urm_relalg.Schema.split_qualified source_attr in
+  let stored = Urm_relalg.Catalog.find ctx.Urm.Ctx.catalog rel in
+  let row = Array.copy stored.Urm_relalg.Relation.rows.(0) in
+  let pos = Urm_relalg.Relation.col_pos stored col in
+  (match row.(pos) with
+  | Urm_relalg.Value.Str _ -> ()
+  | _ -> Alcotest.failf "%s does not hold strings" source_attr);
+  Alcotest.(check bool) "the constant is absent" false
+    (Urm_relalg.Catalog.has_value ctx.Urm.Ctx.catalog rel col
+       (Urm_relalg.Value.Str constant));
+  row.(pos) <- Urm_relalg.Value.Str constant;
+  let server =
+    Urm_service.Server.start
+      { Urm_service.Server.default_config with port = 0; workers = 1 }
+  in
+  let c = Urm_service.Client.connect ~port:(Urm_service.Server.port server) () in
+  let call op params =
+    match Urm_service.Client.call c ~op params with
+    | Ok reply -> reply
+    | Error (code, m) -> Alcotest.failf "%s: %s: %s" op code m
+  in
+  let member name json = Option.value ~default:Json.Null (Json.member name json) in
+  let session = ("session", Json.Str "abs") in
+  ignore
+    (call "open-session"
+       [
+         session;
+         ("target", Json.Str "Excel");
+         ("seed", Json.Num (float_of_int seed));
+         ("scale", Json.Num scale);
+         ("h", Json.Num (float_of_int h));
+       ]);
+  let query () =
+    let reply =
+      call "query"
+        [
+          session;
+          ( "sql",
+            Json.Str
+              (Printf.sprintf
+                 "SELECT PO.telephone FROM PO WHERE PO.telephone = '%s'" constant) );
+        ]
+    in
+    ( member "cached" reply,
+      Json.to_string
+        (Json.Obj
+           [ ("answers", member "answers" reply); ("null", member "null_prob" reply) ])
+    )
+  in
+  let cached0, theta = query () in
+  Alcotest.(check bool) "first read is computed" true (cached0 = Json.Bool false);
+  Alcotest.(check string) "an absent constant answers θ"
+    {|{"answers":[],"null":1}|} theta;
+  Alcotest.(check bool) "second read is cached" true (fst (query ()) = Json.Bool true);
+  let mutated =
+    call "mutate"
+      [
+        session;
+        ( "mutations",
+          Urm_incr.Mutation.batch_to_json [ Urm_incr.Mutation.Insert { rel; row } ] );
+      ]
+  in
+  Alcotest.(check string) "a data-only batch invalidates selectively" "selective"
+    (match member "scope" (member "invalidation" mutated) with
+    | Json.Str s -> s
+    | _ -> "");
+  let cached1, after = query () in
+  Alcotest.(check bool) "the read after the insert is recomputed" true
+    (cached1 = Json.Bool false);
+  Alcotest.(check bool) "and sees the inserted constant" false
+    (String.equal theta after);
+  Urm_service.Client.close c;
+  Urm_service.Server.stop server;
+  Urm_service.Server.wait server
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [
@@ -274,4 +370,6 @@ let suite =
       test_metrics_concurrent_domains;
     Alcotest.test_case "metrics json has sorted keys" `Quick
       test_metrics_json_sorted;
+    Alcotest.test_case "an insert of an absent selection constant evicts θ"
+      `Quick test_absent_constant_invalidates;
   ]
