@@ -1,3 +1,18 @@
+type partitioning = {
+  mappings : Mapping.t list;
+  partition : Mapping.t list list;
+  deps : string list;
+}
+
+(* Keyed by {!Query.shape}.  An entry is valid only for the mapping list it
+   was computed from, compared physically: the entry holds that list, so
+   its address cannot be reused by another list while the entry lives. *)
+type partitionings = {
+  lru : partitioning Urm_util.Lru.t;
+  hits : int Atomic.t;
+  misses : int Atomic.t;
+}
+
 type t = {
   catalog : Urm_relalg.Catalog.t;
   source : Urm_relalg.Schema.t;
@@ -5,6 +20,7 @@ type t = {
   engine : Urm_relalg.Compile.engine;
   compile_env : Urm_relalg.Compile.env;
   plans : Urm_relalg.Plan_cache.t;
+  partitionings : partitionings;
 }
 
 let make ?(engine = Urm_relalg.Compile.Vectorized) ~catalog ~source ~target () =
@@ -15,16 +31,24 @@ let make ?(engine = Urm_relalg.Compile.Vectorized) ~catalog ~source ~target () =
     engine;
     compile_env = Urm_relalg.Compile.create_env catalog;
     plans = Urm_relalg.Plan_cache.create ();
+    partitionings =
+      {
+        lru = Urm_util.Lru.create ~capacity:256;
+        hits = Atomic.make 0;
+        misses = Atomic.make 0;
+      };
   }
 
 let engine t = t.engine
 
-(* Rebinding the catalog keeps the compile env and plan cache: plans
-   resolve [Base] leaves against the catalog passed at execution time, and
-   compiled column layouts only depend on schemas, which copy-on-write
-   derivation preserves.  Cardinality statistics consulted at compile time
-   keep describing the original instance — join orders chosen then remain
-   valid (if increasingly approximate) as the data drifts. *)
+(* Rebinding the catalog keeps the compile env, the plan cache and the
+   partitioning memo: plans resolve [Base] leaves against the catalog
+   passed at execution time, and compiled column layouts only depend on
+   schemas, which copy-on-write derivation preserves; partitions and
+   unprobed dependency sets read no data at all.  Cardinality statistics
+   consulted at compile time keep describing the original instance — join
+   orders chosen then remain valid (if increasingly approximate) as the
+   data drifts. *)
 let with_catalog t catalog = { t with catalog }
 
 let plan_of t e =
@@ -106,3 +130,24 @@ let rec nonempty ?ctrs t e =
     | _ -> Urm_relalg.Plan.nonempty ?ctrs t.catalog (plan_of t e))
 
 let plan_stats t = Urm_relalg.Plan_cache.stats t.plans
+
+(* Computed outside the lock, like a plan: two executors racing on one
+   shape both compute it and the later insert wins.  Either entry is exact
+   for its own list, so a race wastes work, never serves a wrong
+   partition. *)
+let partitioning t q ms compute =
+  let p = t.partitionings in
+  let key = Query.shape q in
+  match Urm_util.Lru.find p.lru key with
+  | Some e when e.mappings == ms ->
+    Atomic.incr p.hits;
+    e
+  | _ ->
+    Atomic.incr p.misses;
+    let partition, deps = compute () in
+    let e = { mappings = ms; partition; deps } in
+    ignore (Urm_util.Lru.add p.lru key e);
+    e
+
+let partitioning_stats t =
+  (Atomic.get t.partitionings.hits, Atomic.get t.partitionings.misses)

@@ -8,7 +8,26 @@
     (compiled plans executed in batches over typed column vectors); pass
     [~engine:Interpreted] (CLI: [--engine interpreted]) for the
     tree-walking evaluator, the reference oracle.  Both produce identical
-    answers. *)
+    answers.
+
+    Beside the plan cache the context memoises, per query shape
+    ({!Query.shape}) and mapping list, the q-sharing partition and the
+    query's dependency relations ({!partitioning}): both are fixed by the
+    attributes a query names and by the mappings, never by its selection
+    constants, so a request that differs from an earlier one only in
+    constants partitions nothing. *)
+
+(** One memo entry: the q-sharing partition of [mappings]
+    ({!Ptree.partition}, first-insertion order) and the stored relations
+    the query reads under them (unprobed reformulation, see
+    {!Ptree.shared}). *)
+type partitioning = {
+  mappings : Mapping.t list;  (** the list the entry was computed for *)
+  partition : Mapping.t list list;
+  deps : string list;
+}
+
+type partitionings
 
 type t = {
   catalog : Urm_relalg.Catalog.t;  (** the source instance D *)
@@ -17,6 +36,8 @@ type t = {
   engine : Urm_relalg.Compile.engine;
   compile_env : Urm_relalg.Compile.env;
   plans : Urm_relalg.Plan_cache.t;
+  partitionings : partitionings;
+      (** bounded LRU (256 shapes) of {!partitioning}s *)
 }
 
 val make :
@@ -30,8 +51,9 @@ val make :
 val engine : t -> Urm_relalg.Compile.engine
 
 (** [with_catalog t cat] the same context evaluating over [cat] — the
-    versioned-catalog commit path.  The plan cache and compile env are
-    shared with [t]: plans bind [Base] leaves at execution time, so they
+    versioned-catalog commit path.  The plan cache, the partitioning memo
+    and the compile env are shared with [t] (partitions and dependency
+    sets read no data): plans bind [Base] leaves at execution time, so they
     stay valid across copy-on-write catalog versions (which never change a
     relation's header), and the memoized hash-join build tables key on the
     catalog's {!Urm_relalg.Catalog.id}, so a new version automatically
@@ -78,3 +100,22 @@ val nonempty : ?ctrs:Urm_relalg.Eval.counters -> t -> Urm_relalg.Algebra.t -> bo
 
 (** [(hits, misses, evictions)] of the context's plan cache. *)
 val plan_stats : t -> int * int * int
+
+(** [partitioning t q ms compute] the memo entry of [q]'s shape under
+    [ms], running [compute ()] for its [(partition, deps)] on a miss.  An
+    entry serves only the mapping list it was computed for, compared
+    physically ([==]): mapping lists are immutable, so the same list has
+    the same partition, and the entry keeps its list alive, so no other
+    list can take its address.  A committed data-only batch keeps its
+    snapshot's list; a reweight, prune or added mapping builds a new one
+    and misses.  Thread-safe; [compute] runs outside the lock.  Callers go
+    through {!Ptree.shared}. *)
+val partitioning :
+  t ->
+  Query.t ->
+  Mapping.t list ->
+  (unit -> Mapping.t list list * string list) ->
+  partitioning
+
+(** [(hits, misses)] of the context's partitioning memo. *)
+val partitioning_stats : t -> int * int

@@ -32,9 +32,10 @@ type result = {
 (* The distinct source queries of [q] under [ms], grouped by
    reformulation key in first-seen order, each with its probability
    vector — the unit's row in the mapping→e-unit incidence matrix.  One
-   reformulation per q-sharing partition ({!Ptree.representatives}), not
-   per mapping: partitions that share a key merge, and the vector lists
-   their members partition by partition.  The order of the vector cannot
+   reformulation per q-sharing partition ({!Ptree.representatives}, over
+   the context's memoised partition), not per mapping: partitions that
+   share a key merge, and the vector lists their members partition by
+   partition.  The order of the vector cannot
    change a bit, since each unit adds its exact sum ({!Answer.mass}). *)
 let weighted_units (ctx : Ctx.t) q ms =
   let groups = Hashtbl.create 32 in
@@ -47,7 +48,7 @@ let weighted_units (ctx : Ctx.t) q ms =
       | None ->
         Hashtbl.add groups k (ref (sq, [ members ]));
         order := k :: !order)
-    (Ptree.representatives ctx.target q ms);
+    (Ptree.representatives ctx q ms);
   List.rev_map
     (fun k ->
       let sq, parts = !(Hashtbl.find groups k) in

@@ -33,8 +33,9 @@ type result = {
 (** [weighted_units ctx q ms] the distinct e-units of [q] under [ms],
     grouped by {!Reformulate.key} in first-seen order, with their
     per-mapping probability vectors — the mapping→e-unit incidence.  It
-    reformulates once per q-sharing partition ({!Ptree.representatives})
-    and merges the partitions that share a key, so a vector lists its
+    reformulates once per q-sharing partition ({!Ptree.representatives},
+    over the context's memoised partition) and merges the partitions that
+    share a key, so a vector lists its
     members partition by partition (in mapping order within each).  Each
     unit adds the exact sum of its vector ({!Answer.mass}), so that order
     changes no bit. *)

@@ -80,11 +80,50 @@ let partition target q ms =
   List.iter (fun m -> put ~on_new:(fun n -> leaves := n :: !leaves) root m lvls) ms;
   List.rev_map (fun n -> List.rev n.bucket) !leaves
 
-let representatives target q ms =
+let reformulate target q partition =
   List.map
     (fun members ->
       (Reformulate.source_query target q (List.hd members), members))
-    (partition target q ms)
+    partition
+
+(* Every representative's body relations and [factor_rels], first-seen
+   order: the relations the query reads through any member mapping. *)
+let dependencies reps =
+  let seen = Hashtbl.create 8 in
+  let out = ref [] in
+  let note r =
+    if not (Hashtbl.mem seen r) then begin
+      Hashtbl.add seen r ();
+      out := r :: !out
+    end
+  in
+  List.iter
+    (fun ((sq : Reformulate.t), _) ->
+      List.iter note (Reformulate.body_relations sq);
+      List.iter note sq.factor_rels)
+    reps;
+  List.rev !out
+
+(* The memo entry, with the representatives a miss reformulated for its
+   dependency set ([None] on a hit): they are [q]'s own, constants
+   included, so a caller that needs them reuses them. *)
+let lookup (ctx : Ctx.t) q ms =
+  let fresh = ref None in
+  let e =
+    Ctx.partitioning ctx q ms (fun () ->
+        let partition = partition ctx.target q ms in
+        let reps = reformulate ctx.target q partition in
+        fresh := Some reps;
+        (partition, dependencies reps))
+  in
+  (e, !fresh)
+
+let shared ctx q ms = fst (lookup ctx q ms)
+
+let representatives (ctx : Ctx.t) q ms =
+  match lookup ctx q ms with
+  | _, Some reps -> reps
+  | e, None -> reformulate ctx.target q e.Ctx.partition
 
 let partition_naive target q ms =
   let lvls = levels target q in

@@ -18,9 +18,27 @@ val partition :
 val partition_naive :
   Urm_relalg.Schema.t -> Query.t -> Mapping.t list -> Mapping.t list list
 
-(** [representatives target q ms] one unprobed reformulation
+(** [shared ctx q ms] {!partition}[ ctx.target q ms] and [q]'s dependency
+    relations under [ms], memoised in [ctx] per query shape and mapping
+    list ({!Ctx.partitioning}).  The dependencies are the first-seen union
+    over the {!representatives} of their {!Reformulate.body_relations}
+    and [factor_rels]: every stored relation the query can read through
+    any mapping, in the per-mapping loop's order.  Both are fixed by the
+    shape, so a hit computed for other selection constants is exact: the
+    tree's levels read only the referenced attributes and the aggregate
+    covers, and an unprobed reformulation decides [Unsatisfiable] only
+    from unmapped attributes and takes its relations from the covers.  The
+    reformulation is unprobed on purpose: the selection probe
+    ({!Reformulate.selection_probe}) would make a selection whose constant
+    the source lacks [Unsatisfiable] and drop its relation, so a cached
+    answer would miss the insert of that constant.  Two spellings of one
+    query ({!Query.canonical}) share an entry, so the dependency order is
+    the first spelling's; as a set it is every spelling's. *)
+val shared : Ctx.t -> Query.t -> Mapping.t list -> Ctx.partitioning
+
+(** [representatives ctx q ms] one unprobed reformulation
     ({!Reformulate.source_query} without [holds]) per partition of
-    {!partition}, through its first member, paired with the partition's
+    {!shared}, through its first member, paired with the partition's
     members, in partition order.  Exact for every member: the levels label
     each mapping by the source of every referenced target attribute and,
     for aggregates, each unreferenced alias's cover — every input of the
@@ -28,12 +46,10 @@ val partition_naive :
     relations and [factor_rels], and the keys' first-seen order over the
     partitions is their first-seen order over [ms].  Callers that need
     every mapping's reformulation pay one per partition instead of one per
-    mapping. *)
+    mapping; a memo miss reuses the reformulations it made for the
+    dependency set. *)
 val representatives :
-  Urm_relalg.Schema.t ->
-  Query.t ->
-  Mapping.t list ->
-  (Reformulate.t * Mapping.t list) list
+  Ctx.t -> Query.t -> Mapping.t list -> (Reformulate.t * Mapping.t list) list
 
 (** [represent partitions] one representative mapping per partition, its
     probability the sum over the partition (the paper's [represent]

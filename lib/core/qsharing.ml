@@ -1,4 +1,4 @@
-let partitions (ctx : Ctx.t) q ms = Ptree.partition ctx.target q ms
+let partitions ctx q ms = (Ptree.shared ctx q ms).Ctx.partition
 
 (* e-basic's per-unit evaluation over one unit per partition, on either
    engine; partitioning counts as rewrite time. *)

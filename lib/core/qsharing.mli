@@ -13,5 +13,8 @@ val run :
 (** [partitions ctx q ms] q-sharing's partitions of [ms] ({!Ptree.partition}:
     mappings that reformulate [q] alike), in first-insertion order — exposed
     for o-sharing, top-k and threshold, which start from the same
-    partitioning, and tests. *)
+    partitioning, and tests.  Memoised in [ctx] per query shape and mapping
+    list ({!Ptree.shared}): a query that differs from an earlier one only in
+    its selection constants, over the same list, reuses its partition, so
+    it is paid once per shape, not per request. *)
 val partitions : Ctx.t -> Query.t -> Mapping.t list -> Mapping.t list list

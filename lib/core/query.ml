@@ -152,8 +152,10 @@ let operator_count q =
 (* Canonical text: identifies the query up to name and up to the order of
    aliases, selections and join predicates (join sides are oriented
    lexicographically).  Projection, aggregate and group-by order is
-   significant (it shapes the output) and is kept as written. *)
-let canonical q =
+   significant (it shapes the output) and is kept as written.  Without
+   [constants] a selection renders as its attribute alone: the query's
+   shape. *)
+let canonical_text ~constants q =
   let buf = Buffer.create 128 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let sorted to_str l = List.sort String.compare (List.map to_str l) in
@@ -162,7 +164,9 @@ let canonical q =
   add "sel[%s]"
     (String.concat ";"
        (sorted
-          (fun (ta, v) -> tattr_to_string ta ^ "=" ^ Value.to_string v)
+          (fun (ta, v) ->
+            if constants then tattr_to_string ta ^ "=" ^ Value.to_string v
+            else tattr_to_string ta)
           q.selections));
   add "join[%s]"
     (String.concat ";"
@@ -183,6 +187,8 @@ let canonical q =
     add "group[%s]" (String.concat ";" (List.map tattr_to_string q.group_by));
   Buffer.contents buf
 
+let canonical q = canonical_text ~constants:true q
+let shape q = canonical_text ~constants:false q
 let fingerprint q = Urm_util.Fnv.(to_hex (string (canonical q)))
 
 let pp ppf q =

@@ -91,6 +91,14 @@ val operator_count : t -> int
     canonicalise identically.  The service answer cache keys on this. *)
 val canonical : t -> string
 
+(** [shape q] {!canonical} with the selection constants erased: queries
+    that differ only in the constants they select share a shape.  A shape
+    fixes every input of the q-sharing partition ({!Ptree.partition}
+    labels mappings by the referenced attributes and, for aggregates, the
+    covers of unreferenced aliases) and of an unprobed reformulation's
+    relations, so {!Ctx} memoises both per shape. *)
+val shape : t -> string
+
 (** Stable 64-bit digest of {!canonical} as 16 hex digits. *)
 val fingerprint : t -> string
 

@@ -153,6 +153,23 @@ let source_query ?(holds = fun _ _ -> true) target q m =
       { body = Expr expr; outputs; aggregate = q.Query.aggregate; grouped; factor_rels }
   end
 
+let body_relations sq =
+  match sq.body with
+  | Unsatisfiable | Trivial -> []
+  | Expr e ->
+    let seen = Hashtbl.create 4 in
+    let out = ref [] in
+    let rec go = function
+      | Algebra.Base n ->
+        if not (Hashtbl.mem seen n) then begin
+          Hashtbl.add seen n ();
+          out := n :: !out
+        end
+      | e -> List.iter go (Algebra.children e)
+    in
+    go e;
+    List.rev !out
+
 let key sq =
   let body_part =
     match sq.body with

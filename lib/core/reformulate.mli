@@ -61,6 +61,11 @@ val source_query :
 val selection_probe :
   Urm_relalg.Catalog.t -> string -> Urm_relalg.Value.t -> bool
 
+(** [body_relations sq] the distinct stored relations ([Base] leaves) of
+    the body, in first-appearance (pre-order) order; [[]] for
+    [Unsatisfiable] and [Trivial] bodies. *)
+val body_relations : t -> string list
+
 (** [key sq] identity of the source query: two mappings with equal keys
     produce identical answers.  This is what e-basic deduplicates on. *)
 val key : t -> string

@@ -1,24 +1,10 @@
 open Urm_relalg
 
 (* ------------------------------------------------------------------ *)
-(* Base-leaf utilities.  An "occurrence" of a stored relation is one
+(* Base-leaf substitution.  An "occurrence" of a stored relation is one
    [Base] leaf naming it; self-joins instantiate the same relation under
    several [Rename] aliases, so occurrences are numbered per name in
    pre-order (left-to-right) — the numbering [subst_bases] replays. *)
-
-let base_names e =
-  let seen = Hashtbl.create 4 in
-  let out = ref [] in
-  let rec go = function
-    | Algebra.Base n ->
-      if not (Hashtbl.mem seen n) then begin
-        Hashtbl.add seen n ();
-        out := n :: !out
-      end
-    | e -> List.iter go (Algebra.children e)
-  in
-  go e;
-  List.rev !out
 
 let subst_bases f e =
   let counts = Hashtbl.create 4 in

@@ -9,10 +9,6 @@
     of the step results a superset of the growth; subtracting the
     previously-known tuples recovers the exact delta. *)
 
-(** Distinct stored-relation names ([Base] leaves) of an expression, in
-    first-appearance (pre-order) order. *)
-val base_names : Urm_relalg.Algebra.t -> string list
-
 (** [candidates ctx sq ~factor ~old_of ~delta_of e] target tuples that may
     be new after an insert-only batch: evaluates one telescoped step
     expression per touched occurrence of [e] through [ctx] (which must be

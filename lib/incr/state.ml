@@ -76,11 +76,7 @@ let add_members t (ctx : Urm.Ctx.t) sq members =
     | Some s -> s
     | None ->
       let factor, tuples = eval_shape ctx sq in
-      let expr_rels =
-        match sq.Urm.Reformulate.body with
-        | Urm.Reformulate.Expr e -> Delta.base_names e
-        | _ -> []
-      in
+      let expr_rels = Urm.Reformulate.body_relations sq in
       let s = { key = k; sq; expr_rels; factor; members = []; tuples } in
       Hashtbl.replace t.shapes k s;
       t.order <- k :: t.order;
@@ -96,7 +92,8 @@ let add_member t (ctx : Urm.Ctx.t) m =
   add_members t ctx sq [ m ]
 
 (* One reformulation per q-sharing partition: every member of a partition
-   has the representative's shape ({!Urm.Ptree.representatives}). *)
+   has the representative's shape ({!Urm.Ptree.representatives}, over the
+   context's memoised partition). *)
 let build (snap : Vcatalog.snapshot) q =
   let t =
     {
@@ -109,7 +106,7 @@ let build (snap : Vcatalog.snapshot) q =
   in
   List.iter
     (fun (sq, members) -> ignore (add_members t snap.ctx sq members))
-    (Urm.Ptree.representatives snap.ctx.Urm.Ctx.target q snap.mappings);
+    (Urm.Ptree.representatives snap.ctx q snap.mappings);
   t.order <- List.rev t.order;
   List.iter (fun k -> let s = Hashtbl.find t.shapes k in patch_shape t.answer s (weight s)) t.order;
   compact t;
@@ -273,26 +270,7 @@ let catch_up ?metrics vcat t =
 (* The stored relations a query can read through any mapping of the
    snapshot — reformulation only, no evaluation, in first-seen order.
    This is what the service keys selective answer-cache invalidation on.
-   One reformulation per q-sharing partition gives every member's
-   relations ({!Urm.Ptree.representatives}).  It must stay unprobed: the
-   selection probe turns a selection whose constant the source lacks into
-   [Unsatisfiable], which would drop the relation — and an insert of that
-   constant could then leave a stale cached θ. *)
+   {!Urm.Ptree.shared} computes it once per query shape and mapping list,
+   from one unprobed reformulation per q-sharing partition. *)
 let query_deps (snap : Vcatalog.snapshot) q =
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  let note r =
-    if not (Hashtbl.mem seen r) then begin
-      Hashtbl.add seen r ();
-      out := r :: !out
-    end
-  in
-  List.iter
-    (fun ((sq : Urm.Reformulate.t), _) ->
-      (match sq.body with
-      | Urm.Reformulate.Expr e -> List.iter note (Delta.base_names e)
-      | Urm.Reformulate.Unsatisfiable | Urm.Reformulate.Trivial -> ());
-      List.iter note sq.factor_rels)
-    (Urm.Ptree.representatives snap.Vcatalog.ctx.Urm.Ctx.target q
-       snap.Vcatalog.mappings);
-  List.rev !out
+  (Urm.Ptree.shared snap.Vcatalog.ctx q snap.Vcatalog.mappings).Urm.Ctx.deps

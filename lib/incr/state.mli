@@ -63,11 +63,15 @@ val shape_count : t -> int
 (** [query_deps snap q] the stored relations [q] can read through any
     mapping of the snapshot (reformulation only, no evaluation), in
     first-seen order — the dependency set the service keys selective
-    cache invalidation on.  It reformulates once per q-sharing partition
-    ({!Urm.Ptree.representatives}), which yields every member's body
-    relations and [factor_rels], in the per-mapping loop's order.  The
-    reformulation is unprobed on purpose: the selection probe
-    ({!Urm.Reformulate.selection_probe}) would make a selection whose
-    constant the source lacks [Unsatisfiable] and drop its relation, so
-    an insert of that constant would leave a stale cached θ. *)
+    cache invalidation on.  It is the snapshot context's memo entry for
+    [q]'s shape and the snapshot's mapping list ({!Urm.Ptree.shared}):
+    computed on the first request of a shape, from one unprobed
+    reformulation per q-sharing partition, and reused by every later one
+    until a mapping mutation replaces the list.  Selection constants
+    change neither the partition nor an unprobed reformulation's
+    relations.  The reformulation is unprobed on purpose: the selection
+    probe ({!Urm.Reformulate.selection_probe}) would make a selection
+    whose constant the source lacks [Unsatisfiable] and drop its
+    relation, so an insert of that constant would leave a stale cached
+    θ. *)
 val query_deps : Vcatalog.snapshot -> Urm.Query.t -> string list

@@ -9,6 +9,3 @@ val canon : string -> string
 
 (** All words known to the dictionary (used for compound decomposition). *)
 val vocabulary : string list
-
-(** The raw groups, first element is the canonical representative. *)
-val groups : string list list

@@ -5,17 +5,14 @@
     decomposes compound words against the domain vocabulary (so
     ["orderpriority"] becomes [["order"; "priority"]]). *)
 
-(** [split name] lower-cased tokens of a (possibly qualified) attribute
-    name; a leading token of length ≤ 2 coming from an [x_] or [xy_] prefix
-    is dropped. *)
-val split : string -> string list
-
 (** [decompose vocabulary token] greedy longest-prefix decomposition of
     [token] into vocabulary words; [\[token\]] if no decomposition covers
     it completely. *)
 val decompose : string list -> string -> string list
 
-(** [tokens name] = [split] followed by vocabulary [decompose] of each token
+(** [tokens name] the lower-cased tokens of a (possibly qualified)
+    attribute name — a leading token of length ≤ 2 coming from an [x_] or
+    [xy_] prefix dropped — each split further by vocabulary [decompose]
     against {!Synonyms.vocabulary}, with stop-tokens (["to"], ["of"], …)
     removed. *)
 val tokens : string -> string list

@@ -415,6 +415,17 @@ let exec_metrics t : Json.t =
             (Session.list t.session_catalog)
         in
         Json.Obj [ ("hit", num hit); ("miss", num miss); ("evict", num evict) ] );
+      (* Partitioning-memo totals across open sessions ({!Urm.Ptree.shared}). *)
+      ( "partition_memo",
+        let hit, miss =
+          List.fold_left
+            (fun (h, m) s ->
+              let h', m' = Urm.Ctx.partitioning_stats (Session.ctx s) in
+              (h + h', m + m'))
+            (0, 0)
+            (Session.list t.session_catalog)
+        in
+        Json.Obj [ ("hit", num hit); ("miss", num miss) ] );
       ("queue", Front.queue_json t.front);
       ("sessions", num (List.length (Session.list t.session_catalog)));
       ("connections", num (Front.connections t.front));

@@ -111,15 +111,6 @@ let put_if_absent t key value =
         push_front t n;
         (value, true, evict_over_capacity t))
 
-let remove t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | None -> false
-      | Some n ->
-        unlink t n;
-        Hashtbl.remove t.tbl key;
-        true)
-
 let remove_if t pred =
   locked t (fun () ->
       (* Collect first: [pred] must not run while we restructure the list,

@@ -37,9 +37,6 @@ val add_guarded :
     outside the lock: the loser adopts the winner's value. *)
 val put_if_absent : 'a t -> string -> 'a -> 'a * bool * string list
 
-(** [remove t key] unbinds [key]; [false] when it was absent. *)
-val remove : 'a t -> string -> bool
-
 (** [remove_if t pred] unbinds every entry satisfying [pred] and returns how
     many were removed.  [pred] runs under the map's lock and must not
     re-enter the map.  Basis of the service cache's selective

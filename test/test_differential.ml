@@ -645,6 +645,11 @@ let test_factorized_engine_recorded () =
    [State.query_deps] and [Factorized.weighted_units] against the
    per-mapping loops they replaced, kept here as references. *)
 
+(* The [Base] leaves of an expression, pre-order, duplicates kept. *)
+let rec base_leaves = function
+  | Urm_relalg.Algebra.Base n -> [ n ]
+  | e -> List.concat_map base_leaves (Urm_relalg.Algebra.children e)
+
 (* Every mapping's stored relations, first-seen order over the mappings. *)
 let query_deps_ref (snap : Urm_incr.Vcatalog.snapshot) q =
   let seen = Hashtbl.create 8 in
@@ -661,7 +666,7 @@ let query_deps_ref (snap : Urm_incr.Vcatalog.snapshot) q =
         Urm.Reformulate.source_query snap.Urm_incr.Vcatalog.ctx.Urm.Ctx.target q m
       in
       (match sq.Urm.Reformulate.body with
-      | Urm.Reformulate.Expr e -> List.iter note (Urm_incr.Delta.base_names e)
+      | Urm.Reformulate.Expr e -> List.iter note (base_leaves e)
       | Urm.Reformulate.Unsatisfiable | Urm.Reformulate.Trivial -> ());
       List.iter note sq.Urm.Reformulate.factor_rels)
     snap.Urm_incr.Vcatalog.mappings;
@@ -730,6 +735,125 @@ let test_per_partition_workload () =
     @ List.map Urm_workload.Sweeps.selections [ 1; 2; 3; 4 ]
     @ List.map Urm_workload.Sweeps.self_joins [ 1; 2 ])
 
+(* ------------------------------------------------------------------ *)
+(* The partitioning memo ({!Urm.Ptree.shared}).  One context serves every
+   case, so when a case looks its shape up the memo already holds entries
+   from earlier cases, other constants and other mapping lists.  Each step
+   reads a same-shape query over the head snapshot and compares the
+   memoised partition with [Ptree.partition] (same lists, same order, same
+   probabilities) and the memoised deps with the per-mapping reference. *)
+
+let memo_ctx = lazy (Test_core.ctx ())
+
+(* [q] with its selection constants replaced, cycling through [vs]. *)
+let with_constants (q : Urm.Query.t) vs =
+  let n = ref (-1) in
+  let next () =
+    incr n;
+    List.nth vs (!n mod List.length vs)
+  in
+  Urm.Query.make ~name:q.name ~target:Test_core.target ~aliases:q.aliases
+    ~selections:(List.map (fun (ta, _) -> (ta, next ())) q.selections)
+    ~joins:q.joins ?projection:q.projection ?aggregate:q.aggregate
+    ~group_by:q.group_by ()
+
+let constant_gen =
+  QCheck.Gen.(
+    list_size (1 -- 3)
+      (map s (oneofl [ "aaa"; "hk"; "456"; "Alice"; "HK"; "CN"; "zz" ])))
+
+let partition_ids parts =
+  List.map (List.map (fun m -> (m.Urm.Mapping.id, m.Urm.Mapping.prob))) parts
+
+(* [None] when the memo agrees with the raw partition and the reference
+   deps, and the lookups counted [hits] hits and [misses] misses. *)
+let memo_disagreement (snap : Urm_incr.Vcatalog.snapshot) q ~hits ~misses =
+  let ctx = snap.Urm_incr.Vcatalog.ctx and ms = snap.Urm_incr.Vcatalog.mappings in
+  let h0, m0 = Urm.Ctx.partitioning_stats ctx in
+  let got = Urm.Qsharing.partitions ctx q ms in
+  let deps = Urm_incr.State.query_deps snap q in
+  let h1, m1 = Urm.Ctx.partitioning_stats ctx in
+  let want = Urm.Ptree.partition ctx.Urm.Ctx.target q ms in
+  let want_deps = query_deps_ref snap q in
+  if partition_ids got <> partition_ids want then
+    Some
+      (Printf.sprintf "partition of %s at epoch %d: %d parts, raw %d"
+         (Urm.Query.to_string q) snap.Urm_incr.Vcatalog.epoch (List.length got)
+         (List.length want))
+  else if deps <> want_deps then
+    Some
+      (Printf.sprintf "deps of %s at epoch %d: [%s], per mapping [%s]"
+         (Urm.Query.to_string q) snap.Urm_incr.Vcatalog.epoch
+         (String.concat "; " deps) (String.concat "; " want_deps))
+  else if (h1 - h0, m1 - m0) <> (hits, misses) then
+    Some
+      (Printf.sprintf "%s at epoch %d: %d hits, %d misses; expected %d, %d"
+         (Urm.Query.to_string q) snap.Urm_incr.Vcatalog.epoch (h1 - h0) (m1 - m0)
+         hits misses)
+  else None
+
+let qcheck_partitioning_memo =
+  QCheck.Test.make
+    ~name:"memoised partition and deps survive constants and mapping edits"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair (pair query_gen bounded_mappings_gen) (pair constant_gen constant_gen)))
+    (fun ((q, ms), (c1, c2)) ->
+      QCheck.assume (List.length ms >= 2);
+      let ctx = Lazy.force memo_ctx in
+      let vcat = Urm_incr.Vcatalog.create ~ctx ~mappings:ms () in
+      let commit batch =
+        match Urm_incr.Vcatalog.commit vcat batch with
+        | Ok o -> o.Urm_incr.Vcatalog.snapshot
+        | Error e -> failwith e
+      in
+      let first = List.hd ms and last = List.nth ms (List.length ms - 1) in
+      let customer = Urm_relalg.Catalog.find ctx.Urm.Ctx.catalog "Customer" in
+      let head = Urm_incr.Vcatalog.head vcat in
+      (* A fresh list misses once (the partition) and the deps then hit;
+         the same list under other constants hits twice. *)
+      let steps =
+        [
+          (fun () -> (head, q, 1, 1));
+          (fun () -> (head, with_constants q c1, 2, 0));
+          (fun () ->
+            ( commit
+                [
+                  Urm_incr.Mutation.Insert
+                    { rel = "Customer"; row = Array.copy customer.Urm_relalg.Relation.rows.(0) };
+                ],
+              with_constants q c2,
+              2,
+              0 ));
+          (fun () ->
+            ( commit [ Urm_incr.Mutation.Reweight { mapping = first.Urm.Mapping.id; prob = 0.5 } ],
+              with_constants q c2,
+              1,
+              1 ));
+          (fun () ->
+            ( commit [ Urm_incr.Mutation.Prune { mapping = last.Urm.Mapping.id } ],
+              with_constants q c1,
+              1,
+              1 ));
+          (fun () ->
+            ( commit
+                [
+                  Urm_incr.Mutation.Add_mapping
+                    { id = None; pairs = first.Urm.Mapping.pairs; prob = 0.25; score = 0.25 };
+                ],
+              q,
+              1,
+              1 ));
+        ]
+      in
+      List.for_all
+        (fun step ->
+          let snap, q, hits, misses = step () in
+          match memo_disagreement snap q ~hits ~misses with
+          | None -> true
+          | Some msg -> QCheck.Test.fail_report msg)
+        steps)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_running_example;
@@ -752,4 +876,5 @@ let suite =
     Alcotest.test_case
       "workload queries at h = 100: per-partition deps and units" `Quick
       test_per_partition_workload;
+    QCheck_alcotest.to_alcotest qcheck_partitioning_memo;
   ]

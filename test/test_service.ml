@@ -1,8 +1,8 @@
 (* The query-service layer: LRU, wire protocol, canonical query keys,
    mapping-set wire validation, domain-safety of the metrics registry, and
-   the answer cache's dependency sets on a live server.  The live server
-   is exercised end to end by test/smoke (dune @smoke, part of
-   @runtest). *)
+   the answer cache's dependency sets and the partitioning memo on a live
+   server.  The live server is exercised end to end by test/smoke (dune
+   @smoke, part of @runtest). *)
 
 module Json = Urm_util.Json
 module Lru = Urm_util.Lru
@@ -146,6 +146,38 @@ let test_canonical_distinguishes () =
   Alcotest.(check bool) "distinct queries differ" false
     (String.equal (Urm.Query.canonical q1) (Urm.Query.canonical q5))
 
+(* A shape erases selection constants and nothing else: the q-sharing
+   partition and the dependency set memoised per shape depend on every
+   other part of the query. *)
+let test_shape () =
+  let target = Urm_workload.Targets.excel in
+  let at = Urm.Query.at in
+  let q ?(aliases = [ ("PO", "PO"); ("Item", "Item") ]) ?(sel = "priority")
+      ?(po = "PO") ?(joins = true) ?projection ?aggregate (p, n) =
+    Urm.Query.make ~name:"q" ~target ~aliases
+      ~selections:
+        [ (at po sel, Urm_relalg.Value.Int p); (at "Item" "quantity", Urm_relalg.Value.Int n) ]
+      ~joins:(if joins then [ (at po "orderNum", at "Item" "orderNum") ] else [])
+      ?projection ?aggregate ()
+  in
+  let base = q (2, 7) in
+  let same label other =
+    Alcotest.(check string) label (Urm.Query.shape base) (Urm.Query.shape other)
+  in
+  let differs label other =
+    Alcotest.(check bool) label false
+      (String.equal (Urm.Query.shape base) (Urm.Query.shape other))
+  in
+  same "other constants share the shape" (q (5, 40));
+  Alcotest.(check bool) "but not the canonical text" false
+    (String.equal (Urm.Query.canonical base) (Urm.Query.canonical (q (5, 40))));
+  differs "another attribute" (q ~sel:"orderNum" (2, 7));
+  differs "another alias"
+    (q ~aliases:[ ("P", "PO"); ("Item", "Item") ] ~po:"P" (2, 7));
+  differs "no join" (q ~joins:false (2, 7));
+  differs "a projection" (q ~projection:[ at "PO" "orderNum" ] (2, 7));
+  differs "an aggregate" (q ~aggregate:Urm.Query.Count (2, 7))
+
 (* ------------------------------------------------------------------ *)
 (* Mapping_io wire validation *)
 
@@ -246,7 +278,45 @@ let test_metrics_json_sorted () =
     (Json.to_string (Urm_obs.Metrics.to_json m))
 
 (* ------------------------------------------------------------------ *)
-(* Answer-cache dependencies *)
+(* Answer-cache dependencies and the partitioning memo, on a live server *)
+
+(* A live server over a small Excel session: [f call ctx ms] gets the
+   request function (the session parameter added) and the session's
+   context and mappings, rebuilt in-process from the same seed. *)
+let with_excel_session name f =
+  let seed = 7 and scale = 0.005 and h = 8 in
+  let p = Urm_workload.Pipeline.create ~seed ~scale () in
+  let excel = Urm_workload.Targets.excel in
+  let ctx = Urm_workload.Pipeline.ctx p excel in
+  let ms = Urm_workload.Pipeline.mappings p excel ~h in
+  let server =
+    Urm_service.Server.start
+      { Urm_service.Server.default_config with port = 0; workers = 1 }
+  in
+  let c = Urm_service.Client.connect ~port:(Urm_service.Server.port server) () in
+  let session = ("session", Json.Str name) in
+  let call op params =
+    match Urm_service.Client.call c ~op (session :: params) with
+    | Ok reply -> reply
+    | Error (code, m) -> Alcotest.failf "%s: %s: %s" op code m
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Urm_service.Client.close c;
+      Urm_service.Server.stop server;
+      Urm_service.Server.wait server)
+    (fun () ->
+      ignore
+        (call "open-session"
+           [
+             ("target", Json.Str "Excel");
+             ("seed", Json.Num (float_of_int seed));
+             ("scale", Json.Num scale);
+             ("h", Json.Num (float_of_int h));
+           ]);
+      f call ctx ms)
+
+let member name json = Option.value ~default:Json.Null (Json.member name json)
 
 (* A selection whose constant the source lacks answers θ, yet the cached
    answer still depends on the relation the selection reads: inserting a
@@ -254,91 +324,138 @@ let test_metrics_json_sorted () =
    selection-probed reformulation would lose that relation (the probe
    makes the unit unsatisfiable) and serve the stale θ. *)
 let test_absent_constant_invalidates () =
-  let seed = 7 and scale = 0.005 and h = 8 in
   let constant = "zz-absent" in
-  let p = Urm_workload.Pipeline.create ~seed ~scale () in
-  let excel = Urm_workload.Targets.excel in
-  let ctx = Urm_workload.Pipeline.ctx p excel in
-  let ms = Urm_workload.Pipeline.mappings p excel ~h in
-  let source_attr =
-    match List.find_map (fun m -> Urm.Mapping.source_of m "PO.telephone") ms with
-    | Some a -> a
-    | None -> Alcotest.fail "no mapping maps PO.telephone"
-  in
-  let rel, col = Urm_relalg.Schema.split_qualified source_attr in
-  let stored = Urm_relalg.Catalog.find ctx.Urm.Ctx.catalog rel in
-  let row = Array.copy stored.Urm_relalg.Relation.rows.(0) in
-  let pos = Urm_relalg.Relation.col_pos stored col in
-  (match row.(pos) with
-  | Urm_relalg.Value.Str _ -> ()
-  | _ -> Alcotest.failf "%s does not hold strings" source_attr);
-  Alcotest.(check bool) "the constant is absent" false
-    (Urm_relalg.Catalog.has_value ctx.Urm.Ctx.catalog rel col
-       (Urm_relalg.Value.Str constant));
-  row.(pos) <- Urm_relalg.Value.Str constant;
-  let server =
-    Urm_service.Server.start
-      { Urm_service.Server.default_config with port = 0; workers = 1 }
-  in
-  let c = Urm_service.Client.connect ~port:(Urm_service.Server.port server) () in
-  let call op params =
-    match Urm_service.Client.call c ~op params with
-    | Ok reply -> reply
-    | Error (code, m) -> Alcotest.failf "%s: %s: %s" op code m
-  in
-  let member name json = Option.value ~default:Json.Null (Json.member name json) in
-  let session = ("session", Json.Str "abs") in
-  ignore
-    (call "open-session"
-       [
-         session;
-         ("target", Json.Str "Excel");
-         ("seed", Json.Num (float_of_int seed));
-         ("scale", Json.Num scale);
-         ("h", Json.Num (float_of_int h));
-       ]);
-  let query () =
-    let reply =
-      call "query"
-        [
-          session;
-          ( "sql",
-            Json.Str
-              (Printf.sprintf
-                 "SELECT PO.telephone FROM PO WHERE PO.telephone = '%s'" constant) );
-        ]
-    in
-    ( member "cached" reply,
-      Json.to_string
-        (Json.Obj
-           [ ("answers", member "answers" reply); ("null", member "null_prob" reply) ])
-    )
-  in
-  let cached0, theta = query () in
-  Alcotest.(check bool) "first read is computed" true (cached0 = Json.Bool false);
-  Alcotest.(check string) "an absent constant answers θ"
-    {|{"answers":[],"null":1}|} theta;
-  Alcotest.(check bool) "second read is cached" true (fst (query ()) = Json.Bool true);
-  let mutated =
-    call "mutate"
+  with_excel_session "abs" (fun call ctx ms ->
+      let source_attr =
+        match List.find_map (fun m -> Urm.Mapping.source_of m "PO.telephone") ms with
+        | Some a -> a
+        | None -> Alcotest.fail "no mapping maps PO.telephone"
+      in
+      let rel, col = Urm_relalg.Schema.split_qualified source_attr in
+      let stored = Urm_relalg.Catalog.find ctx.Urm.Ctx.catalog rel in
+      let row = Array.copy stored.Urm_relalg.Relation.rows.(0) in
+      let pos = Urm_relalg.Relation.col_pos stored col in
+      (match row.(pos) with
+      | Urm_relalg.Value.Str _ -> ()
+      | _ -> Alcotest.failf "%s does not hold strings" source_attr);
+      Alcotest.(check bool) "the constant is absent" false
+        (Urm_relalg.Catalog.has_value ctx.Urm.Ctx.catalog rel col
+           (Urm_relalg.Value.Str constant));
+      row.(pos) <- Urm_relalg.Value.Str constant;
+      let query () =
+        let reply =
+          call "query"
+            [
+              ( "sql",
+                Json.Str
+                  (Printf.sprintf
+                     "SELECT PO.telephone FROM PO WHERE PO.telephone = '%s'"
+                     constant) );
+            ]
+        in
+        ( member "cached" reply,
+          Json.to_string
+            (Json.Obj
+               [ ("answers", member "answers" reply); ("null", member "null_prob" reply) ])
+        )
+      in
+      let cached0, theta = query () in
+      Alcotest.(check bool) "first read is computed" true (cached0 = Json.Bool false);
+      Alcotest.(check string) "an absent constant answers θ"
+        {|{"answers":[],"null":1}|} theta;
+      Alcotest.(check bool) "second read is cached" true
+        (fst (query ()) = Json.Bool true);
+      let mutated =
+        call "mutate"
+          [
+            ( "mutations",
+              Urm_incr.Mutation.batch_to_json
+                [ Urm_incr.Mutation.Insert { rel; row } ] );
+          ]
+      in
+      Alcotest.(check string) "a data-only batch invalidates selectively" "selective"
+        (match member "scope" (member "invalidation" mutated) with
+        | Json.Str s -> s
+        | _ -> "");
+      let cached1, after = query () in
+      Alcotest.(check bool) "the read after the insert is recomputed" true
+        (cached1 = Json.Bool false);
+      Alcotest.(check bool) "and sees the inserted constant" false
+        (String.equal theta after))
+
+(* One ad-hoc shape over PO ⋈ Item; reads differ only in constants. *)
+let shape_sql (quantity, priority) =
+  Printf.sprintf
+    "SELECT PO.orderNum, PO.priority, Item.itemNum, Item.quantity FROM PO, Item \
+     WHERE PO.orderNum = Item.orderNum AND Item.quantity = %d AND PO.priority = %d"
+    quantity priority
+
+(* [(cached, bytes)] of a read: whether it was served from the answer
+   cache, and its size, answers and θ. *)
+let read call ?(algorithm = "o-sharing") constants =
+  let reply =
+    call "query"
       [
-        session;
-        ( "mutations",
-          Urm_incr.Mutation.batch_to_json [ Urm_incr.Mutation.Insert { rel; row } ] );
+        ("sql", Json.Str (shape_sql constants));
+        ("algorithm", Json.Str algorithm);
+        ("answers", Json.Num 1000.);
       ]
   in
-  Alcotest.(check string) "a data-only batch invalidates selectively" "selective"
-    (match member "scope" (member "invalidation" mutated) with
-    | Json.Str s -> s
-    | _ -> "");
-  let cached1, after = query () in
-  Alcotest.(check bool) "the read after the insert is recomputed" true
-    (cached1 = Json.Bool false);
-  Alcotest.(check bool) "and sees the inserted constant" false
-    (String.equal theta after);
-  Urm_service.Client.close c;
-  Urm_service.Server.stop server;
-  Urm_service.Server.wait server
+  ( member "cached" reply,
+    Json.to_string
+      (Json.Obj
+         [
+           ("size", member "size" reply);
+           ("answers", member "answers" reply);
+           ("null", member "null_prob" reply);
+         ]) )
+
+(* A mapping mutation builds a new mapping list, so the memoised
+   partition of a shape must not serve the next read of that shape: each
+   read after a reweight or an added mapping renders the bytes of a fresh
+   basic evaluation of the same snapshot. *)
+let test_memo_follows_mapping_edits () =
+  with_excel_session "memo" (fun call _ ms ->
+      let m0 = List.hd ms in
+      let check label constants =
+        let cached, got = read call constants in
+        let basic_cached, want = read call ~algorithm:"basic" constants in
+        Alcotest.(check bool) (label ^ ": computed") true (cached = Json.Bool false);
+        Alcotest.(check bool)
+          (label ^ ": basic computed") true
+          (basic_cached = Json.Bool false);
+        Alcotest.(check string) (label ^ ": basic's bytes") want got
+      in
+      let mutate m =
+        ignore
+          (call "mutate" [ ("mutations", Urm_incr.Mutation.batch_to_json [ m ]) ])
+      in
+      check "first read" (1, 1);
+      mutate (Urm_incr.Mutation.Reweight { mapping = m0.Urm.Mapping.id; prob = 0.01 });
+      check "after a reweight" (2, 3);
+      mutate
+        (Urm_incr.Mutation.Add_mapping
+           { id = None; pairs = m0.Urm.Mapping.pairs; prob = 0.3; score = 0.3 });
+      check "after an added mapping" (3, 5))
+
+(* The memo's counts reach the metrics reply: a second read of a shape
+   under other constants counts one hit (basic partitions nothing, so its
+   only lookup is the answer's dependency set). *)
+let test_memo_metrics () =
+  with_excel_session "memo-metrics" (fun call _ _ ->
+      let counts () =
+        let memo = member "partition_memo" (call "metrics" []) in
+        (Json.to_float (member "hit" memo), Json.to_float (member "miss" memo))
+      in
+      let h0, m0 = counts () in
+      ignore (read call ~algorithm:"basic" (1, 1));
+      let h1, m1 = counts () in
+      ignore (read call ~algorithm:"basic" (2, 3));
+      let h2, m2 = counts () in
+      Alcotest.(check (pair (float 0.) (float 0.))) "the first read misses" (0., 1.)
+        (h1 -. h0, m1 -. m0);
+      Alcotest.(check (pair (float 0.) (float 0.))) "the second read hits" (1., 0.)
+        (h2 -. h1, m2 -. m1))
 
 (* ------------------------------------------------------------------ *)
 
@@ -361,6 +478,7 @@ let suite =
       test_canonical_sql_agrees;
     Alcotest.test_case "canonical distinguishes queries" `Quick
       test_canonical_distinguishes;
+    Alcotest.test_case "a shape erases only the constants" `Quick test_shape;
     Alcotest.test_case "mapping_io rejects bad probabilities" `Quick
       test_mapping_io_rejects_bad_probabilities;
     Alcotest.test_case "mapping_io one-to-one violations are Failure" `Quick
@@ -372,4 +490,8 @@ let suite =
       test_metrics_json_sorted;
     Alcotest.test_case "an insert of an absent selection constant evicts θ"
       `Quick test_absent_constant_invalidates;
+    Alcotest.test_case "a mapping edit misses the partition memo" `Quick
+      test_memo_follows_mapping_edits;
+    Alcotest.test_case "a second same-shape read counts one memo hit" `Quick
+      test_memo_metrics;
   ]
